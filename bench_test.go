@@ -741,11 +741,11 @@ func BenchmarkSuiteMatrix(b *testing.B) {
 	})
 }
 
-// --- World snapshots (copy-on-write fork vs fresh build) ---
+// --- World snapshots (copy-on-write fork) ---
 
-// BenchmarkWorldSnapshotFork measures the per-run world cost with the
-// snapshot seam on: every iteration forks the app's memoized frozen
-// image — the price each injection run now pays for a private world.
+// BenchmarkWorldSnapshotFork measures the per-run world cost: every
+// iteration forks the app's memoized frozen image — the price each
+// injection run pays for a private world.
 func BenchmarkWorldSnapshotFork(b *testing.B) {
 	for _, spec := range apps.Catalog() {
 		c := spec.Vulnerable()
@@ -753,23 +753,6 @@ func BenchmarkWorldSnapshotFork(b *testing.B) {
 			b.ReportAllocs()
 			c.World() // prime the package image outside the timer
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.World()
-			}
-		})
-	}
-}
-
-// BenchmarkWorldFreshBuild is the same worlds with snapshots disabled —
-// the full construction cost every injection run paid before the seam.
-// The gap to BenchmarkWorldSnapshotFork is the tentpole win.
-func BenchmarkWorldFreshBuild(b *testing.B) {
-	inject.SetWorldSnapshots(false)
-	defer inject.SetWorldSnapshots(true)
-	for _, spec := range apps.Catalog() {
-		c := spec.Vulnerable()
-		b.Run(c.Name, func(b *testing.B) {
-			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.World()
 			}

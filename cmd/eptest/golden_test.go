@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/core/inject"
 )
 
 // goldenUpdate regenerates the committed golden reports instead of
@@ -86,39 +84,4 @@ func TestGoldenWorkerCountInvariance(t *testing.T) {
 		t.Skip("suite-base.txt is regenerated by TestGoldenSuiteReport")
 	}
 	golden(t, "suite-base.txt", "-all", "-j", "13")
-}
-
-// TestGoldenSnapshotsOff re-renders the same goldens with copy-on-write
-// world snapshots disabled: the execution strategy must never move a
-// byte, in either direction — the snapshot-mode tests above pin one
-// side, this pins the other against the identical committed files.
-//
-// Deliberately NOT parallel: -snapshots flips a process-wide toggle,
-// and Go runs every serial test to completion before any t.Parallel()
-// test resumes, so the flip cannot race the snapshot-mode renders.
-func TestGoldenSnapshotsOff(t *testing.T) {
-	if *goldenUpdate {
-		t.Skip("goldens are regenerated by the snapshot-mode tests that own them")
-	}
-	defer inject.SetWorldSnapshots(true)
-	golden(t, "suite-base.txt", "-all", "-j", "4", "-snapshots=false")
-	golden(t, "suite-matrix-lpr.txt", "-all", "-matrix", "-filter", "lpr/*", "-j", "4", "-snapshots=false")
-	golden(t, "suite-matrix-pair.txt", "-all", "-matrix", "-filter", "turnin+untar/*", "-j", "4", "-snapshots=false")
-}
-
-// TestGoldenOracleSeedOff re-renders the goldens with the prefix-seeded
-// oracle disabled, pinning the seeded and full-walk evaluation paths to
-// the same committed bytes. Serial for the same reason as the snapshots
-// test: -oracle-seed flips a process-wide toggle.
-func TestGoldenOracleSeedOff(t *testing.T) {
-	if *goldenUpdate {
-		t.Skip("goldens are regenerated by the seeded-mode tests that own them")
-	}
-	defer inject.SetOracleSeeding(true)
-	defer inject.SetWorldSnapshots(true)
-	golden(t, "suite-base.txt", "-all", "-j", "4", "-oracle-seed=false")
-	golden(t, "suite-matrix-pair.txt", "-all", "-matrix", "-filter", "turnin+untar/*", "-j", "4", "-oracle-seed=false")
-	// Both toggles off together: the NoSnapshot fallback must produce
-	// identical reports with the full oracle walk.
-	golden(t, "suite-base.txt", "-all", "-j", "4", "-snapshots=false", "-oracle-seed=false")
 }

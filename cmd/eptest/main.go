@@ -144,8 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		authToken   = fs.String("auth-token", "", "shared bearer token: required of clients by -serve-cache/-serve-coord, sent by -cache-url/-coord-url workers")
 		lease       = fs.Duration("lease", coord.DefaultLeaseTTL, "with -serve-coord: claim lease TTL; a worker silent this long loses its jobs back to the queue")
 		retention   = fs.Duration("campaign-retention", coord.DefaultCampaignRetention, "with -serve-coord: how long a finished named campaign's status record stays visible before it is garbage-collected (0 keeps records forever)")
-		snapshots   = fs.Bool("snapshots", true, "build each campaign world once and fork copy-on-write snapshots per injection run; -snapshots=false rebuilds every world from scratch (byte-identical results, for cross-checking)")
-		oracleSeed  = fs.Bool("oracle-seed", true, "precompute each campaign's security-oracle state over the clean trace and evaluate each run from its armed point; -oracle-seed=false re-walks every run's full trace (byte-identical results, for cross-checking)")
 		benchJSON   = fs.String("bench-json", "", "with -all: write machine-readable wall-time/throughput stats for the run to FILE; with -bench-gate: the fresh run's record to judge")
 		benchGate   = fs.String("bench-gate", "", "compare the fresh -bench-json FILE against this committed baseline record and fail on a throughput regression (see -gate-tolerance)")
 		gateTol     = fs.Float64("gate-tolerance", defaultGateTolerance, "with -bench-gate: allowed fractional throughput drop before the gate fails (0.4 = fail below 60% of baseline)")
@@ -159,10 +157,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// Applied unconditionally (not only when the flag is passed): run() is
-	// re-entered by tests, and the toggles are process-wide.
-	inject.SetWorldSnapshots(*snapshots)
-	inject.SetOracleSeeding(*oracleSeed)
 
 	if *workers < 1 {
 		fmt.Fprintf(stderr, "eptest: -j %d is not a worker count; pass how many injection runs may execute concurrently (-j 1 for sequential, -j 8 for eight workers)\n", *workers)

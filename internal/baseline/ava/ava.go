@@ -65,10 +65,6 @@ func Run(name string, world inject.Factory, pol policy.Policy, opt Options) Resu
 	for i := 0; i < opt.Trials; i++ {
 		res.Trials++
 		k, l := ws.World()
-		snap := ws.BaseFS()
-		if snap == nil {
-			snap = k.FS.Clone()
-		}
 		k.Bus.OnPost(func(c *interpose.Call, r *interpose.Result) {
 			if !c.Op.HasInput() || r.Err != nil || r.Data == nil {
 				return
@@ -83,7 +79,7 @@ func Run(name string, world inject.Factory, pol policy.Policy, opt Options) Resu
 		obs := policy.Observation{
 			Trace:  k.Bus.Trace(),
 			Stdout: p.Stdout.Bytes(),
-			Snap:   snap,
+			Snap:   ws.BaseFS(),
 		}
 		if crash != nil {
 			res.Crashes++

@@ -9,9 +9,9 @@ import (
 
 // ExecPlan is a materialised campaign: the clean-run planning state of
 // Section 3.3 steps 2-5 plus the ordered list of injection runs steps 6-8
-// will perform. Each run builds its own world through the campaign's
-// Factory and shares nothing mutable with the others, so distinct indices
-// may be executed from concurrent goroutines; a scheduler that writes
+// will perform. Each run forks its own world from the campaign's frozen
+// clean image and shares nothing mutable with the others, so distinct
+// indices may be executed from concurrent goroutines; a scheduler that writes
 // RunOne(i) into slot i of a results slice reproduces the sequential
 // engine's Result bit for bit.
 type ExecPlan struct {
@@ -20,15 +20,13 @@ type ExecPlan struct {
 	shell    *Result
 	plans    []planned
 	// world hands out per-run worlds: copy-on-write forks of one frozen
-	// clean image when snapshots are enabled, fresh factory builds
-	// otherwise. One snapshot serves every run of the plan — including
+	// clean image. One snapshot serves every run of the plan — including
 	// runs executed concurrently by the sched dispatcher's workers.
-	world *worldSource
+	world worldSource
 	// seed is the campaign's precomputed prefix oracle state, shared
-	// read-only by every run (nil when seeding or snapshots are off).
-	// runOne consults it only for runs whose pre-injection world is the
-	// frozen base image — the condition under which seeded evaluation is
-	// provably identical to the full walk.
+	// read-only by every run. runOne consults it only for runs whose
+	// pre-injection world is the frozen base image — the condition under
+	// which seeded evaluation is provably identical to the full walk.
 	seed *policy.Seed
 }
 
@@ -39,21 +37,17 @@ func Prepare(c Campaign) (*ExecPlan, error) { return PrepareWith(c, Options{}) }
 // PrepareWith materialises the campaign's execution plan: the clean run,
 // the interaction-point enumeration, and the per-point fault lists.
 func PrepareWith(c Campaign, opt Options) (*ExecPlan, error) {
+	if c.World == nil {
+		return nil, ErrNoWorld
+	}
 	c.Faults = c.Faults.WithDefaults()
-	ws, err := newWorldSource(c)
+	ep := &ExecPlan{campaign: c, opt: opt, world: newWorldSource(c.World)}
+	pr, err := planCampaign(c, opt, ep.world.world)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := planCampaign(c, opt, ws)
-	if err != nil {
-		return nil, err
-	}
-	ep := &ExecPlan{campaign: c, opt: opt, shell: pr.result, plans: pr.plans, world: ws}
-	if OracleSeeding() {
-		if base := ws.baseFS(); base != nil {
-			ep.seed = policy.NewSeed(c.Policy, pr.result.CleanTrace, base)
-		}
-	}
+	ep.shell, ep.plans = pr.result, pr.plans
+	ep.seed = policy.NewSeed(c.Policy, pr.result.CleanTrace, ep.world.baseFS())
 	return ep, nil
 }
 
@@ -82,9 +76,9 @@ func (p *ExecPlan) Planned(i int) PlannedInjection {
 }
 
 // RunOne executes injection run i (steps 6-8) in a fresh world and
-// returns its outcome. It is safe for concurrent use: every call forks (or
-// builds) its own kernel and mutates only its own Injection; the shared
-// seed is immutable.
+// returns its outcome. It is safe for concurrent use: every call forks
+// its own kernel and mutates only its own Injection; the shared seed is
+// immutable.
 func (p *ExecPlan) RunOne(i int) Injection {
 	return p.runOne(i, nil)
 }

@@ -37,9 +37,13 @@ type Launch struct {
 	Prog kernel.Program
 }
 
-// Factory builds a fresh world and launch description. It is invoked once
-// per injection run, so every run starts from an identical environment —
-// the paper's requirement that faults be injected into a known state.
+// Factory builds a fresh world and launch description. The engine invokes
+// it once per campaign, freezes the result, and forks a copy-on-write
+// world per injection run, so every run starts from an identical
+// environment — the paper's requirement that faults be injected into a
+// known state. A factory must build the same world on every call: the
+// test-only reference engine (referenceRun) still calls it once per run
+// and checks that forking never moves a result byte.
 type Factory func() (*kernel.Kernel, Launch)
 
 // Campaign is one application-under-test configuration.
@@ -69,12 +73,6 @@ type Campaign struct {
 	// world builder or program changes. Empty disables source-level
 	// caching; the trace-pinned plan fingerprint still applies.
 	Source string
-	// NoSnapshot opts the campaign out of copy-on-write world snapshots:
-	// every run rebuilds through World even when snapshots are globally
-	// enabled. For factories with per-call side effects the engine cannot
-	// see (e.g. a world drawn from an external data source). Not
-	// fingerprint material — snapshotting never changes a result byte.
-	NoSnapshot bool
 }
 
 // Options are engine variations used by the ablation benchmarks. The zero
@@ -238,10 +236,10 @@ var traceBufs = sync.Pool{New: func() any { return new([]interpose.Event) }}
 // non-nil, observes the world/exec/compare segments; it deliberately
 // lives outside Options so telemetry never perturbs cache fingerprints.
 func (ep *ExecPlan) runOne(i int, phase PhaseFunc) Injection {
-	c, opt, pl, ws := ep.campaign, ep.opt, ep.plans[i], ep.world
+	c, opt, pl := ep.campaign, ep.opt, ep.plans[i]
 
 	worldStart := time.Now()
-	k, l := ws.world()
+	k, l := ep.world.world()
 
 	// Seed trace recording with a pooled buffer sized from the clean
 	// trace: perturbed runs rarely record more events than the clean run.
@@ -259,16 +257,11 @@ func (ep *ExecPlan) runOne(i int, phase PhaseFunc) Injection {
 		Kind:  pl.kind,
 	}
 
-	// Snap defaults to the pre-run world; a direct fault replaces it with
-	// the post-injection world so the oracle judges against what the
-	// attacker actually arranged. In snapshot mode the frozen base image
-	// *is* the pre-run world; otherwise the freshly built world is frozen
-	// in place and the run continues on a copy-on-write fork — either
-	// way, no deep clone.
-	snap := ws.baseFS()
-	if snap == nil {
-		snap = k.FreezeFS()
-	}
+	// Snap defaults to the pre-run world — the frozen base image, so no
+	// deep clone; a direct fault replaces it with the post-injection world
+	// so the oracle judges against what the attacker actually arranged.
+	base := ep.world.baseFS()
+	snap := base
 	armed := false
 
 	switch {
@@ -351,7 +344,7 @@ func (ep *ExecPlan) runOne(i int, phase PhaseFunc) Injection {
 	// every indirect and unapplied-direct run. An applied direct fault
 	// replaced snap with the post-injection world above, which sends it
 	// down the full-walk branch.
-	if ep.seed != nil && snap == ws.baseFS() {
+	if snap == base {
 		inj.Violations = ep.seed.EvaluateFrom(pl.armedIdx, obs)
 	} else {
 		inj.Violations = c.Policy.Evaluate(obs)

@@ -177,7 +177,7 @@ func CleanSites(c Campaign) ([]string, error) {
 		return nil, ErrNoWorld
 	}
 	// A single probe run gains nothing from snapshotting; build directly.
-	k, err := cleanRun(&worldSource{factory: c.World})
+	k, err := cleanRun(c.World)
 	if err != nil {
 		return nil, err
 	}
@@ -188,8 +188,8 @@ func CleanSites(c Campaign) ([]string, error) {
 // world — and returns the kernel holding the recorded trace. Shared
 // by planning and the CleanSites probe so the two can never diverge
 // on clean-run semantics.
-func cleanRun(ws *worldSource) (*kernel.Kernel, error) {
-	k, l := ws.world()
+func cleanRun(world Factory) (*kernel.Kernel, error) {
+	k, l := world()
 	p := k.NewProc(l.Cred, l.Env.Clone(), l.Cwd, l.Args...)
 	if _, crash := k.Run(p, l.Prog); crash != nil {
 		return nil, fmt.Errorf("%w: %s", ErrCleanCrash, crash.Msg)
@@ -242,13 +242,13 @@ type planResult struct {
 
 // planCampaign performs steps 2-5 (clean run, point enumeration, fault
 // lists) and returns both the planning state and the result shell. The
-// clean run and the single shared probe world come from ws — in snapshot
-// mode each is a cheap fork of the one frozen image instead of a fresh
-// build.
-func planCampaign(c Campaign, opt Options, ws *worldSource) (*planResult, error) {
+// clean run and the single shared probe world come from world: the
+// engine passes its worldSource's fork, the reference engine the
+// campaign factory itself.
+func planCampaign(c Campaign, opt Options, world Factory) (*planResult, error) {
 	c.Faults = c.Faults.WithDefaults()
 
-	clean, err := cleanRun(ws)
+	clean, err := cleanRun(world)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +298,7 @@ func planCampaign(c Campaign, opt Options, ws *worldSource) (*planResult, error)
 		if !opt.OnlyIndirect {
 			if ent := eai.EntityForKind(ev.Call.Kind); ent != 0 {
 				if probe == nil {
-					probe, probeLaunch = ws.world()
+					probe, probeLaunch = world()
 					probe.FS.Freeze()
 					if probe.Reg != nil {
 						probe.Reg.Freeze()

@@ -2,162 +2,85 @@ package inject
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim/kernel"
 	"repro/internal/sim/vfs"
 )
 
-// worldSnapshots is the process-wide snapshot toggle, on by default. It is
-// deliberately not an Options field: engine options are cache-fingerprint
-// material and are wholesale-replaced by per-job overrides in the matrix
-// sweeps, while snapshotting is a pure execution strategy that must never
-// change a result byte. The -snapshots CLI flag and the byte-identity
-// tests flip it.
-var worldSnapshots atomic.Bool
-
-// oracleSeeding is the process-wide prefix-seeded-oracle toggle, on by
-// default. It follows the worldSnapshots pattern — outside Options for
-// the same reason: seeding is a pure evaluation strategy that must never
-// change a result byte, so it must never move a cache fingerprint. The
-// -oracle-seed CLI flag and the byte-identity tests flip it.
-var oracleSeeding atomic.Bool
-
-func init() {
-	worldSnapshots.Store(true)
-	oracleSeeding.Store(true)
-}
-
-// SetWorldSnapshots enables or disables copy-on-write world snapshots for
-// every subsequently prepared campaign.
-func SetWorldSnapshots(on bool) { worldSnapshots.Store(on) }
-
-// WorldSnapshots reports whether world snapshotting is enabled.
-func WorldSnapshots() bool { return worldSnapshots.Load() }
-
-// SetOracleSeeding enables or disables prefix-seeded oracle evaluation
-// for every subsequently prepared campaign. When disabled, every run's
-// security-oracle pass re-walks its full trace, byte-identically to the
-// pre-seeding engine.
-func SetOracleSeeding(on bool) { oracleSeeding.Store(on) }
-
-// OracleSeeding reports whether prefix-seeded oracle evaluation is
-// enabled.
-func OracleSeeding() bool { return oracleSeeding.Load() }
-
-// worldSource hands out per-run worlds for one campaign. In snapshot mode
-// it invokes the campaign factory once, freezes the result as the clean
-// image, and forks a mutable kernel per request; otherwise every request
-// rebuilds through the factory, byte-identically to the pre-snapshot
-// engine.
+// worldSource hands out per-run worlds for one campaign: it invokes the
+// factory once, freezes the result as the clean image, and forks a
+// mutable kernel per request. Forks are byte-identical to fresh builds
+// (see kernel.Snapshot.Fork), which the reference-engine differential
+// test pins end to end.
 type worldSource struct {
-	factory Factory
-	snap    *kernel.Snapshot
-	launch  Launch
+	snap   *kernel.Snapshot
+	launch Launch
 }
 
-// newWorldSource captures the campaign's world strategy. The factory is
-// not invoked here for the fallback path, so a campaign whose factory
-// panics lazily behaves exactly as before.
-func newWorldSource(c Campaign) (*worldSource, error) {
-	if c.World == nil {
-		return nil, ErrNoWorld
-	}
-	if !WorldSnapshots() || c.NoSnapshot {
-		return &worldSource{factory: c.World}, nil
-	}
-	k, l := c.World()
-	return &worldSource{snap: k.Snapshot(), launch: l}, nil
+// newWorldSource builds the factory's world once and freezes it.
+func newWorldSource(f Factory) worldSource {
+	k, l := f()
+	return worldSource{snap: k.Snapshot(), launch: l}
 }
 
 // world returns a fresh mutable kernel and launch description.
-func (ws *worldSource) world() (*kernel.Kernel, Launch) {
-	if ws.snap != nil {
-		return ws.snap.Fork(), ws.launch
-	}
-	return ws.factory()
-}
+func (ws *worldSource) world() (*kernel.Kernel, Launch) { return ws.snap.Fork(), ws.launch }
 
-// baseFS returns the frozen clean-world filesystem, or nil when the source
-// rebuilds per run. The oracle uses it directly as the pre-run state
-// snapshot — it is immutable, so no defensive clone is needed.
-func (ws *worldSource) baseFS() *vfs.FS {
-	if ws.snap != nil {
-		return ws.snap.FS()
-	}
-	return nil
-}
+// baseFS returns the frozen clean-world filesystem. The oracle uses it
+// directly as the pre-run state snapshot — it is immutable, so no
+// defensive clone is needed.
+func (ws *worldSource) baseFS() *vfs.FS { return ws.snap.FS() }
 
 // RunWorld is the snapshot seam for out-of-engine consumers — the
 // Section 5 baseline comparators and any other repeated-trial harness.
 // It wraps an arbitrary world factory so each trial forks one frozen
 // image instead of rebuilding, and exposes the frozen clean filesystem
-// for oracle state snapshots. When snapshots are globally disabled it
-// degrades to calling the factory per trial, byte-identically.
+// for oracle state snapshots.
 type RunWorld struct {
 	ws worldSource
 }
 
-// NewRunWorld captures the factory's world. In snapshot mode the factory
-// runs exactly once, here.
-func NewRunWorld(f Factory) *RunWorld {
-	if !WorldSnapshots() {
-		return &RunWorld{ws: worldSource{factory: f}}
-	}
-	k, l := f()
-	return &RunWorld{ws: worldSource{snap: k.Snapshot(), launch: l}}
-}
+// NewRunWorld captures the factory's world. The factory runs exactly
+// once, here.
+func NewRunWorld(f Factory) *RunWorld { return &RunWorld{ws: newWorldSource(f)} }
 
 // World returns a fresh mutable kernel and launch for one trial.
 func (w *RunWorld) World() (*kernel.Kernel, Launch) { return w.ws.world() }
 
-// BaseFS returns the frozen clean filesystem, or nil when the wrapper is
-// rebuilding per trial and no shared image exists.
+// BaseFS returns the frozen clean filesystem shared by every trial.
 func (w *RunWorld) BaseFS() *vfs.FS { return w.ws.baseFS() }
 
 // WorldImage memoizes one world build as a frozen kernel snapshot and
 // hands out copy-on-write forks through the standard Factory shape. App
 // packages whose world content is identical across program variants share
-// one image per package and attach the variant with FactoryWith; when
-// snapshots are globally disabled the image transparently rebuilds from
-// scratch on every call.
+// one image per package and attach the variant with FactoryWith.
 type WorldImage struct {
 	build Factory
 
-	mu     sync.Mutex
-	snap   *kernel.Snapshot
-	launch Launch
+	mu  sync.Mutex
+	src worldSource // zero until the first Factory call builds it
 }
 
 // NewWorldImage wraps a world-building factory in a memoizing image. The
-// factory runs at most once while snapshots are enabled.
+// factory runs at most once.
 func NewWorldImage(build Factory) *WorldImage { return &WorldImage{build: build} }
 
 // Factory returns an inject.Factory backed by the image.
 func (w *WorldImage) Factory() Factory { return w.FactoryWith(nil) }
 
 // FactoryWith returns a Factory whose Launch is adjusted by mod after the
-// (shared) world is produced — how an app package installs the program
+// (shared) world is forked — how an app package installs the program
 // variant and arguments onto a world image common to every variant. mod
 // must not touch the kernel; it may only rewrite the launch description.
 func (w *WorldImage) FactoryWith(mod func(Launch) Launch) Factory {
 	return func() (*kernel.Kernel, Launch) {
-		if !WorldSnapshots() {
-			k, l := w.build()
-			if mod != nil {
-				l = mod(l)
-			}
-			return k, l
-		}
 		w.mu.Lock()
-		if w.snap == nil {
-			k, l := w.build()
-			w.snap = k.Snapshot()
-			w.launch = l
+		if w.src.snap == nil {
+			w.src = newWorldSource(w.build)
 		}
-		snap, l := w.snap, w.launch
+		src := w.src
 		w.mu.Unlock()
-		k := snap.Fork()
+		k, l := src.world()
 		if mod != nil {
 			l = mod(l)
 		}
