@@ -36,6 +36,25 @@ func startCoordServer(t *testing.T, dir string, extra ...string) string {
 	return ""
 }
 
+// waitMergedArtifact waits for the merged artifact a coordinator over
+// store dir writes asynchronously once its queue drains, and returns
+// its path. Tests whose queue drains wait for it before returning, so
+// the temp-dir cleanup never races the write.
+func waitMergedArtifact(t *testing.T, dir string) string {
+	t.Helper()
+	artifact := filepath.Join(dir, "shards", "shard-1-of-1.json")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := os.Stat(artifact); err == nil {
+			return artifact
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator never wrote the merged artifact")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestCoordElasticFlow is the CLI acceptance test for the distributed
 // coordinator — the ISSUE 5 criterion: one of two workers dies
 // mid-run (here: a raw client that claims jobs and goes silent,
@@ -89,17 +108,7 @@ func TestCoordElasticFlow(t *testing.T) {
 
 	// The coordinator writes the merged artifact asynchronously on
 	// drain; wait for it, then demand byte-identity with -all.
-	artifact := filepath.Join(dir, "shards", "shard-1-of-1.json")
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(artifact); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never wrote the merged artifact")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	artifact := waitMergedArtifact(t, dir)
 	var merged, merr bytes.Buffer
 	if code := run([]string{"-merge", dir}, &merged, &merr); code != 0 {
 		t.Fatalf("-merge exit = %d, stderr = %s", code, merr.String())
@@ -115,14 +124,14 @@ func TestCoordElasticFlow(t *testing.T) {
 
 	// Restart semantics first: a second coordinator over the same
 	// store resumes the drained queue from its journal instead of
-	// re-opening it.
+	// re-opening it (and, drained, rewrites the merged artifact).
 	var resumedOut, resumedErr syncBuffer
 	go run([]string{"-serve-coord", "127.0.0.1:0", "-cache", dir, "-lease", "300ms",
 		"-filter", "lpr*", "-auth-token", token}, &resumedOut, &resumedErr)
 	rdl := time.Now().Add(5 * time.Second)
-	for !strings.Contains(resumedOut.String(), "resumed from journal") {
+	for !strings.Contains(resumedOut.String(), "merged artifact written") {
 		if time.Now().After(rdl) {
-			t.Fatalf("restarted coordinator did not resume from journal; stdout %q stderr %q",
+			t.Fatalf("restarted coordinator did not resume from journal and rewrite the artifact; stdout %q stderr %q",
 				resumedOut.String(), resumedErr.String())
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -134,9 +143,12 @@ func TestCoordElasticFlow(t *testing.T) {
 	// Elastic second generation: the queue is durable now, so starting
 	// a genuinely fresh generation means retiring the old journal.
 	// With it gone, every campaign replays source-level from the
-	// shared cache the first generation populated.
-	if err := os.Remove(filepath.Join(dir, "coord", "journal.jsonl")); err != nil {
-		t.Fatal(err)
+	// shared cache the first generation populated. The artifact goes
+	// too, so the wait below sees this generation's drain write.
+	for _, p := range []string{filepath.Join(dir, "coord", "journal.jsonl"), artifact} {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	url2 := startCoordServer(t, dir, "-filter", "lpr*", "-auth-token", token)
 	var warm bytes.Buffer
@@ -153,6 +165,7 @@ func TestCoordElasticFlow(t *testing.T) {
 	if suiteReport(warm.String()) != suiteReport(worker.String()) {
 		t.Error("suite report differs between cold and warm coordinator runs")
 	}
+	waitMergedArtifact(t, dir)
 }
 
 // TestCoordWorkerRejectsWrongToken pins the auth failure mode: a

@@ -86,8 +86,45 @@ func TestTelemetryLeavesReportUnchanged(t *testing.T) {
 	}
 
 	// The trace file is a valid Chrome trace_event array with run spans
-	// and the process-name metadata.
-	tb, err := os.ReadFile(traceFile)
+	// and the process-name metadata; the metrics dump is an
+	// eptest-metrics/1 snapshot counting the executed runs.
+	if runSpans, procMeta := traceSpans(t, traceFile); runSpans == 0 || procMeta == 0 {
+		t.Errorf("trace has %d run spans and %d process_name records, want both > 0", runSpans, procMeta)
+	}
+	if runs := runsExecuted(t, metricsFile); runs == 0 {
+		t.Error("metrics snapshot reports 0 executed runs")
+	}
+}
+
+// TestCoordWorkerTelemetry pins that a coordinator worker's dispatcher
+// records the same telemetry as a local -all run: its -metrics-json
+// counts the executed runs and its -trace carries run spans.
+func TestCoordWorkerTelemetry(t *testing.T) {
+	t.Parallel()
+	storeDir := t.TempDir()
+	url := startCoordServer(t, storeDir, "-filter", "lpr-create-site*")
+	dir := t.TempDir()
+	traceFile := filepath.Join(dir, "trace.json")
+	metricsFile := filepath.Join(dir, "metrics.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-all", "-j", "2", "-filter", "lpr-create-site*", "-coord-url", url,
+		"-trace", traceFile, "-metrics-json", metricsFile}, &out, &errb); code != 0 {
+		t.Fatalf("worker exit = %d, stderr = %s", code, errb.String())
+	}
+	if runSpans, _ := traceSpans(t, traceFile); runSpans == 0 {
+		t.Error("coordinator worker's trace has no run spans")
+	}
+	if runs := runsExecuted(t, metricsFile); runs == 0 {
+		t.Error("coordinator worker's metrics snapshot reports 0 executed runs")
+	}
+	waitMergedArtifact(t, storeDir)
+}
+
+// traceSpans decodes a Chrome trace_event file and counts its run
+// spans and process_name metadata records.
+func traceSpans(t *testing.T, path string) (runSpans, procMeta int) {
+	t.Helper()
+	tb, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +136,6 @@ func TestTelemetryLeavesReportUnchanged(t *testing.T) {
 	if err := json.Unmarshal(tb, &events); err != nil {
 		t.Fatalf("trace file does not decode: %v", err)
 	}
-	var runSpans, procMeta int
 	for _, ev := range events {
 		if ev.Ph == "X" && ev.Cat == "run" {
 			runSpans++
@@ -108,13 +144,14 @@ func TestTelemetryLeavesReportUnchanged(t *testing.T) {
 			procMeta++
 		}
 	}
-	if runSpans == 0 || procMeta == 0 {
-		t.Errorf("trace has %d run spans and %d process_name records, want both > 0", runSpans, procMeta)
-	}
+	return runSpans, procMeta
+}
 
-	// The metrics dump is an eptest-metrics/1 snapshot counting the
-	// executed runs.
-	mb, err := os.ReadFile(metricsFile)
+// runsExecuted decodes an eptest-metrics/1 snapshot and returns its
+// eptest_runs_executed_total.
+func runsExecuted(t *testing.T, path string) int64 {
+	t.Helper()
+	mb, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +168,12 @@ func TestTelemetryLeavesReportUnchanged(t *testing.T) {
 	if snap.Schema != obs.MetricsSchemaVersion {
 		t.Errorf("metrics schema = %q, want %q", snap.Schema, obs.MetricsSchemaVersion)
 	}
-	var runs int64
 	for _, m := range snap.Metrics {
 		if m.Name == "eptest_runs_executed_total" && m.Value != nil {
-			runs = *m.Value
+			return *m.Value
 		}
 	}
-	if runs == 0 {
-		t.Errorf("metrics snapshot reports 0 executed runs:\n%s", mb)
-	}
+	return 0
 }
 
 // get fetches path from the coordinator with the bearer token and
@@ -169,7 +203,8 @@ func get(t *testing.T, url, path, token string) (int, string, string) {
 func TestCoordObservabilitySurface(t *testing.T) {
 	t.Parallel()
 	const token = "s3cret"
-	url := startCoordServer(t, t.TempDir(), "-filter", "lpr-create-site*", "-auth-token", token)
+	storeDir := t.TempDir()
+	url := startCoordServer(t, storeDir, "-filter", "lpr-create-site*", "-auth-token", token)
 
 	if code, _, _ := get(t, url, "/metrics", ""); code != http.StatusUnauthorized {
 		t.Errorf("unauthenticated /metrics = %d, want 401", code)
@@ -239,6 +274,7 @@ func TestCoordObservabilitySurface(t *testing.T) {
 	if len(frep.Findings) == 0 {
 		t.Error("/v1/findings is empty after a drained violating run")
 	}
+	waitMergedArtifact(t, storeDir)
 }
 
 // TestBenchJSONFoldsMetrics checks the bench record carries the flat

@@ -13,9 +13,12 @@
 // ends up with exactly one recorded outcome and the merged suite
 // report is byte-identical to a single-process run.
 //
-// The queue is durable when Options.Journal is set: every state
-// transition appends one record, and Restore folds the journal back
-// into a coordinator after a crash or restart — in-flight leases keep
+// Every state transition is one JournalRecord applied by a single
+// transition function: the live methods decide and commit a record,
+// and Restore applies the journaled records through the same code.
+// The queue is durable when Options.Journal is set: each committed
+// record is appended, and Restore rebuilds the coordinator from the
+// journal after a crash or restart — in-flight leases keep
 // their absolute deadlines (stale ones requeue at the first sweep),
 // recorded outcomes are reloaded (cache-resident results by
 // reference), and the fleet resumes mid-campaign. Named campaigns —
@@ -74,7 +77,7 @@ type Options struct {
 	// gauges, all under the eptest_coord_* names.
 	Metrics *obs.Registry
 	// Journal, when non-nil, receives every queue state transition;
-	// Restore folds the records back after a restart. Nil means the
+	// Restore replays the records after a restart. Nil means the
 	// queue is in-memory only (the pre-durability behaviour).
 	Journal Journal
 	// Results, when non-nil, is the campaign-result cache the journal
@@ -109,15 +112,15 @@ type jobRecord struct {
 	expires time.Time    // lease deadline while claimed
 	outcome *Outcome     // recorded result once done
 	doneBy  string       // worker whose completion won
+	doneAt  time.Time    // when the winning completion was recorded
 	finds   *jobFindings // violation extract once done (nil when clean/failed)
 }
 
 // workerStats counts one registered worker's protocol activity.
 type workerStats struct {
-	id, name                                            string
-	claims, renewals, completions, duplicates, expiries int
-	runsDone                                            int       // injection runs in recorded outcomes
-	lastSeen                                            time.Time // last protocol call (the heartbeat age base)
+	id, name string
+	JournalCounters
+	lastSeen time.Time // last protocol call (the heartbeat age base)
 }
 
 // campaign is one named view over the shared per-index job state. All
@@ -141,13 +144,8 @@ type campaign struct {
 // sweep has folded away, so the totals a departed worker earned stay
 // visible after its status row is gone.
 type DepartedStats struct {
-	Workers     int `json:"workers"`
-	Claims      int `json:"claims,omitempty"`
-	Renewals    int `json:"renewals,omitempty"`
-	Completions int `json:"completions,omitempty"`
-	Duplicates  int `json:"duplicates,omitempty"`
-	Expiries    int `json:"expiries,omitempty"`
-	RunsDone    int `json:"runs_done,omitempty"`
+	Workers int `json:"workers"`
+	JournalCounters
 }
 
 // Coordinator is the lease-based claim queue over one job catalog. All
@@ -177,15 +175,17 @@ type Coordinator struct {
 	journalErrOnce sync.Once
 	resumed        bool
 
-	done       int // jobs in jobDone
+	done      int   // jobs in jobDone
+	doneOrder []int // indices of the done jobs, in completion order
+	// requeues counts expired leases; every expiry requeues, so it
+	// renders as both Stats.Requeues and Stats.Expiries.
 	requeues   int
-	expiries   int
 	duplicates int
 	runsDone   int // injection runs across recorded outcomes
-	// liveDone/liveRuns count only completions recorded by this
-	// process — journal replay restores done/runsDone but not these, so
-	// the ETA's observed-throughput base never mixes pre-restart work
-	// into the post-restart elapsed time.
+	// Soft state, never journaled: liveDone/liveRuns count only
+	// completions recorded by this process, so the ETA's
+	// observed-throughput base never mixes pre-restart work into the
+	// post-restart elapsed time.
 	liveDone  int
 	liveRuns  int
 	startedAt time.Time // queue creation (or restore), the ETA's rate base
@@ -206,7 +206,7 @@ type Coordinator struct {
 func New(catalog []string, opt Options) *Coordinator {
 	co := newCoordinator(catalog, opt)
 	co.mu.Lock()
-	co.appendJournalLocked(co.metaRecordLocked())
+	co.commitLocked(co.metaRecordLocked())
 	co.mu.Unlock()
 	return co
 }
@@ -229,6 +229,7 @@ func newCoordinator(catalog []string, opt Options) *Coordinator {
 		now:       now,
 		reg:       opt.Metrics,
 		jobs:      make([]jobRecord, len(catalog)),
+		doneOrder: make([]int, 0, len(catalog)),
 		workers:   make(map[string]*workerStats),
 		byName:    make(map[string]string),
 		campaigns: make(map[string]*campaign),
@@ -268,7 +269,8 @@ func (co *Coordinator) Resumed() bool {
 
 // coordMetrics is the coordinator's metric handles, resolved once at
 // New. Handles are nil without a registry; obs handles are nil-safe,
-// so call sites record unconditionally.
+// so call sites record unconditionally. The counters are soft state:
+// they count this process's calls and are never journaled.
 type coordMetrics struct {
 	claimGranted, claimWait, claimDrained *obs.Counter
 	renewals, expiries                    *obs.Counter
@@ -334,8 +336,8 @@ func (co *Coordinator) newCampaignLocked(name, filter string, priority int, note
 	return c, nil
 }
 
-// dropCampaignLocked removes a campaign record (retention GC, or a
-// journal campaign-gc replay). Callers hold co.mu.
+// dropCampaignLocked removes a campaign record (a campaign-gc record).
+// Callers hold co.mu.
 func (co *Coordinator) dropCampaignLocked(name string) {
 	c := co.campaigns[name]
 	if c == nil || name == DefaultCampaignName {
@@ -445,15 +447,7 @@ func (co *Coordinator) sweepLocked() {
 	for i := range co.jobs {
 		j := &co.jobs[i]
 		if j.phase == jobClaimed && !j.expires.After(now) {
-			if ws := co.workers[j.worker]; ws != nil {
-				ws.expiries++
-			}
-			co.appendJournalLocked(&JournalRecord{Op: opExpire, Index: i, Worker: j.worker})
-			j.phase = jobPending
-			j.worker = ""
-			j.expires = time.Time{}
-			co.expiries++
-			co.requeues++
+			co.commitLocked(&JournalRecord{Op: opExpire, Index: i, Worker: j.worker})
 			co.m.expiries.Inc()
 			requeued = true
 		}
@@ -489,37 +483,10 @@ func (co *Coordinator) gcWorkersLocked(now time.Time) {
 		}
 	}
 	for _, id := range gone {
-		co.departWorkerLocked(id)
-		co.appendJournalLocked(&JournalRecord{Op: opWorkerGone, Worker: id})
+		co.commitLocked(&JournalRecord{Op: opWorkerGone, Worker: id})
 	}
 	if len(gone) > 0 {
 		co.m.workers.Set(int64(len(co.workers)))
-	}
-}
-
-// departWorkerLocked folds one worker's counters into the departed
-// aggregate and removes its row. Callers hold co.mu.
-func (co *Coordinator) departWorkerLocked(id string) {
-	ws := co.workers[id]
-	if ws == nil {
-		return
-	}
-	co.departed.Workers++
-	co.departed.Claims += ws.claims
-	co.departed.Renewals += ws.renewals
-	co.departed.Completions += ws.completions
-	co.departed.Duplicates += ws.duplicates
-	co.departed.Expiries += ws.expiries
-	co.departed.RunsDone += ws.runsDone
-	delete(co.workers, id)
-	if ws.name != "" && co.byName[ws.name] == id {
-		delete(co.byName, ws.name)
-	}
-	for i, oid := range co.order {
-		if oid == id {
-			co.order = append(co.order[:i], co.order[i+1:]...)
-			break
-		}
 	}
 }
 
@@ -540,8 +507,7 @@ func (co *Coordinator) gcCampaignsLocked(now time.Time) {
 		}
 	}
 	for _, name := range gone {
-		co.dropCampaignLocked(name)
-		co.appendJournalLocked(&JournalRecord{Op: opCampaignGC, Name: name})
+		co.commitLocked(&JournalRecord{Op: opCampaignGC, Name: name})
 	}
 }
 
@@ -565,22 +531,12 @@ func (co *Coordinator) Register(name string, catalog []string) (string, error) {
 		}
 	}
 	co.sweepLocked()
-	if id, ok := co.byName[name]; ok && name != "" {
-		ws := co.workers[id]
-		ws.lastSeen = co.now()
-		co.appendJournalLocked(&JournalRecord{Op: opRegister, Worker: id, WorkerName: name})
-		return id, nil
+	id, ok := co.byName[name]
+	if !ok {
+		id = fmt.Sprintf("w%d", co.nextID+1)
 	}
-	co.nextID++
-	id := fmt.Sprintf("w%d", co.nextID)
-	ws := &workerStats{id: id, name: name, lastSeen: co.now()}
-	co.workers[id] = ws
-	co.order = append(co.order, id)
-	if name != "" {
-		co.byName[name] = id
-	}
+	co.commitLocked(&JournalRecord{Op: opRegister, Worker: id, WorkerName: name})
 	co.m.workers.Set(int64(len(co.workers)))
-	co.appendJournalLocked(&JournalRecord{Op: opRegister, Worker: id, WorkerName: name})
 	return id, nil
 }
 
@@ -626,6 +582,8 @@ func (co *Coordinator) Claim(workerID string) (idx int, status ClaimStatus, err 
 	if ws == nil {
 		return 0, 0, fmt.Errorf("coord: unknown worker %q (register first)", workerID)
 	}
+	// Refreshed before the sweep, which must not fold the caller away.
+	// A claim answered Wait or Drained journals nothing: soft state.
 	ws.lastSeen = co.now()
 	co.sweepLocked()
 	if co.done == len(co.jobs) {
@@ -645,11 +603,8 @@ func (co *Coordinator) Claim(workerID string) (idx int, status ClaimStatus, err 
 		co.m.claimWait.Inc()
 		return 0, ClaimWait, nil
 	}
-	deadline := co.now().Add(co.ttl)
-	co.jobs[best] = jobRecord{phase: jobClaimed, worker: workerID, expires: deadline}
-	ws.claims++
+	co.commitLocked(&JournalRecord{Op: opClaim, Worker: workerID, Index: best, ExpiresMillis: co.now().Add(co.ttl).UnixMilli()})
 	co.m.claimGranted.Inc()
-	co.appendJournalLocked(&JournalRecord{Op: opClaim, Worker: workerID, Index: best, ExpiresMillis: deadline.UnixMilli()})
 	co.updateGaugesLocked()
 	return best, ClaimGranted, nil
 }
@@ -668,17 +623,14 @@ func (co *Coordinator) Renew(workerID string, indices []int) (renewed, lost []in
 	}
 	ws.lastSeen = co.now()
 	co.sweepLocked()
-	deadline := co.now().Add(co.ttl)
 	var extended []int
 	for _, i := range indices {
-		if i < 0 || i >= len(co.jobs) {
-			return nil, nil, fmt.Errorf("coord: renew index %d out of range [0,%d)", i, len(co.jobs))
+		if err := co.checkIndex(opRenew, i); err != nil {
+			return nil, nil, fmt.Errorf("coord: %w", err)
 		}
 		j := &co.jobs[i]
 		switch {
 		case j.phase == jobClaimed && j.worker == workerID:
-			j.expires = deadline
-			ws.renewals++
 			co.m.renewals.Inc()
 			renewed = append(renewed, i)
 			extended = append(extended, i)
@@ -692,36 +644,9 @@ func (co *Coordinator) Renew(workerID string, indices []int) (renewed, lost []in
 		}
 	}
 	if len(extended) > 0 {
-		co.appendJournalLocked(&JournalRecord{Op: opRenew, Worker: workerID, Indices: extended, ExpiresMillis: deadline.UnixMilli()})
+		co.commitLocked(&JournalRecord{Op: opRenew, Worker: workerID, Indices: extended, ExpiresMillis: co.now().Add(co.ttl).UnixMilli()})
 	}
 	return renewed, lost, nil
-}
-
-// recordOutcomeLocked installs one job's outcome and updates worker,
-// campaign, and aggregate counters — the state change shared by a live
-// Complete and a journal replay. The finish time stamps campaigns the
-// outcome completes. Returns the outcome's injection-run count.
-// Callers hold co.mu (or own co exclusively, as Restore does).
-func (co *Coordinator) recordOutcomeLocked(workerID string, idx int, o *Outcome, at time.Time) int {
-	co.jobs[idx] = jobRecord{phase: jobDone, outcome: o, doneBy: workerID}
-	co.extractFindingsLocked(idx, o)
-	runs := countRuns(o)
-	if ws := co.workers[workerID]; ws != nil {
-		ws.completions++
-		ws.runsDone += runs
-	}
-	co.done++
-	co.runsDone += runs
-	for _, name := range co.campOrder {
-		c := co.campaigns[name]
-		if c.member[idx] {
-			c.done++
-			if c.done == c.jobs && c.finishedAt.IsZero() {
-				c.finishedAt = at
-			}
-		}
-	}
-	return runs
 }
 
 // Complete records one job's outcome. The first completion for an
@@ -737,36 +662,26 @@ func (co *Coordinator) Complete(workerID string, idx int, out Outcome) (duplicat
 		co.mu.Unlock()
 		return false, fmt.Errorf("coord: unknown worker %q (register first)", workerID)
 	}
-	if idx < 0 || idx >= len(co.jobs) {
+	if err := co.checkIndex(opComplete, idx); err != nil {
 		co.mu.Unlock()
-		return false, fmt.Errorf("coord: complete index %d out of range [0,%d)", idx, len(co.jobs))
-	}
-	if label := (sched.Job{Name: out.Name, Variant: out.Variant}).Label(); label != co.catalog[idx] {
-		co.mu.Unlock()
-		return false, fmt.Errorf("coord: completion for job %d is labelled %q, catalog names it %q", idx, label, co.catalog[idx])
-	}
-	if err := out.validate(); err != nil {
-		co.mu.Unlock()
-		return false, fmt.Errorf("coord: completion for job %d: %w", idx, err)
+		return false, fmt.Errorf("coord: %w", err)
 	}
 	ws.lastSeen = co.now()
 	co.sweepLocked()
-	j := &co.jobs[idx]
-	if j.phase == jobDone {
-		ws.duplicates++
-		co.duplicates++
+	rec := &JournalRecord{Op: opComplete, Worker: workerID, Index: idx, Outcome: &out, Duplicate: co.jobs[idx].phase == jobDone}
+	runsBefore := co.runsDone
+	if err := co.commitLocked(rec); err != nil {
+		co.mu.Unlock()
+		return false, fmt.Errorf("coord: %w", err)
+	}
+	if rec.Duplicate {
 		co.m.duplicates.Inc()
-		co.appendJournalLocked(&JournalRecord{Op: opComplete, Worker: workerID, Index: idx, Duplicate: true})
 		co.mu.Unlock()
 		return true, nil
 	}
-	o := out
-	runs := co.recordOutcomeLocked(workerID, idx, &o, co.now())
 	co.liveDone++
-	co.liveRuns += runs
+	co.liveRuns += co.runsDone - runsBefore
 	co.m.recorded.Inc()
-	jo, ref := co.journalOutcomeLocked(&o, co.catalog[idx])
-	co.appendJournalLocked(&JournalRecord{Op: opComplete, Worker: workerID, Index: idx, Outcome: jo, ResultRef: ref})
 	co.syncJournalLocked()
 	co.updateGaugesLocked()
 	allDone := co.done == len(co.jobs)
@@ -816,20 +731,14 @@ func (co *Coordinator) Submit(spec CampaignSpec) (CampaignStatus, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.sweepLocked()
-	if _, ok := co.campaigns[spec.Name]; ok {
-		return CampaignStatus{}, fmt.Errorf("%w: %q", ErrCampaignExists, spec.Name)
-	}
-	now := co.now()
-	c, err := co.newCampaignLocked(spec.Name, spec.Filter, spec.Priority, spec.Note, now)
-	if err != nil {
+	if err := co.commitLocked(&JournalRecord{
+		Op: opCampaign, Name: spec.Name, Filter: spec.Filter, Priority: spec.Priority,
+		Note: spec.Note, CreatedMillis: co.now().UnixMilli(),
+	}); err != nil {
 		return CampaignStatus{}, err
 	}
-	co.appendJournalLocked(&JournalRecord{
-		Op: opCampaign, Name: c.name, Filter: c.filter, Priority: c.priority,
-		Note: c.note, CreatedMillis: c.createdAt.UnixMilli(),
-	})
 	co.syncJournalLocked()
-	return co.campaignStatusLocked(c), nil
+	return co.campaignStatusLocked(co.campaigns[spec.Name]), nil
 }
 
 // CampaignStatus is one campaign's point-in-time progress, for the
@@ -952,7 +861,7 @@ func (co *Coordinator) Stats() Stats {
 		Jobs:       len(co.jobs),
 		Done:       co.done,
 		Requeues:   co.requeues,
-		Expiries:   co.expiries,
+		Expiries:   co.requeues,
 		Duplicates: co.duplicates,
 		Drained:    co.done == len(co.jobs),
 	}
@@ -968,8 +877,8 @@ func (co *Coordinator) Stats() Stats {
 		ws := co.workers[id]
 		st.Workers = append(st.Workers, WorkerStats{
 			ID: ws.id, Name: ws.name,
-			Claims: ws.claims, Renewals: ws.renewals, Completions: ws.completions,
-			Duplicates: ws.duplicates, Expiries: ws.expiries,
+			Claims: ws.Claims, Renewals: ws.Renewals, Completions: ws.Completions,
+			Duplicates: ws.Duplicates, Expiries: ws.Expiries,
 		})
 	}
 	if co.departed.Workers > 0 {

@@ -39,7 +39,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 var testCatalog = []string{"a/vulnerable", "a/fixed", "b/vulnerable", "b/fixed"}
 
 // fakeOutcome builds a valid completion for catalog index idx.
-func fakeOutcome(t *testing.T, idx int) coord.Outcome {
+func fakeOutcome(t testing.TB, idx int) coord.Outcome {
 	t.Helper()
 	label := testCatalog[idx]
 	name, variant, _ := strings.Cut(label, "/")

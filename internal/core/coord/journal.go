@@ -5,11 +5,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/core/inject"
+	"repro/internal/core/sched"
 	"repro/internal/core/store"
 )
 
@@ -33,8 +34,9 @@ const (
 	opCampaignGC = "campaign-gc" // a finished campaign passed retention and was dropped
 )
 
-// JournalCounters carries one worker's protocol counters inside
-// snapshot register records, so a compacted journal loses no history.
+// JournalCounters is one worker's protocol counters. Compaction writes
+// them, absolute, into the register records, so a compacted journal
+// loses no history; DepartedStats sums them over departed workers.
 type JournalCounters struct {
 	Claims      int `json:"claims,omitempty"`
 	Renewals    int `json:"renewals,omitempty"`
@@ -46,7 +48,8 @@ type JournalCounters struct {
 
 // JournalRecord is one line of the coordinator journal. The op decides
 // which fields are meaningful; every record carries its wall-clock
-// timestamp so replay can restore heartbeat ages and campaign history.
+// timestamp (the meta header's is the queue's creation time), so replay
+// restores completion and campaign times.
 // Lease records carry absolute deadlines (not TTL offsets), so an
 // in-flight lease survives a quick coordinator restart and a stale one
 // requeues at the first sweep after restore.
@@ -55,7 +58,9 @@ type JournalRecord struct {
 	AtMillis int64  `json:"at_ms,omitempty"`
 
 	// meta fields — journal identity plus aggregate totals at snapshot
-	// time (incremental records re-accumulate on top of them).
+	// time (incremental records re-accumulate on top of them). Expiries
+	// repeats Requeues, since every expiry requeues; restore reads
+	// Requeues.
 	Schema      string         `json:"schema,omitempty"`
 	CatalogHash string         `json:"catalog_hash,omitempty"`
 	Jobs        int            `json:"jobs,omitempty"`
@@ -104,7 +109,7 @@ type Journal interface {
 	// completion records, the expensive-to-lose ones.
 	Sync() error
 	// Rewrite atomically replaces the journal with a compacted
-	// snapshot (the restore path folds, then compacts).
+	// snapshot (the restore path replays, then compacts).
 	Rewrite(recs []*JournalRecord) error
 }
 
@@ -225,7 +230,7 @@ func (co *Coordinator) metaRecordLocked() *JournalRecord {
 		Jobs:        len(co.catalog),
 		LeaseMillis: co.ttl.Milliseconds(),
 		Requeues:    co.requeues,
-		Expiries:    co.expiries,
+		Expiries:    co.requeues,
 		Duplicates:  co.duplicates,
 	}
 	if co.departed.Workers > 0 {
@@ -235,14 +240,40 @@ func (co *Coordinator) metaRecordLocked() *JournalRecord {
 	return rec
 }
 
-// appendJournalLocked stamps and appends one record. Journal failures
-// degrade to in-memory operation with a single log line — a full disk
-// must not stop the fleet mid-campaign. Callers hold co.mu.
+// commitLocked makes one state transition: it stamps the record with
+// the clock, applies it, and journals it. The live methods keep only
+// their validation and their decision (which index to claim, which
+// leases expired); Restore applies journaled records through the same
+// applyLocked. A rejected record changes nothing and is not journaled.
+// A record built from the current state (a registration, claim,
+// renewal, expiry or GC) always applies, so those callers drop the
+// error; Complete and Submit carry caller input and return it. Callers
+// hold co.mu.
+func (co *Coordinator) commitLocked(rec *JournalRecord) error {
+	rec.AtMillis = co.now().UnixMilli()
+	if err := co.applyLocked(rec); err != nil {
+		return err
+	}
+	co.appendJournalLocked(rec)
+	return nil
+}
+
+// appendJournalLocked journals one applied record. A completion's
+// outcome goes down by reference when cache-resident, and a duplicate
+// completion's outcome not at all. Journal failures degrade to
+// in-memory operation with a single log line — a full disk must not
+// stop the fleet mid-campaign. Callers hold co.mu.
 func (co *Coordinator) appendJournalLocked(rec *JournalRecord) {
 	if co.journal == nil {
 		return
 	}
-	rec.AtMillis = co.now().UnixMilli()
+	if rec.Op == opComplete {
+		if rec.Duplicate {
+			rec.Outcome = nil
+		} else {
+			rec.Outcome, rec.ResultRef = co.journalOutcomeLocked(rec.Outcome, co.catalog[rec.Index])
+		}
+	}
 	if err := co.journal.Append(rec); err != nil {
 		co.journalErrOnce.Do(func() {
 			co.logf("coord: journal append failed (queue state will not survive a restart): %v", err)
@@ -285,46 +316,229 @@ func (co *Coordinator) journalOutcomeLocked(o *Outcome, label string) (*Outcome,
 	return &jo, true
 }
 
+// checkIndex rejects a catalog index outside the queue.
+func (co *Coordinator) checkIndex(op string, i int) error {
+	if i < 0 || i >= len(co.jobs) {
+		return fmt.Errorf("%s index %d out of range [0,%d)", op, i, len(co.jobs))
+	}
+	return nil
+}
+
+// applyLocked is the coordinator's transition function: it validates
+// one record against the current state and applies it. Live commits
+// and Restore both call it, so job phases, worker counters and the
+// aggregate totals are written here and nowhere else. Only a register
+// record creates a worker row; every other record bumps counters only
+// on a row that exists, so a record naming a departed worker cannot
+// bring it back. A record from a worker's own call refreshes its
+// heartbeat. Callers hold co.mu (or own co exclusively, as Restore
+// does).
+func (co *Coordinator) applyLocked(rec *JournalRecord) error {
+	if rec.AtMillis == 0 {
+		return fmt.Errorf("%s record carries no timestamp", rec.Op)
+	}
+	if rec.Op == opClaim || rec.Op == opExpire || rec.Op == opComplete {
+		if err := co.checkIndex(rec.Op, rec.Index); err != nil {
+			return err
+		}
+	}
+	at := time.UnixMilli(rec.AtMillis)
+	ws := co.workers[rec.Worker]
+	if ws != nil && rec.Op != opExpire {
+		ws.lastSeen = at
+	}
+	// Keep freshly minted ids ahead of every id the records name,
+	// departed workers' included.
+	co.bumpNextIDLocked(rec.Worker)
+	switch rec.Op {
+	case opMeta:
+		switch {
+		case rec.Schema != JournalSchemaVersion:
+			return fmt.Errorf("journal schema %q, this binary writes %q; finish the campaign with the old binary or move the journal aside", rec.Schema, JournalSchemaVersion)
+		case rec.Jobs != len(co.catalog) || rec.CatalogHash != CatalogHash(co.catalog):
+			return fmt.Errorf("journal was written for a different %d-job catalog; restart with the journal's -matrix/-filter flags, or move the journal aside to start fresh", rec.Jobs)
+		}
+		co.requeues, co.duplicates = rec.Requeues, rec.Duplicates
+		co.departed = DepartedStats{}
+		if rec.Departed != nil {
+			co.departed = *rec.Departed
+		}
+		co.campaigns[DefaultCampaignName].createdAt = at
+	case opCampaign:
+		if _, ok := co.campaigns[rec.Name]; ok {
+			return fmt.Errorf("%w: %q", ErrCampaignExists, rec.Name)
+		}
+		if rec.CreatedMillis == 0 {
+			return fmt.Errorf("campaign record %q carries no creation time", rec.Name)
+		}
+		c, err := co.newCampaignLocked(rec.Name, rec.Filter, rec.Priority, rec.Note, time.UnixMilli(rec.CreatedMillis))
+		if err != nil {
+			return err
+		}
+		if rec.FinishedMillis != 0 {
+			c.finishedAt = time.UnixMilli(rec.FinishedMillis)
+		}
+	case opRegister:
+		if rec.Worker == "" {
+			return fmt.Errorf("register record names no worker")
+		}
+		if ws == nil {
+			ws = &workerStats{id: rec.Worker, name: rec.WorkerName, lastSeen: at}
+			co.workers[ws.id] = ws
+			co.order = append(co.order, ws.id)
+			if ws.name != "" {
+				co.byName[ws.name] = ws.id
+			}
+		}
+		if rec.Counters != nil {
+			ws.JournalCounters = *rec.Counters
+		}
+	case opClaim:
+		j := &co.jobs[rec.Index]
+		if j.phase == jobDone {
+			return fmt.Errorf("claim of job %d, which is done", rec.Index)
+		}
+		*j = jobRecord{phase: jobClaimed, worker: rec.Worker, expires: time.UnixMilli(rec.ExpiresMillis)}
+		if ws != nil {
+			ws.Claims++
+		}
+	case opRenew:
+		for _, i := range rec.Indices {
+			if err := co.checkIndex(rec.Op, i); err != nil {
+				return err
+			}
+		}
+		for _, i := range rec.Indices {
+			if j := &co.jobs[i]; j.phase == jobClaimed && j.worker == rec.Worker {
+				j.expires = time.UnixMilli(rec.ExpiresMillis)
+				if ws != nil {
+					ws.Renewals++
+				}
+			}
+		}
+	case opExpire:
+		j := &co.jobs[rec.Index]
+		if j.phase != jobClaimed {
+			return nil
+		}
+		if holder := co.workers[j.worker]; holder != nil {
+			holder.Expiries++
+		}
+		*j = jobRecord{phase: jobPending}
+		co.requeues++
+	case opComplete:
+		// The outcome passes the checks a live upload does; the first
+		// completion of an index is recorded, every later one is a
+		// duplicate.
+		idx, o := rec.Index, rec.Outcome
+		if o != nil {
+			if label := (sched.Job{Name: o.Name, Variant: o.Variant}).Label(); label != co.catalog[idx] {
+				return fmt.Errorf("completion for job %d is labelled %q, catalog names it %q", idx, label, co.catalog[idx])
+			}
+			if !rec.ResultRef {
+				if err := o.validate(); err != nil {
+					return fmt.Errorf("completion for job %d: %w", idx, err)
+				}
+			}
+		} else if !rec.Duplicate {
+			return fmt.Errorf("completion for job %d has no outcome", idx)
+		}
+		if rec.Duplicate || co.jobs[idx].phase == jobDone {
+			if ws != nil {
+				ws.Duplicates++
+			}
+			co.duplicates++
+			return nil
+		}
+		if rec.ResultRef {
+			// Restore could not resolve the by-reference result (the
+			// cache entry is gone): the job goes back to pending and the
+			// fleet redoes it.
+			co.jobs[idx] = jobRecord{phase: jobPending}
+			co.logf("coord: journal outcome for job %d (%s) references missing cache entry %s; job requeued", idx, co.catalog[idx], o.Fingerprint)
+			return nil
+		}
+		co.jobs[idx] = jobRecord{phase: jobDone, outcome: o, doneBy: rec.Worker, doneAt: at}
+		co.extractFindingsLocked(idx, o)
+		runs := countRuns(o)
+		if ws != nil {
+			ws.Completions++
+			ws.RunsDone += runs
+		}
+		co.done++
+		co.doneOrder = append(co.doneOrder, idx)
+		co.runsDone += runs
+		for _, name := range co.campOrder {
+			if c := co.campaigns[name]; c.member[idx] {
+				c.done++
+				if c.done == c.jobs && c.finishedAt.IsZero() {
+					c.finishedAt = at
+				}
+			}
+		}
+	case opWorkerGone:
+		if ws == nil {
+			return nil
+		}
+		d := &co.departed
+		d.Workers++
+		d.Claims += ws.Claims
+		d.Renewals += ws.Renewals
+		d.Completions += ws.Completions
+		d.Duplicates += ws.Duplicates
+		d.Expiries += ws.Expiries
+		d.RunsDone += ws.RunsDone
+		delete(co.workers, ws.id)
+		if ws.name != "" && co.byName[ws.name] == ws.id {
+			delete(co.byName, ws.name)
+		}
+		co.order = slices.DeleteFunc(co.order, func(id string) bool { return id == ws.id })
+	case opCampaignGC:
+		co.dropCampaignLocked(rec.Name)
+	default:
+		return fmt.Errorf("unknown op %q", rec.Op)
+	}
+	return nil
+}
+
 // Restore rebuilds a coordinator from its journal. With no records it
-// is New (and writes the journal header). Otherwise the records are
-// folded in order — campaigns resubmitted, workers re-registered with
-// their counters, in-flight leases restored at their absolute
-// deadlines (stale ones requeue at the first sweep), completed
-// outcomes re-recorded (cache-resident results re-encoded from
-// Options.Results) — and the journal is compacted to a snapshot of the
-// folded state. The catalog must be the journal's: a hash mismatch
-// (different -matrix/-filter flags) is rejected.
+// is New (and writes the journal header). Otherwise the meta record is
+// checked against the catalog — a journal replays only against the
+// catalog it was written for (same -matrix/-filter flags) — and every
+// record is applied in order through the transition function the live
+// path uses, after by-reference outcomes are re-encoded from
+// Options.Results. The journal is then compacted to a snapshot of the
+// restored state.
+//
+// A claim answered Wait or Drained refreshes a heartbeat without a
+// record, so a journaled heartbeat can be older than the worker's last
+// call: Restore restarts every worker's heartbeat clock instead.
 func Restore(catalog []string, opt Options, recs []*JournalRecord) (*Coordinator, error) {
 	if len(recs) == 0 {
 		return New(catalog, opt), nil
 	}
 	co := newCoordinator(catalog, opt)
-	meta := recs[0]
-	switch {
-	case meta.Op != opMeta:
-		return nil, fmt.Errorf("coord: journal does not start with a meta record (op %q); move it aside to start fresh", meta.Op)
-	case meta.Schema != JournalSchemaVersion:
-		return nil, fmt.Errorf("coord: journal schema %q, this binary writes %q; finish the campaign with the old binary or move the journal aside", meta.Schema, JournalSchemaVersion)
-	case meta.Jobs != len(catalog) || meta.CatalogHash != CatalogHash(catalog):
-		return nil, fmt.Errorf("coord: journal was written for a different %d-job catalog; restart with the journal's -matrix/-filter flags, or move %s aside to start fresh", meta.Jobs, "the journal")
+	if op := recs[0].Op; op != opMeta {
+		return nil, fmt.Errorf("coord: journal does not start with a meta record (op %q); move it aside to start fresh", op)
 	}
-	co.requeues = meta.Requeues
-	co.expiries = meta.Expiries
-	co.duplicates = meta.Duplicates
-	if meta.Departed != nil {
-		co.departed = *meta.Departed
-	}
-	for i, rec := range recs[1:] {
-		if err := co.foldLocked(rec); err != nil {
-			return nil, fmt.Errorf("coord: journal record %d: %w", i+2, err)
+	for i, rec := range recs {
+		var err error
+		if i > 0 && rec.Op == opMeta {
+			err = fmt.Errorf("unexpected mid-journal meta record")
+		} else if rec, err = co.resolveRef(rec); err == nil {
+			err = co.applyLocked(rec)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("coord: journal record %d: %w", i+1, err)
+		}
+	}
+	now := co.now()
+	for _, ws := range co.workers {
+		ws.lastSeen = now
 	}
 	co.resumed = true
 	co.updateGaugesLocked()
 	co.m.workers.Set(int64(len(co.workers)))
-	for _, name := range co.campOrder {
-		co.updateCampaignGaugesLocked(co.campaigns[name])
-	}
 	if co.done == len(co.jobs) && len(co.jobs) > 0 {
 		close(co.drained)
 	}
@@ -336,142 +550,26 @@ func Restore(catalog []string, opt Options, recs []*JournalRecord) (*Coordinator
 	return co, nil
 }
 
-// foldLocked applies one journal record to the coordinator being
-// restored. Restore owns co exclusively, so no locking is needed; the
-// Locked suffix marks the invariant it shares with the live paths.
-func (co *Coordinator) foldLocked(rec *JournalRecord) error {
-	at := time.UnixMilli(rec.AtMillis)
-	// workerAt resolves (creating if the journal predates a snapshot
-	// that would have carried the register record) the worker row.
-	workerAt := func(id, name string) *workerStats {
-		ws := co.workers[id]
-		if ws == nil {
-			ws = &workerStats{id: id, name: name, lastSeen: at}
-			co.workers[id] = ws
-			co.order = append(co.order, id)
-			if name != "" {
-				co.byName[name] = id
-			}
-			co.bumpNextIDLocked(id)
-		}
-		ws.lastSeen = at
-		return ws
+// resolveRef re-attaches the result bytes a completion record elided by
+// reference, re-encoded from Options.Results (the cache codec is
+// canonical, so the bytes are identical). When the cache entry is gone
+// the record comes back unresolved, and applying it requeues the job.
+func (co *Coordinator) resolveRef(rec *JournalRecord) (*JournalRecord, error) {
+	if !rec.ResultRef || rec.Outcome == nil || co.results == nil || rec.Outcome.Fingerprint == "" {
+		return rec, nil
 	}
-	switch rec.Op {
-	case opMeta:
-		return fmt.Errorf("unexpected mid-journal meta record")
-	case opCampaign:
-		if rec.Name == DefaultCampaignName {
-			return nil
-		}
-		if _, ok := co.campaigns[rec.Name]; ok {
-			return nil
-		}
-		c, err := co.newCampaignLocked(rec.Name, rec.Filter, rec.Priority, rec.Note, time.UnixMilli(rec.CreatedMillis))
-		if err != nil {
-			return err
-		}
-		if rec.FinishedMillis != 0 {
-			c.finishedAt = time.UnixMilli(rec.FinishedMillis)
-		} else if c.done == c.jobs {
-			c.finishedAt = at
-		}
-	case opRegister:
-		ws := workerAt(rec.Worker, rec.WorkerName)
-		if ws.name == "" && rec.WorkerName != "" {
-			ws.name = rec.WorkerName
-			co.byName[rec.WorkerName] = ws.id
-		}
-		if c := rec.Counters; c != nil {
-			ws.claims, ws.renewals, ws.completions = c.Claims, c.Renewals, c.Completions
-			ws.duplicates, ws.expiries, ws.runsDone = c.Duplicates, c.Expiries, c.RunsDone
-		}
-	case opClaim:
-		if rec.Index < 0 || rec.Index >= len(co.jobs) {
-			return fmt.Errorf("claim index %d out of range", rec.Index)
-		}
-		ws := workerAt(rec.Worker, "")
-		j := &co.jobs[rec.Index]
-		if j.phase == jobDone {
-			return nil
-		}
-		*j = jobRecord{phase: jobClaimed, worker: rec.Worker, expires: time.UnixMilli(rec.ExpiresMillis)}
-		ws.claims++
-	case opRenew:
-		ws := workerAt(rec.Worker, "")
-		deadline := time.UnixMilli(rec.ExpiresMillis)
-		for _, i := range rec.Indices {
-			if i < 0 || i >= len(co.jobs) {
-				return fmt.Errorf("renew index %d out of range", i)
-			}
-			j := &co.jobs[i]
-			if j.phase == jobClaimed && j.worker == rec.Worker {
-				j.expires = deadline
-				ws.renewals++
-			}
-		}
-	case opExpire:
-		if rec.Index < 0 || rec.Index >= len(co.jobs) {
-			return fmt.Errorf("expire index %d out of range", rec.Index)
-		}
-		j := &co.jobs[rec.Index]
-		if j.phase != jobClaimed {
-			return nil
-		}
-		if ws := co.workers[j.worker]; ws != nil {
-			ws.expiries++
-		}
-		*j = jobRecord{phase: jobPending}
-		co.expiries++
-		co.requeues++
-	case opComplete:
-		if rec.Index < 0 || rec.Index >= len(co.jobs) {
-			return fmt.Errorf("complete index %d out of range", rec.Index)
-		}
-		ws := workerAt(rec.Worker, "")
-		if rec.Duplicate || co.jobs[rec.Index].phase == jobDone {
-			ws.duplicates++
-			co.duplicates++
-			return nil
-		}
-		if rec.Outcome == nil {
-			return fmt.Errorf("complete record for job %d has no outcome", rec.Index)
-		}
-		o := *rec.Outcome
-		if rec.ResultRef {
-			res, ok := co.cachedResult(o.Fingerprint)
-			if !ok {
-				// The cache entry the record points at is gone (store
-				// pruned or moved). The queue stays consistent: the job
-				// returns to pending — clearing any lease an earlier claim
-				// record restored — and the fleet redoes it.
-				co.jobs[rec.Index] = jobRecord{phase: jobPending}
-				co.logf("coord: journal outcome for job %d (%s) references missing cache entry %s; job requeued", rec.Index, co.catalog[rec.Index], o.Fingerprint)
-				return nil
-			}
-			b, err := store.EncodeResult(res)
-			if err != nil {
-				return fmt.Errorf("re-encode cached outcome for job %d: %w", rec.Index, err)
-			}
-			o.Result = b
-		}
-		co.recordOutcomeLocked(rec.Worker, rec.Index, &o, at)
-	case opWorkerGone:
-		co.departWorkerLocked(rec.Worker)
-	case opCampaignGC:
-		co.dropCampaignLocked(rec.Name)
-	default:
-		return fmt.Errorf("unknown op %q", rec.Op)
+	res, ok := co.results.Get(rec.Outcome.Fingerprint)
+	if !ok {
+		return rec, nil
 	}
-	return nil
-}
-
-// cachedResult consults Options.Results for a ref-elided outcome.
-func (co *Coordinator) cachedResult(fp string) (*inject.Result, bool) {
-	if co.results == nil || fp == "" {
-		return nil, false
+	b, err := store.EncodeResult(res)
+	if err != nil {
+		return nil, fmt.Errorf("re-encode cached outcome for job %d: %w", rec.Index, err)
 	}
-	return co.results.Get(fp)
+	r, o := *rec, *rec.Outcome
+	o.Result = b
+	r.Outcome, r.ResultRef = &o, false
+	return &r, nil
 }
 
 // bumpNextIDLocked keeps freshly minted worker ids ("w<N>") ahead of
@@ -485,15 +583,18 @@ func (co *Coordinator) bumpNextIDLocked(id string) {
 	}
 }
 
-// snapshotLocked renders the coordinator's entire state as a compact
-// record list: meta with totals, campaigns, workers with counters, and
-// one lease or completion record per non-pending job. Replaying the
-// snapshot rebuilds exactly this state, so compaction loses nothing.
-// Callers hold co.mu (or own co exclusively, as Restore does).
+// snapshotLocked renders the coordinator's entire state as the minimal
+// record list whose replay rebuilds it: meta with the aggregate totals
+// and the departed workers, the named campaigns, one complete record
+// per done job (in completion order, at its completion time) and one
+// claim record per leased job, and last one register record per worker
+// carrying its absolute counters. The worker rows come after the job
+// records, so the job records bump no counter and name no row into
+// being. Callers hold co.mu (or own co exclusively, as Restore does).
 func (co *Coordinator) snapshotLocked() []*JournalRecord {
 	now := co.now().UnixMilli()
 	recs := []*JournalRecord{co.metaRecordLocked()}
-	recs[0].AtMillis = now
+	recs[0].AtMillis = co.campaigns[DefaultCampaignName].createdAt.UnixMilli()
 	for _, name := range co.campOrder {
 		if name == DefaultCampaignName {
 			continue
@@ -513,55 +614,28 @@ func (co *Coordinator) snapshotLocked() []*JournalRecord {
 		}
 		recs = append(recs, rec)
 	}
-	// Folding the snapshot's own job records re-increments worker
-	// counters (opClaim bumps claims, opComplete bumps completions and
-	// runsDone), so the counters stored here must be net of those
-	// re-derived increments or every compaction cycle inflates them.
-	claimDelta := map[string]int{}
-	doneDelta := map[string]int{}
-	runsDelta := map[string]int{}
-	for i := range co.jobs {
+	for _, i := range co.doneOrder {
 		j := &co.jobs[i]
-		switch j.phase {
-		case jobClaimed:
-			claimDelta[j.worker]++
-		case jobDone:
-			doneDelta[j.doneBy]++
-			runsDelta[j.doneBy] += countRuns(j.outcome)
-		}
-	}
-	for _, id := range co.order {
-		ws := co.workers[id]
+		jo, ref := co.journalOutcomeLocked(j.outcome, co.catalog[i])
 		recs = append(recs, &JournalRecord{
-			Op:         opRegister,
-			AtMillis:   ws.lastSeen.UnixMilli(),
-			Worker:     ws.id,
-			WorkerName: ws.name,
-			Counters: &JournalCounters{
-				Claims:      ws.claims - claimDelta[id],
-				Renewals:    ws.renewals,
-				Completions: ws.completions - doneDelta[id],
-				Duplicates:  ws.duplicates,
-				Expiries:    ws.expiries,
-				RunsDone:    ws.runsDone - runsDelta[id],
-			},
+			Op: opComplete, AtMillis: j.doneAt.UnixMilli(), Worker: j.doneBy, Index: i,
+			Outcome: jo, ResultRef: ref,
 		})
 	}
 	for i := range co.jobs {
-		j := &co.jobs[i]
-		switch j.phase {
-		case jobClaimed:
+		if j := &co.jobs[i]; j.phase == jobClaimed {
 			recs = append(recs, &JournalRecord{
 				Op: opClaim, AtMillis: now, Worker: j.worker, Index: i,
 				ExpiresMillis: j.expires.UnixMilli(),
 			})
-		case jobDone:
-			jo, ref := co.journalOutcomeLocked(j.outcome, co.catalog[i])
-			recs = append(recs, &JournalRecord{
-				Op: opComplete, AtMillis: now, Worker: j.doneBy, Index: i,
-				Outcome: jo, ResultRef: ref,
-			})
 		}
+	}
+	for _, id := range co.order {
+		ws := co.workers[id]
+		c := ws.JournalCounters
+		recs = append(recs, &JournalRecord{
+			Op: opRegister, AtMillis: ws.lastSeen.UnixMilli(), Worker: ws.id, WorkerName: ws.name, Counters: &c,
+		})
 	}
 	return recs
 }

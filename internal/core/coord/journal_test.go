@@ -42,7 +42,7 @@ func fakeFingerprint(idx int) string {
 
 // fakeOutcomeFP is fakeOutcome with a cache fingerprint attached, so
 // the journal can elide the result bytes.
-func fakeOutcomeFP(t *testing.T, idx int) coord.Outcome {
+func fakeOutcomeFP(t testing.TB, idx int) coord.Outcome {
 	t.Helper()
 	o := fakeOutcome(t, idx)
 	o.Fingerprint = fakeFingerprint(idx)
@@ -302,5 +302,107 @@ func TestWorkerChurnBounded(t *testing.T) {
 	}
 	if st.Departed.Claims < 198 || st.Departed.Expiries < 198 {
 		t.Errorf("departed counters = %+v, want the folded claims and expiries", st.Departed)
+	}
+}
+
+// TestCompactionKeepsDepartedWorkersGone pins compaction against worker
+// resurrection: a worker folded into the departed aggregate after
+// completing a job must stay folded through any number of restores.
+// The compacted journal still names it on its completion record, and
+// that record must neither recreate its row nor count its completion
+// a second time.
+func TestCompactionKeepsDepartedWorkersGone(t *testing.T) {
+	t.Parallel()
+	co, clk, mj, cache, alice := journaledCoord(t)
+	mustClaim(t, co, alice, 0)
+	if dup, err := co.Complete(alice, 0, fakeOutcomeFP(t, 0)); err != nil || dup {
+		t.Fatalf("Complete = (dup %v, %v)", dup, err)
+	}
+	// Alice goes silent past the worker-GC horizon; bob's registration
+	// sweeps her into the departed aggregate.
+	clk.Advance(61 * time.Second)
+	if _, err := co.Register("bob", testCatalog); err != nil {
+		t.Fatal(err)
+	}
+	want := co.Stats()
+	if len(want.Workers) != 1 || want.Departed == nil || want.Departed.Workers != 1 || want.Departed.Completions != 1 {
+		t.Fatalf("live stats = workers %+v, departed %+v; want bob live and alice departed with 1 completion", want.Workers, want.Departed)
+	}
+	recs := mj.Records()
+	for gen := 1; gen <= 3; gen++ {
+		next := &coord.MemJournal{}
+		r, err := coord.Restore(testCatalog, coord.Options{
+			LeaseTTL: 10 * time.Second, Now: clk.Now, Journal: next, Results: cache,
+		}, recs)
+		if err != nil {
+			t.Fatalf("restore %d: %v", gen, err)
+		}
+		got := r.Stats()
+		if !reflect.DeepEqual(got.Workers, want.Workers) || !reflect.DeepEqual(got.Departed, want.Departed) {
+			t.Fatalf("restore %d: workers %+v, departed %+v; want workers %+v, departed %+v",
+				gen, got.Workers, got.Departed, want.Workers, want.Departed)
+		}
+		recs = next.Records()
+	}
+}
+
+// TestRestoreRejectsInvalidCompletion pins that replay checks a
+// completion the way a live upload is checked: a journal completion
+// whose label disagrees with the catalog, or whose result is not JSON,
+// fails the restore and names the offending record instead of
+// draining the queue with a result SuiteResult cannot assemble.
+func TestRestoreRejectsInvalidCompletion(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		out  coord.Outcome
+	}{
+		{"mislabelled", coord.Outcome{Name: "zzz", Variant: "q", Err: "boom"}},
+		{"result not JSON", coord.Outcome{Name: "a", Variant: "vulnerable", Result: []byte("{")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, clk, mj, cache, alice := journaledCoord(t)
+			recs := mj.Records() // meta, register
+			out := tc.out
+			recs = append(recs, &coord.JournalRecord{
+				Op: "complete", AtMillis: clk.Now().UnixMilli(), Worker: alice, Index: 0, Outcome: &out,
+			})
+			_, err := coord.Restore(testCatalog, coord.Options{LeaseTTL: 10 * time.Second, Now: clk.Now, Results: cache}, recs)
+			if err == nil || !strings.Contains(err.Error(), "record 3") {
+				t.Fatalf("Restore = %v, want an error naming record 3", err)
+			}
+		})
+	}
+}
+
+// TestRestoreReadsOldSnapshotOrder pins compatibility with journals
+// compacted by earlier binaries, which wrote worker rows first with
+// counters net of the increments the job records after them re-add:
+// replaying that order yields the same absolute counters.
+func TestRestoreReadsOldSnapshotOrder(t *testing.T) {
+	t.Parallel()
+	co, clk, mj, cache, alice := journaledCoord(t)
+	mustClaim(t, co, alice, 0)
+	mustClaim(t, co, alice, 1)
+	if dup, err := co.Complete(alice, 0, fakeOutcomeFP(t, 0)); err != nil || dup {
+		t.Fatalf("Complete = (dup %v, %v)", dup, err)
+	}
+	want := co.Stats()
+
+	at := clk.Now().UnixMilli()
+	o := fakeOutcomeFP(t, 0)
+	o.Result = nil
+	old := []*coord.JournalRecord{
+		mj.Records()[0],
+		{Op: "register", AtMillis: at, Worker: alice, WorkerName: "alice", Counters: &coord.JournalCounters{Claims: 1}},
+		{Op: "claim", AtMillis: at, Worker: alice, Index: 1, ExpiresMillis: clk.Now().Add(10 * time.Second).UnixMilli()},
+		{Op: "complete", AtMillis: at, Worker: alice, Index: 0, Outcome: &o, ResultRef: true},
+	}
+	r, err := coord.Restore(testCatalog, coord.Options{LeaseTTL: 10 * time.Second, Now: clk.Now, Results: cache}, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("old-order snapshot restores to\n%+v\nwant\n%+v", got, want)
 	}
 }

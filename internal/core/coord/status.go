@@ -83,7 +83,7 @@ func (co *Coordinator) Status() Status {
 		Jobs:          len(co.jobs),
 		Done:          co.done,
 		Requeues:      co.requeues,
-		Expiries:      co.expiries,
+		Expiries:      co.requeues,
 		Duplicates:    co.duplicates,
 		Drained:       co.done == len(co.jobs),
 		RunsDone:      co.runsDone,
@@ -122,11 +122,11 @@ func (co *Coordinator) Status() Status {
 			Name:               ws.name,
 			ActiveLeases:       leases[id],
 			HeartbeatAgeMillis: now.Sub(ws.lastSeen).Milliseconds(),
-			Claims:             ws.claims,
-			Completions:        ws.completions,
-			Duplicates:         ws.duplicates,
-			Expiries:           ws.expiries,
-			RunsDone:           ws.runsDone,
+			Claims:             ws.Claims,
+			Completions:        ws.Completions,
+			Duplicates:         ws.Duplicates,
+			Expiries:           ws.Expiries,
+			RunsDone:           ws.RunsDone,
 		})
 	}
 	for _, name := range co.campOrder {

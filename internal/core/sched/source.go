@@ -69,11 +69,5 @@ func (s *SliceSource) Complete(SourcedJob, CampaignResult) {}
 // their catalog Seq, so a run over a SliceSource of the full catalog
 // is identical to RunSuite over the same slice.
 func RunSuiteFrom(src JobSource, opt SuiteOptions) *SuiteResult {
-	d := &Dispatcher{
-		Workers: opt.Workers,
-		Engine:  opt.Engine,
-		OnEvent: opt.OnEvent,
-		Cache:   opt.Cache,
-	}
-	return d.RunFrom(src)
+	return opt.dispatcher().RunFrom(src)
 }

@@ -166,7 +166,13 @@ func (s *SuiteResult) Failed() []CampaignResult {
 // but per-campaign results are deterministic and equal to sequential
 // inject.RunWith output.
 func RunSuite(jobs []Job, opt SuiteOptions) *SuiteResult {
-	d := &Dispatcher{
+	return opt.dispatcher().Run(jobs)
+}
+
+// dispatcher is the Dispatcher the suite options describe, shared by
+// RunSuite and RunSuiteFrom.
+func (opt SuiteOptions) dispatcher() *Dispatcher {
+	return &Dispatcher{
 		Workers: opt.Workers,
 		Engine:  opt.Engine,
 		OnEvent: opt.OnEvent,
@@ -174,5 +180,4 @@ func RunSuite(jobs []Job, opt SuiteOptions) *SuiteResult {
 		Metrics: opt.Metrics,
 		Tracer:  opt.Tracer,
 	}
-	return d.Run(jobs)
 }
