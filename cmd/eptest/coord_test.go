@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -185,7 +184,7 @@ func TestCoordWorkerRejectsWrongToken(t *testing.T) {
 }
 
 // TestCoordFlagValidation pins the flag-combination errors around the
-// coordinator, auth, and bench-json flags.
+// coordinator and auth flags.
 func TestCoordFlagValidation(t *testing.T) {
 	t.Parallel()
 	cases := map[string]struct {
@@ -203,7 +202,6 @@ func TestCoordFlagValidation(t *testing.T) {
 		"coord-url malformed":       {[]string{"-all", "-coord-url", "10.0.0.7:7077"}, "coordinator URL"},
 		"worker without coord":      {[]string{"-all", "-worker", "w"}, "needs -coord-url"},
 		"auth-token alone":          {[]string{"-all", "-auth-token", "t"}, "does nothing"},
-		"bench-json without all":    {[]string{"-bench-json", "f.json"}, "require -all"},
 	}
 	for name, tc := range cases {
 		var out, errb bytes.Buffer
@@ -213,49 +211,5 @@ func TestCoordFlagValidation(t *testing.T) {
 		if !strings.Contains(errb.String(), tc.want) {
 			t.Errorf("%s: stderr %q missing %q", name, errb.String(), tc.want)
 		}
-	}
-}
-
-// TestBenchJSON pins the machine-readable perf record: a suite run
-// with -bench-json writes a parseable file whose counters agree with
-// the run.
-func TestBenchJSON(t *testing.T) {
-	t.Parallel()
-	file := filepath.Join(t.TempDir(), "bench.json")
-	var out, errb bytes.Buffer
-	code := run([]string{"-all", "-j", "2", "-filter", "lpr-create-site*", "-bench-json", file}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit = %d, stderr = %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "wrote benchmark stats to "+file) {
-		t.Errorf("stdout does not announce the bench file:\n%s", out.String())
-	}
-	b, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bs struct {
-		Schema      string  `json:"schema"`
-		Catalog     string  `json:"catalog"`
-		Filter      string  `json:"filter"`
-		Jobs        int     `json:"jobs"`
-		CatalogJobs int     `json:"catalog_jobs"`
-		RunsTotal   int     `json:"runs_total"`
-		RunsExec    int     `json:"runs_executed"`
-		WallMillis  float64 `json:"wall_ms"`
-		RunsPerSec  float64 `json:"runs_per_sec"`
-		Workers     int     `json:"workers"`
-	}
-	if err := json.Unmarshal(b, &bs); err != nil {
-		t.Fatalf("bench file does not parse: %v\n%s", err, b)
-	}
-	if bs.Schema != "eptest-bench/1" || bs.Catalog != "base" || bs.Filter != "lpr-create-site*" {
-		t.Errorf("bench header = %+v", bs)
-	}
-	if bs.Jobs != 2 || bs.CatalogJobs != 2 || bs.Workers != 2 {
-		t.Errorf("bench shape = %+v, want 2 jobs / 2 workers", bs)
-	}
-	if bs.RunsTotal <= 0 || bs.RunsExec != bs.RunsTotal || bs.WallMillis <= 0 || bs.RunsPerSec <= 0 {
-		t.Errorf("bench counters = %+v, want positive cold-run throughput", bs)
 	}
 }

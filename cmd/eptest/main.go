@@ -41,17 +41,17 @@
 // the servers expose Prometheus text at GET /metrics (the coordinator
 // adds a live GET /v1/status JSON snapshot and a self-refreshing HTML
 // page at GET /status), and -pprof ADDR starts the opt-in profiling
-// listener on any long-running process.
+// listener on any long-running process. Performance is measured outside
+// the CLI, by the reference benchmark under bench/ (`bash bench/run.sh`).
 //
 // Usage:
 //
 //	eptest -list
 //	eptest -campaign turnin [-fixed] [-per-point] [-v] [-j N]
-//	eptest -all [-matrix] [-filter GLOB] [-j N] [-v] [-cache DIR | -cache-url URL] [-shard k/n] [-bench-json FILE]
+//	eptest -all [-matrix] [-filter GLOB] [-j N] [-v] [-cache DIR | -cache-url URL] [-shard k/n]
 //	eptest -all [-matrix] [-filter GLOB] -coord-url URL [-worker NAME] [-j N]
 //	eptest -all ... [-trace FILE] [-metrics-json FILE] [-pprof ADDR]
 //	eptest -merge DIR [-matrix]
-//	eptest -bench-gate BASELINE.json -bench-json FRESH.json [-gate-tolerance F]
 //	eptest -serve-cache ADDR -cache DIR [-auth-token TOKEN] [-pprof ADDR]
 //	eptest -serve-coord ADDR -cache DIR [-matrix] [-filter GLOB] [-lease DUR] [-campaign-retention DUR] [-auth-token TOKEN] [-pprof ADDR]
 package main
@@ -63,8 +63,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core/coord"
@@ -100,9 +98,6 @@ type suiteConfig struct {
 	worker string
 	// authToken is the shared bearer token for remote transports.
 	authToken string
-	// benchJSON, when set, writes machine-readable wall-time and
-	// throughput stats for the run to the named file.
-	benchJSON string
 	// traceFile, when set, records every run, cache round trip and
 	// coordinator call as a Chrome trace_event file.
 	traceFile string
@@ -144,9 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		authToken   = fs.String("auth-token", "", "shared bearer token: required of clients by -serve-cache/-serve-coord, sent by -cache-url/-coord-url workers")
 		lease       = fs.Duration("lease", coord.DefaultLeaseTTL, "with -serve-coord: claim lease TTL; a worker silent this long loses its jobs back to the queue")
 		retention   = fs.Duration("campaign-retention", coord.DefaultCampaignRetention, "with -serve-coord: how long a finished named campaign's status record stays visible before it is garbage-collected (0 keeps records forever)")
-		benchJSON   = fs.String("bench-json", "", "with -all: write machine-readable wall-time/throughput stats for the run to FILE; with -bench-gate: the fresh run's record to judge")
-		benchGate   = fs.String("bench-gate", "", "compare the fresh -bench-json FILE against this committed baseline record and fail on a throughput regression (see -gate-tolerance)")
-		gateTol     = fs.Float64("gate-tolerance", defaultGateTolerance, "with -bench-gate: allowed fractional throughput drop before the gate fails (0.4 = fail below 60% of baseline)")
 		traceFile   = fs.String("trace", "", "with -all: record every injection run, cache round trip and coordinator call as a Chrome trace_event FILE (open in chrome://tracing or Perfetto)")
 		metricsOut  = fs.String("metrics-json", "", "with -all: dump the worker's metrics registry (counters, gauges, histograms) to FILE after the run")
 		pprofAddr   = fs.String("pprof", "", "with -all, -serve-cache or -serve-coord: serve net/http/pprof (plus /metrics) on a side listener at ADDR (e.g. localhost:6060)")
@@ -172,21 +164,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *retention != coord.DefaultCampaignRetention && *serveCoord == "" {
 		fmt.Fprintln(stderr, "eptest: -campaign-retention is a coordinator-side setting; it needs -serve-coord")
-		return 2
-	}
-	if *benchGate != "" {
-		if *list || *all || *campaign != "" || *merge != "" || *serveCache != "" || *serveCoord != "" {
-			fmt.Fprintln(stderr, "eptest: -bench-gate runs alone, comparing two bench-json records; produce the fresh one first with `eptest -all -bench-json FILE`")
-			return 2
-		}
-		if *benchJSON == "" {
-			fmt.Fprintln(stderr, "eptest: -bench-gate needs -bench-json FILE naming the fresh run's record")
-			return 2
-		}
-		return runBenchGate(*benchGate, *benchJSON, *gateTol, stdout, stderr)
-	}
-	if *gateTol != defaultGateTolerance {
-		fmt.Fprintln(stderr, "eptest: -gate-tolerance does nothing without -bench-gate")
 		return 2
 	}
 	if *diffOld != "" {
@@ -287,7 +264,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			coordURL:    *coordURL,
 			worker:      *workerName,
 			authToken:   *authToken,
-			benchJSON:   *benchJSON,
 			traceFile:   *traceFile,
 			metricsJSON: *metricsOut,
 			findingsOut: *findingsOut,
@@ -298,8 +274,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return runSuite(cfg, stdout, stderr)
 	}
-	if *shard != "" || *cache != "" || *cacheURL != "" || *coordURL != "" || *matrix || *filter != "" || *benchJSON != "" || *workerName != "" {
-		fmt.Fprintln(stderr, "eptest: -cache, -cache-url, -coord-url, -worker, -shard, -filter and -bench-json require -all; -matrix requires -all or -merge")
+	if *shard != "" || *cache != "" || *cacheURL != "" || *coordURL != "" || *matrix || *filter != "" || *workerName != "" {
+		fmt.Fprintln(stderr, "eptest: -cache, -cache-url, -coord-url, -worker, -shard and -filter require -all; -matrix requires -all or -merge")
 		return 2
 	}
 	if *campaign == "" {
@@ -504,14 +480,6 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	// The Mallocs delta around the suite feeds allocs_per_run in the
-	// bench record; ReadMemStats stops the world, so only pay for it
-	// when a record was requested.
-	var memBefore runtime.MemStats
-	if cfg.benchJSON != "" {
-		runtime.ReadMemStats(&memBefore)
-	}
-	start := time.Now()
 	var sr *sched.SuiteResult
 	if source != nil {
 		sr = sched.RunSuiteFrom(source, opt)
@@ -519,20 +487,13 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 	} else {
 		sr = sched.RunSuite(jobs, opt)
 	}
-	wall := time.Since(start)
-	var suiteAllocs uint64
-	if cfg.benchJSON != "" {
-		var memAfter runtime.MemStats
-		runtime.ReadMemStats(&memAfter)
-		suiteAllocs = memAfter.Mallocs - memBefore.Mallocs
-	}
 	if progress != nil {
 		progress.Close()
 	}
 	// The findings fold runs unconditionally, like the rest of the
 	// registry: -findings only decides whether the records leave the
 	// process, while eptest_findings_total is always live for
-	// -metrics-json and the bench record.
+	// -metrics-json.
 	findingsReport := findings.FromSuite(sr)
 	findings.Instrument(reg, findingsReport)
 	fmt.Fprint(stdout, report.SuiteRun(sr))
@@ -591,13 +552,6 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "wrote metrics snapshot to %s\n", cfg.metricsJSON)
-	}
-	if cfg.benchJSON != "" {
-		if err := writeBenchJSON(cfg, sr, len(catalog), wall, suiteAllocs, source, reg); err != nil {
-			fmt.Fprintf(stderr, "eptest: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote benchmark stats to %s\n", cfg.benchJSON)
 	}
 	if source != nil {
 		if err := source.Err(); err != nil {

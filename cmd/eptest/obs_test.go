@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -91,9 +92,36 @@ func TestTelemetryLeavesReportUnchanged(t *testing.T) {
 	if runSpans, procMeta := traceSpans(t, traceFile); runSpans == 0 || procMeta == 0 {
 		t.Errorf("trace has %d run spans and %d process_name records, want both > 0", runSpans, procMeta)
 	}
-	if runs := runsExecuted(t, metricsFile); runs == 0 {
-		t.Error("metrics snapshot reports 0 executed runs")
+	// The suite ran cold, so every injection in the report executed.
+	if runs, want := runsExecuted(t, metricsFile), reportInjected(t, plain.String()); runs == 0 || runs != want {
+		t.Errorf("metrics snapshot reports %d executed runs, want the report's %d injections", runs, want)
 	}
+}
+
+// reportInjected sums the "injected" column of a suite report's
+// summary table: the number of injection runs the suite performed.
+func reportInjected(t *testing.T, report string) int64 {
+	t.Helper()
+	lines := strings.Split(report, "\n")
+	if len(lines) == 0 || !strings.HasPrefix(lines[0], "campaign ") {
+		t.Fatalf("report does not open with the summary table:\n%s", report)
+	}
+	var total int64
+	for _, line := range lines[1:] {
+		if line == "" {
+			break
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 3 {
+			t.Fatalf("malformed summary row %q", line)
+		}
+		n, err := strconv.ParseInt(fields[2], 10, 64)
+		if err != nil {
+			t.Fatalf("summary row %q: injected column: %v", line, err)
+		}
+		total += n
+	}
+	return total
 }
 
 // TestCoordWorkerTelemetry pins that a coordinator worker's dispatcher
@@ -148,7 +176,9 @@ func traceSpans(t *testing.T, path string) (runSpans, procMeta int) {
 }
 
 // runsExecuted decodes an eptest-metrics/1 snapshot and returns its
-// eptest_runs_executed_total.
+// eptest_runs_executed_total. It also checks the per-phase latency
+// split: eptest_run_phase_seconds holds one observation per executed
+// run for each of the world, exec and compare phases.
 func runsExecuted(t *testing.T, path string) int64 {
 	t.Helper()
 	mb, err := os.ReadFile(path)
@@ -158,8 +188,10 @@ func runsExecuted(t *testing.T, path string) int64 {
 	var snap struct {
 		Schema  string `json:"schema"`
 		Metrics []struct {
-			Name  string `json:"name"`
-			Value *int64 `json:"value"`
+			Name   string            `json:"name"`
+			Labels map[string]string `json:"labels"`
+			Value  *int64            `json:"value"`
+			Count  int64             `json:"count"`
 		} `json:"metrics"`
 	}
 	if err := json.Unmarshal(mb, &snap); err != nil {
@@ -168,12 +200,22 @@ func runsExecuted(t *testing.T, path string) int64 {
 	if snap.Schema != obs.MetricsSchemaVersion {
 		t.Errorf("metrics schema = %q, want %q", snap.Schema, obs.MetricsSchemaVersion)
 	}
+	var runs int64
+	phases := map[string]int64{}
 	for _, m := range snap.Metrics {
-		if m.Name == "eptest_runs_executed_total" && m.Value != nil {
-			return *m.Value
+		switch {
+		case m.Name == "eptest_runs_executed_total" && m.Value != nil:
+			runs = *m.Value
+		case m.Name == "eptest_run_phase_seconds":
+			phases[m.Labels["phase"]] = m.Count
 		}
 	}
-	return 0
+	for _, ph := range []string{"world", "exec", "compare"} {
+		if phases[ph] != runs {
+			t.Errorf("eptest_run_phase_seconds{phase=%q} count = %d, want %d (one observation per executed run)", ph, phases[ph], runs)
+		}
+	}
+	return runs
 }
 
 // get fetches path from the coordinator with the bearer token and
@@ -275,46 +317,4 @@ func TestCoordObservabilitySurface(t *testing.T) {
 		t.Error("/v1/findings is empty after a drained violating run")
 	}
 	waitMergedArtifact(t, storeDir)
-}
-
-// TestBenchJSONFoldsMetrics checks the bench record carries the flat
-// metrics map alongside the existing throughput fields.
-func TestBenchJSONFoldsMetrics(t *testing.T) {
-	t.Parallel()
-	bench := filepath.Join(t.TempDir(), "bench.json")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-all", "-j", "2", "-filter", "turnin*", "-bench-json", bench}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d, stderr = %s", code, errb.String())
-	}
-	b, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bs benchStats
-	if err := json.Unmarshal(b, &bs); err != nil {
-		t.Fatal(err)
-	}
-	if bs.Schema != benchSchemaVersion {
-		t.Errorf("schema = %q", bs.Schema)
-	}
-	if bs.Metrics["eptest_runs_executed_total"] == 0 {
-		t.Errorf("bench metrics missing executed runs: %v", bs.Metrics)
-	}
-	// The per-phase latency split rides in the same flat map, one
-	// histogram series per phase, counting every executed run.
-	runs := bs.Metrics["eptest_runs_executed_total"]
-	for _, ph := range []string{"world", "exec", "compare"} {
-		key := `eptest_run_phase_seconds_count{phase="` + ph + `"}`
-		if bs.Metrics[key] != runs {
-			t.Errorf("%s = %v, want %v (one observation per run)", key, bs.Metrics[key], runs)
-		}
-	}
-	// Host provenance and the allocation rate are stamped by the
-	// writing binary.
-	if bs.GOOS == "" || bs.GOARCH == "" || bs.CPUs <= 0 || !strings.HasPrefix(bs.GoVersion, "go") {
-		t.Errorf("host provenance incomplete: goos=%q goarch=%q cpus=%d go=%q", bs.GOOS, bs.GOARCH, bs.CPUs, bs.GoVersion)
-	}
-	if bs.AllocsPerRun <= 0 {
-		t.Errorf("allocs_per_run = %v, want > 0", bs.AllocsPerRun)
-	}
 }

@@ -10,20 +10,25 @@ import (
 )
 
 // isTerminal reports whether w is an interactive terminal — the gate
-// between the live progress renderer and the plain log lines. The
-// char-device heuristic needs no syscall bindings and is exact for the
-// cases that matter here: pipes, files and CI redirections are not
-// char devices, real ttys are.
+// between the live progress renderer and the plain log lines. It asks
+// the kernel (isTTY, per platform) rather than trusting the file mode:
+// /dev/null is a character device too, and redrawing the bars into it
+// on every event slows a redirected matrix run by an order of
+// magnitude.
 func isTerminal(w io.Writer) bool {
 	f, ok := w.(*os.File)
 	if !ok {
 		return false
 	}
-	fi, err := f.Stat()
+	rc, err := f.SyscallConn()
 	if err != nil {
 		return false
 	}
-	return fi.Mode()&os.ModeCharDevice != 0
+	tty := false
+	if err := rc.Control(func(fd uintptr) { tty = isTTY(fd) }); err != nil {
+		return false
+	}
+	return tty
 }
 
 // rowState is one campaign's lifecycle position in the progress view.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,8 +84,11 @@ func TestProgressRendererCloseWithoutEvents(t *testing.T) {
 	}
 }
 
-// TestIsTerminal pins the renderer gate: buffers and regular files are
-// not terminals, so piped and CI output keeps the plain log lines.
+// TestIsTerminal pins the renderer gate: buffers, regular files, pipes
+// and the null device are not terminals, so piped, redirected and CI
+// output keeps the plain log lines. /dev/null is a character device, so
+// a file-mode check alone would take it for a terminal. A pseudo-terminal
+// master is one.
 func TestIsTerminal(t *testing.T) {
 	t.Parallel()
 	if isTerminal(&bytes.Buffer{}) {
@@ -97,5 +101,35 @@ func TestIsTerminal(t *testing.T) {
 	defer f.Close()
 	if isTerminal(f) {
 		t.Error("a regular file is not a terminal")
+	}
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	if isTerminal(null) {
+		t.Errorf("%s is not a terminal", os.DevNull)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	if isTerminal(w) {
+		t.Error("a pipe is not a terminal")
+	}
+	// The positive case: a pseudo-terminal master answers the terminal
+	// ioctl on the platforms that have one.
+	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+		return
+	}
+	ptm, err := os.OpenFile("/dev/ptmx", os.O_RDWR, 0)
+	if err != nil {
+		t.Skipf("no pseudo-terminal available: %v", err)
+	}
+	defer ptm.Close()
+	if !isTerminal(ptm) {
+		t.Error("a pseudo-terminal master is a terminal")
 	}
 }

@@ -143,10 +143,10 @@ func TestRenewExtendsLease(t *testing.T) {
 	}
 }
 
-// TestRenewReportsLostLeases pins the other half of the heartbeat
+// TestRenewReportsExpiredLeases pins the other half of the heartbeat
 // contract: a lease that expired (or was never the caller's) comes
 // back as lost, not renewed.
-func TestRenewReportsLostLeases(t *testing.T) {
+func TestRenewReportsExpiredLeases(t *testing.T) {
 	t.Parallel()
 	co, clk, ids := newCoord(t, "slow", "fast")
 	a, b := ids[0], ids[1]

@@ -39,7 +39,6 @@ type Source struct {
 	inflight  map[int]bool
 	failures  int       // consecutive failed round trips
 	failSince time.Time // start of the current failure streak
-	lost      int       // leases the heartbeat reported lost
 	err       error     // first fatal transport error
 
 	// Completions are uploaded off the dispatcher's worker goroutines:
@@ -136,16 +135,6 @@ func (s *Source) Err() error {
 	return s.err
 }
 
-// LostLeases counts in-flight leases the coordinator reported expired
-// or reassigned. The work continued (first-write-wins decides whose
-// result is recorded); a persistent nonzero count means the lease TTL
-// is too short for this worker's campaign sizes.
-func (s *Source) LostLeases() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lost
-}
-
 // fail records one failed round trip; it returns true once the
 // failure streak has lasted a real outage and the source should give
 // up.
@@ -209,7 +198,6 @@ func (s *Source) Next() (sched.SourcedJob, bool) {
 				// lease (the job stays inflight, so the heartbeat
 				// resumes renewing it); do NOT hand the job to the
 				// dispatcher again — it is already running here.
-				s.lost++
 				s.mu.Unlock()
 				continue
 			}
@@ -402,7 +390,6 @@ func (s *Source) heartbeat() {
 		}
 		s.mu.Lock()
 		s.failures = 0
-		s.lost += len(lost)
 		s.mu.Unlock()
 	}
 }

@@ -224,8 +224,8 @@ func (r *Registry) WriteJSONFile(path string) error {
 	return f.Close()
 }
 
-// Flat returns every counter and gauge as a name{labels} -> value map —
-// the compact form the -bench-json record folds key metrics into.
+// Flat returns every counter and gauge as a name{labels} -> value map,
+// for point lookups by series signature.
 // Histograms contribute their _count and _sum.
 func (r *Registry) Flat() map[string]float64 {
 	if r == nil {
