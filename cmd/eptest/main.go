@@ -608,9 +608,10 @@ func runMerge(dir string, matrix bool, findingsOut string, stdout, stderr io.Wri
 }
 
 // runServeCache serves the store at dir over HTTP until the process is
-// terminated. Killing the server at any moment is safe: every store
-// write goes through an atomic rename, so readers and a later -merge
-// never observe partial files. A non-empty token puts the server
+// terminated. Killing the server at any moment is safe: a torn cache
+// entry is dropped by the next scan and shard artifacts go through an
+// atomic rename, so readers and a later -merge never observe partial
+// entries or files. A non-empty token puts the server
 // behind `Authorization: Bearer` (GET /v1/meta stays open for
 // liveness probes; GET /metrics needs the token like any other route).
 func runServeCache(addr, dir, token, pprofAddr string, stdout, stderr io.Writer) int {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -37,6 +39,71 @@ func TestCacheSecondRunFullHits(t *testing.T) {
 	}
 	if suiteReport(cold.String()) != suiteReport(warm.String()) {
 		t.Error("suite report differs between cold and warm cache runs")
+	}
+}
+
+// TestOldCampaignTreeIsIgnored points a cached run at a store holding
+// only the per-file layout stores used before segment logs, every
+// entry at campaigns/<fp[:2]>/<fp>.json. Nothing replays from it: the
+// suite re-runs, exports byte-identical findings, and writes segments
+// that the next run replays in full.
+func TestOldCampaignTreeIsIgnored(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	fresh := filepath.Join(dir, "fresh")
+	want := exportFindings(t, dir, "want.json", "-all", "-j", "4", "-cache", fresh)
+
+	// Lay the fresh store's entries out as the old tree: each segment
+	// record's body is exactly the file the old layout kept.
+	old := filepath.Join(dir, "old")
+	segs, err := filepath.Glob(filepath.Join(fresh, "segments", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("fresh store segments = %v, %v", segs, err)
+	}
+	entries := 0
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range bytes.Split(b, []byte{0x1e})[1:] {
+			hdr, body, _ := bytes.Cut(rec, []byte("\n"))
+			fp := string(hdr[:64])
+			path := filepath.Join(old, "campaigns", fp[:2], fp+".json")
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, body, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			entries++
+		}
+	}
+	if entries != 40 {
+		t.Fatalf("fresh store holds %d entries, want 40 (plan and source address per job)", entries)
+	}
+
+	var out, errb bytes.Buffer
+	path := filepath.Join(dir, "got.json")
+	if code := run([]string{"-all", "-j", "4", "-cache", old, "-findings", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, stderr = %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "result cache: 0/20 campaigns replayed (0.0% hits)") {
+		t.Errorf("a store with only the old tree replayed entries:\n%s", out.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("findings export after re-running diverges from the fresh store's")
+	}
+	out.Reset()
+	if code := run([]string{"-all", "-j", "4", "-cache", old}, &out, &errb); code != 0 {
+		t.Fatalf("warm exit = %d, stderr = %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "result cache: 20/20 campaigns replayed (100.0% hits)") {
+		t.Errorf("the re-run's segments do not replay:\n%s", out.String())
 	}
 }
 

@@ -12,8 +12,9 @@ import "repro/internal/core/inject"
 //
 // Implementations must be safe for concurrent use — the dispatcher
 // calls them from every worker. This is the transport seam for
-// distributed suites: store.Store implements it over a local
-// directory, store.Client over HTTP against `eptest -serve-cache`
+// distributed suites: store.Store implements it over append-only
+// segment logs in a local directory, store.Client over HTTP against
+// `eptest -serve-cache`
 // (both satisfy store.Transport, which adds shard publication).
 type Cache interface {
 	// Get returns the result cached under the fingerprint, if any.

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -140,8 +139,15 @@ func (s *Server) getCampaign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed fingerprint", http.StatusNotFound)
 		return
 	}
-	b, err := os.ReadFile(s.st.entryPath(fp))
-	if err != nil {
+	// The newest record's body is served as stored, the way the
+	// per-file layout served an entry's file: validating it is the
+	// client's job, and a re-run's PUT supersedes a damaged copy.
+	l, ok := s.st.newest(fp)
+	var b []byte
+	if ok {
+		b, _ = l.body()
+	}
+	if b == nil {
 		s.entryMiss.Inc()
 		http.Error(w, "no entry for "+fp, http.StatusNotFound)
 		return
@@ -207,7 +213,7 @@ func (s *Server) putShard(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if err := s.st.writeAtomic(s.st.shardPath(sp), b); err != nil {
+	if err := writeAtomic(s.st.shardPath(sp), b); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -372,7 +378,7 @@ func (c *Client) Get(fp string) (*inject.Result, bool) {
 	if err := json.Unmarshal(b, &e); err != nil {
 		return nil, false
 	}
-	if e.Store != FormatVersion || e.Engine != inject.EngineVersion || e.Fingerprint != fp || e.Result == nil {
+	if !e.valid(fp) {
 		return nil, false
 	}
 	return fromWire(e.Result), true

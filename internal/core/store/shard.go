@@ -114,7 +114,7 @@ func (s *Store) WriteShard(sp sched.ShardSpec, catalog []string, indices []int, 
 	if err != nil {
 		return fmt.Errorf("store: encode shard %s: %w", sp, err)
 	}
-	return s.writeAtomic(s.shardPath(sp), b)
+	return writeAtomic(s.shardPath(sp), b)
 }
 
 // MergeShards reads every shard artifact in the store and recombines
@@ -225,4 +225,34 @@ func equalCatalogs(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// writeAtomic writes a shard artifact through a same-directory temp
+// file and rename, so concurrent readers and crashed writers never
+// surface a partial artifact. Only a failed write leaves a temp file to
+// remove; a renamed one no longer exists under its temp name.
+func writeAtomic(path string, b []byte) (err error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err := tmp.Write(b); err != nil {
+		tmp.Close()
+		return fmt.Errorf("store: write %s: %w", path, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("store: close %s: %w", path, err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
 }
