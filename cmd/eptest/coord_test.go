@@ -2,15 +2,36 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core/coord"
 )
+
+// syncBuffer is a bytes.Buffer safe for the server goroutine to write
+// while the test polls it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
 
 // startCoordServer launches `eptest -serve-coord` on an ephemeral port
 // in-process — short lease so abandoned claims requeue within the
@@ -167,6 +188,65 @@ func TestCoordElasticFlow(t *testing.T) {
 	waitMergedArtifact(t, dir)
 }
 
+// TestCoordRefusesShardUpload pins that the coordinator's listener
+// carries no shard-upload route: a valid shard artifact PUT to it is
+// refused and never lands in the store, so after the queue drains
+// shards/ holds only the coordinator's own 1-of-1 artifact and -merge
+// renders it. The open GET /v1/meta liveness probe answers on the same
+// listener.
+func TestCoordRefusesShardUpload(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	url := startCoordServer(t, dir, "-filter", "lpr*")
+
+	resp, err := http.Get(url + "/v1/meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/meta = %s", resp.Status)
+	}
+
+	// A well-formed artifact for shard 1 of 2 of the same catalog.
+	local := t.TempDir()
+	var out, errb bytes.Buffer
+	if code := run([]string{"-all", "-j", "4", "-filter", "lpr*", "-shard", "1/2", "-cache", local}, &out, &errb); code != 0 {
+		t.Fatalf("local shard exit = %d, stderr = %s", code, errb.String())
+	}
+	body, err := os.ReadFile(filepath.Join(local, "shards", "shard-1-of-2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, url+"/v1/shards/1-of-2", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode/100 == 2 {
+		t.Errorf("shard upload accepted with %s, want refusal", resp.Status)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "shards", "*")); len(names) != 0 {
+		t.Errorf("shards/ after the refused upload = %v, want empty", names)
+	}
+
+	out.Reset()
+	if code := run([]string{"-all", "-j", "4", "-filter", "lpr*", "-coord-url", url}, &out, &errb); code != 0 {
+		t.Fatalf("worker exit = %d, stderr = %s", code, errb.String())
+	}
+	artifact := waitMergedArtifact(t, dir)
+	if names, _ := filepath.Glob(filepath.Join(dir, "shards", "*")); len(names) != 1 || names[0] != artifact {
+		t.Errorf("shards/ after drain = %v, want only %s", names, artifact)
+	}
+	if code := run([]string{"-merge", dir}, &out, &errb); code != 0 {
+		t.Fatalf("-merge exit = %d, stderr = %s", code, errb.String())
+	}
+}
+
 // TestCoordWorkerRejectsWrongToken pins the auth failure mode: a
 // worker with the wrong bearer token is refused at register time with
 // the 401, before any work happens.
@@ -193,7 +273,6 @@ func TestCoordFlagValidation(t *testing.T) {
 	}{
 		"serve-coord without store": {[]string{"-serve-coord", ":0"}, "needs -cache DIR"},
 		"serve-coord with all":      {[]string{"-serve-coord", ":0", "-cache", "d", "-all"}, "-serve-coord runs alone"},
-		"serve-coord with serve":    {[]string{"-serve-coord", ":0", "-cache", "d", "-serve-cache", ":0"}, "-serve-coord runs alone"},
 		"serve-coord bad lease":     {[]string{"-serve-coord", ":0", "-cache", "d", "-lease", "0s"}, "not a lease TTL"},
 		"lease without serve-coord": {[]string{"-all", "-coord-url", "http://x", "-lease", "10s"}, "needs -serve-coord"},
 		"coord-url without all":     {[]string{"-coord-url", "http://x"}, "require -all"},

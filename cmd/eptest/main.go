@@ -11,21 +11,18 @@
 // whose fingerprint is unchanged (source-level hits skip even the clean
 // run), -shard k/n runs one deterministic partition of the suite and
 // writes a mergeable shard artifact into the store, and -merge recombines
-// the artifacts into the exact report an unsharded run would print.
-//
-// Suite runs scale beyond one machine through the cache transport (see
-// docs/DISTRIBUTED.md): -serve-cache exposes a store directory over HTTP,
-// and -cache-url points shard workers on other machines at it, so they
-// share one cache and publish their artifacts to one merge point.
+// the artifacts into the exact report an unsharded run would print. Shard
+// processes share nothing but the store directory, so a directory shared
+// between machines spreads a static partition over them without a server.
 //
 // Suite runs scale to an elastic fleet through the campaign coordinator
 // (see docs/COORDINATOR.md): -serve-coord serves the catalog as a
-// claimable queue beside the cache endpoints, and -coord-url workers
-// claim jobs under time-bounded leases instead of owning a static
+// claimable queue beside the store's cache endpoints, and -coord-url
+// workers claim jobs under time-bounded leases instead of owning a static
 // shard — workers may join or leave (or crash) mid-run, expired leases
 // requeue automatically, and when the queue drains the coordinator
 // writes a merged artifact that `eptest -merge` renders byte-identical
-// to a single-process run. -auth-token protects either server with a
+// to a single-process run. -auth-token protects the coordinator with a
 // shared bearer token.
 //
 // Suite runs scale beyond the base catalog through the campaign matrix
@@ -38,9 +35,9 @@
 // Every mode is observable (see docs/OBSERVABILITY.md): -trace FILE
 // records each suite run as a Chrome trace_event span tree,
 // -metrics-json FILE dumps the worker's metrics registry after the run,
-// the servers expose Prometheus text at GET /metrics (the coordinator
-// adds a live GET /v1/status JSON snapshot and a self-refreshing HTML
-// page at GET /status), and -pprof ADDR starts the opt-in profiling
+// the coordinator exposes Prometheus text at GET /metrics (beside a live
+// GET /v1/status JSON snapshot and a self-refreshing HTML page at
+// GET /status), and -pprof ADDR starts the opt-in profiling
 // listener on any long-running process. Performance is measured outside
 // the CLI, by the reference benchmark under bench/ (`bash bench/run.sh`).
 //
@@ -48,11 +45,10 @@
 //
 //	eptest -list
 //	eptest -campaign turnin [-fixed] [-per-point] [-v] [-j N]
-//	eptest -all [-matrix] [-filter GLOB] [-j N] [-v] [-cache DIR | -cache-url URL] [-shard k/n]
+//	eptest -all [-matrix] [-filter GLOB] [-j N] [-v] [-cache DIR [-shard k/n]]
 //	eptest -all [-matrix] [-filter GLOB] -coord-url URL [-worker NAME] [-j N]
 //	eptest -all ... [-trace FILE] [-metrics-json FILE] [-pprof ADDR]
 //	eptest -merge DIR [-matrix]
-//	eptest -serve-cache ADDR -cache DIR [-auth-token TOKEN] [-pprof ADDR]
 //	eptest -serve-coord ADDR -cache DIR [-matrix] [-filter GLOB] [-lease DUR] [-campaign-retention DUR] [-auth-token TOKEN] [-pprof ADDR]
 package main
 
@@ -60,8 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 
 	"repro/internal/apps"
@@ -83,7 +77,6 @@ type suiteConfig struct {
 	workers  int
 	verbose  bool
 	cacheDir string
-	cacheURL string
 	shard    string
 	// matrix selects the expanded campaign matrix instead of the base
 	// catalog and adds the per-axis rollup to the report.
@@ -127,21 +120,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		perPoint    = fs.Bool("per-point", false, "print the per-interaction-point breakdown")
 		verbose     = fs.Bool("v", false, "print every injection (or, with -all, per-campaign progress and dispatcher stats)")
 		cache       = fs.String("cache", "", "with -all: result-store directory; replay campaigns whose fingerprint is cached")
-		cacheURL    = fs.String("cache-url", "", "with -all: remote cache server URL (a running `eptest -serve-cache`)")
-		shard       = fs.String("shard", "", "with -all and a cache: run only partition \"k/n\" of the suite and write a shard artifact to the store")
+		shard       = fs.String("shard", "", "with -all and -cache: run only partition \"k/n\" of the suite and write a shard artifact to the store")
 		matrix      = fs.Bool("matrix", false, "with -all: run the expanded campaign matrix (option sweeps, site cuts, multi-site compositions) instead of the base catalog; with -merge: render the per-axis rollup")
 		filter      = fs.String("filter", "", "with -all: run only jobs whose \"name/variant\" label matches GLOB ('*' crosses the separator, e.g. 'lpr*' or '*+nodedup*')")
 		merge       = fs.String("merge", "", "merge the shard artifacts in a result-store directory and print the combined suite report")
-		serveCache  = fs.String("serve-cache", "", "serve the -cache store over HTTP at ADDR (e.g. :7077) for -cache-url workers")
 		serveCoord  = fs.String("serve-coord", "", "serve the -cache store AND the job catalog as a lease-based claim queue at ADDR for -coord-url workers (catalog selected by -matrix/-filter)")
 		coordURL    = fs.String("coord-url", "", "with -all: claim jobs from a running `eptest -serve-coord` instead of owning a static shard; the same URL is used as the shared result cache")
 		workerName  = fs.String("worker", "", "with -coord-url: worker name shown in the coordinator report (default host-pid)")
-		authToken   = fs.String("auth-token", "", "shared bearer token: required of clients by -serve-cache/-serve-coord, sent by -cache-url/-coord-url workers")
+		authToken   = fs.String("auth-token", "", "shared bearer token: required of clients by -serve-coord, sent by -coord-url workers")
 		lease       = fs.Duration("lease", coord.DefaultLeaseTTL, "with -serve-coord: claim lease TTL; a worker silent this long loses its jobs back to the queue")
 		retention   = fs.Duration("campaign-retention", coord.DefaultCampaignRetention, "with -serve-coord: how long a finished named campaign's status record stays visible before it is garbage-collected (0 keeps records forever)")
 		traceFile   = fs.String("trace", "", "with -all: record every injection run, cache round trip and coordinator call as a Chrome trace_event FILE (open in chrome://tracing or Perfetto)")
 		metricsOut  = fs.String("metrics-json", "", "with -all: dump the worker's metrics registry (counters, gauges, histograms) to FILE after the run")
-		pprofAddr   = fs.String("pprof", "", "with -all, -serve-cache or -serve-coord: serve net/http/pprof (plus /metrics) on a side listener at ADDR (e.g. localhost:6060)")
+		pprofAddr   = fs.String("pprof", "", "with -all or -serve-coord: serve net/http/pprof (plus /metrics) on a side listener at ADDR (e.g. localhost:6060)")
 		findingsOut = fs.String("findings", "", "with -all or -merge: write the suite's violations as canonical machine-readable finding records (schema eptest-findings/1) to FILE")
 		diffOld     = fs.String("diff", "", "semantically diff two findings files: `eptest -diff OLD NEW` classifies drift as new/fixed/changed instead of byte inequality")
 		diffFailOn  = fs.String("diff-fail-on", "", "with -diff: exit non-zero when the diff contains any finding in the named drift classes (comma-separated from new, changed, fixed; or 'any'/'none')")
@@ -154,8 +145,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "eptest: -j %d is not a worker count; pass how many injection runs may execute concurrently (-j 1 for sequential, -j 8 for eight workers)\n", *workers)
 		return 2
 	}
-	if *authToken != "" && *serveCache == "" && *serveCoord == "" && *cacheURL == "" && *coordURL == "" {
-		fmt.Fprintln(stderr, "eptest: -auth-token does nothing without -serve-cache, -serve-coord, -cache-url or -coord-url")
+	if *authToken != "" && *serveCoord == "" && *coordURL == "" {
+		fmt.Fprintln(stderr, "eptest: -auth-token does nothing without -serve-coord or -coord-url")
 		return 2
 	}
 	if *lease != coord.DefaultLeaseTTL && *serveCoord == "" {
@@ -182,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "eptest: -diff compares exactly two findings files: `eptest -diff OLD NEW`")
 			return 2
 		}
-		if *list || *all || *campaign != "" || *merge != "" || *serveCache != "" || *serveCoord != "" || *findingsOut != "" {
+		if *list || *all || *campaign != "" || *merge != "" || *serveCoord != "" || *findingsOut != "" {
 			fmt.Fprintln(stderr, "eptest: -diff runs alone, comparing two findings files; produce them first with `eptest -all -findings FILE`")
 			return 2
 		}
@@ -200,12 +191,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "eptest: -trace and -metrics-json record a suite run; they require -all")
 		return 2
 	}
-	if *pprofAddr != "" && !*all && *serveCache == "" && *serveCoord == "" {
-		fmt.Fprintln(stderr, "eptest: -pprof profiles a long-running process; it needs -all, -serve-cache or -serve-coord")
+	if *pprofAddr != "" && !*all && *serveCoord == "" {
+		fmt.Fprintln(stderr, "eptest: -pprof profiles a long-running process; it needs -all or -serve-coord")
 		return 2
 	}
 	if *serveCoord != "" {
-		if *list || *all || *campaign != "" || *merge != "" || *shard != "" || *cacheURL != "" || *coordURL != "" || *serveCache != "" {
+		if *list || *all || *campaign != "" || *merge != "" || *shard != "" || *coordURL != "" {
 			fmt.Fprintln(stderr, "eptest: -serve-coord runs alone with -cache DIR (plus -matrix/-filter/-lease/-auth-token); start workers separately with -coord-url")
 			return 2
 		}
@@ -219,20 +210,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return runServeCoord(*serveCoord, *cache, *matrix, *filter, *lease, *retention, *authToken, *pprofAddr, stdout, stderr)
 	}
-	if *serveCache != "" {
-		if *list || *all || *campaign != "" || *merge != "" || *shard != "" || *cacheURL != "" || *coordURL != "" || *matrix || *filter != "" {
-			fmt.Fprintln(stderr, "eptest: -serve-cache runs alone with -cache DIR (no -list/-all/-campaign/-merge/-shard/-cache-url/-coord-url); start workers separately with -cache-url")
-			return 2
-		}
-		if *cache == "" {
-			fmt.Fprintln(stderr, "eptest: -serve-cache needs -cache DIR naming the store directory to serve")
-			return 2
-		}
-		return runServeCache(*serveCache, *cache, *authToken, *pprofAddr, stdout, stderr)
-	}
 	if *merge != "" {
-		if *list || *all || *campaign != "" || *shard != "" || *cache != "" || *cacheURL != "" || *coordURL != "" || *filter != "" {
-			fmt.Fprintln(stderr, "eptest: -merge runs alone (no -list/-all/-campaign/-shard/-cache/-cache-url/-coord-url/-filter)")
+		if *list || *all || *campaign != "" || *shard != "" || *cache != "" || *coordURL != "" || *filter != "" {
+			fmt.Fprintln(stderr, "eptest: -merge runs alone (no -list/-all/-campaign/-shard/-cache/-coord-url/-filter)")
 			return 2
 		}
 		return runMerge(*merge, *matrix, *findingsOut, stdout, stderr)
@@ -245,8 +225,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if *all {
-		if *coordURL != "" && (*cache != "" || *cacheURL != "" || *shard != "") {
-			fmt.Fprintln(stderr, "eptest: -coord-url replaces -cache/-cache-url/-shard — the coordinator is the cache, and claims replace the static partition")
+		if *coordURL != "" && (*cache != "" || *shard != "") {
+			fmt.Fprintln(stderr, "eptest: -coord-url replaces -cache/-shard — the coordinator is the cache, and claims replace the static partition")
+			return 2
+		}
+		if *shard != "" && *cache == "" {
+			fmt.Fprintln(stderr, "eptest: -shard needs -cache DIR to hold the shard artifact")
 			return 2
 		}
 		if *workerName != "" && *coordURL == "" {
@@ -257,7 +241,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			workers:     *workers,
 			verbose:     *verbose,
 			cacheDir:    *cache,
-			cacheURL:    *cacheURL,
 			shard:       *shard,
 			matrix:      *matrix,
 			filter:      *filter,
@@ -274,8 +257,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return runSuite(cfg, stdout, stderr)
 	}
-	if *shard != "" || *cache != "" || *cacheURL != "" || *coordURL != "" || *matrix || *filter != "" || *workerName != "" {
-		fmt.Fprintln(stderr, "eptest: -cache, -cache-url, -coord-url, -worker, -shard and -filter require -all; -matrix requires -all or -merge")
+	if *shard != "" || *cache != "" || *coordURL != "" || *matrix || *filter != "" || *workerName != "" {
+		fmt.Fprintln(stderr, "eptest: -cache, -coord-url, -worker, -shard and -filter require -all; -matrix requires -all or -merge")
 		return 2
 	}
 	if *campaign == "" {
@@ -329,35 +312,28 @@ func runCampaign(c inject.Campaign, workers int) (*inject.Result, error) {
 	return sched.RunCampaign(c, sched.Config{Workers: workers})
 }
 
-// suiteTransport opens the result transport the flags select: the
-// local directory store, the HTTP cache client (dialled to the cache
-// server, or to the coordinator, which serves the same endpoints), or
-// nothing. A remote client records its round-trip latencies into reg.
-func suiteTransport(cfg suiteConfig, reg *obs.Registry, stderr io.Writer) (store.Transport, string, bool) {
+// suiteCache opens the result cache the flags select: the local
+// directory store for -cache, the coordinator's HTTP client for
+// -coord-url (it serves the store endpoints on its own listener), or
+// nil. The second result is the local store, which -shard writes its
+// artifact to; it is nil unless -cache was given. A remote client
+// records its round-trip latencies into reg.
+func suiteCache(cfg suiteConfig, reg *obs.Registry) (sched.Cache, *store.Store, error) {
 	switch {
-	case cfg.cacheDir != "" && cfg.cacheURL != "":
-		fmt.Fprintln(stderr, "eptest: -cache and -cache-url are alternative transports; pass exactly one")
-		return nil, "", false
 	case cfg.cacheDir != "":
 		st, err := store.Open(cfg.cacheDir)
 		if err != nil {
-			fmt.Fprintf(stderr, "eptest: %v\n", err)
-			return nil, "", false
+			return nil, nil, err
 		}
-		return st, st.Dir(), true
-	case cfg.cacheURL != "" || cfg.coordURL != "":
-		rawURL, hint := cfg.cacheURL, "-serve-cache"
-		if cfg.coordURL != "" {
-			rawURL, hint = cfg.coordURL, "-serve-coord"
-		}
-		cl, err := store.Dial(rawURL, store.WithToken(cfg.authToken), store.WithMetrics(reg))
+		return st, st, nil
+	case cfg.coordURL != "":
+		cl, err := store.Dial(cfg.coordURL, store.WithToken(cfg.authToken), store.WithMetrics(reg))
 		if err != nil {
-			fmt.Fprintf(stderr, "eptest: %v (start one with `eptest %s ADDR -cache DIR`)\n", err, hint)
-			return nil, "", false
+			return nil, nil, err
 		}
-		return cl, cl.Base(), true
+		return cl, nil, nil
 	}
-	return nil, "", true
+	return nil, nil, nil
 }
 
 // runSuite schedules the full catalog through the work-stealing
@@ -366,9 +342,9 @@ func suiteTransport(cfg suiteConfig, reg *obs.Registry, stderr io.Writer) (store
 // plan), not violations: the suite intentionally includes vulnerable
 // variants, so findings are the expected output, not an error.
 //
-// With a cache transport the suite runs incrementally; with a shard
-// spec it runs one deterministic partition of the job list and
-// publishes a shard artifact for a later -merge. The suite report
+// With a cache the suite runs incrementally; with a shard spec it runs
+// one deterministic partition of the job list and writes a shard
+// artifact into the -cache store for a later -merge. The suite report
 // proper (summary table + clusters) always comes first and is
 // identical between cold and warm cache runs; the cache, dispatcher
 // and shard sections follow.
@@ -432,19 +408,15 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		spec    sched.ShardSpec
 		indices []int
 	)
-	tr, dest, ok := suiteTransport(cfg, reg, stderr)
-	if !ok {
+	cache, shardStore, err := suiteCache(cfg, reg)
+	if err != nil {
+		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 2
 	}
 	if cfg.shard != "" {
-		var err error
 		spec, err = sched.ParseShard(cfg.shard)
 		if err != nil {
 			fmt.Fprintf(stderr, "eptest: %v\n", err)
-			return 2
-		}
-		if tr == nil {
-			fmt.Fprintln(stderr, "eptest: -shard needs -cache DIR or -cache-url URL to hold the shard artifact")
 			return 2
 		}
 		jobs, indices = sched.ShardJobs(jobs, spec)
@@ -454,10 +426,7 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		}
 	}
 
-	opt := sched.SuiteOptions{Workers: cfg.workers, Metrics: reg, Tracer: tracer}
-	if tr != nil {
-		opt.Cache = tr
-	}
+	opt := sched.SuiteOptions{Workers: cfg.workers, Cache: cache, Metrics: reg, Tracer: tracer}
 	var progress *progressRenderer
 	switch {
 	case cfg.tty:
@@ -503,10 +472,10 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, report.Matrix(sr))
 	}
-	if tr != nil {
+	if cache != nil {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, report.CacheStats(sr))
-		if cl, ok := tr.(*store.Client); ok {
+		if cl, ok := cache.(*store.Client); ok {
 			fmt.Fprint(stdout, report.CacheTransport(cl))
 		}
 	}
@@ -523,11 +492,11 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, report.Dispatch(sr))
 	}
 	if !spec.IsZero() {
-		if err := tr.WriteShard(spec, catalog, indices, sr); err != nil {
+		if err := shardStore.WriteShard(spec, catalog, indices, sr); err != nil {
 			fmt.Fprintf(stderr, "eptest: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "shard %s: wrote %d job(s) to %s\n", spec, len(jobs), dest)
+		fmt.Fprintf(stdout, "shard %s: wrote %d job(s) to %s\n", spec, len(jobs), shardStore.Dir())
 	}
 	if cfg.findingsOut != "" {
 		if err := findingsReport.WriteFile(cfg.findingsOut); err != nil {
@@ -602,39 +571,6 @@ func runMerge(dir string, matrix bool, findingsOut string, stdout, stderr io.Wri
 		fmt.Fprintf(stdout, "wrote %d finding record(s) to %s\n", len(rep.Findings), findingsOut)
 	}
 	if len(sr.Failed()) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runServeCache serves the store at dir over HTTP until the process is
-// terminated. Killing the server at any moment is safe: a torn cache
-// entry is dropped by the next scan and shard artifacts go through an
-// atomic rename, so readers and a later -merge never observe partial
-// entries or files. A non-empty token puts the server
-// behind `Authorization: Bearer` (GET /v1/meta stays open for
-// liveness probes; GET /metrics needs the token like any other route).
-func runServeCache(addr, dir, token, pprofAddr string, stdout, stderr io.Writer) int {
-	st, err := store.Open(dir)
-	if err != nil {
-		fmt.Fprintf(stderr, "eptest: %v\n", err)
-		return 2
-	}
-	reg := obs.NewRegistry()
-	if !startPprof(pprofAddr, reg, stdout, stderr) {
-		return 2
-	}
-	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", reg.Handler())
-	mux.Handle("/", store.NewServer(st, store.WithServerMetrics(reg)))
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "eptest: -serve-cache %s: %v\n", addr, err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "eptest: cache server listening on %s (store %s)\n", ln.Addr(), st.Dir())
-	if err := http.Serve(ln, store.BearerAuth(token, mux)); err != nil {
-		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 1
 	}
 	return 0

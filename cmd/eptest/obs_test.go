@@ -24,8 +24,8 @@ func TestTelemetryFlagValidation(t *testing.T) {
 	}{
 		{[]string{"-trace", "t.json", "-campaign", "turnin"}, "require -all"},
 		{[]string{"-metrics-json", "m.json", "-list"}, "require -all"},
-		{[]string{"-pprof", "localhost:0", "-campaign", "turnin"}, "-all, -serve-cache or -serve-coord"},
-		{[]string{"-pprof", "localhost:0", "-merge", "d"}, "-all, -serve-cache or -serve-coord"},
+		{[]string{"-pprof", "localhost:0", "-campaign", "turnin"}, "it needs -all or -serve-coord"},
+		{[]string{"-pprof", "localhost:0", "-merge", "d"}, "it needs -all or -serve-coord"},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer

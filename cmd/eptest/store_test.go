@@ -158,27 +158,35 @@ func TestMergeEmptyStoreFails(t *testing.T) {
 	}
 }
 
-// TestShardFlagValidation pins the flag-combination errors. The cache
-// directory is a temp dir because the shard-spec errors are detected
-// after the transport opens — a literal name would leave a stray store
-// skeleton in the working tree.
+// TestShardFlagValidation pins the flag-combination and input-validation
+// errors of local suite runs. The cache directory is a temp dir because
+// the shard-spec errors are detected after the store opens — a literal
+// name would leave a stray store skeleton in the working tree.
 func TestShardFlagValidation(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	cases := map[string][]string{
-		"shard without all":   {"-shard", "1/2", "-cache", dir},
-		"cache without all":   {"-campaign", "turnin", "-cache", dir},
-		"shard without cache": {"-all", "-shard", "1/2"},
-		"malformed shard":     {"-all", "-shard", "2", "-cache", dir},
-		"out-of-range shard":  {"-all", "-shard", "3/2", "-cache", dir},
-		"merge with all":      {"-merge", dir, "-all"},
-		"merge with cache":    {"-merge", dir, "-cache", dir},
-		"merge with list":     {"-merge", dir, "-list"},
+	cases := map[string]struct {
+		args []string
+		want string
+	}{
+		"shard without all":   {[]string{"-shard", "1/2", "-cache", dir}, "require -all"},
+		"cache without all":   {[]string{"-campaign", "turnin", "-cache", dir}, "require -all"},
+		"shard without cache": {[]string{"-all", "-shard", "1/2"}, "-shard needs -cache DIR"},
+		"malformed shard":     {[]string{"-all", "-shard", "2", "-cache", dir}, `malformed shard "2"`},
+		"out-of-range shard":  {[]string{"-all", "-shard", "3/2", "-cache", dir}, "out of range"},
+		"merge with all":      {[]string{"-merge", dir, "-all"}, "-merge runs alone"},
+		"merge with cache":    {[]string{"-merge", dir, "-cache", dir}, "-merge runs alone"},
+		"merge with list":     {[]string{"-merge", dir, "-list"}, "-merge runs alone"},
+		"j zero":              {[]string{"-all", "-j", "0"}, "-j 0 is not a worker count"},
+		"j negative":          {[]string{"-campaign", "turnin", "-j", "-3"}, "-j -3 is not a worker count"},
 	}
-	for name, args := range cases {
+	for name, tc := range cases {
 		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 2 {
+		if code := run(tc.args, &out, &errb); code != 2 {
 			t.Errorf("%s: exit = %d, want 2 (stderr %q)", name, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%s: stderr %q missing %q", name, errb.String(), tc.want)
 		}
 	}
 }

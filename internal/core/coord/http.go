@@ -12,8 +12,8 @@ import (
 	"repro/internal/core/store"
 )
 
-// The coordinator's HTTP surface, mounted beside the cache server's
-// /v1/campaigns and /v1/shards endpoints by `eptest -serve-coord`
+// The coordinator's HTTP surface, mounted beside the store's /v1/meta
+// and /v1/campaigns/{fp} endpoints by `eptest -serve-coord`
 // (docs/COORDINATOR.md spells out the schemas and failure semantics):
 //
 //	POST /v1/coord/register -> RegisterResponse

@@ -100,7 +100,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // Handler serves the registry in Prometheus text form — the body of
-// GET /metrics on `eptest -serve-cache` and `eptest -serve-coord`.
+// GET /metrics on `eptest -serve-coord`.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

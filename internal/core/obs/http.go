@@ -25,8 +25,6 @@ func RouteLabel(path string) string {
 		return "metrics"
 	case path == "/v1/campaigns", strings.HasPrefix(path, "/v1/campaigns/"):
 		return "campaigns"
-	case strings.HasPrefix(path, "/v1/shards/"):
-		return "shards"
 	case strings.HasPrefix(path, "/v1/coord/"):
 		return "coord." + path[len("/v1/coord/"):]
 	}

@@ -16,7 +16,6 @@ func TestRouteLabel(t *testing.T) {
 		"/status":              "status-page",
 		"/metrics":             "metrics",
 		"/v1/campaigns/abc123": "campaigns",
-		"/v1/shards/1-of-2":    "shards",
 		"/v1/coord/claim":      "coord.claim",
 		"/v1/coord/register":   "coord.register",
 		"/v1/anything-else":    "other",

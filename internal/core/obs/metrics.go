@@ -1,14 +1,14 @@
 // Package obs is the fleet-telemetry layer: a dependency-free metrics
 // registry (counters, gauges, histograms with atomic hot paths) that
-// the dispatcher, result-store transports, and campaign coordinator
-// publish into, plus run-level tracing in Chrome trace_event form and
-// shared HTTP instrumentation middleware.
+// the dispatcher, result store, and campaign coordinator publish
+// into, plus run-level tracing in Chrome trace_event form and shared
+// HTTP instrumentation middleware.
 //
 // The registry is exposition-agnostic: WritePrometheus renders the
-// Prometheus text format `eptest -serve-cache`/`-serve-coord` serve at
-// GET /metrics, and WriteJSON renders the machine-readable snapshot
-// workers dump via `-metrics-json FILE`. Metric names, label sets, and
-// the span taxonomy are catalogued in docs/OBSERVABILITY.md.
+// Prometheus text format `eptest -serve-coord` serves at GET /metrics,
+// and WriteJSON renders the machine-readable snapshot workers dump via
+// `-metrics-json FILE`. Metric names, label sets, and the span
+// taxonomy are catalogued in docs/OBSERVABILITY.md.
 //
 // Handles returned by Counter/Gauge/Histogram are cheap to hold and
 // safe for concurrent use; instrumentation sites resolve them once and

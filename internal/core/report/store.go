@@ -52,7 +52,7 @@ func CacheStats(sr *sched.SuiteResult) string {
 }
 
 // CacheTransport renders the one-line upload summary for a remote
-// cache client, so a flaky cache server is visible even when the
+// cache client, so a flaky coordinator store is visible even when the
 // per-campaign lines scroll away. Empty when nothing failed.
 func CacheTransport(cl *store.Client) string {
 	attempts, failures := cl.PutStats()

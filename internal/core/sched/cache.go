@@ -13,9 +13,9 @@ import "repro/internal/core/inject"
 // Implementations must be safe for concurrent use — the dispatcher
 // calls them from every worker. This is the transport seam for
 // distributed suites: store.Store implements it over append-only
-// segment logs in a local directory, store.Client over HTTP against
-// `eptest -serve-cache`
-// (both satisfy store.Transport, which adds shard publication).
+// segment logs in a local directory (shared by -shard processes),
+// store.Client over HTTP against the store an `eptest -serve-coord`
+// coordinator serves to its workers.
 type Cache interface {
 	// Get returns the result cached under the fingerprint, if any.
 	Get(fingerprint string) (*inject.Result, bool)

@@ -14,46 +14,25 @@ import (
 
 	"repro/internal/core/inject"
 	"repro/internal/core/obs"
-	"repro/internal/core/sched"
 )
 
-// Transport is the suite runner's access to one result store, local or
-// remote: the sched.Cache surface the dispatcher consults, plus shard-
-// artifact publication for distributed `-shard` runs. *Store implements
-// it over a directory on local disk; *Client implements it over HTTP
-// against the server `eptest -serve-cache` exposes, so shard runners on
-// different machines share one cache and one merge point.
-type Transport interface {
-	sched.Cache
-	// WriteShard publishes one shard's suite result as a mergeable
-	// artifact; see (*Store).WriteShard for the partition contract.
-	WriteShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) error
-}
-
-var (
-	_ Transport = (*Store)(nil)
-	_ Transport = (*Client)(nil)
-)
-
-// The cache server's HTTP surface (docs/DISTRIBUTED.md spells out the
-// schema and failure semantics):
+// The store's HTTP surface, served on the coordinator's listener by
+// `eptest -serve-coord` (docs/COORDINATOR.md spells out the schema and
+// failure semantics):
 //
 //	GET /v1/meta            -> {"store": FormatVersion, "engine": inject.EngineVersion}
 //	GET /v1/campaigns/{fp}  -> cache-entry JSON, or 404 on a miss
 //	PUT /v1/campaigns/{fp}  <- cache-entry JSON; 204 on success
-//	PUT /v1/shards/{k}-of-{n} <- shard-artifact JSON; 204 on success
 const (
 	metaPath      = "/v1/meta"
 	campaignsPath = "/v1/campaigns/"
-	shardsPath    = "/v1/shards/"
 )
 
 // Server exposes a Store over HTTP. The wire format of every body is
 // exactly the store's on-disk form — a GET streams the stored entry
 // bytes, a PUT is validated and re-encoded through the same canonical
 // codec the local store writes — so a store populated through the
-// server is indistinguishable from one populated locally, and `eptest
-// -merge` on the server's directory merges remote shards unchanged.
+// server is indistinguishable from one populated locally.
 type Server struct {
 	st  *Store
 	mux *http.ServeMux
@@ -84,7 +63,6 @@ func NewServer(st *Store, opts ...ServerOption) *Server {
 	s.mux.HandleFunc("GET "+metaPath, s.meta)
 	s.mux.HandleFunc("GET "+campaignsPath+"{fp}", s.getCampaign)
 	s.mux.HandleFunc("PUT "+campaignsPath+"{fp}", s.putCampaign)
-	s.mux.HandleFunc("PUT "+shardsPath+"{spec}", s.putShard)
 	s.h = s.mux
 	for _, o := range opts {
 		o(s)
@@ -167,8 +145,14 @@ func (s *Server) putCampaign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "malformed fingerprint (want 64 hex chars)", http.StatusBadRequest)
 		return
 	}
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	var e entry
-	if err := decodeBody(w, r, &e); err != nil {
+	if err := json.Unmarshal(b, &e); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if e.Store != FormatVersion || e.Engine != inject.EngineVersion {
@@ -187,39 +171,6 @@ func (s *Server) putCampaign(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// putShard validates and persists an uploaded shard artifact at the
-// coordinates named in the URL.
-func (s *Server) putShard(w http.ResponseWriter, r *http.Request) {
-	var sp sched.ShardSpec
-	if _, err := fmt.Sscanf(r.PathValue("spec"), "%d-of-%d", &sp.K, &sp.N); err != nil || sp.N < 1 || sp.K < 1 || sp.K > sp.N {
-		http.Error(w, "malformed shard coordinates (want {k}-of-{n})", http.StatusBadRequest)
-		return
-	}
-	var f shardFile
-	if err := decodeBody(w, r, &f); err != nil {
-		return
-	}
-	if f.Store != FormatVersion || f.Engine != inject.EngineVersion {
-		http.Error(w, fmt.Sprintf("artifact written by %s/%s, server is %s/%s",
-			f.Store, f.Engine, FormatVersion, inject.EngineVersion), http.StatusConflict)
-		return
-	}
-	if f.Shard != sp.K || f.Of != sp.N || f.TotalJobs != len(f.Catalog) {
-		http.Error(w, "artifact coordinates or catalog do not match URL", http.StatusBadRequest)
-		return
-	}
-	b, err := json.Marshal(&f)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if err := writeAtomic(s.st.shardPath(sp), b); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // maxBodyBytes bounds uploads; the largest catalog campaigns serialise
 // to tens of kilobytes, so 256 MiB is generous headroom, not a limit
 // anyone should meet.
@@ -230,7 +181,7 @@ const maxBodyBytes = 256 << 20
 // 401, except GET /v1/meta, which stays open as the unauthenticated
 // liveness probe. An empty token returns next unchanged, so callers
 // can wire the -auth-token flag through unconditionally. This is the
-// auth half of running a cache or coordinator on an untrusted network;
+// auth half of running a coordinator on an untrusted network;
 // pair it with TLS termination for the transport half.
 func BearerAuth(token string, next http.Handler) http.Handler {
 	if token == "" {
@@ -252,35 +203,19 @@ func BearerAuth(token string, next http.Handler) http.Handler {
 	})
 }
 
-// decodeBody JSON-decodes a bounded request body, writing the HTTP
-// error itself so handlers can simply return.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return err
-	}
-	if err := json.Unmarshal(b, v); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return err
-	}
-	return nil
-}
-
-// Client is the HTTP cache transport: a sched.Cache (and Transport)
-// whose entries live in a remote `eptest -serve-cache` store. Gets
-// degrade to misses on any failure — network errors, version skew, a
-// stopped server — because the caller's fallback (running the
-// campaign) is always correct; Puts and WriteShard report errors,
-// which the suite already treats as best-effort (CacheErr) or fatal
-// (shard publication) respectively.
+// Client is the HTTP cache transport: a sched.Cache whose entries live
+// in the store a remote `eptest -serve-coord` serves. Gets degrade to
+// misses on any failure — network errors, version skew, a stopped
+// server — because the caller's fallback (running the campaign) is
+// always correct; Puts report errors, which the suite treats as
+// best-effort (CacheErr).
 type Client struct {
 	base  string
 	hc    *http.Client
 	token string
 
 	// puts / putFailures count entry uploads, so the suite can tell
-	// the operator about a flaky cache server even though every
+	// the operator about a flaky server even though every
 	// individual Put is best-effort.
 	puts        atomic.Int64
 	putFailures atomic.Int64
@@ -296,7 +231,7 @@ func WithToken(token string) DialOption {
 }
 
 // WithMetrics instruments the client's transport: every request to the
-// cache server is recorded as eptest_http_client_* counters and
+// server is recorded as eptest_http_client_* counters and
 // latency samples in r, labelled by normalised route.
 func WithMetrics(r *obs.Registry) DialOption {
 	return func(c *Client) { c.hc.Transport = obs.RoundTripper(r, c.hc.Transport) }
@@ -321,7 +256,7 @@ func ValidateBaseURL(rawURL, what string) (string, error) {
 	return strings.TrimSuffix(u.String(), "/"), nil
 }
 
-// Dial validates a cache-server URL and returns a client for it. The
+// Dial validates a server URL and returns a client for it. The
 // URL must be absolute with an http or https scheme and a host, e.g.
 // "http://10.0.0.7:7077". No connection is attempted — a server that
 // is down manifests as cache misses, not a dial error.
@@ -343,7 +278,7 @@ func Dial(rawURL string, opts ...DialOption) (*Client, error) {
 // PutStats reports how many cache-entry uploads this client attempted
 // and how many failed. Failures are already recorded per campaign as
 // CacheErr; the aggregate lets the suite report a flaky or
-// unauthorized cache server in one line.
+// unauthorized server in one line.
 func (c *Client) PutStats() (attempts, failures int64) {
 	return c.puts.Load(), c.putFailures.Load()
 }
@@ -404,21 +339,6 @@ func (c *Client) Put(fp, label string, res *inject.Result) error {
 		return err
 	}
 	return nil
-}
-
-// WriteShard uploads one shard's suite result; the server persists it
-// next to locally written artifacts, ready for `eptest -merge` on the
-// server's store directory.
-func (c *Client) WriteShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) error {
-	f, err := buildShardFile(sp, catalog, indices, sr)
-	if err != nil {
-		return err
-	}
-	b, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("store: encode shard %s: %w", sp, err)
-	}
-	return c.put(fmt.Sprintf("%s%d-of-%d", shardsPath, sp.K, sp.N), b)
 }
 
 // put issues one PUT and normalises non-2xx statuses into errors that

@@ -12,11 +12,10 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core/inject"
-	"repro/internal/core/sched"
 	"repro/internal/core/store"
 )
 
-// dialTestServer starts a cache server over a fresh store and returns
+// dialTestServer starts a store server over a fresh store and returns
 // a client dialled at it plus the backing store.
 func dialTestServer(t *testing.T) (*store.Client, *store.Store) {
 	t.Helper()
@@ -33,8 +32,8 @@ func dialTestServer(t *testing.T) (*store.Client, *store.Store) {
 	return cl, st
 }
 
-// TestDialValidation pins the URL errors the CLI surfaces for a
-// malformed -cache-url.
+// TestDialValidation pins the URL errors the store client reports for
+// a malformed server URL.
 func TestDialValidation(t *testing.T) {
 	t.Parallel()
 	for _, bad := range []string{
@@ -101,46 +100,6 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClientShardUpload runs a two-shard suite through the HTTP
-// transport and merges on the server's store — the distributed flow of
-// docs/DISTRIBUTED.md in miniature.
-func TestClientShardUpload(t *testing.T) {
-	t.Parallel()
-	cl, st := dialTestServer(t)
-
-	jobs := apps.SuiteJobs()[:4]
-	catalog := make([]string, len(jobs))
-	for i, j := range jobs {
-		catalog[i] = j.Label()
-	}
-	full := sched.RunSuite(jobs, sched.SuiteOptions{Workers: 4})
-
-	for k := 1; k <= 2; k++ {
-		sp := sched.ShardSpec{K: k, N: 2}
-		shardJobs, indices := sched.ShardJobs(jobs, sp)
-		sr := sched.RunSuite(shardJobs, sched.SuiteOptions{Workers: 4, Cache: cl})
-		if len(sr.Failed()) != 0 {
-			t.Fatalf("shard %s failed: %v", sp, sr.Failed())
-		}
-		if err := cl.WriteShard(sp, catalog, indices, sr); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	merged, infos, err := st.MergeShards()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 2 {
-		t.Fatalf("merged %d artifacts, want 2", len(infos))
-	}
-	for i := range jobs {
-		if !reflect.DeepEqual(merged.Campaigns[i].Result.Injections, full.Campaigns[i].Result.Injections) {
-			t.Errorf("%s: merged result diverges from the unsharded run", jobs[i].Label())
-		}
-	}
-}
-
 // TestClientDegradesToMisses pins the failure semantics: with the
 // server gone, Get is a miss and Put is an error — never a hang or a
 // panic, so a dead cache only costs re-execution.
@@ -167,9 +126,9 @@ func TestClientDegradesToMisses(t *testing.T) {
 }
 
 // TestServerRejectsMismatchedUploads pins the poisoning guards: a body
-// whose fingerprint disagrees with the URL, garbage JSON, and shard
-// coordinates that disagree with the URL are all rejected without
-// touching the store.
+// whose fingerprint disagrees with the URL, garbage JSON, and a bare
+// result without its entry envelope are all rejected without touching
+// the store.
 func TestServerRejectsMismatchedUploads(t *testing.T) {
 	t.Parallel()
 	st, err := store.Open(t.TempDir())
@@ -193,12 +152,9 @@ func TestServerRejectsMismatchedUploads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, tc := range map[string]struct{ path, body string }{
-		"fp mismatch":    {"/v1/campaigns/deadbeef", mustEntryJSON(t, st, fp)},
-		"garbage":        {"/v1/campaigns/deadbeef", "{not json"},
-		"bare result":    {"/v1/campaigns/deadbeef", string(good)},
-		"shard mismatch": {"/v1/shards/2-of-3", mustShardJSON(t)},
-		"shard garbage":  {"/v1/shards/1-of-2", "{not json"},
-		"shard bad path": {"/v1/shards/0-of-0", mustShardJSON(t)},
+		"fp mismatch": {"/v1/campaigns/deadbeef", mustEntryJSON(t, st, fp)},
+		"garbage":     {"/v1/campaigns/deadbeef", "{not json"},
+		"bare result": {"/v1/campaigns/deadbeef", string(good)},
 	} {
 		req, err := http.NewRequest(http.MethodPut, srv.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
@@ -293,27 +249,6 @@ func mustEntryJSON(t *testing.T, st *store.Store, fp string) string {
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// mustShardJSON uploads a valid one-job shard to a scratch server and
-// returns its artifact bytes, for replaying at wrong coordinates.
-func mustShardJSON(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _ := runLpr(t)
-	sr := &sched.SuiteResult{Campaigns: []sched.CampaignResult{{Job: sched.Job{Name: "lpr", Variant: "vulnerable"}, Result: res}}}
-	if err := st.WriteShard(sched.ShardSpec{K: 1, N: 2}, []string{"lpr/vulnerable", "other"}, []int{0}, sr); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(filepath.Join(dir, "shards", "shard-1-of-2.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,12 +63,14 @@ func (s *Store) shardPath(sp sched.ShardSpec) string {
 	return filepath.Join(s.dir, shardDir, fmt.Sprintf("shard-%d-of-%d.json", sp.K, sp.N))
 }
 
-// buildShardFile assembles the mergeable artifact for one shard's
-// suite result — shared by the local Store and the HTTP Client, so
-// both transports publish the identical wire form.
-func buildShardFile(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) (*shardFile, error) {
+// WriteShard persists one shard's suite result as a mergeable artifact.
+// catalog is the label of every job in the full, unsharded list; sr
+// must be the result of running exactly the jobs ShardJobs selected for
+// sp out of that list, and indices their global positions (the second
+// ShardJobs return).
+func (s *Store) WriteShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) error {
 	if len(indices) != len(sr.Campaigns) {
-		return nil, fmt.Errorf("store: shard %s: %d indices for %d campaigns", sp, len(indices), len(sr.Campaigns))
+		return fmt.Errorf("store: shard %s: %d indices for %d campaigns", sp, len(indices), len(sr.Campaigns))
 	}
 	f := &shardFile{
 		Store:     FormatVersion,
@@ -96,19 +98,6 @@ func buildShardFile(sp sched.ShardSpec, catalog []string, indices []int, sr *sch
 			j.Result = toWire(c.Result)
 		}
 		f.Jobs[i] = j
-	}
-	return f, nil
-}
-
-// WriteShard persists one shard's suite result as a mergeable artifact.
-// catalog is the label of every job in the full, unsharded list; sr
-// must be the result of running exactly the jobs ShardJobs selected for
-// sp out of that list, and indices their global positions (the second
-// ShardJobs return).
-func (s *Store) WriteShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) error {
-	f, err := buildShardFile(sp, catalog, indices, sr)
-	if err != nil {
-		return err
 	}
 	b, err := json.Marshal(f)
 	if err != nil {
