@@ -127,10 +127,11 @@ func (p Policy) trusted(path string) bool {
 	return false
 }
 
-// snapNode returns the inode at path in the snapshot, or nil. Peek keeps
-// this allocation-free: the oracle calls it for every mutating or exec
-// event of every run's trace, and the paths it sees are the canonical
-// absolute ResolvedPaths the kernel recorded.
+// snapNode returns the inode at path in the snapshot, or nil. The oracle
+// calls it for every mutating or exec event of every run's trace, with
+// the ResolvedPaths the kernel recorded. Peek walks them as Resolve does,
+// so it names the same object, and it allocates nothing unless the walk
+// meets a symlink.
 func snapNode(snap *vfs.FS, path string) *vfs.Inode {
 	if snap == nil || path == "" {
 		return nil

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/interpose"
@@ -49,6 +50,12 @@ type Kernel struct {
 	programs  map[string]Program
 	mailboxes map[string][][]byte
 	nextPID   int
+
+	// frozen is set by Snapshot, whose forks share this kernel's program
+	// table; RegisterProgram then panics. sharedPrograms marks such a
+	// fork, whose first RegisterProgram copies the table.
+	frozen         bool
+	sharedPrograms bool
 }
 
 // PostMessage enqueues a process-input message for MsgRecv. World builders
@@ -102,6 +109,13 @@ func New() *Kernel {
 // RegisterProgram installs a program image at the given absolute path.
 // Exec of that (resolved) path runs the program in a child process.
 func (k *Kernel) RegisterProgram(path string, prog Program) {
+	if k.frozen {
+		panic("kernel: RegisterProgram on a snapshotted kernel")
+	}
+	if k.sharedPrograms {
+		k.programs = maps.Clone(k.programs)
+		k.sharedPrograms = false
+	}
 	k.programs[path] = prog
 }
 

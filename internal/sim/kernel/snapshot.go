@@ -1,18 +1,16 @@
 package kernel
 
 import (
-	"maps"
-
 	"repro/internal/interpose"
 	"repro/internal/sim/vfs"
 )
 
-// Snapshot is an immutable clean-world image: the filesystem frozen in
-// place plus deep copies or references to every other piece of kernel
-// state a run can touch. Fork stamps out a mutable kernel in O(small) —
-// the VFS is structurally shared copy-on-write, so only the substrates
-// with per-run mutable state (network scripts, registry hives, account
-// database, mailbox queues) are cloned eagerly.
+// Snapshot is an immutable clean-world image: the filesystem, registry,
+// account database and program table frozen in place, plus copies of the
+// network scripts and mailbox queues. Fork stamps out a mutable kernel in
+// O(small): the VFS, registry, accounts and programs are shared
+// copy-on-write, so only the substrates with per-run mutable state
+// (network scripts, mailbox queues) are cloned eagerly.
 type Snapshot struct {
 	fs        *vfs.FS
 	programs  map[string]Program
@@ -21,9 +19,10 @@ type Snapshot struct {
 	src       *Kernel
 }
 
-// Snapshot freezes the kernel's filesystem and registry and captures the
-// rest of its state as the clean-world image. The receiver must not be
-// mutated afterwards — VFS and registry writes panic once frozen, and the
+// Snapshot freezes the kernel's filesystem, registry, account database
+// and program table and captures the rest of its state as the clean-world
+// image. The receiver must not be mutated afterwards — VFS and registry
+// writes, Users.Add and RegisterProgram panic once frozen, and the
 // mailbox queues are deep-copied here so later Fork calls see the
 // capture-time state.
 func (k *Kernel) Snapshot() *Snapshot {
@@ -31,6 +30,8 @@ func (k *Kernel) Snapshot() *Snapshot {
 	if k.Reg != nil {
 		k.Reg.Freeze()
 	}
+	k.Users.Freeze()
+	k.frozen = true
 	return &Snapshot{
 		fs:        k.FS,
 		programs:  k.programs,
@@ -62,19 +63,22 @@ func (k *Kernel) FreezeFS() *vfs.FS {
 	return frozen
 }
 
-// Fork returns a fresh mutable kernel backed by the snapshot. The VFS and
-// registry are copy-on-write forks of the frozen state; network, accounts,
-// and mailboxes are cloned so no mutable state is shared between forks.
-// PID and inode counters continue from the snapshot's values, which keeps
-// a forked run's trace bit-identical to one against a freshly built world.
+// Fork returns a fresh mutable kernel backed by the snapshot. The VFS,
+// registry, account database and program table are copy-on-write views
+// of the frozen state — a write copies only what it touches — and the
+// network and mailboxes are cloned, so no mutable state is shared between
+// forks. PID and inode counters continue from the snapshot's values,
+// which keeps a forked run's trace bit-identical to one against a freshly
+// built world.
 func (s *Snapshot) Fork() *Kernel {
 	k := &Kernel{
-		FS:        s.fs.Fork(),
-		Users:     s.src.Users.Clone(),
-		Bus:       interpose.NewBus(),
-		programs:  maps.Clone(s.programs),
-		mailboxes: cloneMailboxes(s.mailboxes),
-		nextPID:   s.nextPID,
+		FS:             s.fs.Fork(),
+		Users:          s.src.Users.Fork(),
+		Bus:            interpose.NewBus(),
+		programs:       s.programs,
+		sharedPrograms: true,
+		mailboxes:      cloneMailboxes(s.mailboxes),
+		nextPID:        s.nextPID,
 	}
 	if s.src.Net != nil {
 		k.Net = s.src.Net.Clone()

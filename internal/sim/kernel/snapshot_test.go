@@ -68,17 +68,64 @@ func TestSnapshotForkIsolation(t *testing.T) {
 }
 
 // TestSnapshotFrozenBaseMutationPanics: the freeze is a tripwire, not a
-// convention — writing through the snapshotted kernel must panic.
+// convention — writing through the snapshotted kernel must panic, for the
+// filesystem and for the account database and program table its forks
+// share. A fork's own first write to either copies it instead.
 func TestSnapshotFrozenBaseMutationPanics(t *testing.T) {
 	t.Parallel()
-	k := snapWorld(t)
-	k.Snapshot()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mutating the frozen base filesystem did not panic")
+	for _, tc := range []struct {
+		what   string
+		mutate func(k *Kernel)
+	}{
+		{"filesystem write", func(k *Kernel) { _ = k.FS.WriteFile("/tmp/x", []byte("y"), 0o644, 0, 0) }},
+		{"Users.Add", func(k *Kernel) { k.Users.Add(proc.User{Name: "eve", UID: 777, GID: 777}) }},
+		{"RegisterProgram", func(k *Kernel) { k.RegisterProgram("/usr/bin/tool", func(*Proc) int { return 0 }) }},
+	} {
+		k := snapWorld(t)
+		k.Snapshot()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on the snapshotted kernel did not panic", tc.what)
+				}
+			}()
+			tc.mutate(k)
+		}()
+	}
+
+	snap := snapWorld(t).Snapshot()
+	a, b := snap.Fork(), snap.Fork()
+	a.Users.Add(proc.User{Name: "eve", UID: 777, GID: 777})
+	a.RegisterProgram("/usr/bin/tool", func(*Proc) int { return 0 })
+	if _, ok := a.Users.ByUID(777); !ok {
+		t.Error("fork lost its own Users.Add")
+	}
+	if _, ok := a.programs["/usr/bin/tool"]; !ok {
+		t.Error("fork lost its own RegisterProgram")
+	}
+	for name, k := range map[string]*Kernel{"snapshot": snap.src, "sibling fork": b} {
+		if _, ok := k.Users.ByUID(777); ok {
+			t.Errorf("a fork's Users.Add reached the %s", name)
 		}
-	}()
-	_ = k.FS.WriteFile("/tmp/x", []byte("y"), 0o644, 0, 0)
+		if _, ok := k.programs["/usr/bin/tool"]; ok {
+			t.Errorf("a fork's RegisterProgram reached the %s", name)
+		}
+	}
+}
+
+// TestSnapshotForkAllocs pins the cost of stamping out a run's kernel:
+// the filesystem, registry, accounts and programs are shared, so Fork
+// allocates a fixed handful of objects whatever the world holds.
+func TestSnapshotForkAllocs(t *testing.T) {
+	k := snapWorld(t)
+	for i := 0; i < 50; i++ {
+		k.Users.Add(proc.User{Name: fmt.Sprintf("user%d", i), UID: 1000 + i, GID: 1000 + i})
+		k.RegisterProgram(fmt.Sprintf("/usr/bin/tool%d", i), func(*Proc) int { return 0 })
+	}
+	snap := k.Snapshot()
+	if allocs := testing.AllocsPerRun(100, func() { snap.Fork() }); allocs > maxForkAllocs {
+		t.Errorf("Snapshot.Fork makes %v allocations, want at most %d", allocs, maxForkAllocs)
+	}
 }
 
 // TestSnapshotForkStress hammers one snapshot from many goroutines —
@@ -134,3 +181,8 @@ func TestSnapshotForkStress(t *testing.T) {
 		t.Fatalf("stress mutated the frozen base: %s != %s", got, base)
 	}
 }
+
+// maxForkAllocs is what Snapshot.Fork allocates for snapWorld: the
+// kernel, the filesystem and account views, the interaction bus and the
+// copied mailbox queue holding one message.
+const maxForkAllocs = 9

@@ -10,6 +10,7 @@ package proc
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -53,6 +54,12 @@ type User struct {
 type Users struct {
 	byName map[string]User
 	byUID  map[int]User
+	// frozen marks a snapshot's database, which forks share; Add panics
+	// on it, as writes to a frozen filesystem or registry do.
+	frozen bool
+	// shared marks a fork whose maps are still its base's; the first Add
+	// copies them.
+	shared bool
 }
 
 // NewUsers returns a database pre-populated with root (uid 0).
@@ -64,6 +71,13 @@ func NewUsers() *Users {
 
 // Add inserts or replaces an account.
 func (u *Users) Add(user User) {
+	if u.frozen {
+		panic("proc: Add to frozen account database")
+	}
+	if u.shared {
+		u.byName, u.byUID = maps.Clone(u.byName), maps.Clone(u.byUID)
+		u.shared = false
+	}
 	u.byName[user.Name] = user
 	u.byUID[user.UID] = user
 }
@@ -98,21 +112,18 @@ func (u *Users) All() []User {
 	return out
 }
 
-// Clone returns an independent copy of the account database. World
-// snapshot forks use it so a fork's account edits never leak into the
-// frozen base image.
-func (u *Users) Clone() *Users {
-	c := &Users{
-		byName: make(map[string]User, len(u.byName)),
-		byUID:  make(map[int]User, len(u.byUID)),
+// Freeze marks the database immutable so it can back Fork views. Any
+// later Add panics.
+func (u *Users) Freeze() { u.frozen = true }
+
+// Fork returns a mutable database that shares the (frozen) receiver's
+// accounts until its first Add copies them. World snapshot forks use it:
+// runs read accounts but almost never add one, so most forks copy nothing.
+func (u *Users) Fork() *Users {
+	if !u.frozen {
+		panic("proc: Fork of unfrozen account database")
 	}
-	for k, v := range u.byName {
-		c.byName[k] = v
-	}
-	for k, v := range u.byUID {
-		c.byUID[k] = v
-	}
-	return c
+	return &Users{byName: u.byName, byUID: u.byUID, shared: true}
 }
 
 // Env is a process environment table. Unlike a plain map it preserves no

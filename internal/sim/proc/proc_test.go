@@ -63,6 +63,43 @@ func TestUsers(t *testing.T) {
 	}
 }
 
+// TestUsersFork: a fork reads its frozen base's accounts, its first Add
+// copies them, and neither the base nor a sibling fork sees the addition.
+// Adding to the frozen base panics, and only a frozen database forks.
+func TestUsersFork(t *testing.T) {
+	t.Parallel()
+	base := NewUsers()
+	base.Add(User{Name: "alice", UID: 100, GID: 100})
+	base.Freeze()
+	a, b := base.Fork(), base.Fork()
+	if u, ok := a.ByName("alice"); !ok || u.UID != 100 {
+		t.Fatalf("fork lost a base account: %+v, %v", u, ok)
+	}
+	a.Add(User{Name: "eve", UID: 777, GID: 777})
+	if _, ok := a.ByUID(777); !ok {
+		t.Fatal("fork lost its own Add")
+	}
+	for name, u := range map[string]*Users{"base": base, "sibling": b} {
+		if _, ok := u.ByName("eve"); ok {
+			t.Errorf("a fork's Add reached the %s", name)
+		}
+		if got := len(u.All()); got != 2 {
+			t.Errorf("%s has %d accounts, want 2", name, got)
+		}
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Add to the frozen base", func() { base.Add(User{Name: "mallory", UID: 666}) })
+	mustPanic("Fork of an unfrozen database", func() { NewUsers().Fork() })
+}
+
 func TestEnv(t *testing.T) {
 	t.Parallel()
 	e := NewEnv("PATH", "/usr/bin:/bin", "HOME", "/home/alice")

@@ -12,6 +12,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -131,14 +132,33 @@ type Key struct {
 	ACL     ACL
 	values  map[string]Value
 	subkeys map[string]*Key
+	// owner is the registry that may mutate this key. A fork reaches
+	// keys it shares with its frozen base and copies one before its
+	// first write (see Registry.writable).
+	owner *Registry
 }
 
-func newKey(name string, acl ACL) *Key {
+func newKey(name string, acl ACL, owner *Registry) *Key {
 	return &Key{
 		Name:    name,
 		ACL:     acl,
 		values:  make(map[string]Value),
 		subkeys: make(map[string]*Key),
+		owner:   owner,
+	}
+}
+
+// copyFor returns a copy of k that owner may mutate. The value and subkey
+// maps are copied one level deep, so the subkeys stay shared until they
+// are written themselves. The ACL map is shared: SetACL replaces a key's
+// ACL and never edits one in place.
+func (k *Key) copyFor(owner *Registry) *Key {
+	return &Key{
+		Name:    k.Name,
+		ACL:     k.ACL,
+		values:  maps.Clone(k.values),
+		subkeys: maps.Clone(k.subkeys),
+		owner:   owner,
 	}
 }
 
@@ -174,18 +194,18 @@ type Registry struct {
 	// any mutation attempt panics (the same tripwire discipline as
 	// vfs.Freeze).
 	frozen bool
-	// base, when non-nil, is the frozen registry this view was forked
-	// from: hives aliases base.hives until the first mutation deep-copies
-	// the forest. Most injection runs never write the registry, so most
-	// forks never pay for a copy.
-	base *Registry
+	// sharedHives marks a fork whose hives map is still its base's. The
+	// first write copies the map, then only the keys on the written path.
+	// Most injection runs never write the registry, so most forks never
+	// pay for a copy.
+	sharedHives bool
 }
 
 // New returns a registry with the standard hives.
 func New() *Registry {
 	r := &Registry{hives: make(map[string]*Key)}
 	for _, h := range []string{"HKLM", "HKCU", "HKU", "HKCR"} {
-		r.hives[h] = newKey(h, DefaultACL())
+		r.hives[h] = newKey(h, DefaultACL(), r)
 	}
 	return r
 }
@@ -223,29 +243,75 @@ func (r *Registry) find(path string) (*Key, error) {
 	return cur, nil
 }
 
+// writable walks parts as far as they name existing keys and returns the
+// deepest one as a key r may mutate, with the number of parts it covers.
+// In a fork it first copies the hive map, then each key on the walked
+// path that the fork does not own yet, re-linking every copy in its
+// already-copied parent; keys off the path stay shared with the base.
+func (r *Registry) writable(parts []string) (*Key, int) {
+	if r.sharedHives {
+		r.hives = maps.Clone(r.hives)
+		r.sharedHives = false
+	}
+	cur := r.hives[parts[0]]
+	if cur.owner != r {
+		cur = cur.copyFor(r)
+		r.hives[parts[0]] = cur
+	}
+	n := 1
+	for _, p := range parts[1:] {
+		next, ok := cur.subkeys[p]
+		if !ok {
+			break
+		}
+		if next.owner != r {
+			next = next.copyFor(r)
+			cur.subkeys[p] = next
+		}
+		cur = next
+		n++
+	}
+	return cur, n
+}
+
+// private returns k, the existing key find returned for path, as a key
+// r may mutate: k itself when r owns it, else its copy on r's path.
+func (r *Registry) private(path string, k *Key) *Key {
+	if k.owner == r {
+		return k
+	}
+	parts, _ := splitPath(path)
+	k, _ = r.writable(parts)
+	return k
+}
+
+// mutating is the freeze tripwire every mutator trips first.
+func (r *Registry) mutating() {
+	if r.frozen {
+		panic("registry: mutation of frozen registry")
+	}
+}
+
 // CreateKey creates the key at path (and any missing intermediate keys)
 // with the given ACL. Existing keys are returned unchanged. This is a
 // world-construction helper and performs no permission checks.
 func (r *Registry) CreateKey(path string, acl ACL) (*Key, error) {
-	r.own()
+	r.mutating()
 	parts, err := splitPath(path)
 	if err != nil {
 		return nil, err
 	}
-	cur, ok := r.hives[parts[0]]
-	if !ok {
+	if _, ok := r.hives[parts[0]]; !ok {
 		return nil, fmt.Errorf("%w: hive %q", ErrNoKey, parts[0])
 	}
-	for i, p := range parts[1:] {
-		next, ok := cur.subkeys[p]
-		if !ok {
-			next = newKey(p, acl.Clone())
-			if i < len(parts)-2 {
-				// Intermediate keys default protected.
-				next.ACL = DefaultACL()
-			}
-			cur.subkeys[p] = next
+	cur, n := r.writable(parts)
+	for i := n; i < len(parts); i++ {
+		next := newKey(parts[i], acl.Clone(), r)
+		if i < len(parts)-1 {
+			// Intermediate keys default protected.
+			next.ACL = DefaultACL()
 		}
+		cur.subkeys[parts[i]] = next
 		cur = next
 	}
 	return cur, nil
@@ -294,7 +360,7 @@ func (r *Registry) GetDWord(path, name string, subject Principal) (uint32, error
 
 // SetString writes a string value, subject to the key ACL.
 func (r *Registry) SetString(path, name, s string, subject Principal) error {
-	r.own()
+	r.mutating()
 	k, err := r.find(path)
 	if err != nil {
 		return err
@@ -302,13 +368,13 @@ func (r *Registry) SetString(path, name, s string, subject Principal) error {
 	if !k.ACL.Grants(subject, RightWrite) {
 		return fmt.Errorf("%w: write %s for %s", ErrAccess, path, subject)
 	}
-	k.values[name] = Value{Type: TypeString, S: s}
+	r.private(path, k).values[name] = Value{Type: TypeString, S: s}
 	return nil
 }
 
 // SetDWord writes a numeric value, subject to the key ACL.
 func (r *Registry) SetDWord(path, name string, d uint32, subject Principal) error {
-	r.own()
+	r.mutating()
 	k, err := r.find(path)
 	if err != nil {
 		return err
@@ -316,13 +382,13 @@ func (r *Registry) SetDWord(path, name string, d uint32, subject Principal) erro
 	if !k.ACL.Grants(subject, RightWrite) {
 		return fmt.Errorf("%w: write %s for %s", ErrAccess, path, subject)
 	}
-	k.values[name] = Value{Type: TypeDWord, D: d}
+	r.private(path, k).values[name] = Value{Type: TypeDWord, D: d}
 	return nil
 }
 
 // DeleteValue removes a value, subject to the key ACL.
 func (r *Registry) DeleteValue(path, name string, subject Principal) error {
-	r.own()
+	r.mutating()
 	k, err := r.find(path)
 	if err != nil {
 		return err
@@ -333,19 +399,19 @@ func (r *Registry) DeleteValue(path, name string, subject Principal) error {
 	if _, ok := k.values[name]; !ok {
 		return fmt.Errorf("%w: %s\\%s", ErrNoValue, path, name)
 	}
-	delete(k.values, name)
+	delete(r.private(path, k).values, name)
 	return nil
 }
 
 // SetACL replaces the ACL on the key at path. World-construction and
 // perturbation helper; no permission check.
 func (r *Registry) SetACL(path string, acl ACL) error {
-	r.own()
+	r.mutating()
 	k, err := r.find(path)
 	if err != nil {
 		return err
 	}
-	k.ACL = acl.Clone()
+	r.private(path, k).ACL = acl.Clone()
 	return nil
 }
 
@@ -383,24 +449,18 @@ func (r *Registry) UnprotectedKeys() []string {
 
 // Clone deep-copies the registry for campaign world resets.
 func (r *Registry) Clone() *Registry {
-	return &Registry{hives: cloneHives(r.hives)}
-}
-
-func cloneHives(hives map[string]*Key) map[string]*Key {
-	c := make(map[string]*Key, len(hives))
+	c := &Registry{hives: make(map[string]*Key, len(r.hives))}
 	var rec func(k *Key) *Key
 	rec = func(k *Key) *Key {
-		nk := newKey(k.Name, k.ACL.Clone())
-		for n, v := range k.values {
-			nk.values[n] = v
-		}
+		nk := k.copyFor(c)
+		nk.ACL = k.ACL.Clone()
 		for n, sk := range k.subkeys {
 			nk.subkeys[n] = rec(sk)
 		}
 		return nk
 	}
-	for h, k := range hives {
-		c[h] = rec(k)
+	for h, k := range r.hives {
+		c.hives[h] = rec(k)
 	}
 	return c
 }
@@ -413,25 +473,14 @@ func (r *Registry) Freeze() { r.frozen = true }
 func (r *Registry) Frozen() bool { return r.frozen }
 
 // Fork returns a mutable registry view sharing the (frozen) receiver's
-// hive forest. Construction is O(1); the first mutation through the view
-// deep-copies the forest, so runs that never write the registry — the
-// overwhelming majority — share the base for free.
+// hive forest. Construction is O(1). A write through the view copies the
+// hive map and the keys on the path from the hive to the written key,
+// nothing else, so runs that never write the registry — the overwhelming
+// majority — share the base for free, and one that does pays for the
+// depth of the key, not the size of the forest.
 func (r *Registry) Fork() *Registry {
 	if !r.frozen {
 		panic("registry: Fork of unfrozen registry")
 	}
-	return &Registry{hives: r.hives, base: r}
-}
-
-// own materialises a private hive forest ahead of a mutation. Every
-// mutator calls it first.
-func (r *Registry) own() {
-	if r.frozen {
-		panic("registry: mutation of frozen registry")
-	}
-	if r.base == nil {
-		return
-	}
-	r.hives = cloneHives(r.base.hives)
-	r.base = nil
+	return &Registry{hives: r.hives, sharedHives: true}
 }

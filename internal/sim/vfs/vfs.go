@@ -363,6 +363,10 @@ type Resolved struct {
 // sibling of the link. A missing final component yields Resolved with Node
 // nil and no error, so callers can implement create semantics; missing
 // intermediate components yield ErrNotExist.
+//
+// An absolute p that is already canonical (one leading slash, single
+// separators, no "." or "..") and meets no symlink resolves without
+// allocating: Resolved.Path is then a prefix of p.
 func (fs *FS) Resolve(cwd, p string, followLast bool) (Resolved, error) {
 	abs := p
 	if !strings.HasPrefix(abs, "/") {
@@ -371,98 +375,200 @@ func (fs *FS) Resolve(cwd, p string, followLast bool) (Resolved, error) {
 		}
 		abs = strings.TrimSuffix(cwd, "/") + "/" + abs
 	}
-	return fs.resolve(abs, followLast, 0)
+	r, fail := fs.walk(abs, followLast, true)
+	if fail.err != nil {
+		return Resolved{}, fail.error()
+	}
+	return r, nil
 }
 
-// splitRaw splits an absolute path into components, dropping empties and
-// "." but preserving ".." for the walk to handle.
-func splitRaw(abs string) []string {
-	parts := strings.Split(abs, "/")
-	out := parts[:0]
-	for _, c := range parts {
-		if c == "" || c == "." {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
+// walkFail says why a walk failed. The walk itself formats nothing:
+// Resolve turns it into an error, and Peek, which needs only the inode,
+// drops it.
+type walkFail struct {
+	err    error  // ErrLoop, ErrNameTooLong, ErrNotDir or ErrNotExist; nil on success
+	detail string // the path or component the error names
 }
 
-func (fs *FS) resolve(abs string, followLast bool, depth int) (Resolved, error) {
-	if depth > maxSymlinkDepth {
-		return Resolved{}, fmt.Errorf("%w: %s", ErrLoop, abs)
+func (f walkFail) error() error {
+	if f.err == ErrNameTooLong {
+		return fmt.Errorf("%w: %q", f.err, f.detail)
 	}
-	comps := splitRaw(abs)
-	// stack holds the directory chain from the root; names the component
-	// names entering each stack level past the root.
-	stack := []*Inode{fs.view(fs.root)}
-	var names []string
-	pathOf := func() string {
-		if len(names) == 0 {
-			return "/"
+	return fmt.Errorf("%w: %s", f.err, f.detail)
+}
+
+// frame is one directory the walk has entered below the root, with the
+// component name that entered it.
+type frame struct {
+	dir  *Inode
+	name string
+}
+
+// walk is the one path walker. It reads the components of abs in place,
+// keeps the directory chain in a stack array (the heap only past 32
+// levels), and restarts on the spliced path at each followed symlink.
+// With describe false it builds no path strings for the result or the
+// failure, so a walk that meets no symlink and stays within 32 levels
+// never allocates.
+func (fs *FS) walk(abs string, followLast, describe bool) (Resolved, walkFail) {
+	var buf [32]frame
+restart:
+	for depth := 0; ; depth++ {
+		if depth > maxSymlinkDepth {
+			return Resolved{}, walkFail{ErrLoop, abs}
 		}
-		return "/" + strings.Join(names, "/")
-	}
-	for i := 0; i < len(comps); i++ {
-		comp := comps[i]
-		cur := stack[len(stack)-1]
-		last := i == len(comps)-1
-		if comp == ".." {
-			if len(stack) > 1 {
-				stack = stack[:len(stack)-1]
-				names = names[:len(names)-1]
+		root := fs.view(fs.root)
+		frames := buf[:0]
+		// canonEnd is the end in abs of the last entered component while
+		// every component so far sat behind exactly one slash and none
+		// was "." or ".."; it is -1 once that fails. While it holds, the
+		// resolved path of the chain is abs[:canonEnd].
+		canonEnd := 0
+		start, end := nextComp(abs, 0)
+		for start < len(abs) {
+			comp := abs[start:end]
+			nextStart, nextEnd := nextComp(abs, end)
+			last := nextStart == len(abs)
+			if canonEnd >= 0 && (start != canonEnd+1 || abs[canonEnd] != '/') {
+				canonEnd = -1
 			}
-			continue
-		}
-		if len(comp) > MaxNameLen {
-			return Resolved{}, fmt.Errorf("%w: %q", ErrNameTooLong, comp)
-		}
-		if cur.Type != TypeDir {
-			return Resolved{}, fmt.Errorf("%w: %s", ErrNotDir, pathOf())
-		}
-		next := fs.view(cur.kids[comp])
-		if next == nil {
+			if comp == ".." {
+				canonEnd = -1
+				if len(frames) > 0 {
+					frames = frames[:len(frames)-1]
+				}
+				start, end = nextStart, nextEnd
+				continue
+			}
+			if len(comp) > MaxNameLen {
+				return Resolved{}, walkFail{ErrNameTooLong, comp}
+			}
+			cur := root
+			if len(frames) > 0 {
+				cur = frames[len(frames)-1].dir
+			}
+			if cur.Type != TypeDir {
+				fail := walkFail{err: ErrNotDir}
+				if describe {
+					fail.detail = dirPath(abs, frames, canonEnd)
+				}
+				return Resolved{}, fail
+			}
+			next := fs.view(cur.kids[comp])
+			if next == nil {
+				if !last {
+					fail := walkFail{err: ErrNotExist}
+					if describe {
+						fail.detail = childPath(abs, frames, canonEnd, comp, end)
+					}
+					return Resolved{}, fail
+				}
+				r := Resolved{Parent: cur, Name: comp}
+				if describe {
+					r.Path = childPath(abs, frames, canonEnd, comp, end)
+				}
+				return r, walkFail{}
+			}
+			if next.Type == TypeSymlink && (!last || followLast) {
+				// Restart on the link target with the rest of the path
+				// spliced on; the new walk handles any ".." in either.
+				target := next.Target
+				if !strings.HasPrefix(target, "/") {
+					target = joinResolved(dirPath(abs, frames, canonEnd), target)
+				}
+				abs = spliceRest(target, abs[end:])
+				continue restart
+			}
 			if last {
-				return Resolved{
-					Parent: cur,
-					Name:   comp,
-					Path:   joinResolved(pathOf(), comp),
-				}, nil
+				r := Resolved{Node: next, Parent: cur, Name: comp}
+				if describe {
+					r.Path = childPath(abs, frames, canonEnd, comp, end)
+				}
+				return r, walkFail{}
 			}
-			return Resolved{}, fmt.Errorf("%w: %s", ErrNotExist, joinResolved(pathOf(), comp))
-		}
-		if next.Type == TypeSymlink && (!last || followLast) {
-			// Re-resolve with the link target spliced in; the recursive
-			// walk handles any ".." inside the target or the remainder.
-			rest := strings.Join(comps[i+1:], "/")
-			target := next.Target
-			if !strings.HasPrefix(target, "/") {
-				target = joinResolved(pathOf(), target)
+			frames = append(frames, frame{dir: next, name: comp})
+			if canonEnd >= 0 {
+				canonEnd = end
 			}
-			if rest != "" {
-				target = target + "/" + rest
+			start, end = nextStart, nextEnd
+		}
+		// The path named an already-walked directory (root, trailing "..",
+		// or trailing ".").
+		r := Resolved{Node: root}
+		if n := len(frames); n > 0 {
+			r.Node, r.Name = frames[n-1].dir, frames[n-1].name
+			r.Parent = root
+			if n > 1 {
+				r.Parent = frames[n-2].dir
 			}
-			return fs.resolve(target, followLast, depth+1)
 		}
-		if last {
-			return Resolved{
-				Node:   next,
-				Parent: cur,
-				Name:   comp,
-				Path:   joinResolved(pathOf(), comp),
-			}, nil
+		if describe {
+			r.Path = dirPath(abs, frames, canonEnd)
 		}
-		stack = append(stack, next)
-		names = append(names, comp)
+		return r, walkFail{}
 	}
-	// The path named an already-walked directory (root, trailing "..", or
-	// trailing ".").
-	res := Resolved{Node: stack[len(stack)-1], Path: pathOf()}
-	if len(stack) > 1 {
-		res.Parent = stack[len(stack)-2]
-		res.Name = names[len(names)-1]
+}
+
+// nextComp returns the bounds of the first component of s at or after i,
+// skipping empty and "." components, or (len(s), len(s)) when none is left.
+func nextComp(s string, i int) (start, end int) {
+	for i < len(s) {
+		for i < len(s) && s[i] == '/' {
+			i++
+		}
+		start = i
+		for i < len(s) && s[i] != '/' {
+			i++
+		}
+		if c := s[start:i]; c != "" && c != "." {
+			return start, i
+		}
 	}
-	return res, nil
+	return len(s), len(s)
+}
+
+// dirPath is the resolved path of the walked directory chain: a prefix of
+// abs while the walk has stayed canonical, otherwise built from the names.
+func dirPath(abs string, frames []frame, canonEnd int) string {
+	if len(frames) == 0 {
+		return "/"
+	}
+	if canonEnd >= 0 {
+		return abs[:canonEnd]
+	}
+	var b strings.Builder
+	for _, f := range frames {
+		b.WriteByte('/')
+		b.WriteString(f.name)
+	}
+	return b.String()
+}
+
+// childPath is the resolved path of comp, the component of abs ending at
+// end, entered from the walked directory chain.
+func childPath(abs string, frames []frame, canonEnd int, comp string, end int) string {
+	if canonEnd >= 0 {
+		return abs[:end]
+	}
+	return joinResolved(dirPath(abs, frames, canonEnd), comp)
+}
+
+// spliceRest appends to a symlink's target the components of rest, the
+// path after the link, dropping empty and "." components.
+func spliceRest(target, rest string) string {
+	start, end := nextComp(rest, 0)
+	if start == len(rest) {
+		return target
+	}
+	var b strings.Builder
+	b.Grow(len(target) + 1 + len(rest))
+	b.WriteString(target)
+	for start < len(rest) {
+		b.WriteByte('/')
+		b.WriteString(rest[start:end])
+		start, end = nextComp(rest, end)
+	}
+	return b.String()
 }
 
 func joinResolved(dir, name string) string {
@@ -862,83 +968,16 @@ func (fs *FS) Digest() string {
 	return hex.EncodeToString(sum)
 }
 
-// Peek resolves absolute path p — following a final symlink only when
-// follow is true — and returns its inode, or nil when the path does not
-// resolve. Unlike Resolve it builds no error values or resolved-path
-// strings, making misses allocation-free; it is the security oracle's hot
-// snapshot lookup. Any symlink encountered mid-walk falls back to the full
-// Resolve machinery.
+// Peek resolves path p from the root — following a final symlink only
+// when follow is true — and returns its inode, or nil when the path does
+// not resolve. It is Resolve("/", p, follow).Node through the same walk,
+// minus the error values and resolved-path strings: a lookup that meets
+// no symlink makes no allocation, hit or miss. The security oracle uses it
+// for its snapshot lookups.
 func (fs *FS) Peek(p string, follow bool) *Inode {
-	cur := fs.view(fs.root)
-	var dirs [32]*Inode // ".." stack; deeper paths take the slow path
-	nd := 0
-	i := 0
-	for i < len(p) {
-		for i < len(p) && p[i] == '/' {
-			i++
-		}
-		start := i
-		for i < len(p) && p[i] != '/' {
-			i++
-		}
-		comp := p[start:i]
-		if comp == "" || comp == "." {
-			continue
-		}
-		if comp == ".." {
-			if nd > 0 {
-				nd--
-				cur = dirs[nd]
-			}
-			continue
-		}
-		if len(comp) > MaxNameLen || cur.Type != TypeDir {
-			return nil
-		}
-		next := fs.view(cur.kids[comp])
-		if next == nil {
-			return nil
-		}
-		last := !hasMoreComps(p, i)
-		if next.Type == TypeSymlink && (!last || follow) {
-			// Symlinks need path-string splicing; delegate to Resolve.
-			r, err := fs.resolve(Canon("/", p), follow, 0)
-			if err != nil {
-				return nil
-			}
-			return r.Node
-		}
-		if last {
-			return next
-		}
-		if nd == len(dirs) {
-			r, err := fs.resolve(Canon("/", p), follow, 0)
-			if err != nil {
-				return nil
-			}
-			return r.Node
-		}
-		dirs[nd] = cur
-		nd++
-		cur = next
+	r, fail := fs.walk(p, follow, false)
+	if fail.err != nil {
+		return nil
 	}
-	return cur
-}
-
-// hasMoreComps reports whether p contains a real path component ("" and
-// "." do not count) at or after index i.
-func hasMoreComps(p string, i int) bool {
-	for i < len(p) {
-		for i < len(p) && p[i] == '/' {
-			i++
-		}
-		start := i
-		for i < len(p) && p[i] != '/' {
-			i++
-		}
-		if c := p[start:i]; c != "" && c != "." {
-			return true
-		}
-	}
-	return false
+	return r.Node
 }
