@@ -93,8 +93,26 @@ func TestTelemetryLeavesReportUnchanged(t *testing.T) {
 		t.Errorf("trace has %d run spans and %d process_name records, want both > 0", runSpans, procMeta)
 	}
 	// The suite ran cold, so every injection in the report executed.
-	if runs, want := runsExecuted(t, metricsFile), reportInjected(t, plain.String()); runs == 0 || runs != want {
+	runs, _ := runsExecuted(t, metricsFile)
+	if want := reportInjected(t, plain.String()); runs == 0 || runs != want {
 		t.Errorf("metrics snapshot reports %d executed runs, want the report's %d injections", runs, want)
+	}
+}
+
+// TestTelemetryCountsSharedRuns runs a matrix slice, whose cells of one
+// program plan many equivalent runs: the executed and shared counters
+// together account for every injection in the report, and some runs
+// were shared.
+func TestTelemetryCountsSharedRuns(t *testing.T) {
+	t.Parallel()
+	metricsFile := filepath.Join(t.TempDir(), "metrics.json")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-all", "-matrix", "-filter", "lpr*", "-j", "4", "-metrics-json", metricsFile}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, stderr = %s", code, errb.String())
+	}
+	runs, shared := runsExecuted(t, metricsFile)
+	if want := reportInjected(t, out.String()); runs+shared != want || shared == 0 {
+		t.Errorf("metrics snapshot reports %d executed + %d shared runs, want %d injections with some shared", runs, shared, want)
 	}
 }
 
@@ -142,7 +160,7 @@ func TestCoordWorkerTelemetry(t *testing.T) {
 	if runSpans, _ := traceSpans(t, traceFile); runSpans == 0 {
 		t.Error("coordinator worker's trace has no run spans")
 	}
-	if runs := runsExecuted(t, metricsFile); runs == 0 {
+	if runs, _ := runsExecuted(t, metricsFile); runs == 0 {
 		t.Error("coordinator worker's metrics snapshot reports 0 executed runs")
 	}
 	waitMergedArtifact(t, storeDir)
@@ -176,10 +194,11 @@ func traceSpans(t *testing.T, path string) (runSpans, procMeta int) {
 }
 
 // runsExecuted decodes an eptest-metrics/1 snapshot and returns its
-// eptest_runs_executed_total. It also checks the per-phase latency
-// split: eptest_run_phase_seconds holds one observation per executed
-// run for each of the world, exec and compare phases.
-func runsExecuted(t *testing.T, path string) int64 {
+// eptest_runs_executed_total and eptest_runs_shared_total. It also
+// checks the per-phase latency split: eptest_run_phase_seconds holds
+// one observation per executed run for each of the world, exec and
+// compare phases.
+func runsExecuted(t *testing.T, path string) (runs, shared int64) {
 	t.Helper()
 	mb, err := os.ReadFile(path)
 	if err != nil {
@@ -200,12 +219,13 @@ func runsExecuted(t *testing.T, path string) int64 {
 	if snap.Schema != obs.MetricsSchemaVersion {
 		t.Errorf("metrics schema = %q, want %q", snap.Schema, obs.MetricsSchemaVersion)
 	}
-	var runs int64
 	phases := map[string]int64{}
 	for _, m := range snap.Metrics {
 		switch {
 		case m.Name == "eptest_runs_executed_total" && m.Value != nil:
 			runs = *m.Value
+		case m.Name == "eptest_runs_shared_total" && m.Value != nil:
+			shared = *m.Value
 		case m.Name == "eptest_run_phase_seconds":
 			phases[m.Labels["phase"]] = m.Count
 		}
@@ -215,7 +235,7 @@ func runsExecuted(t *testing.T, path string) int64 {
 			t.Errorf("eptest_run_phase_seconds{phase=%q} count = %d, want %d (one observation per executed run)", ph, phases[ph], runs)
 		}
 	}
-	return runs
+	return runs, shared
 }
 
 // get fetches path from the coordinator with the bearer token and

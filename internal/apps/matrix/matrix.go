@@ -12,10 +12,15 @@
 //     at every cut).
 //
 // Every cell is one sched.Job whose variant label encodes its axis
-// coordinates ("vulnerable+nodedup+s4"), whose Job.Engine carries its
-// option sweep, and whose campaign Source is stamped with the full
-// variant — so each cell fingerprints, caches, shards and reports
-// independently of every other. SuiteJobs is deterministic: two calls
+// coordinates ("vulnerable+nodedup+s4") and whose Job.Engine carries
+// its option sweep. Its campaign Source names only the world and the
+// program ("lpr@1/vulnerable"), which all cells of one program share;
+// the axis tokens reach both cache fingerprints through the job labels,
+// the site selection and the engine options, so each cell still
+// fingerprints, caches, shards and reports independently of every
+// other. The shared Source is what lets the dispatcher execute a run
+// that several cells of one program plan only once (see
+// inject.RunKey). SuiteJobs is deterministic: two calls
 // (or two machines) produce the identical job list in the identical
 // order, which is what makes matrix shard artifacts mergeable.
 package matrix
@@ -169,7 +174,7 @@ func cell(spec apps.Spec, prog string, build func() inject.Campaign, sw Sweep, c
 			if cut > 0 {
 				c.Sites = append([]string(nil), sites[:cut]...)
 			}
-			c.Source = spec.Source + "/" + variant
+			c.Source = spec.Source + "/" + prog
 			return c
 		},
 	}

@@ -53,25 +53,40 @@ func TestSuiteJobsScale(t *testing.T) {
 }
 
 // TestMatrixCellIdentity verifies each cell carries its own campaign
-// identity: distinct Source stamps (the source-fingerprint domain) and
-// engine options matching its variant tokens.
+// identity: a distinct source fingerprint (the cache domain), a Source
+// shared exactly with the cells of the same spec and program (the
+// world the dispatcher shares runs within), and engine options
+// matching its variant tokens.
 func TestMatrixCellIdentity(t *testing.T) {
 	t.Parallel()
-	sources := map[string]string{}
+	fingerprints := map[string]string{}
+	sourceOf := map[string]string{}  // spec/program -> Source
+	programOf := map[string]string{} // Source -> spec/program
 	for _, j := range matrix.SuiteJobs() {
 		c := j.Build()
 		if c.Source == "" {
 			t.Fatalf("cell %q has no Source", j.Label())
 		}
-		if prev, dup := sources[c.Source]; dup {
-			t.Fatalf("cells %q and %q share Source %q", prev, j.Label(), c.Source)
-		}
-		sources[c.Source] = j.Label()
-
 		opt := inject.Options{}
 		if j.Engine != nil {
 			opt = *j.Engine
 		}
+
+		fp, _ := inject.SourceFingerprint(c, opt, j.Name, j.Variant)
+		if prev, dup := fingerprints[fp]; dup {
+			t.Fatalf("cells %q and %q share source fingerprint %s", prev, j.Label(), fp)
+		}
+		fingerprints[fp] = j.Label()
+
+		program := j.Name + "/" + strings.Split(j.Variant, "+")[0]
+		if prev, ok := sourceOf[program]; ok && prev != c.Source {
+			t.Errorf("cell %q has Source %q, other %s cells have %q", j.Label(), c.Source, program, prev)
+		}
+		sourceOf[program] = c.Source
+		if prev, ok := programOf[c.Source]; ok && prev != program {
+			t.Errorf("cell %q (%s) shares Source %q with %s cells", j.Label(), program, c.Source, prev)
+		}
+		programOf[c.Source] = program
 		tokens := map[string]bool{}
 		for _, tok := range strings.Split(j.Variant, "+")[1:] {
 			tokens[tok] = true

@@ -66,12 +66,15 @@ type Campaign struct {
 	// Unannotated sites fall back to eai.InferSemantic.
 	Semantics map[string]eai.Semantic
 	// Source names the campaign's source identity: the world-builder
-	// configuration and the program under test, e.g. "lpr@1/vulnerable".
-	// It feeds SourceFingerprint, which lets a result cache replay the
-	// campaign without re-executing even the clean run. The declarer
-	// owns its truthfulness — bump the version component whenever the
-	// world builder or program changes. Empty disables source-level
-	// caching; the trace-pinned plan fingerprint still applies.
+	// configuration and the program under test, e.g. "lpr@1/vulnerable",
+	// and nothing else — campaigns that differ only in Sites or engine
+	// options share it. It feeds SourceFingerprint, which lets a result
+	// cache replay the campaign without re-executing even the clean run,
+	// and ExecPlan.SameWorld, which lets a scheduler execute equivalent
+	// runs of such campaigns once. The declarer owns its truthfulness —
+	// bump the version component whenever the world builder or program
+	// changes. Empty disables source-level caching and run sharing; the
+	// trace-pinned plan fingerprint still applies.
 	Source string
 }
 

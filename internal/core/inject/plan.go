@@ -49,7 +49,10 @@ func PlanWith(c Campaign, opt Options) ([]PlannedInjection, error) {
 // future-work reduction: "exploit static analysis to further reduce the
 // number of fault injection locations by finding the equivalence
 // relationship among those locations". Over a recorded trace the
-// relationship is computable exactly.
+// relationship is computable exactly. The groups approximate the
+// equivalence over objects; RunKey is its exact, executed form: runs of
+// one world (ExecPlan.SameWorld) with equal keys are the same run, and
+// the sched dispatcher executes each such run once per pass.
 type EquivalenceGroup struct {
 	// Object is the shared environment object.
 	Object string

@@ -14,16 +14,17 @@ func TestDispatchRendering(t *testing.T) {
 		Workers: 2,
 		Plans:   3,
 		Runs:    45,
+		Shared:  12,
 		Steals:  7,
 		PerWorker: []sched.WorkerStats{
-			{Plans: 2, Runs: 40, Steals: 0},
+			{Plans: 2, Runs: 40, Shared: 12, Steals: 0},
 			{Plans: 1, Runs: 5, Steals: 7},
 		},
 	}
 	out := Dispatch(sr)
 	for _, want := range []string{
-		"dispatcher: 2 worker(s), 3 campaign(s) planned, 45 run(s) executed, 7 steal(s)",
-		"worker 0", "worker 1", "40 run(s)", "7 steal(s)",
+		"dispatcher: 2 worker(s), 3 campaign(s) planned, 45 run(s) executed, 7 steal(s), 12 run(s) shared",
+		"worker 0", "worker 1", "40 run(s)", "7 steal(s)", "12 shared",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dispatch section missing %q:\n%s", want, out)

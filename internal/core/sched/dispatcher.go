@@ -19,6 +19,11 @@ import (
 // outstanding — no static partition, no idle workers while an
 // expensive campaign hogs one queue.
 //
+// Equivalent runs execute once per pass: when a planned run repeats
+// one that another plan of the same world already executes (see
+// runTable), it is not queued; its slot receives a copy of that run's
+// outcome as soon as the run lands. No worker blocks on another's run.
+//
 // Determinism is preserved by construction: each run writes its
 // outcome into its plan-order slot, and each campaign's result is
 // assembled exactly as the sequential engine would have, so the suite
@@ -58,6 +63,9 @@ type WorkerStats struct {
 	Plans int
 	// Runs is the number of injection runs this worker executed.
 	Runs int
+	// Shared is the number of run slots this worker filled with the
+	// outcome of an equivalent run instead of executing them.
+	Shared int
 	// Steals counts tasks this worker took from another worker's deque.
 	Steals int
 }
@@ -68,8 +76,10 @@ type WorkerStats struct {
 type DispatchStats struct {
 	// Workers is the worker-goroutine count used.
 	Workers int
-	// Plans, Runs and Steals total the per-worker counters.
-	Plans, Runs, Steals int
+	// Plans, Runs, Shared and Steals total the per-worker counters.
+	// Runs+Shared is the number of injections the planned campaigns
+	// hold; Runs alone is how many of them were executed.
+	Plans, Runs, Shared, Steals int
 	// PerWorker holds each worker's counters, indexed by worker id.
 	PerWorker []WorkerStats
 }
@@ -80,13 +90,14 @@ type jobState struct {
 	job  Job
 	cr   *CampaignResult
 	plan *inject.ExecPlan
-	out  []inject.Injection
 
-	// mu guards the progress counters; progress events are emitted
-	// under it so a job's Done counts arrive in order.
-	mu   sync.Mutex
-	done int // runs completed
-	left int // runs not yet completed
+	// mu guards out, the progress counters and world; progress events
+	// are emitted under it so a job's Done counts arrive in order.
+	mu    sync.Mutex
+	out   []inject.Injection
+	done  int        // runs completed
+	left  int        // runs not yet completed
+	world *worldRuns // the shared run table, once the world has one
 }
 
 // dispatchState is the shared coordination state of one Run call.
@@ -113,6 +124,8 @@ type dispatchState struct {
 	stats  []WorkerStats // one slot per worker, owned by that worker
 	emitMu sync.Mutex
 
+	table runTable
+
 	m dispatchMetrics
 }
 
@@ -121,7 +134,8 @@ type dispatchState struct {
 // is nil when the dispatcher has no registry; obs handles are nil-safe,
 // so call sites record unconditionally.
 type dispatchMetrics struct {
-	plans, runs, steals *obs.Counter
+	plans, runs, shared *obs.Counter
+	steals              *obs.Counter
 	srcHit, srcMiss     *obs.Counter
 	planHit, planMiss   *obs.Counter
 	writeOK, writeErr   *obs.Counter
@@ -149,6 +163,7 @@ func (m *dispatchMetrics) phaseFor(name string) *obs.Histogram {
 func (m *dispatchMetrics) resolve(r *obs.Registry) {
 	m.plans = r.Counter("eptest_plans_total", "Campaigns planned (clean run + fault-list enumeration).")
 	m.runs = r.Counter("eptest_runs_executed_total", "Injection runs executed by this process.")
+	m.shared = r.Counter("eptest_runs_shared_total", "Injection runs copied from an equivalent run of the same pass instead of executing.")
 	m.steals = r.Counter("eptest_steals_total", "Tasks taken from another worker's deque.")
 	const reqHelp = "Cache probes by tier and result."
 	m.srcHit = r.Counter("eptest_cache_requests_total", reqHelp, "tier", "source", "result", "hit")
@@ -261,6 +276,7 @@ func (st *dispatchState) runWorkers() {
 	for _, ws := range st.stats {
 		ds.Plans += ws.Plans
 		ds.Runs += ws.Runs
+		ds.Shared += ws.Shared
 		ds.Steals += ws.Steals
 	}
 	st.res.Dispatch = ds
@@ -489,20 +505,69 @@ func (st *dispatchState) planJob(w int, js *jobState) {
 		st.completeJob(w, js)
 		return
 	}
-	// Push in reverse so the owner's LIFO pops execute in plan order;
-	// thieves steal from the top and take the highest-index runs.
-	st.mu.Lock()
-	for i := n - 1; i >= 0; i-- {
-		st.deques[w].push(task{js: js, run: i})
+	wr := st.table.join(js)
+	if wr == nil {
+		st.push(w, js, n, nil)
+		return
 	}
-	st.remaining += n
+	// A shared world: queue only the runs no other plan has claimed.
+	// The world is set before any of the job's runs can finish, so
+	// each of them settles its waiters.
+	js.world = wr
+	own, copied := wr.claim(js)
+	st.push(w, js, len(own), own)
+	if copied > 0 {
+		st.stats[w].Shared += copied
+		st.m.shared.Add(int64(copied))
+		if st.record(js, copied) {
+			st.completeJob(w, js)
+		}
+	}
+}
+
+// push queues k of the job's runs on worker w's deque: runs[0..k) when
+// runs is nil, else the listed runs. Runs are pushed in reverse so the
+// owner's LIFO pops execute in plan order; thieves steal from the top
+// and take the highest-index runs.
+func (st *dispatchState) push(w int, js *jobState, k int, runs []int) {
+	if k == 0 {
+		return
+	}
+	st.mu.Lock()
+	for i := k - 1; i >= 0; i-- {
+		run := i
+		if runs != nil {
+			run = runs[i]
+		}
+		st.deques[w].push(task{js: js, run: run})
+	}
+	st.remaining += k
 	st.m.queueDepth.Set(int64(st.remaining))
 	st.mu.Unlock()
 	st.cond.Broadcast()
 }
 
-// runOne executes a single injection run into its plan-order slot and
-// completes the job when it was the last one outstanding. With a
+// record counts k newly filled slots of the job, emitting one progress
+// event each, and reports whether they were its last.
+func (st *dispatchState) record(js *jobState, k int) bool {
+	js.mu.Lock()
+	defer js.mu.Unlock()
+	return st.recordLocked(js, k)
+}
+
+// recordLocked is record with js.mu held.
+func (st *dispatchState) recordLocked(js *jobState, k int) bool {
+	for i := 0; i < k; i++ {
+		js.done++
+		st.emit(Event{Kind: EventProgress, Job: js.job, Done: js.done, Total: len(js.out)})
+	}
+	js.left -= k
+	return js.left == 0
+}
+
+// runOne executes a single injection run into its plan-order slot,
+// copies it into the slots of equivalent runs waiting on it, and
+// completes each job whose last outstanding slot it filled. With a
 // tracer attached the run renders as a span tree on the worker's row:
 // the run span containing its world/exec/compare phase children. With
 // a metrics registry attached the same phases feed the
@@ -519,7 +584,7 @@ func (st *dispatchState) runOne(w int, t task) {
 		}
 	}
 	start := time.Now()
-	js.out[t.run] = js.plan.RunOneObserved(t.run, phase)
+	inj := js.plan.RunOneObserved(t.run, phase)
 	d := time.Since(start)
 	st.m.runSeconds.Observe(d.Seconds())
 	if st.d.Tracer != nil {
@@ -531,11 +596,23 @@ func (st *dispatchState) runOne(w int, t task) {
 		})
 	}
 	js.mu.Lock()
-	js.done++
-	st.emit(Event{Kind: EventProgress, Job: js.job, Done: js.done, Total: len(js.out)})
-	js.left--
-	last := js.left == 0
+	js.out[t.run] = inj
+	wr := js.world
+	last := st.recordLocked(js, 1)
 	js.mu.Unlock()
+	if wr != nil {
+		for _, s := range wr.settle(js, t.run) {
+			st.stats[w].Shared++
+			st.m.shared.Inc()
+			s.js.mu.Lock()
+			s.js.out[s.idx] = inj
+			done := st.recordLocked(s.js, 1)
+			s.js.mu.Unlock()
+			if done {
+				st.completeJob(w, s.js)
+			}
+		}
+	}
 	if last {
 		st.completeJob(w, js)
 	}
