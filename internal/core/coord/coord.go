@@ -29,7 +29,6 @@
 package coord
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -693,23 +692,6 @@ func (co *Coordinator) Complete(workerID string, idx int, out Outcome) (duplicat
 		close(co.drained)
 	}
 	return false, nil
-}
-
-// countRuns extracts the injection-run count from an outcome's wire
-// payload without a full structural decode: the injections array's
-// length is all the status page and ETA need. Malformed or error-only
-// outcomes count zero runs.
-func countRuns(o *Outcome) int {
-	if len(o.Result) == 0 {
-		return 0
-	}
-	var rc struct {
-		Injections []json.RawMessage `json:"injections"`
-	}
-	if json.Unmarshal(o.Result, &rc) != nil {
-		return 0
-	}
-	return len(rc.Injections)
 }
 
 // Drained returns a channel closed once every catalog job has a

@@ -13,8 +13,8 @@ import (
 	"sort"
 
 	"repro/internal/core/findings"
+	"repro/internal/core/inject"
 	"repro/internal/core/sched"
-	"repro/internal/core/store"
 	"repro/internal/vulndb"
 )
 
@@ -33,18 +33,12 @@ type jobFindings struct {
 	classes int
 }
 
-// extractFindingsLocked decodes a freshly recorded outcome's result
-// and caches its violation occurrences on the job record, folding each
-// into the eptest_findings_total counters. Failed campaigns and
-// undecodable results contribute nothing (the merge path will surface
-// the latter loudly). Callers hold co.mu.
-func (co *Coordinator) extractFindingsLocked(idx int, o *Outcome) {
-	if o.Err != "" || len(o.Result) == 0 {
-		return
-	}
-	res, err := store.DecodeResult(o.Result)
-	if err != nil {
-		co.logf("coord: outcome for job %d (%s): result undecodable for findings: %v", idx, co.catalog[idx], err)
+// extractFindingsLocked caches the violation occurrences of a freshly
+// recorded outcome's decoded result on the job record, folding each
+// into the eptest_findings_total counters. Failed campaigns contribute
+// nothing. Callers hold co.mu.
+func (co *Coordinator) extractFindingsLocked(idx int, o *Outcome, res *inject.Result) {
+	if o.Err != "" {
 		return
 	}
 	jf := &jobFindings{app: o.Name, variant: o.Variant}

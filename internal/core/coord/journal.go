@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/core/inject"
 	"repro/internal/core/sched"
 	"repro/internal/core/store"
 )
@@ -431,12 +433,14 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 		// completion of an index is recorded, every later one is a
 		// duplicate.
 		idx, o := rec.Index, rec.Outcome
+		var res *inject.Result
 		if o != nil {
 			if label := (sched.Job{Name: o.Name, Variant: o.Variant}).Label(); label != co.catalog[idx] {
 				return fmt.Errorf("completion for job %d is labelled %q, catalog names it %q", idx, label, co.catalog[idx])
 			}
 			if !rec.ResultRef {
-				if err := o.validate(); err != nil {
+				var err error
+				if res, err = co.decodeOutcomeLocked(idx, o); err != nil {
 					return fmt.Errorf("completion for job %d: %w", idx, err)
 				}
 			}
@@ -459,8 +463,11 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 			return nil
 		}
 		co.jobs[idx] = jobRecord{phase: jobDone, outcome: o, doneBy: rec.Worker, doneAt: at}
-		co.extractFindingsLocked(idx, o)
-		runs := countRuns(o)
+		runs := 0
+		if res != nil {
+			runs = len(res.Injections)
+			co.extractFindingsLocked(idx, o, res)
+		}
 		if ws != nil {
 			ws.Completions++
 			ws.RunsDone += runs
@@ -499,6 +506,33 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 		return fmt.Errorf("unknown op %q", rec.Op)
 	}
 	return nil
+}
+
+// decodeOutcomeLocked checks an outcome as every completion is checked
+// and decodes its result, once for the whole completion. A missing
+// name, or a successful job whose result is missing or not JSON,
+// refuses the completion. A successful job's result that is JSON but
+// not a canonical campaign encoding is logged and comes back nil: the
+// outcome is still recorded, counts no runs and adds no findings, and
+// the merge fails loudly on it with the job named. Callers hold co.mu.
+func (co *Coordinator) decodeOutcomeLocked(idx int, o *Outcome) (*inject.Result, error) {
+	if o.Name == "" {
+		return nil, errors.New("outcome has no job name")
+	}
+	if len(o.Result) == 0 {
+		if o.Err == "" {
+			return nil, errors.New("outcome has neither a result nor an error")
+		}
+		return nil, nil
+	}
+	res, err := store.DecodeResult(o.Result)
+	if err != nil && o.Err == "" {
+		if !json.Valid(o.Result) {
+			return nil, errors.New("outcome result is not valid JSON")
+		}
+		co.logf("coord: outcome for job %d (%s): result undecodable: %v", idx, co.catalog[idx], err)
+	}
+	return res, nil
 }
 
 // Restore rebuilds a coordinator from its journal. With no records it

@@ -23,8 +23,9 @@ const ProtocolVersion = "eptest-coord/2"
 // Outcome is one completed job's wire form: the shard-artifact fields
 // of docs/STORE.md for a single job, with the result in the store's
 // canonical campaign encoding (store.EncodeResult). The coordinator
-// records it verbatim and decodes it only when assembling the merged
-// suite result.
+// records it verbatim. It decodes the result once when it applies the
+// completion, for the run count and the findings, and again when it
+// assembles the merged suite result.
 type Outcome struct {
 	Name              string `json:"name"`
 	Variant           string `json:"variant,omitempty"`
@@ -37,27 +38,6 @@ type Outcome struct {
 	// Result is the campaign result in canonical wire form; required
 	// unless Err is set.
 	Result json.RawMessage `json:"result,omitempty"`
-}
-
-// validate rejects outcomes the merge could obviously not consume: a
-// successful job must carry well-formed JSON for its result, and a
-// name is always required. The check is a syntax scan, not a full
-// decode — completions are the coordinator's hot path, and the deep
-// structural decode happens once, at SuiteResult assembly, where a bad
-// payload still fails loudly with the job named.
-func (o *Outcome) validate() error {
-	if o.Name == "" {
-		return errors.New("outcome has no job name")
-	}
-	if o.Err == "" {
-		if len(o.Result) == 0 {
-			return errors.New("outcome has neither a result nor an error")
-		}
-		if !json.Valid(o.Result) {
-			return errors.New("outcome result is not valid JSON")
-		}
-	}
-	return nil
 }
 
 // campaignResult converts a recorded outcome back into the scheduler's

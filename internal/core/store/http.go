@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -30,9 +31,10 @@ const (
 
 // Server exposes a Store over HTTP. The wire format of every body is
 // exactly the store's on-disk form — a GET streams the stored entry
-// bytes, a PUT is validated and re-encoded through the same canonical
-// codec the local store writes — so a store populated through the
-// server is indistinguishable from one populated locally.
+// bytes, and a PUT body is checked by the decoder Get uses, which
+// accepts only the canonical encoding, then appended as it is — so a
+// store populated through the server is indistinguishable from one
+// populated locally.
 type Server struct {
 	st  *Store
 	mux *http.ServeMux
@@ -120,51 +122,54 @@ func (s *Server) getCampaign(w http.ResponseWriter, r *http.Request) {
 	// The newest record's body is served as stored, the way the
 	// per-file layout served an entry's file: validating it is the
 	// client's job, and a re-run's PUT supersedes a damaged copy.
+	buf := getBuf()
+	defer putBuf(buf)
 	l, ok := s.st.newest(fp)
 	var b []byte
 	if ok {
-		b, _ = l.body()
+		b, _ = l.read(*buf)
 	}
 	if b == nil {
 		s.entryMiss.Inc()
 		http.Error(w, "no entry for "+fp, http.StatusNotFound)
 		return
 	}
+	*buf = b
 	s.entryHit.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)
 }
 
 // putCampaign validates and persists an uploaded cache entry. The body
-// must be a well-formed entry whose versions match the server's and
-// whose fingerprint matches the URL; anything else is rejected so one
-// misbuilt worker cannot poison the shared store.
+// must be an entry in the canonical encoding whose versions match the
+// server's and whose fingerprint matches the URL; anything else is
+// rejected so one misbuilt worker cannot poison the shared store. The
+// body is read in after room for its record header and, once accepted,
+// appended as it is: canonical bytes are their own re-encoding.
 func (s *Server) putCampaign(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	if !validFingerprint(fp) {
 		http.Error(w, "malformed fingerprint (want 64 hex chars)", http.StatusBadRequest)
 		return
 	}
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	buf := getBuf()
+	defer putBuf(buf)
+	rec := bytes.NewBuffer(appendHeader(*buf, fp, 0))
+	_, err := rec.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	*buf = rec.Bytes()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var e entry
-	if err := json.Unmarshal(b, &e); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if _, err := decodeEntry((*buf)[headerLen:], fp); err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*versionError)) {
+			status = http.StatusConflict
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
-	if e.Store != FormatVersion || e.Engine != inject.EngineVersion {
-		http.Error(w, fmt.Sprintf("entry written by %s/%s, server is %s/%s",
-			e.Store, e.Engine, FormatVersion, inject.EngineVersion), http.StatusConflict)
-		return
-	}
-	if e.Fingerprint != fp || e.Result == nil {
-		http.Error(w, "entry fingerprint does not match URL, or result missing", http.StatusBadRequest)
-		return
-	}
-	if err := s.st.Put(fp, e.Label, fromWire(e.Result)); err != nil {
+	if err := s.st.append(fp, *buf); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -287,8 +292,8 @@ func (c *Client) PutStats() (attempts, failures int64) {
 func (c *Client) Base() string { return c.base }
 
 // Get fetches the entry cached under the fingerprint. Every failure —
-// transport, status, decode, or a validation the local store would
-// also reject — is a miss.
+// transport, status, or any entry Store.Get's decoder would reject —
+// is a miss.
 func (c *Client) Get(fp string) (*inject.Result, bool) {
 	req, err := http.NewRequest(http.MethodGet, c.base+campaignsPath+url.PathEscape(fp), nil)
 	if err != nil {
@@ -309,31 +314,19 @@ func (c *Client) Get(fp string) (*inject.Result, bool) {
 	if err != nil {
 		return nil, false
 	}
-	var e entry
-	if err := json.Unmarshal(b, &e); err != nil {
+	res, err := decodeEntry(b, fp)
+	if err != nil {
 		return nil, false
 	}
-	if !e.valid(fp) {
-		return nil, false
-	}
-	return fromWire(e.Result), true
+	return res, true
 }
 
 // Put uploads a freshly computed result under its fingerprint.
 func (c *Client) Put(fp, label string, res *inject.Result) error {
 	c.puts.Add(1)
-	e := entry{
-		Store:       FormatVersion,
-		Engine:      inject.EngineVersion,
-		Fingerprint: fp,
-		Label:       label,
-		Result:      toWire(res),
-	}
-	b, err := json.Marshal(&e)
-	if err != nil {
-		c.putFailures.Add(1)
-		return fmt.Errorf("store: encode %s: %w", fp, err)
-	}
+	// The body gets its own allocation, not a pooled buffer: the
+	// transport may still be reading it after the response is in.
+	b := encode(func(dst []byte) []byte { return appendEntry(dst, fp, label, res) })
 	if err := c.put(campaignsPath+url.PathEscape(fp), b); err != nil {
 		c.putFailures.Add(1)
 		return err

@@ -1,6 +1,8 @@
 package store_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -125,10 +127,12 @@ func TestClientDegradesToMisses(t *testing.T) {
 	}
 }
 
-// TestServerRejectsMismatchedUploads pins the poisoning guards: a body
-// whose fingerprint disagrees with the URL, garbage JSON, and a bare
-// result without its entry envelope are all rejected without touching
-// the store.
+// TestServerRejectsMismatchedUploads pins the poisoning guards and
+// their statuses: an entry from another format or engine version is a
+// 409; a body whose fingerprint disagrees with the URL, garbage JSON, a
+// bare result without its entry envelope, an entry without a result,
+// and an entry that is not in the canonical encoding are 400s. None of
+// them touches the store, and the canonical entry is then accepted.
 func TestServerRejectsMismatchedUploads(t *testing.T) {
 	t.Parallel()
 	st, err := store.Open(t.TempDir())
@@ -142,8 +146,6 @@ func TestServerRejectsMismatchedUploads(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, fp := runLpr(t)
-
-	// A well-formed entry uploaded under the wrong URL fingerprint.
 	if err := cl.Put(fp, "lpr/vulnerable", res); err != nil {
 		t.Fatal(err)
 	}
@@ -151,27 +153,55 @@ func TestServerRejectsMismatchedUploads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, tc := range map[string]struct{ path, body string }{
-		"fp mismatch": {"/v1/campaigns/deadbeef", mustEntryJSON(t, st, fp)},
-		"garbage":     {"/v1/campaigns/deadbeef", "{not json"},
-		"bare result": {"/v1/campaigns/deadbeef", string(good)},
+	// Every upload goes to a second address; entry is the stored entry
+	// re-addressed to it, which the server accepts as it is.
+	other := strings.Repeat("0", 64)
+	stored := mustEntryJSON(t, st, fp)
+	entry := strings.Replace(stored, fp, other, 1)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(entry), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		body string
+		want int
+	}{
+		"fp mismatch":    {stored, http.StatusBadRequest},
+		"garbage":        {"{not json", http.StatusBadRequest},
+		"bare result":    {string(good), http.StatusBadRequest},
+		"no result":      {entry[:strings.Index(entry, `"result":`)] + `"result":null}`, http.StatusBadRequest},
+		"re-indented":    {indented.String(), http.StatusBadRequest},
+		"foreign format": {strings.Replace(entry, store.FormatVersion, "eptest-store/0", 1), http.StatusConflict},
+		"foreign engine": {strings.Replace(entry, inject.EngineVersion, "eptest-engine/0", 1), http.StatusConflict},
 	} {
-		req, err := http.NewRequest(http.MethodPut, srv.URL+tc.path, strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode/100 == 2 {
-			t.Errorf("%s: accepted with %s, want rejection", name, resp.Status)
+		if got := putStatus(t, srv.URL+"/v1/campaigns/"+other, tc.body); got != tc.want {
+			t.Errorf("%s: status %d, want %d", name, got, tc.want)
 		}
 	}
-	if _, ok := st.Get("deadbeef"); ok {
+	if _, ok := st.Get(other); ok {
 		t.Error("a rejected upload reached the store")
 	}
+	if got := putStatus(t, srv.URL+"/v1/campaigns/"+other, entry); got != http.StatusNoContent {
+		t.Fatalf("canonical entry: status %d, want 204", got)
+	}
+	if got := mustEntryJSON(t, st, other); got != entry {
+		t.Error("the accepted entry was not stored as uploaded")
+	}
+}
+
+// putStatus uploads body to url and returns the response status.
+func putStatus(t *testing.T, url, body string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 // TestServerRejectsPathTraversal pins the fingerprint gate: ServeMux

@@ -79,12 +79,11 @@ func FuzzSegmentScan(f *testing.F) {
 			}
 			valid := false
 			for l, ok := s.newest(fp); ok && !valid; l, ok = s.older(l) {
-				var e entry
-				body := data[l.off : l.off+int64(l.n)]
-				if json.Unmarshal(body, &e) != nil || !e.valid(fp) {
+				r, err := decodeEntry(data[l.off:l.off+int64(l.n)], fp)
+				if err != nil {
 					continue
 				}
-				got, err := EncodeResult(fromWire(e.Result))
+				got, err := EncodeResult(r)
 				valid = err == nil && bytes.Equal(got, want)
 			}
 			if !valid {

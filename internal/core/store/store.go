@@ -6,7 +6,9 @@
 //
 //   - a content-addressed result cache: one JSON entry per campaign,
 //     keyed by the plan fingerprint of inject.(*ExecPlan).Fingerprint
-//     and appended as one framed record to a segment log.
+//     and appended as one framed record to a segment log. Entries have
+//     one canonical encoding, written and read by the hand-written
+//     codec in codec.go, which accepts no other bytes.
 //     sched.RunSuite consults it (through the sched.Cache interface this
 //     package implements) to skip campaigns whose ExecPlan is unchanged
 //     and replay their stored results, bit-identical to a fresh run;
@@ -26,7 +28,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -108,47 +109,36 @@ const (
 	shardDir   = "shards"
 )
 
-// A record is a header line followed by the body, the cache entry's
-// JSON exactly as json.Marshal produced it. The header is the ASCII
-// record separator 0x1E, the 64-hex fingerprint, a space, the body
-// length in 8 hex digits, and a newline. encoding/json escapes every
-// control character, so 0x1E never occurs inside a body: a scan that
-// meets damage resynchronises on the next 0x1E.
+// A record is a header line followed by the body, the cache entry in
+// its canonical encoding (codec.go). The header is the ASCII record
+// separator 0x1E, the 64-hex fingerprint, a space, the body length in
+// 8 hex digits, and a newline. The encoder escapes every control
+// character (FuzzEncodeResult holds it to that), so 0x1E never occurs
+// inside a body: a scan that meets damage resynchronises on the next
+// 0x1E.
 const (
 	recordSep = 0x1e
 	headerLen = 1 + 64 + 1 + 8 + 1
 )
 
-// entry is the cache-entry envelope around one campaign result.
-type entry struct {
-	Store       string        `json:"store"`
-	Engine      string        `json:"engine"`
-	Fingerprint string        `json:"fingerprint"`
-	Label       string        `json:"label"`
-	Result      *wireCampaign `json:"result"`
-}
-
-// valid reports whether a decoded entry is one this build may replay
-// under fp.
-func (e *entry) valid(fp string) bool {
-	return e.Store == FormatVersion && e.Engine == inject.EngineVersion && e.Fingerprint == fp && e.Result != nil
-}
-
 // Get returns the cached result stored under the fingerprint. Any
 // failure to produce a trustworthy entry — no record, a torn or
-// unreadable one, a foreign format or engine version, a fingerprint
-// mismatch — is a cache miss, never an error: the caller's fallback
-// (re-running the campaign) is always correct. When the store holds
-// several copies of the entry, the newest one that validates replays.
+// unreadable one, bytes that are not the canonical encoding, a foreign
+// format or engine version, a fingerprint mismatch — is a cache miss,
+// never an error: the caller's fallback (re-running the campaign) is
+// always correct. When the store holds several copies of the entry,
+// the newest one that validates replays.
 func (s *Store) Get(fp string) (*inject.Result, bool) {
+	buf := getBuf()
+	defer putBuf(buf)
 	for l, ok := s.newest(fp); ok; l, ok = s.older(l) {
-		b, err := l.body()
+		b, err := l.read(*buf)
 		if err != nil {
 			continue
 		}
-		var e entry
-		if json.Unmarshal(b, &e) == nil && e.valid(fp) {
-			return fromWire(e.Result), true
+		*buf = b
+		if res, err := decodeEntry(b, fp); err == nil {
+			return res, true
 		}
 	}
 	return nil, false
@@ -181,47 +171,48 @@ func (s *Store) older(l location) (location, bool) {
 	return s.locs[l.prev], true
 }
 
-// body reads the record body at l.
-func (l location) body() ([]byte, error) {
+// read reads the record body at l into dst's backing array, which it
+// grows if the body does not fit.
+func (l location) read(dst []byte) ([]byte, error) {
+	if cap(dst) < l.n {
+		dst = make([]byte, l.n)
+	}
+	dst = dst[:l.n]
 	f, err := os.Open(l.seg.path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	b := make([]byte, l.n)
-	if _, err := f.ReadAt(b, l.off); err != nil {
+	if _, err := f.ReadAt(dst, l.off); err != nil {
 		return nil, err
 	}
-	return b, nil
+	return dst, nil
 }
 
 // Put stores a campaign result under its fingerprint. label is a
 // human-readable job name kept alongside for inspection; it does not
-// participate in addressing. The entry is appended as one record in a
-// single write to the handle's own segment, which the first Put
-// creates. A re-Put of an existing address appends a byte-identical
-// copy — the address is content-derived.
+// participate in addressing. The record is encoded into a pooled
+// buffer and appended in a single write to the handle's own segment,
+// which the first Put creates. A re-Put of an existing address appends
+// a byte-identical copy — the address is content-derived.
 func (s *Store) Put(fp, label string, res *inject.Result) error {
 	if !validFingerprint(fp) {
 		return fmt.Errorf("store: malformed fingerprint %q (want 64 hex chars)", fp)
 	}
-	e := entry{
-		Store:       FormatVersion,
-		Engine:      inject.EngineVersion,
-		Fingerprint: fp,
-		Label:       label,
-		Result:      toWire(res),
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendEntry(appendHeader(*buf, fp, 0), fp, label, res)
+	return s.append(fp, *buf)
+}
+
+// append writes one record: rec is a header whose length is still to
+// be filled in, followed by the entry body.
+func (s *Store) append(fp string, rec []byte) error {
+	n := len(rec) - headerLen
+	if int64(n) > maxRecordBody {
+		return fmt.Errorf("store: entry %s is %d bytes, over the %d-byte record limit", fp, n, maxRecordBody)
 	}
-	body, err := json.Marshal(&e)
-	if err != nil {
-		return fmt.Errorf("store: encode %s: %w", fp, err)
-	}
-	if int64(len(body)) > maxRecordBody {
-		return fmt.Errorf("store: entry %s is %d bytes, over the %d-byte record limit", fp, len(body), maxRecordBody)
-	}
-	rec := make([]byte, 0, headerLen+len(body))
-	rec = appendHeader(rec, fp, len(body))
-	rec = append(rec, body...)
+	appendHeader(rec[:0], fp, n)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -242,7 +233,7 @@ func (s *Store) Put(fp, label string, res *inject.Result) error {
 		w.f, s.own = nil, nil
 		return fmt.Errorf("store: append %s: %w", fp, err)
 	}
-	s.addLocked(fp, w, w.end+headerLen, len(body))
+	s.addLocked(fp, w, w.end+headerLen, n)
 	w.end += int64(len(rec))
 	w.size = w.end
 	return nil

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 
 	"repro/internal/core/inject"
@@ -16,6 +15,10 @@ const FormatVersion = "eptest-store/1"
 // wireCampaign is the serialised form of an inject.Result. Everything is
 // a plain exported value; the one impedance mismatch with the in-memory
 // type is the trace events' error field, which travels as its message.
+//
+// Its encoding/json form is the canonical encoding codec.go writes and
+// reads by hand. Shard artifacts still embed it through encoding/json,
+// which is why it, toWire and fromWire remain.
 type wireCampaign struct {
 	Campaign       string      `json:"campaign"`
 	CleanTrace     []wireEvent `json:"clean_trace"`
@@ -42,25 +45,6 @@ type wireCallResult struct {
 	N    int    `json:"n,omitempty"`
 	Flag bool   `json:"flag,omitempty"`
 	Err  string `json:"err,omitempty"`
-}
-
-// EncodeResult renders a campaign result in the store's canonical wire
-// form. Encoding is deterministic — struct fields serialise in
-// declaration order — so equal results produce equal bytes, which is
-// what the replay- and merge-determinism tests compare.
-func EncodeResult(r *inject.Result) ([]byte, error) {
-	return json.Marshal(toWire(r))
-}
-
-// DecodeResult parses the canonical wire form back into a campaign
-// result. Trace errors come back as opaque errors carrying the original
-// message; every field a report or merge consumes round-trips exactly.
-func DecodeResult(b []byte) (*inject.Result, error) {
-	var w wireCampaign
-	if err := json.Unmarshal(b, &w); err != nil {
-		return nil, err
-	}
-	return fromWire(&w), nil
 }
 
 // toWire converts a result to its wire form.
