@@ -767,8 +767,8 @@ func (co *Coordinator) campaignStatusLocked(c *campaign) CampaignStatus {
 		// Each index is a distinct (app, variant), so summing per-job
 		// distinct signatures counts distinct finding records exactly.
 		if jf := co.jobs[i].finds; jf != nil {
-			st.Findings += jf.classes
-			st.Violations += len(jf.occs)
+			st.Findings += len(jf.sigs)
+			st.Violations += jf.traces
 		}
 	}
 	if c.jobs > 0 && c.done == c.jobs {

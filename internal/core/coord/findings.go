@@ -10,63 +10,64 @@ package coord
 
 import (
 	"net/http"
+	"slices"
 	"sort"
 
 	"repro/internal/core/findings"
 	"repro/internal/core/inject"
+	"repro/internal/core/policy"
 	"repro/internal/core/sched"
 	"repro/internal/vulndb"
 )
 
-// findingOcc is one violating trace with its cluster signature.
-type findingOcc struct {
-	sig sched.Signature
-	tr  findings.Trace
+// sigTraces is one signature's violating traces within a job, in
+// plan order.
+type sigTraces struct {
+	sig    sched.Signature
+	traces []findings.Trace
 }
 
 // jobFindings is one completed job's violation extract.
 type jobFindings struct {
 	app, variant string
-	occs         []findingOcc
-	// classes counts the distinct signatures among occs — the number of
-	// finding records this job contributes.
-	classes int
+	// sigs holds the job's distinct signatures in first-seen order —
+	// one per finding record this job contributes.
+	sigs []sigTraces
+	// traces counts the violating traces across sigs.
+	traces int
 }
 
-// extractFindingsLocked caches the violation occurrences of a freshly
-// recorded outcome's decoded result on the job record, folding each
-// into the eptest_findings_total counters. Failed campaigns contribute
-// nothing. Callers hold co.mu.
+// extractFindingsLocked caches the violation traces of a freshly
+// recorded outcome's decoded result on the job record, grouped by
+// signature, and folds each group into the eptest_findings_total
+// counters. Failed campaigns contribute nothing. Callers hold co.mu.
 func (co *Coordinator) extractFindingsLocked(idx int, o *Outcome, res *inject.Result) {
 	if o.Err != "" {
 		return
 	}
 	jf := &jobFindings{app: o.Name, variant: o.Variant}
-	seen := map[sched.Signature]bool{}
-	for _, in := range res.Violations() {
-		for _, v := range in.Violations {
-			sig := sched.Signature{
-				Rule:  v.Kind,
-				Class: in.Class,
-				Attr:  in.Attr,
-				Sem:   in.Sem,
-				Kind:  in.Kind,
-			}
-			if !seen[sig] {
-				seen[sig] = true
-				jf.classes++
-			}
-			jf.occs = append(jf.occs, findingOcc{sig: sig, tr: findings.Trace{
-				Point:  in.Point,
-				Fault:  in.FaultID,
-				Object: v.Object,
-				Detail: v.Detail,
-			}})
-			findings.Count(co.reg, o.Name, sig.Rule.String(),
-				vulndb.CategoryOfFinding(in.Class, in.Kind, in.Attr), 1)
+	sched.EachViolation(res, func(sig sched.Signature, in *inject.Injection, v *policy.Violation) {
+		// Group as the findings builder does, so each group's traces
+		// stay in plan order when it merges them.
+		sig = sig.Identity()
+		i := slices.IndexFunc(jf.sigs, func(st sigTraces) bool { return st.sig == sig })
+		if i < 0 {
+			i = len(jf.sigs)
+			jf.sigs = append(jf.sigs, sigTraces{sig: sig})
 		}
+		jf.sigs[i].traces = append(jf.sigs[i].traces, findings.Trace{
+			Point:  in.Point,
+			Fault:  in.FaultID,
+			Object: v.Object,
+			Detail: v.Detail,
+		})
+		jf.traces++
+	})
+	for _, st := range jf.sigs {
+		findings.Count(co.reg, o.Name, st.sig.Rule.String(),
+			vulndb.CategoryOfFinding(st.sig.Class, st.sig.Kind, st.sig.Attr), len(st.traces))
 	}
-	if len(jf.occs) > 0 {
+	if jf.traces > 0 {
 		co.jobs[idx].finds = jf
 	}
 }
@@ -80,12 +81,10 @@ func (co *Coordinator) FindingsReport() *findings.Report {
 	defer co.mu.Unlock()
 	b := findings.NewBuilder()
 	for i := range co.jobs {
-		jf := co.jobs[i].finds
-		if jf == nil {
-			continue
-		}
-		for _, oc := range jf.occs {
-			b.Add(jf.app, jf.variant, oc.sig, oc.tr)
+		if jf := co.jobs[i].finds; jf != nil {
+			for _, st := range jf.sigs {
+				b.Add(jf.app, jf.variant, st.sig, st.traces...)
+			}
 		}
 	}
 	return b.Report()

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core/policy"
 	"repro/internal/core/store"
 	"repro/internal/interpose"
+	"repro/internal/vulndb"
 )
 
 // violResult fabricates a campaign result with two violating
@@ -234,4 +235,108 @@ func restoreWithClock(t *testing.T, clk *fakeClock, mj *coord.MemJournal, cache 
 		t.Fatal(err)
 	}
 	return co
+}
+
+// TestFindingsCountedPerSignature pins the counters a completion folds
+// in once per signature: the eptest_findings_total series, their order
+// and values equal a fold of one increment per violating trace, also
+// when a signature's traces are not contiguous and two signatures share
+// one series.
+func TestFindingsCountedPerSignature(t *testing.T) {
+	t.Parallel()
+	crash := func(sem eai.Semantic, point string) inject.Injection {
+		return inject.Injection{Point: point, Kind: interpose.KindNetwork, FaultID: "f-" + point,
+			Class: eai.ClassIndirect, Sem: sem,
+			Violations: []policy.Violation{{Kind: policy.KindCrash, Point: point}}}
+	}
+	symlink := func(point string) inject.Injection {
+		return inject.Injection{Point: point, Kind: interpose.KindFile, FaultID: "f-" + point,
+			Class: eai.ClassDirect, Attr: eai.AttrSymlink,
+			Violations: []policy.Violation{{Kind: policy.KindIntegrity, Point: point, Object: "/tmp/x"}}}
+	}
+	res := &inject.Result{Campaign: testCatalog[0], Injections: []inject.Injection{
+		crash(eai.SemRaw, "r#1"), symlink("o#1"), crash(eai.SemRaw, "r#2"),
+		crash(eai.SemFileName, "r#3"), symlink("o#2"),
+	}}
+	want := obs.NewRegistry()
+	for _, in := range res.Injections {
+		for _, v := range in.Violations {
+			findings.Count(want, "a", v.Kind.String(), vulndb.CategoryOfFinding(in.Class, in.Kind, in.Attr), 1)
+		}
+	}
+
+	got := obs.NewRegistry()
+	co := coord.New(testCatalog, coord.Options{LeaseTTL: 10 * time.Second, Now: newFakeClock().Now, Metrics: got})
+	id, err := co.Register("alice", testCatalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustClaim(t, co, id, 0)
+	b, err := store.EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Complete(id, 0, coord.Outcome{Name: "a", Variant: "vulnerable", Result: b}); err != nil {
+		t.Fatal(err)
+	}
+	series := func(reg *obs.Registry) []string {
+		var expo strings.Builder
+		if err := reg.WritePrometheus(&expo); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(expo.String(), "\n") {
+			if strings.HasPrefix(line, findings.MetricName+"{") {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	g, w := series(got), series(want)
+	if len(w) != 2 || strings.Join(g, "\n") != strings.Join(w, "\n") {
+		t.Fatalf("findings series:\n%s\nwant:\n%s", strings.Join(g, "\n"), strings.Join(w, "\n"))
+	}
+	if st := co.Status(); st.Campaigns[0].Findings != 3 || st.Campaigns[0].Violations != 5 {
+		t.Fatalf("campaign counts = %d findings / %d violations, want 3/5",
+			st.Campaigns[0].Findings, st.Campaigns[0].Violations)
+	}
+}
+
+// TestFindingsReportMergesStrayDimensions pins the live report on a
+// completion whose signatures carry a dimension they do not render,
+// as an uploaded result may: injections that render alike share one
+// finding, with its traces in plan order, exactly as the export of the
+// same result.
+func TestFindingsReportMergesStrayDimensions(t *testing.T) {
+	t.Parallel()
+	indirect := func(attr eai.Attr, point string) inject.Injection {
+		return inject.Injection{Point: point, Kind: interpose.KindEnvVar, FaultID: "f-" + point,
+			Class: eai.ClassIndirect, Attr: attr, Sem: eai.SemPathList,
+			Violations: []policy.Violation{{Kind: policy.KindUntrustedExec, Point: point}}}
+	}
+	res := &inject.Result{Campaign: testCatalog[0], Injections: []inject.Injection{
+		indirect(0, "e#1"), indirect(eai.AttrSymlink, "e#2"), indirect(0, "e#3"),
+	}}
+	co := coord.New(testCatalog, coord.Options{LeaseTTL: 10 * time.Second, Now: newFakeClock().Now})
+	id, err := co.Register("alice", testCatalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustClaim(t, co, id, 0)
+	b, err := store.EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Complete(id, 0, coord.Outcome{Name: "a", Variant: "vulnerable", Result: b}); err != nil {
+		t.Fatal(err)
+	}
+	rep := co.FindingsReport()
+	if len(rep.Findings) != 1 || len(rep.Findings[0].Traces) != 3 || rep.Findings[0].Traces[1].Point != "e#2" {
+		t.Fatalf("live report = %+v, want one finding with traces e#1, e#2, e#3", rep.Findings)
+	}
+	got, _ := rep.Encode()
+	want, _ := findings.FromResult("a", "vulnerable", res).Encode()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("live report:\n%s\nwant the export:\n%s", got, want)
+	}
 }

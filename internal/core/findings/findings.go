@@ -19,9 +19,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
+	"repro/internal/core/atomicfile"
 	"repro/internal/core/inject"
+	"repro/internal/core/jsonstr"
 	"repro/internal/core/obs"
 	"repro/internal/core/policy"
 	"repro/internal/core/sched"
@@ -170,87 +173,101 @@ func taxonomyFor(sig sched.Signature) Taxonomy {
 
 // Builder accumulates violation occurrences into findings. It is
 // order-insensitive across campaigns — Report sorts canonically — but
-// preserves trace order within a campaign, which is plan order.
+// preserves trace order within a campaign, which is plan order. The
+// per-finding work (the signature's rendering, the ID, severity and
+// taxonomy) runs once per finding, not once per trace.
 type Builder struct {
-	byID map[string]*Finding
+	index    map[findingKey]int
+	findings []Finding
+}
+
+// findingKey is a finding's identity before it is rendered.
+type findingKey struct {
+	app, variant string
+	sig          sched.Signature
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{byID: make(map[string]*Finding)}
+	return &Builder{index: make(map[findingKey]int)}
 }
 
-// Add records one violating trace under the given app, variant, and
-// violation signature.
-func (b *Builder) Add(app, variant string, sig sched.Signature, tr Trace) {
-	id := ComputeID(app, variant, sig.String())
-	f, ok := b.byID[id]
+// Add records violating traces under the given app, variant, and
+// violation signature. Signatures that render alike share a finding.
+func (b *Builder) Add(app, variant string, sig sched.Signature, trs ...Trace) {
+	if len(trs) == 0 {
+		return
+	}
+	k := findingKey{app, variant, sig.Identity()}
+	i, ok := b.index[k]
 	if !ok {
-		f = &Finding{
-			ID:        id,
+		i = len(b.findings)
+		b.index[k] = i
+		key := sig.String()
+		b.findings = append(b.findings, Finding{
+			ID:        ComputeID(app, variant, key),
 			App:       app,
 			Variant:   variant,
 			Rule:      sig.Rule.String(),
 			Severity:  severityFor(sig.Rule),
-			Signature: sig.String(),
+			Signature: key,
 			Taxonomy:  taxonomyFor(sig),
-		}
-		b.byID[id] = f
+		})
 	}
-	f.Traces = append(f.Traces, tr)
+	b.findings[i].Traces = append(b.findings[i].Traces, trs...)
 }
 
 // AddResult folds every violation of one campaign result.
 func (b *Builder) AddResult(app, variant string, res *inject.Result) {
-	for _, in := range res.Violations() {
-		for _, v := range in.Violations {
-			sig := sched.Signature{
-				Rule:  v.Kind,
-				Class: in.Class,
-				Attr:  in.Attr,
-				Sem:   in.Sem,
-				Kind:  in.Kind,
-			}
-			b.Add(app, variant, sig, Trace{
-				Point:  in.Point,
-				Fault:  in.FaultID,
-				Object: v.Object,
-				Detail: v.Detail,
-			})
-		}
-	}
+	sched.EachViolation(res, func(sig sched.Signature, in *inject.Injection, v *policy.Violation) {
+		b.Add(app, variant, sig, Trace{
+			Point:  in.Point,
+			Fault:  in.FaultID,
+			Object: v.Object,
+			Detail: v.Detail,
+		})
+	})
 }
 
 // Len returns the number of distinct findings accumulated so far.
-func (b *Builder) Len() int { return len(b.byID) }
+func (b *Builder) Len() int { return len(b.findings) }
 
 // Report renders the accumulated findings in canonical order. The
 // returned report copies the findings, so the builder can keep
 // accumulating (the coordinator snapshots mid-fleet).
 func (b *Builder) Report() *Report {
-	out := make([]Finding, 0, len(b.byID))
-	for _, f := range b.byID {
-		cp := *f
-		cp.Traces = append([]Trace(nil), f.Traces...)
-		out = append(out, cp)
+	out := slices.Clone(b.findings)
+	for i := range out {
+		out[i].Traces = slices.Clone(out[i].Traces)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].App != out[j].App {
-			return out[i].App < out[j].App
+	return sorted(out)
+}
+
+// sorted orders findings canonically (app, then variant, then
+// signature) in place and wraps them in a report. An empty report
+// holds an empty list, never a nil one, so it encodes as [].
+func sorted(fs []Finding) *Report {
+	if fs == nil {
+		fs = []Finding{}
+	}
+	sort.Slice(fs, func(i, j int) bool {
+		x, y := &fs[i], &fs[j]
+		if x.App != y.App {
+			return x.App < y.App
 		}
-		if out[i].Variant != out[j].Variant {
-			return out[i].Variant < out[j].Variant
+		if x.Variant != y.Variant {
+			return x.Variant < y.Variant
 		}
-		return out[i].Signature < out[j].Signature
+		return x.Signature < y.Signature
 	})
-	return &Report{Schema: SchemaVersion, Findings: out}
+	return &Report{Schema: SchemaVersion, Findings: fs}
 }
 
 // FromResult builds a report from a single campaign result.
 func FromResult(app, variant string, res *inject.Result) *Report {
 	b := NewBuilder()
 	b.AddResult(app, variant, res)
-	return b.Report()
+	return sorted(b.findings)
 }
 
 // FromSuite builds the canonical report for a whole suite run. Failed
@@ -263,18 +280,111 @@ func FromSuite(sr *sched.SuiteResult) *Report {
 		}
 		b.AddResult(c.Job.Name, c.Job.Variant, c.Result)
 	}
-	return b.Report()
+	// The builder is dropped, so its findings need no defensive copy.
+	return sorted(b.findings)
 }
 
 // Encode renders the report in its canonical byte form: two-space
-// indented JSON with a trailing newline. Two reports with equal content
-// encode to equal bytes.
+// indented JSON with a trailing newline, exactly the bytes
+// json.MarshalIndent writes (reference_test.go holds the two to each
+// other). Two reports with equal content encode to equal bytes. The
+// bytes are one allocation of exactly their size; the error is always
+// nil.
 func (r *Report) Encode() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
+	e := encoder{count: true}
+	e.report(r)
+	e.buf, e.count = make([]byte, 0, e.n), false
+	e.report(r)
+	return e.buf, nil
+}
+
+// encoder writes a report's canonical bytes without reflection. It
+// runs twice over the report: a counting pass sizes the buffer, then
+// the writing pass fills it.
+type encoder struct {
+	buf   []byte
+	n     int
+	count bool
+}
+
+// raw writes s as it is.
+func (e *encoder) raw(s string) {
+	if e.count {
+		e.n += len(s)
+	} else {
+		e.buf = append(e.buf, s...)
 	}
-	return append(b, '\n'), nil
+}
+
+// member writes the separator, indent and key in prefix, then v as a
+// JSON string.
+func (e *encoder) member(prefix, v string) {
+	e.raw(prefix)
+	if e.count {
+		e.n += jsonstr.Len(v)
+	} else {
+		e.buf = jsonstr.Append(e.buf, v)
+	}
+}
+
+// omitEmpty writes an omitempty string member.
+func (e *encoder) omitEmpty(prefix, v string) {
+	if v != "" {
+		e.member(prefix, v)
+	}
+}
+
+// array writes null for a nil slice, [] for an empty one, and
+// otherwise its n elements separated by commas, then end.
+func (e *encoder) array(isNil bool, n int, end string, elem func(int)) {
+	switch {
+	case isNil:
+		e.raw("null")
+	case n == 0:
+		e.raw("[]")
+	default:
+		e.raw("[")
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				e.raw(",")
+			}
+			elem(i)
+		}
+		e.raw(end)
+	}
+}
+
+func (e *encoder) report(r *Report) {
+	e.member("{\n  \"schema\": ", r.Schema)
+	e.raw(",\n  \"findings\": ")
+	e.array(r.Findings == nil, len(r.Findings), "\n  ]", func(i int) { e.finding(&r.Findings[i]) })
+	e.raw("\n}\n")
+}
+
+func (e *encoder) finding(f *Finding) {
+	e.member("\n    {\n      \"id\": ", f.ID)
+	e.member(",\n      \"app\": ", f.App)
+	e.omitEmpty(",\n      \"variant\": ", f.Variant)
+	e.member(",\n      \"rule\": ", f.Rule)
+	e.member(",\n      \"severity\": ", f.Severity)
+	e.member(",\n      \"signature\": ", f.Signature)
+	t := &f.Taxonomy
+	e.member(",\n      \"taxonomy\": {\n        \"class\": ", t.Class)
+	e.omitEmpty(",\n        \"origin\": ", t.Origin)
+	e.omitEmpty(",\n        \"entity\": ", t.Entity)
+	e.omitEmpty(",\n        \"attr\": ", t.Attr)
+	e.member(",\n        \"verdict\": ", t.Verdict)
+	e.member(",\n        \"slug\": ", t.Slug)
+	e.raw("\n      },\n      \"traces\": ")
+	e.array(f.Traces == nil, len(f.Traces), "\n      ]", func(i int) {
+		tr := &f.Traces[i]
+		e.member("\n        {\n          \"point\": ", tr.Point)
+		e.member(",\n          \"fault\": ", tr.Fault)
+		e.omitEmpty(",\n          \"object\": ", tr.Object)
+		e.omitEmpty(",\n          \"detail\": ", tr.Detail)
+		e.raw("\n        }")
+	})
+	e.raw("\n    }")
 }
 
 // Decode parses a findings file, rejecting unknown schemas.
@@ -302,13 +412,15 @@ func ReadFile(path string) (*Report, error) {
 	return r, nil
 }
 
-// WriteFile encodes the report to its canonical bytes and writes them.
+// WriteFile encodes the report to its canonical bytes and replaces
+// path with them whole, so a killed writer never leaves a truncated
+// export behind.
 func (r *Report) WriteFile(path string) error {
 	b, err := r.Encode()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, b, 0o644)
+	return atomicfile.Write(path, b, 0o644)
 }
 
 // Count folds n violating traces into the registry's
@@ -321,16 +433,27 @@ func Count(reg *obs.Registry, app, rule string, cat vulndb.Category, n int) {
 		"app", app, "rule", rule, "taxonomy", cat.Slug()).Add(int64(n))
 }
 
-// Instrument folds a whole report into the registry, one increment per
-// trace. The app label is the campaign name (not the full variant
-// label) to bound series cardinality.
+// Instrument folds a whole report into the registry: each finding's
+// traces count toward its (app, rule, taxonomy) series, summed before
+// the registry is touched, and series are created in first-use order.
+// The app label is the campaign name (not the full variant label) to
+// bound series cardinality.
 func Instrument(reg *obs.Registry, r *Report) {
 	if reg == nil {
 		return
 	}
+	type series struct{ app, rule, slug string }
+	sums := map[series]int64{}
+	var order []series
 	for i := range r.Findings {
 		f := &r.Findings[i]
-		reg.Counter(MetricName, metricHelp,
-			"app", f.App, "rule", f.Rule, "taxonomy", f.Taxonomy.Slug).Add(int64(len(f.Traces)))
+		k := series{f.App, f.Rule, f.Taxonomy.Slug}
+		if _, ok := sums[k]; !ok {
+			order = append(order, k)
+		}
+		sums[k] += int64(len(f.Traces))
+	}
+	for _, k := range order {
+		reg.Counter(MetricName, metricHelp, "app", k.app, "rule", k.rule, "taxonomy", k.slug).Add(sums[k])
 	}
 }

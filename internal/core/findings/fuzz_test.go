@@ -75,3 +75,52 @@ func FuzzDiff(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEncodeReport holds the hand-written encoder to json.MarshalIndent
+// on hostile strings — invalid UTF-8, <, > and &, U+2028 and U+2029,
+// control bytes — nil against empty Findings and Traces, and empty
+// omitempty members: the bytes are equal, in a buffer of exactly their
+// size.
+func FuzzEncodeReport(f *testing.F) {
+	f.Add("eptest-findings/1", "lpr", "vulnerable", "p#1", "", "<a>&b\xe2\x80\xa8\xe2\x80\xa9", uint8(0))
+	f.Add("", "", "", "", "", "", uint8(0xff))
+	f.Add("\x00\x1f\x7f\"\\", "\xff\xfe", "\xe2\x80", "\t\n\r\b\f", "é\u2028", "\U0001f600", uint8(0x5a))
+	f.Fuzz(func(t *testing.T, a, b, c, d, e, g string, shape uint8) {
+		pick := func(bit uint, s string) string {
+			if shape&(1<<bit) != 0 {
+				return ""
+			}
+			return s
+		}
+		traces := []Trace{
+			{Point: a, Fault: b, Object: pick(0, c), Detail: pick(1, d)},
+			{Point: g, Fault: "", Object: pick(2, e), Detail: pick(3, a)},
+		}
+		findings := []Finding{{
+			ID: b, App: a, Variant: pick(4, c), Rule: d, Severity: e, Signature: g,
+			Taxonomy: Taxonomy{Class: a, Origin: pick(5, b), Entity: pick(6, c), Attr: pick(7, d), Verdict: e, Slug: g},
+			Traces:   traces,
+		}, {App: g, Traces: []Trace{}}, {Variant: a}}
+		for _, r := range []*Report{
+			{Schema: a},
+			{Schema: b, Findings: []Finding{}},
+			{Schema: c, Findings: findings},
+			{Schema: d, Findings: findings[1:]},
+		} {
+			got, err := r.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := referenceEncode(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("Encode diverges from json.MarshalIndent at byte %d:\n%s\nvs\n%s", firstDiff(got, want), got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("Encode sized its buffer %d for %d bytes", cap(got), len(got))
+			}
+		}
+	})
+}

@@ -2,7 +2,9 @@ package report
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/core/coverage"
 	"repro/internal/core/sched"
@@ -33,13 +35,57 @@ func SuiteRun(sr *sched.SuiteResult) string {
 // it spans, and each member occurrence.
 func Clusters(clusters []sched.Cluster) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "clustered findings: %d violation classes\n", len(clusters))
+	rows := 0
 	for _, cl := range clusters {
-		fmt.Fprintf(&b, "\n[%d finding(s)] %s\n", len(cl.Findings), cl.Sig)
-		fmt.Fprintf(&b, "  campaigns: %s\n", strings.Join(cl.Campaigns(), ", "))
+		rows += len(cl.Findings)
+	}
+	b.Grow(64 + 128*len(clusters) + 128*rows)
+	b.WriteString("clustered findings: ")
+	b.WriteString(strconv.Itoa(len(clusters)))
+	b.WriteString(" violation classes\n")
+	for _, cl := range clusters {
+		b.WriteString("\n[")
+		b.WriteString(strconv.Itoa(len(cl.Findings)))
+		b.WriteString(" finding(s)] ")
+		b.WriteString(cl.Sig.String())
+		b.WriteString("\n  campaigns: ")
+		for i, label := range cl.Campaigns() {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(label)
+		}
+		b.WriteByte('\n')
 		for _, f := range cl.Findings {
-			fmt.Fprintf(&b, "  %-24s %-24s %-44s %s\n", f.Label(), f.Point, f.FaultID, f.Object)
+			b.WriteString("  ")
+			b.WriteString(f.Campaign)
+			n := utf8.RuneCountInString(f.Campaign)
+			if f.Variant != "" {
+				b.WriteByte('/')
+				b.WriteString(f.Variant)
+				n += 1 + utf8.RuneCountInString(f.Variant)
+			}
+			pad(&b, 24-n)
+			column(&b, f.Point, 24)
+			column(&b, f.FaultID, 44)
+			b.WriteString(f.Object)
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()
+}
+
+// column writes s left-justified in width runes and a separating
+// space, as fmt's "%-*s " does.
+func column(b *strings.Builder, s string, width int) {
+	b.WriteString(s)
+	pad(b, width-utf8.RuneCountInString(s))
+}
+
+const spaces = "                                             "
+
+// pad writes n spaces of padding, if any, and the space that ends a
+// column.
+func pad(b *strings.Builder, n int) {
+	b.WriteString(spaces[:max(n, 0)+1])
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -57,5 +58,41 @@ func TestClustersRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("clusters missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// referenceClusters is Clusters as fmt rendered it.
+func referenceClusters(clusters []sched.Cluster) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "clustered findings: %d violation classes\n", len(clusters))
+	for _, cl := range clusters {
+		fmt.Fprintf(&b, "\n[%d finding(s)] %s\n", len(cl.Findings), cl.Sig)
+		fmt.Fprintf(&b, "  campaigns: %s\n", strings.Join(cl.Campaigns(), ", "))
+		for _, f := range cl.Findings {
+			fmt.Fprintf(&b, "  %-24s %-24s %-44s %s\n", f.Label(), f.Point, f.FaultID, f.Object)
+		}
+	}
+	return b.String()
+}
+
+// TestClustersPadLikeFmt holds the direct renderer to fmt's %-Ns
+// padding, which counts runes (an invalid byte is one), on multi-byte,
+// invalid, exactly-full and overlong columns, and on campaign labels
+// that repeat out of order.
+func TestClustersPadLikeFmt(t *testing.T) {
+	t.Parallel()
+	sig := sched.Signature{Rule: policy.KindCrash, Class: eai.ClassIndirect, Sem: eai.SemRaw, Kind: interpose.KindNetwork}
+	clusters := []sched.Cluster{{Sig: sig, Findings: []sched.Finding{
+		{Campaign: "ümlaut", Variant: "vulnérable", Point: "读:stdin#1", FaultID: "indirect/ネット", Object: "/é"},
+		{Campaign: "alpha", Point: "\xff\xfe#2", FaultID: strings.Repeat("f", 44), Object: ""},
+		{Campaign: strings.Repeat("a", 24), Variant: "", Point: strings.Repeat("p", 30), FaultID: strings.Repeat("ø", 50)},
+		{Campaign: "ümlaut", Variant: "vulnérable", Point: "", FaultID: ""},
+		{Campaign: strings.Repeat("c", 23), Variant: "v", Point: "x"},
+	}}, {Sig: sig}}
+	if got, want := Clusters(clusters), referenceClusters(clusters); got != want {
+		t.Errorf("Clusters diverges from fmt:\n--- got\n%s--- want\n%s", got, want)
+	}
+	if got := clusters[0].Campaigns(); len(got) != 4 {
+		t.Errorf("Campaigns() = %q, want 4 distinct labels", got)
 	}
 }

@@ -1,8 +1,9 @@
 package sched
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/core/eai"
 	"repro/internal/core/inject"
@@ -35,7 +36,34 @@ func (s Signature) String() string {
 	if s.Class == eai.ClassIndirect {
 		dim = s.Sem.String()
 	}
-	return fmt.Sprintf("%s/%s/%s on %s", s.Rule, s.Class, dim, s.Kind)
+	return s.Rule.String() + "/" + s.Class.String() + "/" + dim + " on " + s.Kind.String()
+}
+
+// Identity returns s without the dimension String does not render: the
+// input semantic of a direct fault, the attribute of an indirect one.
+// Signatures that render alike have equal identities.
+func (s Signature) Identity() Signature {
+	if s.Class == eai.ClassIndirect {
+		s.Attr = 0
+	} else {
+		s.Sem = 0
+	}
+	return s
+}
+
+// EachViolation calls fn for every policy violation in res, in plan
+// order, with its signature and the injection that triggered it. It
+// walks res.Injections in place, so the pointers are valid only for
+// the call. It is the one walk behind clustering, the findings fold
+// and the coordinator's findings extract.
+func EachViolation(res *inject.Result, fn func(sig Signature, in *inject.Injection, v *policy.Violation)) {
+	for i := range res.Injections {
+		in := &res.Injections[i]
+		for j := range in.Violations {
+			v := &in.Violations[j]
+			fn(Signature{Rule: v.Kind, Class: in.Class, Attr: in.Attr, Sem: in.Sem, Kind: in.Kind}, in, v)
+		}
+	}
 }
 
 // Finding is one concrete violation inside a cluster.
@@ -70,82 +98,62 @@ type Cluster struct {
 // Campaigns returns the distinct campaign labels represented in the
 // cluster, in first-seen order.
 func (c Cluster) Campaigns() []string {
-	seen := map[string]bool{}
 	var out []string
-	for _, f := range c.Findings {
-		label := f.Label()
-		if !seen[label] {
-			seen[label] = true
+	for i, f := range c.Findings {
+		if i > 0 && f.Campaign == c.Findings[i-1].Campaign && f.Variant == c.Findings[i-1].Variant {
+			continue
+		}
+		if label := f.Label(); !slices.Contains(out, label) {
 			out = append(out, label)
 		}
 	}
 	return out
 }
 
-// ClusterResult clusters the violations of a single campaign result.
-func ClusterResult(res *inject.Result) []Cluster {
-	return clusterAll([]labelled{{campaign: res.Campaign, res: res}})
-}
-
 // ClusterSuite clusters every violation across the suite's completed
 // campaigns. Clusters are ordered by descending size, then by
 // signature, so the dominant weakness classes lead the report.
 func ClusterSuite(sr *SuiteResult) []Cluster {
-	var ls []labelled
+	bysig := map[Signature]int{}
+	var out []Cluster
 	for _, c := range sr.Campaigns {
 		if c.Err != nil || c.Result == nil {
 			continue
 		}
-		ls = append(ls, labelled{campaign: c.Job.Name, variant: c.Job.Variant, res: c.Result})
-	}
-	return clusterAll(ls)
-}
-
-// labelled pairs a campaign result with its suite labels.
-type labelled struct {
-	campaign, variant string
-	res               *inject.Result
-}
-
-func clusterAll(ls []labelled) []Cluster {
-	bysig := map[Signature]*Cluster{}
-	var order []Signature
-	for _, l := range ls {
-		for _, in := range l.res.Violations() {
-			for _, v := range in.Violations {
-				sig := Signature{
-					Rule:  v.Kind,
-					Class: in.Class,
-					Attr:  in.Attr,
-					Sem:   in.Sem,
-					Kind:  in.Kind,
-				}
-				cl, ok := bysig[sig]
-				if !ok {
-					cl = &Cluster{Sig: sig}
-					bysig[sig] = cl
-					order = append(order, sig)
-				}
-				cl.Findings = append(cl.Findings, Finding{
-					Campaign: l.campaign,
-					Variant:  l.variant,
-					Point:    in.Point,
-					FaultID:  in.FaultID,
-					Object:   v.Object,
-					Detail:   v.Detail,
-				})
+		EachViolation(c.Result, func(sig Signature, in *inject.Injection, v *policy.Violation) {
+			i, ok := bysig[sig]
+			if !ok {
+				i = len(out)
+				bysig[sig] = i
+				out = append(out, Cluster{Sig: sig})
 			}
-		}
+			out[i].Findings = append(out[i].Findings, Finding{
+				Campaign: c.Job.Name,
+				Variant:  c.Job.Variant,
+				Point:    in.Point,
+				FaultID:  in.FaultID,
+				Object:   v.Object,
+				Detail:   v.Detail,
+			})
+		})
 	}
-	out := make([]Cluster, 0, len(order))
-	for _, sig := range order {
-		out = append(out, *bysig[sig])
+	// Each signature is rendered once, not in every comparison.
+	type keyed struct {
+		key string
+		cl  Cluster
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if len(out[i].Findings) != len(out[j].Findings) {
-			return len(out[i].Findings) > len(out[j].Findings)
+	ks := make([]keyed, len(out))
+	for i, cl := range out {
+		ks[i] = keyed{cl.Sig.String(), cl}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(len(b.cl.Findings), len(a.cl.Findings)); c != 0 {
+			return c
 		}
-		return out[i].Sig.String() < out[j].Sig.String()
+		return strings.Compare(a.key, b.key)
 	})
+	for i := range ks {
+		out[i] = ks[i].cl
+	}
 	return out
 }

@@ -30,7 +30,9 @@ func TestClusterResultPreservesFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters := sched.ClusterResult(res)
+	clusters := sched.ClusterSuite(&sched.SuiteResult{Campaigns: []sched.CampaignResult{
+		{Job: sched.Job{Name: "turnin"}, Result: res},
+	}})
 	if len(clusters) == 0 {
 		t.Fatal("vulnerable turnin produced no clusters")
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core/eai"
 	"repro/internal/core/inject"
+	"repro/internal/core/jsonstr"
 	"repro/internal/core/policy"
 	"repro/internal/interpose"
 )
@@ -132,13 +133,13 @@ func encode(appendTo func([]byte) []byte) []byte {
 // appendEntry appends the cache entry holding r under fp and label.
 func appendEntry(dst []byte, fp, label string, r *inject.Result) []byte {
 	dst = append(dst, `{"store":`...)
-	dst = appendString(dst, FormatVersion)
+	dst = jsonstr.Append(dst, FormatVersion)
 	dst = append(dst, `,"engine":`...)
-	dst = appendString(dst, inject.EngineVersion)
+	dst = jsonstr.Append(dst, inject.EngineVersion)
 	dst = append(dst, `,"fingerprint":`...)
-	dst = appendString(dst, fp)
+	dst = jsonstr.Append(dst, fp)
 	dst = append(dst, `,"label":`...)
-	dst = appendString(dst, label)
+	dst = jsonstr.Append(dst, label)
 	dst = append(dst, `,"result":`...)
 	dst = appendCampaign(dst, r)
 	return append(dst, '}')
@@ -148,7 +149,7 @@ func appendEntry(dst []byte, fp, label string, r *inject.Result) []byte {
 // null: toWire always allocates it.
 func appendCampaign(dst []byte, r *inject.Result) []byte {
 	dst = append(dst, `{"campaign":`...)
-	dst = appendString(dst, r.Campaign)
+	dst = jsonstr.Append(dst, r.Campaign)
 	dst = append(dst, `,"clean_trace":[`...)
 	for i := range r.CleanTrace {
 		if i > 0 {
@@ -184,17 +185,17 @@ func appendEvent(dst []byte, ev *interpose.Event) []byte {
 	dst = append(dst, `{"call":{"Seq":`...)
 	dst = strconv.AppendInt(dst, int64(c.Seq), 10)
 	dst = append(dst, `,"Site":`...)
-	dst = appendString(dst, c.Site)
+	dst = jsonstr.Append(dst, c.Site)
 	dst = append(dst, `,"Occur":`...)
 	dst = strconv.AppendInt(dst, int64(c.Occur), 10)
 	dst = append(dst, `,"Op":`...)
-	dst = appendString(dst, string(c.Op))
+	dst = jsonstr.Append(dst, string(c.Op))
 	dst = append(dst, `,"Kind":`...)
 	dst = strconv.AppendInt(dst, int64(c.Kind), 10)
 	dst = append(dst, `,"Path":`...)
-	dst = appendString(dst, c.Path)
+	dst = jsonstr.Append(dst, c.Path)
 	dst = append(dst, `,"Path2":`...)
-	dst = appendString(dst, c.Path2)
+	dst = jsonstr.Append(dst, c.Path2)
 	dst = append(dst, `,"Data":`...)
 	dst = appendBytes(dst, c.Data)
 	dst = append(dst, `,"Mode":`...)
@@ -210,7 +211,7 @@ func appendEvent(dst []byte, ev *interpose.Event) []byte {
 	dst = append(dst, `,"EGID":`...)
 	dst = strconv.AppendInt(dst, int64(c.EGID), 10)
 	dst = append(dst, `,"Cwd":`...)
-	dst = appendString(dst, c.Cwd)
+	dst = jsonstr.Append(dst, c.Cwd)
 
 	// Every member of the call result is omitempty.
 	res := &ev.Result
@@ -225,7 +226,7 @@ func appendEvent(dst []byte, ev *interpose.Event) []byte {
 	if res.Str != "" {
 		dst = append(dst, sep)
 		dst = append(dst, `"str":`...)
-		dst = appendString(dst, res.Str)
+		dst = jsonstr.Append(dst, res.Str)
 		sep = ','
 	}
 	if res.N != 0 {
@@ -243,7 +244,7 @@ func appendEvent(dst []byte, ev *interpose.Event) []byte {
 		if msg := res.Err.Error(); msg != "" {
 			dst = append(dst, sep)
 			dst = append(dst, `"err":`...)
-			dst = appendString(dst, msg)
+			dst = jsonstr.Append(dst, msg)
 			sep = ','
 		}
 	}
@@ -254,7 +255,7 @@ func appendEvent(dst []byte, ev *interpose.Event) []byte {
 
 	if ev.ResolvedPath != "" {
 		dst = append(dst, `,"resolved_path":`...)
-		dst = appendString(dst, ev.ResolvedPath)
+		dst = jsonstr.Append(dst, ev.ResolvedPath)
 	}
 	if ev.Mutated {
 		dst = append(dst, `,"mutated":true`...)
@@ -266,13 +267,13 @@ func appendEvent(dst []byte, ev *interpose.Event) []byte {
 // inject.Injection, whose members carry no tags.
 func appendInjection(dst []byte, in *inject.Injection) []byte {
 	dst = append(dst, `{"Point":`...)
-	dst = appendString(dst, in.Point)
+	dst = jsonstr.Append(dst, in.Point)
 	dst = append(dst, `,"Site":`...)
-	dst = appendString(dst, in.Site)
+	dst = jsonstr.Append(dst, in.Site)
 	dst = append(dst, `,"Kind":`...)
 	dst = strconv.AppendInt(dst, int64(in.Kind), 10)
 	dst = append(dst, `,"FaultID":`...)
-	dst = appendString(dst, in.FaultID)
+	dst = jsonstr.Append(dst, in.FaultID)
 	dst = append(dst, `,"Class":`...)
 	dst = strconv.AppendInt(dst, int64(in.Class), 10)
 	dst = append(dst, `,"Attr":`...)
@@ -282,11 +283,11 @@ func appendInjection(dst []byte, in *inject.Injection) []byte {
 	dst = append(dst, `,"Applied":`...)
 	dst = strconv.AppendBool(dst, in.Applied)
 	dst = append(dst, `,"ApplyErr":`...)
-	dst = appendString(dst, in.ApplyErr)
+	dst = jsonstr.Append(dst, in.ApplyErr)
 	dst = append(dst, `,"Exit":`...)
 	dst = strconv.AppendInt(dst, int64(in.Exit), 10)
 	dst = append(dst, `,"CrashMsg":`...)
-	dst = appendString(dst, in.CrashMsg)
+	dst = jsonstr.Append(dst, in.CrashMsg)
 	dst = append(dst, `,"Violations":`...)
 	if in.Violations == nil {
 		dst = append(dst, "null"...)
@@ -300,11 +301,11 @@ func appendInjection(dst []byte, in *inject.Injection) []byte {
 			dst = append(dst, `{"Kind":`...)
 			dst = strconv.AppendInt(dst, int64(v.Kind), 10)
 			dst = append(dst, `,"Point":`...)
-			dst = appendString(dst, v.Point)
+			dst = jsonstr.Append(dst, v.Point)
 			dst = append(dst, `,"Object":`...)
-			dst = appendString(dst, v.Object)
+			dst = jsonstr.Append(dst, v.Object)
 			dst = append(dst, `,"Detail":`...)
-			dst = appendString(dst, v.Detail)
+			dst = jsonstr.Append(dst, v.Detail)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
@@ -322,7 +323,7 @@ func appendStrings(dst []byte, ss []string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendString(dst, s)
+		dst = jsonstr.Append(dst, s)
 	}
 	return append(dst, ']')
 }
@@ -334,83 +335,6 @@ func appendBytes(dst []byte, b []byte) []byte {
 	}
 	dst = append(dst, '"')
 	dst = base64.StdEncoding.AppendEncode(dst, b)
-	return append(dst, '"')
-}
-
-// plain marks the bytes a canonical string carries as themselves:
-// printable ASCII and DEL, except the quote, the backslash and the
-// HTML-sensitive <, > and &. No byte at or above 0x80 is plain; UTF-8
-// is checked rune by rune.
-var plain = func() (t [256]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = true
-	}
-	for _, c := range []byte(`"\<>&`) {
-		t[c] = false
-	}
-	return t
-}()
-
-const hexDigits = "0123456789abcdef"
-
-// lineSep and paraSep, U+2028 and U+2029, are valid raw in JSON but
-// not in JavaScript, so encoding/json escapes them.
-const (
-	lineSep = 0x2028
-	paraSep = 0x2029
-)
-
-// appendString appends s as a JSON string, escaped exactly as
-// encoding/json escapes it with HTML escaping on, Marshal's default.
-// Its output never holds a byte below 0x20, so never the segment
-// record separator 0x1E.
-func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if plain[c] {
-			i++
-			continue
-		}
-		if c < utf8.RuneSelf {
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case r == lineSep || r == paraSep:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }
 
@@ -587,7 +511,7 @@ func (d *decoder) str() string {
 	}
 	i++
 	start := i
-	for i < len(b) && plain[b[i]] {
+	for i < len(b) && jsonstr.Plain(b[i]) {
 		i++
 	}
 	if i < len(b) && b[i] == '"' {
@@ -598,7 +522,7 @@ func (d *decoder) str() string {
 	for i < len(b) {
 		c := b[i]
 		switch {
-		case plain[c]:
+		case jsonstr.Plain(c):
 			i++
 		case c == '"':
 			d.i = i + 1
@@ -617,7 +541,7 @@ func (d *decoder) str() string {
 			i += n
 		case c >= utf8.RuneSelf:
 			r, size := utf8.DecodeRune(b[i:])
-			if (r == utf8.RuneError && size == 1) || r == lineSep || r == paraSep {
+			if (r == utf8.RuneError && size == 1) || r == jsonstr.LineSep || r == jsonstr.ParaSep {
 				d.i = i
 				d.fail("UTF-8 the encoder writes raw")
 				return ""
@@ -635,7 +559,7 @@ func (d *decoder) str() string {
 }
 
 // escapeLen returns the length of the escape sequence that starts b if
-// it is one appendString writes, and 0 otherwise.
+// it is one jsonstr.Append writes, and 0 otherwise.
 func escapeLen(b []byte) int {
 	if len(b) < 2 {
 		return 0
@@ -654,7 +578,7 @@ func escapeLen(b []byte) int {
 			if r == '\b' || r == '\f' || r == '\n' || r == '\r' || r == '\t' {
 				return 0
 			}
-		case r == '<', r == '>', r == '&', r == lineSep, r == paraSep:
+		case r == '<', r == '>', r == '&', r == jsonstr.LineSep, r == jsonstr.ParaSep:
 		default:
 			return 0
 		}

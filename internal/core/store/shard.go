@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/core/atomicfile"
 	"repro/internal/core/inject"
 	"repro/internal/core/sched"
 )
@@ -216,31 +217,13 @@ func equalCatalogs(a, b []string) bool {
 	return true
 }
 
-// writeAtomic writes a shard artifact through a same-directory temp
-// file and rename, so concurrent readers and crashed writers never
-// surface a partial artifact. Only a failed write leaves a temp file to
-// remove; a renamed one no longer exists under its temp name.
-func writeAtomic(path string, b []byte) (err error) {
+// writeAtomic writes a shard artifact whole, so concurrent readers and
+// crashed writers never surface a partial artifact.
+func writeAtomic(path string, b []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: write %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := atomicfile.Write(path, b, 0o600); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
