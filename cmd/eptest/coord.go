@@ -86,7 +86,10 @@ func coordJournalPath(storeDir string) string {
 // (self-refreshing HTML page over the same snapshot), and GET /metrics
 // (Prometheus text for the queue, store and HTTP metrics) — all
 // behind the bearer token.
-func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, retention time.Duration, token, pprofAddr string, stdout, stderr io.Writer) int {
+//
+// now is the coordinator's clock, nil meaning time.Now; tests pass a
+// fake one to drive lease expiry.
+func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, retention time.Duration, token, pprofAddr string, now func() time.Time, stdout, stderr io.Writer) int {
 	st, err := store.Open(dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
@@ -108,6 +111,7 @@ func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, reten
 	}
 	co, err := coord.Restore(catalog, coord.Options{
 		LeaseTTL:  lease,
+		Now:       now,
 		Metrics:   reg,
 		Journal:   journal,
 		Results:   st,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,6 +14,25 @@ import (
 
 	"repro/internal/core/coord"
 )
+
+// fakeClock is a coordinator clock that moves only when a test
+// advances it, so lease expiry happens exactly when the test says.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
 
 // syncBuffer is a bytes.Buffer safe for the server goroutine to write
 // while the test polls it.
@@ -38,9 +58,17 @@ func (s *syncBuffer) String() string {
 // test's patience — and returns its base URL.
 func startCoordServer(t *testing.T, dir string, extra ...string) string {
 	t.Helper()
-	var out, errb syncBuffer
 	args := append([]string{"-serve-coord", "127.0.0.1:0", "-cache", dir, "-lease", "300ms"}, extra...)
-	go run(args, &out, &errb)
+	return awaitCoordServer(t, func(out, errb io.Writer) { run(args, out, errb) })
+}
+
+// awaitCoordServer runs serve, a coordinator server on an ephemeral
+// port, in the background and returns its base URL once it announces
+// it.
+func awaitCoordServer(t *testing.T, serve func(out, errb io.Writer)) string {
+	t.Helper()
+	var out, errb syncBuffer
+	go serve(&out, &errb)
 	re := regexp.MustCompile(`listening on ([0-9.:]+) `)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -76,19 +104,27 @@ func waitMergedArtifact(t *testing.T, dir string) string {
 }
 
 // TestCoordElasticFlow is the CLI acceptance test for the distributed
-// coordinator — the ISSUE 5 criterion: one of two workers dies
-// mid-run (here: a raw client that claims jobs and goes silent,
-// exactly the state SIGKILL leaves), the surviving `-coord-url` worker
-// drains the queue through lease-expiry requeues, and the merged
-// report the coordinator assembles is byte-identical to a
-// single-process `eptest -all` over the same slice. A second
-// coordinator generation over the same store then replays everything
-// source-level from the shared cache.
+// coordinator: one of two workers dies mid-run (here: a raw client
+// that claims jobs and goes silent, exactly the state SIGKILL leaves),
+// the surviving `-coord-url` worker drains the queue through
+// lease-expiry requeues, and the merged report the coordinator
+// assembles is byte-identical to a single-process `eptest -all` over
+// the same slice. A second coordinator generation over the same store
+// then replays everything source-level from the shared cache.
+//
+// The first coordinator runs on a fake clock, advanced once, past the
+// doomed worker's leases, before the survivor starts. So exactly those
+// two leases expire, however slowly a loaded machine runs the
+// survivor: its own leases cannot.
 func TestCoordElasticFlow(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	const token = "s3cret"
-	url := startCoordServer(t, dir, "-filter", "lpr*", "-auth-token", token)
+	clk := &fakeClock{now: time.Now()}
+	url := awaitCoordServer(t, func(out, errb io.Writer) {
+		runServeCoord("127.0.0.1:0", dir, false, "lpr*", 300*time.Millisecond,
+			coord.DefaultCampaignRetention, token, "", clk.Now, out, errb)
+	})
 
 	var full, errb bytes.Buffer
 	if code := run([]string{"-all", "-j", "4", "-filter", "lpr*"}, &full, &errb); code != 0 {
@@ -110,6 +146,8 @@ func TestCoordElasticFlow(t *testing.T) {
 			t.Fatalf("doomed claim = (%v, %v)", status, err)
 		}
 	}
+
+	clk.Advance(time.Second)
 
 	// The survivor drains everything, including the requeued jobs.
 	var worker, werr bytes.Buffer

@@ -208,7 +208,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "eptest: -lease %v is not a lease TTL; pass how long a silent worker keeps its claims (e.g. -lease 60s)\n", *lease)
 			return 2
 		}
-		return runServeCoord(*serveCoord, *cache, *matrix, *filter, *lease, *retention, *authToken, *pprofAddr, stdout, stderr)
+		return runServeCoord(*serveCoord, *cache, *matrix, *filter, *lease, *retention, *authToken, *pprofAddr, nil, stdout, stderr)
 	}
 	if *merge != "" {
 		if *list || *all || *campaign != "" || *shard != "" || *cache != "" || *coordURL != "" || *filter != "" {

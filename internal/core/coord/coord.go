@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core/inject"
 	"repro/internal/core/obs"
 	"repro/internal/core/sched"
 )
@@ -84,7 +85,7 @@ type Options struct {
 	// cache-resident under their fingerprint are journaled by
 	// reference instead of inline, and re-encoded from the cache at
 	// restore.
-	Results sched.Cache
+	Results ResultStore
 	// Retention is how long a finished named campaign stays visible
 	// before the sweep garbage-collects its record. Zero disables the
 	// GC; the default campaign is always exempt.
@@ -93,6 +94,17 @@ type Options struct {
 	// write failures, unreadable cache refs, template render errors).
 	// Nil means the standard logger.
 	Logf func(format string, args ...any)
+}
+
+// ResultStore is the campaign-result cache a coordinator journals
+// against; *store.Store is one.
+type ResultStore interface {
+	sched.Cache
+	// Has reports whether an entry is held under the fingerprint,
+	// without reading it. A completion is journaled by reference when
+	// Has says so; a damaged entry it vouched for fails Get at restore,
+	// and the job is redone.
+	Has(fingerprint string) bool
 }
 
 // jobPhase is one catalog entry's position in the lease state machine.
@@ -169,7 +181,7 @@ type Coordinator struct {
 	retention time.Duration
 
 	journal        Journal
-	results        sched.Cache
+	results        ResultStore
 	logFn          func(format string, args ...any)
 	journalErrOnce sync.Once
 	resumed        bool
@@ -655,6 +667,19 @@ func (co *Coordinator) Renew(workerID string, indices []int) (renewed, lost []in
 // slow worker racing its own expired lease can never overwrite the
 // merged report. Returns duplicate=true for the discarded case.
 func (co *Coordinator) Complete(workerID string, idx int, out Outcome) (duplicate bool, err error) {
+	return co.complete(workerID, idx, out, nil)
+}
+
+// complete is Complete with the outcome's result, when res is non-nil,
+// already decoded from out.Result (the HTTP handler decodes canonical
+// results as it reads the body). Otherwise it is decoded here. Either
+// way the decode happens before co.mu is taken, and the transition and
+// the journal step share it.
+func (co *Coordinator) complete(workerID string, idx int, out Outcome, res *inject.Result) (duplicate bool, err error) {
+	dec := outcomeDecode{res: res}
+	if res == nil {
+		dec = decodeOutcome(&out)
+	}
 	co.mu.Lock()
 	ws := co.workers[workerID]
 	if ws == nil {
@@ -667,7 +692,7 @@ func (co *Coordinator) Complete(workerID string, idx int, out Outcome) (duplicat
 	}
 	ws.lastSeen = co.now()
 	co.sweepLocked()
-	rec := &JournalRecord{Op: opComplete, Worker: workerID, Index: idx, Outcome: &out, Duplicate: co.jobs[idx].phase == jobDone}
+	rec := &JournalRecord{Op: opComplete, Worker: workerID, Index: idx, Outcome: &out, Duplicate: co.jobs[idx].phase == jobDone, decoded: &dec}
 	runsBefore := co.runsDone
 	if err := co.commitLocked(rec); err != nil {
 		co.mu.Unlock()

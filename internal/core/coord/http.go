@@ -37,6 +37,10 @@ const (
 // campaigns — so this is generous headroom, not a limit to meet.
 const maxBodyBytes = 256 << 20
 
+// presizeLimit bounds the buffer readBody allocates on a request's
+// word: a completion is tens of kilobytes.
+const presizeLimit = 1 << 20
+
 // Server exposes a Coordinator over HTTP.
 type Server struct {
 	co  *Coordinator
@@ -58,9 +62,19 @@ func NewServer(co *Coordinator) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // readBody drains a bounded request body, writing the HTTP error
-// itself so handlers can simply return.
+// itself so handlers can simply return. A body of declared length up to
+// presizeLimit is read into one buffer of that size; a larger claim
+// buys no memory before its bytes arrive.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var b []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= presizeLimit {
+		b = make([]byte, n)
+		_, err = io.ReadFull(body, b)
+	} else {
+		b, err = io.ReadAll(body)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, false
@@ -164,14 +178,13 @@ func (s *Server) claim(w http.ResponseWriter, r *http.Request) {
 			reply(w, ClaimResponse{Status: statusWait})
 			return
 		}
-		wakeAt := deadline
-		if exp, ok := s.co.NextExpiry(); ok && exp.Before(wakeAt) {
-			wakeAt = exp
+		// The next expiry is on the coordinator's clock, which a test
+		// may drive by hand; the hold deadline is wall time.
+		wait := deadline.Sub(now)
+		if exp, ok := s.co.NextExpiry(); ok {
+			wait = min(wait, exp.Sub(s.co.now()))
 		}
-		wait := time.Until(wakeAt) + time.Millisecond
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
+		wait = max(wait+time.Millisecond, time.Millisecond)
 		timer := time.NewTimer(wait)
 		select {
 		case <-change:
@@ -207,12 +220,12 @@ func (s *Server) complete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := DecodeComplete(b)
+	req, res, err := decodeComplete(b)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	dup, err := s.co.Complete(req.WorkerID, req.Index, req.Outcome)
+	dup, err := s.co.complete(req.WorkerID, req.Index, req.Outcome, res)
 	if err != nil {
 		coordErr(w, err)
 		return
@@ -263,10 +276,7 @@ func Dial(rawURL string, opts ...ClientOption) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: %w", err)
 	}
-	c := &Client{
-		base: base,
-		hc:   &http.Client{Timeout: 60 * time.Second},
-	}
+	c := &Client{base: base, hc: store.NewHTTPClient()}
 	for _, o := range opts {
 		o(c)
 	}
@@ -292,6 +302,11 @@ func (c *Client) post(path string, reqBody, respBody any) error {
 	if err != nil {
 		return fmt.Errorf("coord: encode %s: %w", path, err)
 	}
+	return c.postBytes(path, b, respBody)
+}
+
+// postBytes is post with the request body already encoded.
+func (c *Client) postBytes(path string, b []byte, respBody any) error {
 	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(b))
 	if err != nil {
 		return fmt.Errorf("coord: %w", err)
@@ -304,7 +319,7 @@ func (c *Client) post(path string, reqBody, respBody any) error {
 	if err != nil {
 		return fmt.Errorf("coord: %w", err)
 	}
-	defer resp.Body.Close()
+	defer store.CloseBody(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("coord: POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
@@ -367,14 +382,26 @@ func (c *Client) Renew(indices []int) (lost []int, err error) {
 }
 
 // Complete reports one job's outcome; duplicate means the coordinator
-// already had a result for the index and discarded this one.
+// already had a result for the index and discarded this one. The
+// request is written by hand, with out.Result copied in as it is, so
+// out.Result must be store.EncodeResult's canonical bytes (or empty),
+// as in every outcome this package builds.
 func (c *Client) Complete(idx int, out Outcome) (duplicate bool, err error) {
+	req := CompleteRequest{Proto: ProtocolVersion, WorkerID: c.workerID, Index: idx, Outcome: out}
+	// The body gets its own allocation, not a pooled buffer: the
+	// transport may still be reading it after the response is in.
+	b := appendComplete(make([]byte, 0, len(out.Result)+completeOverhead), &req)
 	var resp CompleteResponse
-	if err := c.post(completePath, &CompleteRequest{Proto: ProtocolVersion, WorkerID: c.workerID, Index: idx, Outcome: out}, &resp); err != nil {
+	if err := c.postBytes(completePath, b, &resp); err != nil {
 		return false, err
 	}
 	return resp.Duplicate, nil
 }
+
+// completeOverhead sizes a completion body beyond its result: the
+// envelope's keys and a worker id, job label, two fingerprints and a
+// short error fit in it, so the body is written without growing.
+const completeOverhead = 512
 
 // State fetches the coordinator's stats snapshot.
 func (c *Client) State() (Stats, error) {
@@ -389,7 +416,7 @@ func (c *Client) State() (Stats, error) {
 	if err != nil {
 		return Stats{}, fmt.Errorf("coord: %w", err)
 	}
-	defer resp.Body.Close()
+	defer store.CloseBody(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return Stats{}, fmt.Errorf("coord: GET %s: %s: %s", statePath, resp.Status, bytes.TrimSpace(msg))

@@ -97,6 +97,11 @@ type JournalRecord struct {
 	Duplicate bool     `json:"duplicate,omitempty"`
 	Outcome   *Outcome `json:"outcome,omitempty"`
 	ResultRef bool     `json:"result_ref,omitempty"`
+
+	// decoded is a live completion's outcome, decoded before co.mu was
+	// taken; nil (as in every journaled record) means applyLocked
+	// decodes it. Never journaled, and gone with the record.
+	decoded *outcomeDecode
 }
 
 // Journal is the coordinator's durable-state sink. FileJournal persists
@@ -273,7 +278,11 @@ func (co *Coordinator) appendJournalLocked(rec *JournalRecord) {
 		if rec.Duplicate {
 			rec.Outcome = nil
 		} else {
-			rec.Outcome, rec.ResultRef = co.journalOutcomeLocked(rec.Outcome, co.catalog[rec.Index])
+			var res *inject.Result
+			if rec.decoded != nil {
+				res = rec.decoded.res
+			}
+			rec.Outcome, rec.ResultRef = co.journalOutcomeLocked(rec.Outcome, co.catalog[rec.Index], res)
 		}
 	}
 	if err := co.journal.Append(rec); err != nil {
@@ -298,17 +307,21 @@ func (co *Coordinator) syncJournalLocked() {
 
 // journalOutcomeLocked builds the completion record's outcome payload,
 // eliding the result bytes when the campaign result is cache-resident
-// under its fingerprint (ensuring it is, with a Get-then-Put through
-// Options.Results). Callers hold co.mu.
-func (co *Coordinator) journalOutcomeLocked(o *Outcome, label string) (*Outcome, bool) {
+// under its fingerprint. It ensures that it is: an index lookup
+// (ResultStore.Has) first, and a Put only on a miss, of res, the
+// outcome's decoded result, or when res is nil of o.Result decoded
+// here. Callers hold co.mu.
+func (co *Coordinator) journalOutcomeLocked(o *Outcome, label string, res *inject.Result) (*Outcome, bool) {
 	jo := *o
 	if co.results == nil || o.Fingerprint == "" || o.Err != "" {
 		return &jo, false
 	}
-	if _, ok := co.results.Get(o.Fingerprint); !ok {
-		res, err := store.DecodeResult(o.Result)
-		if err != nil {
-			return &jo, false
+	if !co.results.Has(o.Fingerprint) {
+		if res == nil {
+			var err error
+			if res, err = store.DecodeResult(o.Result); err != nil {
+				return &jo, false
+			}
 		}
 		if err := co.results.Put(o.Fingerprint, label, res); err != nil {
 			return &jo, false
@@ -439,10 +452,18 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 				return fmt.Errorf("completion for job %d is labelled %q, catalog names it %q", idx, label, co.catalog[idx])
 			}
 			if !rec.ResultRef {
-				var err error
-				if res, err = co.decodeOutcomeLocked(idx, o); err != nil {
-					return fmt.Errorf("completion for job %d: %w", idx, err)
+				dec := rec.decoded
+				if dec == nil {
+					d := decodeOutcome(o)
+					dec = &d
 				}
+				if dec.err != nil {
+					return fmt.Errorf("completion for job %d: %w", idx, dec.err)
+				}
+				if dec.undecodable != nil {
+					co.logf("coord: outcome for job %d (%s): result undecodable: %v", idx, co.catalog[idx], dec.undecodable)
+				}
+				res = dec.res
 			}
 		} else if !rec.Duplicate {
 			return fmt.Errorf("completion for job %d has no outcome", idx)
@@ -508,31 +529,41 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 	return nil
 }
 
-// decodeOutcomeLocked checks an outcome as every completion is checked
-// and decodes its result, once for the whole completion. A missing
-// name, or a successful job whose result is missing or not JSON,
-// refuses the completion. A successful job's result that is JSON but
-// not a canonical campaign encoding is logged and comes back nil: the
-// outcome is still recorded, counts no runs and adds no findings, and
-// the merge fails loudly on it with the job named. Callers hold co.mu.
-func (co *Coordinator) decodeOutcomeLocked(idx int, o *Outcome) (*inject.Result, error) {
+// outcomeDecode is an outcome checked as every completion is checked,
+// with its result decoded, once for the whole completion.
+type outcomeDecode struct {
+	res *inject.Result
+	// err refuses the completion: a missing name, or a successful job
+	// whose result is missing or not JSON.
+	err error
+	// undecodable is why a successful job's result that is JSON, but
+	// not a canonical campaign encoding, did not decode. The outcome is
+	// still recorded (and the reason logged): it counts no runs and
+	// adds no findings, and the merge fails loudly on it with the job
+	// named.
+	undecodable error
+}
+
+// decodeOutcome checks and decodes o. It reads nothing of the
+// coordinator, so a live completion runs it before taking co.mu.
+func decodeOutcome(o *Outcome) outcomeDecode {
 	if o.Name == "" {
-		return nil, errors.New("outcome has no job name")
+		return outcomeDecode{err: errors.New("outcome has no job name")}
 	}
 	if len(o.Result) == 0 {
 		if o.Err == "" {
-			return nil, errors.New("outcome has neither a result nor an error")
+			return outcomeDecode{err: errors.New("outcome has neither a result nor an error")}
 		}
-		return nil, nil
+		return outcomeDecode{}
 	}
 	res, err := store.DecodeResult(o.Result)
 	if err != nil && o.Err == "" {
 		if !json.Valid(o.Result) {
-			return nil, errors.New("outcome result is not valid JSON")
+			return outcomeDecode{err: errors.New("outcome result is not valid JSON")}
 		}
-		co.logf("coord: outcome for job %d (%s): result undecodable: %v", idx, co.catalog[idx], err)
+		return outcomeDecode{undecodable: err}
 	}
-	return res, nil
+	return outcomeDecode{res: res}
 }
 
 // Restore rebuilds a coordinator from its journal. With no records it
@@ -650,7 +681,7 @@ func (co *Coordinator) snapshotLocked() []*JournalRecord {
 	}
 	for _, i := range co.doneOrder {
 		j := &co.jobs[i]
-		jo, ref := co.journalOutcomeLocked(j.outcome, co.catalog[i])
+		jo, ref := co.journalOutcomeLocked(j.outcome, co.catalog[i], nil)
 		recs = append(recs, &JournalRecord{
 			Op: opComplete, AtMillis: j.doneAt.UnixMilli(), Worker: j.doneBy, Index: i,
 			Outcome: jo, ResultRef: ref,

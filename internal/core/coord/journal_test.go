@@ -12,7 +12,7 @@ import (
 	"repro/internal/core/inject"
 )
 
-// memCache is an in-memory sched.Cache for journal tests: enough of a
+// memCache is an in-memory coord.ResultStore for journal tests: enough of a
 // result store for ref-elided outcomes to round-trip.
 type memCache struct {
 	mu sync.Mutex
@@ -26,6 +26,11 @@ func (c *memCache) Get(fp string) (*inject.Result, bool) {
 	defer c.mu.Unlock()
 	r, ok := c.m[fp]
 	return r, ok
+}
+
+func (c *memCache) Has(fp string) bool {
+	_, ok := c.Get(fp)
+	return ok
 }
 
 func (c *memCache) Put(fp, label string, res *inject.Result) error {

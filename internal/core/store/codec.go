@@ -146,7 +146,7 @@ func appendEntry(dst []byte, fp, label string, r *inject.Result) []byte {
 }
 
 // appendCampaign appends r as a wireCampaign. The clean trace is never
-// null: toWire always allocates it.
+// null: the reference's toWire always allocates it.
 func appendCampaign(dst []byte, r *inject.Result) []byte {
 	dst = append(dst, `{"campaign":`...)
 	dst = jsonstr.Append(dst, r.Campaign)

@@ -270,14 +270,44 @@ func Dial(rawURL string, opts ...DialOption) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	c := &Client{
-		base: base,
-		hc:   &http.Client{Timeout: 60 * time.Second},
-	}
+	c := &Client{base: base, hc: NewHTTPClient()}
 	for _, o := range opts {
 		o(c)
 	}
 	return c, nil
+}
+
+// maxIdlePerHost is the idle-connection pool of each client's
+// transport. It covers a client's requests in flight at once: a -j
+// worker pool's cache calls, or a coordinator client's claim, upload
+// and heartbeat. net/http's default of two would close every
+// connection a burst opened beyond the second, and the next burst
+// would dial them again.
+const maxIdlePerHost = 64
+
+// NewHTTPClient returns the HTTP client the repo's clients talk to one
+// server with (the cache transport here, the coordinator client in
+// internal/core/coord): a 60 s timeout and a transport of its own,
+// cloned from http.DefaultTransport, whose idle pool keeps one
+// connection per request in flight.
+func NewHTTPClient() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0
+	tr.MaxIdleConnsPerHost = maxIdlePerHost
+	return &http.Client{Timeout: 60 * time.Second, Transport: tr}
+}
+
+// maxDrain bounds how much of a response body CloseBody reads.
+const maxDrain = 64 << 10
+
+// CloseBody reads what is left of a response body, up to maxDrain
+// bytes, and closes it. net/http reuses a keep-alive connection only
+// once its response body was read to the end; one closed unread (the
+// server's 404 text on a cache miss, say) is torn down, and the next
+// request dials a new one.
+func CloseBody(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	body.Close()
 }
 
 // PutStats reports how many cache-entry uploads this client attempted
@@ -306,7 +336,7 @@ func (c *Client) Get(fp string) (*inject.Result, bool) {
 	if err != nil {
 		return nil, false
 	}
-	defer resp.Body.Close()
+	defer CloseBody(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
@@ -349,7 +379,7 @@ func (c *Client) put(path string, body []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer resp.Body.Close()
+	defer CloseBody(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("store: PUT %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"repro/internal/core/inject"
+	"repro/internal/core/sched"
 )
 
 // The reference codec: the encoding/json path codec.go replaced. The
@@ -59,4 +60,67 @@ func referenceDecodeResult(b []byte) (*inject.Result, error) {
 		return nil, err
 	}
 	return fromWire(&w), nil
+}
+
+// toWire converts a result to its wire form.
+func toWire(r *inject.Result) *wireCampaign {
+	w := &wireCampaign{
+		Campaign:       r.Campaign,
+		CleanTrace:     make([]wireEvent, len(r.CleanTrace)),
+		TotalSites:     r.TotalSites,
+		PerturbedSites: r.PerturbedSites,
+		Injections:     r.Injections,
+	}
+	for i := range r.CleanTrace {
+		ev := &r.CleanTrace[i]
+		we := wireEvent{
+			Call: ev.Call,
+			Result: wireCallResult{
+				Data: ev.Result.Data,
+				Str:  ev.Result.Str,
+				N:    ev.Result.N,
+				Flag: ev.Result.Flag,
+			},
+			ResolvedPath: ev.ResolvedPath,
+			Mutated:      ev.Mutated,
+		}
+		if ev.Result.Err != nil {
+			we.Result.Err = ev.Result.Err.Error()
+		}
+		w.CleanTrace[i] = we
+	}
+	return w
+}
+
+// referenceEncodeShard is the artifact WriteShard wrote before
+// encodeShard: json.Marshal over a shardFile.
+func referenceEncodeShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) ([]byte, error) {
+	f := &shardFile{
+		Store:     FormatVersion,
+		Engine:    inject.EngineVersion,
+		Shard:     sp.K,
+		Of:        sp.N,
+		TotalJobs: len(catalog),
+		Catalog:   catalog,
+		Jobs:      make([]shardJob, len(indices)),
+	}
+	for i, c := range sr.Campaigns {
+		j := shardJob{
+			Index:             indices[i],
+			Name:              c.Job.Name,
+			Variant:           c.Job.Variant,
+			Fingerprint:       c.Fingerprint,
+			SourceFingerprint: c.SourceFingerprint,
+			Cached:            c.Cached,
+			CachedSource:      c.CachedSource,
+		}
+		if c.Err != nil {
+			j.Err = c.Err.Error()
+		}
+		if c.Result != nil {
+			j.Result = toWire(c.Result)
+		}
+		f.Jobs[i] = j
+	}
+	return json.Marshal(f)
 }

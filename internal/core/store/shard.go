@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"repro/internal/core/atomicfile"
 	"repro/internal/core/inject"
+	"repro/internal/core/jsonstr"
 	"repro/internal/core/sched"
 )
 
@@ -73,38 +75,82 @@ func (s *Store) WriteShard(sp sched.ShardSpec, catalog []string, indices []int, 
 	if len(indices) != len(sr.Campaigns) {
 		return fmt.Errorf("store: shard %s: %d indices for %d campaigns", sp, len(indices), len(sr.Campaigns))
 	}
-	f := &shardFile{
-		Store:     FormatVersion,
-		Engine:    inject.EngineVersion,
-		Shard:     sp.K,
-		Of:        sp.N,
-		TotalJobs: len(catalog),
-		Catalog:   catalog,
-		Jobs:      make([]shardJob, len(indices)),
+	return writeAtomic(s.shardPath(sp), encodeShard(sp, catalog, indices, sr))
+}
+
+// encodeShard writes the shard artifact without reflection: exactly
+// the bytes json.Marshal writes for the shardFile holding sr's
+// campaigns at their global indices (reference_test.go keeps that
+// reference), each result written by appendCampaign. A matrix artifact
+// runs to megabytes, and append would grow it a quarter at a time,
+// copying it each time; so each job is encoded on its own first, and
+// the artifact is assembled in one buffer of its final size.
+func encodeShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) []byte {
+	head := getBuf()
+	defer putBuf(head)
+	h := append(*head, `{"store":`...)
+	h = jsonstr.Append(h, FormatVersion)
+	h = append(h, `,"engine":`...)
+	h = jsonstr.Append(h, inject.EngineVersion)
+	h = append(h, `,"shard":`...)
+	h = strconv.AppendInt(h, int64(sp.K), 10)
+	h = append(h, `,"of":`...)
+	h = strconv.AppendInt(h, int64(sp.N), 10)
+	h = append(h, `,"total_jobs":`...)
+	h = strconv.AppendInt(h, int64(len(catalog)), 10)
+	h = append(h, `,"catalog":`...)
+	h = appendStrings(h, catalog)
+	h = append(h, `,"jobs":[`...)
+	*head = h
+
+	jobs := make([][]byte, len(sr.Campaigns))
+	n := len(h) + len(jobs) + len("]}")
+	for i := range sr.Campaigns {
+		jobs[i] = encode(func(dst []byte) []byte { return appendShardJob(dst, indices[i], &sr.Campaigns[i]) })
+		n += len(jobs[i])
 	}
-	for i, c := range sr.Campaigns {
-		j := shardJob{
-			Index:             indices[i],
-			Name:              c.Job.Name,
-			Variant:           c.Job.Variant,
-			Fingerprint:       c.Fingerprint,
-			SourceFingerprint: c.SourceFingerprint,
-			Cached:            c.Cached,
-			CachedSource:      c.CachedSource,
+	dst := append(make([]byte, 0, n), h...)
+	for i, j := range jobs {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		if c.Err != nil {
-			j.Err = c.Err.Error()
-		}
-		if c.Result != nil {
-			j.Result = toWire(c.Result)
-		}
-		f.Jobs[i] = j
+		dst = append(dst, j...)
 	}
-	b, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("store: encode shard %s: %w", sp, err)
+	return append(dst, "]}"...)
+}
+
+// appendShardJob appends one campaign as a shardJob.
+func appendShardJob(dst []byte, index int, c *sched.CampaignResult) []byte {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(index), 10)
+	dst = append(dst, `,"name":`...)
+	dst = jsonstr.Append(dst, c.Job.Name)
+	dst = appendOmitEmpty(dst, `,"variant":`, c.Job.Variant)
+	dst = appendOmitEmpty(dst, `,"fingerprint":`, c.Fingerprint)
+	dst = appendOmitEmpty(dst, `,"source_fingerprint":`, c.SourceFingerprint)
+	if c.Cached {
+		dst = append(dst, `,"cached":true`...)
 	}
-	return writeAtomic(s.shardPath(sp), b)
+	if c.CachedSource {
+		dst = append(dst, `,"cached_source":true`...)
+	}
+	if c.Err != nil {
+		dst = appendOmitEmpty(dst, `,"err":`, c.Err.Error())
+	}
+	if c.Result != nil {
+		dst = append(dst, `,"result":`...)
+		dst = appendCampaign(dst, c.Result)
+	}
+	return append(dst, '}')
+}
+
+// appendOmitEmpty appends an omitempty string member, key included,
+// unless s is empty.
+func appendOmitEmpty(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return jsonstr.Append(append(dst, key...), s)
 }
 
 // MergeShards reads every shard artifact in the store and recombines

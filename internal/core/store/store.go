@@ -144,6 +144,16 @@ func (s *Store) Get(fp string) (*inject.Result, bool) {
 	return nil, false
 }
 
+// Has reports whether the store indexes a record under the
+// fingerprint, without reading it. A record that is there but damaged
+// still counts: Has is the cheap existence check for a writer deciding
+// whether to Put, and Get remains the only judge of whether the entry
+// replays.
+func (s *Store) Has(fp string) bool {
+	_, ok := s.newest(fp)
+	return ok
+}
+
 // newest returns the location of fp's newest record. A fingerprint
 // the index lacks triggers a re-scan first, so entries other handles
 // have written since are found.

@@ -17,8 +17,9 @@ const FormatVersion = "eptest-store/1"
 // type is the trace events' error field, which travels as its message.
 //
 // Its encoding/json form is the canonical encoding codec.go writes and
-// reads by hand. Shard artifacts still embed it through encoding/json,
-// which is why it, toWire and fromWire remain.
+// reads by hand. MergeShards still reads shard artifacts through
+// encoding/json, which is why it and fromWire remain; toWire lives on
+// in reference_test.go, for the encoding/json reference.
 type wireCampaign struct {
 	Campaign       string      `json:"campaign"`
 	CleanTrace     []wireEvent `json:"clean_trace"`
@@ -45,36 +46,6 @@ type wireCallResult struct {
 	N    int    `json:"n,omitempty"`
 	Flag bool   `json:"flag,omitempty"`
 	Err  string `json:"err,omitempty"`
-}
-
-// toWire converts a result to its wire form.
-func toWire(r *inject.Result) *wireCampaign {
-	w := &wireCampaign{
-		Campaign:       r.Campaign,
-		CleanTrace:     make([]wireEvent, len(r.CleanTrace)),
-		TotalSites:     r.TotalSites,
-		PerturbedSites: r.PerturbedSites,
-		Injections:     r.Injections,
-	}
-	for i := range r.CleanTrace {
-		ev := &r.CleanTrace[i]
-		we := wireEvent{
-			Call: ev.Call,
-			Result: wireCallResult{
-				Data: ev.Result.Data,
-				Str:  ev.Result.Str,
-				N:    ev.Result.N,
-				Flag: ev.Result.Flag,
-			},
-			ResolvedPath: ev.ResolvedPath,
-			Mutated:      ev.Mutated,
-		}
-		if ev.Result.Err != nil {
-			we.Result.Err = ev.Result.Err.Error()
-		}
-		w.CleanTrace[i] = we
-	}
-	return w
 }
 
 // fromWire converts a wire campaign back to a result.
