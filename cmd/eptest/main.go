@@ -302,14 +302,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runCampaign dispatches one campaign to the sequential engine or, for
-// -j other than 1, the worker-pool scheduler. Both produce identical
-// results; the split keeps -j 1 on the engine the paper describes.
+// runCampaign runs one campaign on the sequential engine or, for -j
+// other than 1, as a one-job suite on the work-stealing dispatcher.
+// Both produce identical results; the split keeps -j 1 on the engine
+// the paper describes.
 func runCampaign(c inject.Campaign, workers int) (*inject.Result, error) {
 	if workers == 1 {
 		return inject.Run(c)
 	}
-	return sched.RunCampaign(c, sched.Config{Workers: workers})
+	job := sched.Job{Name: c.Name, Build: func() inject.Campaign { return c }}
+	cr := sched.RunSuite([]sched.Job{job}, sched.SuiteOptions{Workers: workers}).Campaigns[0]
+	return cr.Result, cr.Err
 }
 
 // suiteCache opens the result cache the flags select: the local

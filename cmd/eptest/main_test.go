@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/apps"
 )
 
 func TestList(t *testing.T) {
@@ -80,17 +83,30 @@ func TestFixedCampaignExitsZero(t *testing.T) {
 	}
 }
 
+// TestParallelCampaignOutputMatchesSequential runs every catalog
+// campaign, in both variants, on the sequential engine (-j 1) and as a
+// one-job suite (-j 8): the output and the exit code must match.
 func TestParallelCampaignOutputMatchesSequential(t *testing.T) {
 	t.Parallel()
-	var seq, par, errb bytes.Buffer
-	if code := run([]string{"-campaign", "turnin", "-per-point", "-v"}, &seq, &errb); code != 1 {
-		t.Fatalf("sequential exit = %d, stderr = %s", code, errb.String())
-	}
-	if code := run([]string{"-campaign", "turnin", "-per-point", "-v", "-j", "8"}, &par, &errb); code != 1 {
-		t.Fatalf("parallel exit = %d, stderr = %s", code, errb.String())
-	}
-	if seq.String() != par.String() {
-		t.Errorf("-j 8 output differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s", seq.String(), par.String())
+	for _, spec := range apps.Catalog() {
+		for _, variant := range []string{"vulnerable", "fixed"} {
+			args := []string{"-campaign", spec.Name, "-per-point", "-v"}
+			if variant == "fixed" {
+				args = append(args, "-fixed")
+			}
+			t.Run(spec.Name+"/"+variant, func(t *testing.T) {
+				t.Parallel()
+				var seq, par, errb bytes.Buffer
+				seqCode := run(args, &seq, &errb)
+				parCode := run(slices.Concat(args, []string{"-j", "8"}), &par, &errb)
+				if seqCode != parCode || seqCode > 1 {
+					t.Fatalf("exit = %d sequential, %d parallel; stderr = %s", seqCode, parCode, errb.String())
+				}
+				if seq.String() != par.String() {
+					t.Errorf("-j 8 output differs from sequential:\n--- seq ---\n%s\n--- par ---\n%s", seq.String(), par.String())
+				}
+			})
+		}
 	}
 }
 

@@ -143,13 +143,3 @@ func sourced(spec Spec, variant string, build func() inject.Campaign) func() inj
 		return c
 	}
 }
-
-// Names returns the registered campaign names.
-func Names() []string {
-	specs := Catalog()
-	names := make([]string, 0, len(specs))
-	for _, s := range specs {
-		names = append(names, s.Name)
-	}
-	return names
-}

@@ -24,10 +24,9 @@ func TestCatalogComplete(t *testing.T) {
 		seen[s.Name] = true
 	}
 	// Sorted.
-	names := Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("names not sorted: %v", names)
+	for i := 1; i < len(specs); i++ {
+		if specs[i-1].Name >= specs[i].Name {
+			t.Errorf("catalog not sorted: %s before %s", specs[i-1].Name, specs[i].Name)
 		}
 	}
 }

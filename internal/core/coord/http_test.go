@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core/coord"
+	"repro/internal/core/inject"
 	"repro/internal/core/sched"
 	"repro/internal/core/store"
 )
@@ -73,7 +74,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 
 	// Run the real campaign so the outcome round-trips a real result.
-	res, err := sched.RunCampaign(jobs[idx].Build(), sched.Config{Workers: 2})
+	res, err := inject.Run(jobs[idx].Build())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"unicode/utf8"
 
 	"repro/internal/core/inject"
 	"repro/internal/core/jsonstr"
@@ -314,20 +313,52 @@ func DecodeComplete(b []byte) (*CompleteRequest, error) {
 }
 
 // decodeComplete is DecodeComplete, also returning the outcome's
-// result decoded when the body is in the form appendComplete writes.
-// That form is read by hand (scanComplete): the envelope member by
-// member and the result with store.DecodeResult, the one decode the
-// completion needs, so encoding/json never runs over the result. Any
-// other body goes to json.Unmarshal, as every body did before, and
-// comes back without a decoded result. Either way the request is what
-// json.Unmarshal makes of b.
+// result decoded. The body must be in the canonical form
+// appendComplete writes, the bytes json.Marshal writes for the
+// request, and anything else is an error. It is read by hand, with
+// jsonstr's cursor: the envelope member by member, and the result with
+// store.DecodeResult, the one decode the completion needs. Whatever it
+// accepts, json.Unmarshal accepts too and decodes to the same request.
+// The request's strings and result are copies, so it holds no
+// reference to b.
 func decodeComplete(b []byte) (*CompleteRequest, *inject.Result, error) {
-	r, res, ok := scanComplete(b)
-	if !ok {
-		r = new(CompleteRequest)
-		if err := json.Unmarshal(b, r); err != nil {
-			return nil, nil, err
+	d := jsonstr.NewDecoder(b)
+	r := &CompleteRequest{}
+	o := &r.Outcome
+	d.Expect(`{"proto":`)
+	r.Proto = d.Str()
+	d.Expect(`,"worker_id":`)
+	r.WorkerID = d.Str()
+	d.Expect(`,"index":`)
+	r.Index = d.Int()
+	d.Expect(`,"outcome":{"name":`)
+	o.Name = d.Str()
+	o.Variant = d.OmitEmpty(`,"variant":`)
+	o.Fingerprint = d.OmitEmpty(`,"fingerprint":`)
+	o.SourceFingerprint = d.OmitEmpty(`,"source_fingerprint":`)
+	o.Cached = d.Peek(`,"cached":true`)
+	o.CachedSource = d.Peek(`,"cached_source":true`)
+	o.Err = d.OmitEmpty(`,"err":`)
+	var res *inject.Result
+	if d.Peek(`,"result":`) {
+		// The result runs to the two closing braces that end the body.
+		raw := d.Rest()
+		if len(raw) < len("}}") {
+			return nil, nil, errors.New("coord: completion body ends inside its result")
 		}
+		raw = raw[:len(raw)-len("}}")]
+		var err error
+		if res, err = store.DecodeResult(raw); err != nil {
+			return nil, nil, fmt.Errorf("coord: completion result: %w", err)
+		}
+		o.Result = make(json.RawMessage, len(raw))
+		copy(o.Result, raw)
+		d.Skip(len(raw))
+	}
+	d.Expect("}}")
+	d.End()
+	if err := d.Err(); err != nil {
+		return nil, nil, fmt.Errorf("coord: completion: %w", err)
 	}
 	if r.Proto != ProtocolVersion {
 		return nil, nil, fmt.Errorf("coord: request speaks %q, server speaks %q", r.Proto, ProtocolVersion)
@@ -382,144 +413,4 @@ func appendComplete(dst []byte, r *CompleteRequest) []byte {
 		dst = append(append(dst, `,"result":`...), o.Result...)
 	}
 	return append(dst, "}}"...)
-}
-
-// scanComplete reads a complete request in the form appendComplete
-// writes, and reports false for anything else. It is stricter than
-// that form where strictness is cheap: a string must need no escape,
-// and a result must be the canonical campaign encoding, which it
-// decodes. Whatever it accepts, json.Unmarshal accepts and decodes to
-// the same request. The request's strings and result are copies, so it
-// holds no reference to b.
-func scanComplete(b []byte) (*CompleteRequest, *inject.Result, bool) {
-	s := wireScanner{b: b, ok: true}
-	r := &CompleteRequest{}
-	o := &r.Outcome
-	s.lit(`{"proto":`)
-	r.Proto = s.str()
-	s.lit(`,"worker_id":`)
-	r.WorkerID = s.str()
-	s.lit(`,"index":`)
-	r.Index = s.int()
-	s.lit(`,"outcome":{"name":`)
-	o.Name = s.str()
-	if s.peek(`,"variant":`) {
-		o.Variant = s.str()
-	}
-	if s.peek(`,"fingerprint":`) {
-		o.Fingerprint = s.str()
-	}
-	if s.peek(`,"source_fingerprint":`) {
-		o.SourceFingerprint = s.str()
-	}
-	o.Cached = s.peek(`,"cached":true`)
-	o.CachedSource = s.peek(`,"cached_source":true`)
-	if s.peek(`,"err":`) {
-		o.Err = s.str()
-	}
-	var res *inject.Result
-	if s.peek(`,"result":`) {
-		// The result runs to the two closing braces that end the body.
-		end := len(b) - len("}}")
-		if end <= s.i {
-			return nil, nil, false
-		}
-		raw := b[s.i:end]
-		var err error
-		if res, err = store.DecodeResult(raw); err != nil {
-			return nil, nil, false
-		}
-		o.Result = make(json.RawMessage, len(raw))
-		copy(o.Result, raw)
-		s.i = end
-	}
-	s.lit("}}")
-	if !s.ok || s.i != len(b) {
-		return nil, nil, false
-	}
-	return r, res, true
-}
-
-// wireScanner is scanComplete's cursor. The first mismatch clears ok,
-// and every later read returns a zero value and consumes nothing.
-type wireScanner struct {
-	b  []byte
-	i  int
-	ok bool
-}
-
-// peek consumes lit if the input continues with it.
-func (s *wireScanner) peek(lit string) bool {
-	if !s.ok || len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
-		return false
-	}
-	s.i += len(lit)
-	return true
-}
-
-// lit consumes lit, which the input must continue with.
-func (s *wireScanner) lit(lit string) {
-	if !s.peek(lit) {
-		s.ok = false
-	}
-}
-
-// str reads a string json.Marshal writes without escapes: printable
-// ASCII other than the quote, the backslash, <, > and &, and valid
-// UTF-8 other than U+2028 and U+2029. On those bytes json.Unmarshal
-// returns the string as it is spelled.
-func (s *wireScanner) str() string {
-	if !s.peek(`"`) {
-		s.ok = false
-		return ""
-	}
-	b, i := s.b, s.i
-	for i < len(b) && b[i] != '"' {
-		if jsonstr.Plain(b[i]) {
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRune(b[i:])
-		if r < utf8.RuneSelf || (r == utf8.RuneError && size == 1) || r == jsonstr.LineSep || r == jsonstr.ParaSep {
-			s.ok = false
-			return ""
-		}
-		i += size
-	}
-	if i == len(b) {
-		s.ok = false
-		return ""
-	}
-	str := string(b[s.i:i])
-	s.i = i + 1
-	return str
-}
-
-// int reads an integer as json.Marshal writes one, of at most nine
-// digits, so it fits an int on every platform; a catalog index has
-// seven at most.
-func (s *wireScanner) int() int {
-	if !s.ok {
-		return 0
-	}
-	neg := s.peek("-")
-	b, start, i := s.b, s.i, s.i
-	v := 0
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		v = v*10 + int(b[i]-'0')
-		i++
-		if i-start > 9 {
-			s.ok = false
-			return 0
-		}
-	}
-	if i == start || (b[start] == '0' && (i > start+1 || neg)) {
-		s.ok = false
-		return 0
-	}
-	s.i = i
-	if neg {
-		return -v
-	}
-	return v
 }

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,7 +22,8 @@ import (
 // replaced: json.Marshal for the worker's request, and json.Unmarshal
 // followed by DecodeComplete's checks for the server's decode.
 
-// referenceDecodeComplete is DecodeComplete before scanComplete.
+// referenceDecodeComplete is DecodeComplete as it was on
+// encoding/json.
 func referenceDecodeComplete(b []byte) (*CompleteRequest, error) {
 	var r CompleteRequest
 	if err := json.Unmarshal(b, &r); err != nil {
@@ -104,35 +108,45 @@ func checkEncode(t *testing.T, r *CompleteRequest) []byte {
 	return want
 }
 
-// checkDecode holds decodeComplete to the reference on b: the same
-// request, or an error for both; and a result decoded on the way in
-// must be the request's result.
+// checkDecode holds decodeComplete to the reference on b. Whatever it
+// accepts, the reference accepts too and decodes to the same request,
+// and the result it decoded on the way in is the request's result.
+// Whatever the reference accepts and appendComplete writes back as b,
+// with a result store.DecodeResult reads or none, is canonical, and
+// it accepts.
 func checkDecode(t *testing.T, b []byte) (*CompleteRequest, *inject.Result) {
 	t.Helper()
 	want, werr := referenceDecodeComplete(b)
 	got, res, err := decodeComplete(b)
-	if (err != nil) != (werr != nil) {
-		t.Fatalf("decodeComplete(%q) error %v, reference %v", b, err, werr)
-	}
 	if err != nil {
+		if werr == nil && bytes.Equal(appendComplete(nil, want), b) {
+			if _, rerr := store.DecodeResult(want.Outcome.Result); len(want.Outcome.Result) == 0 || rerr == nil {
+				t.Fatalf("decodeComplete(%q) rejects a canonical body: %v", b, err)
+			}
+		}
 		return nil, nil
+	}
+	if werr != nil {
+		t.Fatalf("decodeComplete(%q) accepts what the reference rejects: %v", b, werr)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decodeComplete(%q) = %+v, reference %+v", b, got, want)
 	}
-	if res != nil {
+	if len(got.Outcome.Result) > 0 {
 		ref, err := store.DecodeResult(got.Outcome.Result)
 		if err != nil || !reflect.DeepEqual(res, ref) {
 			t.Fatalf("decodeComplete(%q) decoded a result DecodeResult does not (%v)", b, err)
 		}
+	} else if res != nil {
+		t.Fatalf("decodeComplete(%q) decoded a result the body does not hold", b)
 	}
 	return got, res
 }
 
 // TestCompleteCodecMatchesReference runs every edge request and every
 // lpr completion through both codecs and their references, and pins
-// that a worker's completion takes the hand-written path: its result is
-// decoded once on the way in, and kept as a copy of exactly its size.
+// that a worker's completion is read: its result is decoded once on
+// the way in, and kept as a copy of exactly its size.
 func TestCompleteCodecMatchesReference(t *testing.T) {
 	t.Parallel()
 	for _, r := range edgeRequests(t) {
@@ -144,7 +158,7 @@ func TestCompleteCodecMatchesReference(t *testing.T) {
 		b := appendComplete(nil, &r)
 		got, res := checkDecode(t, b)
 		if res == nil {
-			t.Fatalf("%s/%s: a worker's completion fell back to encoding/json", o.Name, o.Variant)
+			t.Fatalf("%s/%s: a worker's completion was not decoded", o.Name, o.Variant)
 		}
 		if cap(got.Outcome.Result) != len(got.Outcome.Result) {
 			t.Errorf("%s/%s: result kept in a %d-byte buffer for %d bytes", o.Name, o.Variant, cap(got.Outcome.Result), len(got.Outcome.Result))
@@ -158,12 +172,30 @@ func TestCompleteCodecMatchesReference(t *testing.T) {
 	}
 }
 
-// TestScanCompleteFallsBack pins that bodies outside appendComplete's
-// form still decode exactly as json.Unmarshal decodes them, through the
-// fallback, and that scanComplete turns them down rather than misread
-// them.
-func TestScanCompleteFallsBack(t *testing.T) {
+// TestDecodeCompleteRejectsNonCanonical pins that the completion
+// endpoint reads exactly appendComplete's form: each body below is one
+// json.Unmarshal reads but appendComplete never writes, and
+// decodeComplete rejects it, and the live endpoint answers it with 400.
+// The canonical body they are variations of passes the decoder and is
+// turned down by the queue instead (409: the worker is unknown).
+func TestDecodeCompleteRejectsNonCanonical(t *testing.T) {
 	t.Parallel()
+	srv := httptest.NewServer(NewServer(New([]string{"a"}, Options{})))
+	defer srv.Close()
+	post := func(b string) int {
+		resp, err := http.Post(srv.URL+completePath, "application/json", strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.CloseBody(resp.Body)
+		return resp.StatusCode
+	}
+	canonical := `{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}}`
+	checkDecode(t, []byte(canonical))
+	if code := post(canonical); code != http.StatusConflict {
+		t.Fatalf("canonical body: status %d, want %d", code, http.StatusConflict)
+	}
+
 	res := string(catalogOutcomes()[0].Result)
 	for _, b := range []string{
 		` {"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}}`,
@@ -174,7 +206,7 @@ func TestScanCompleteFallsBack(t *testing.T) {
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":-0,"outcome":{"name":"a","err":"x"}}`,
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":1e0,"outcome":{"name":"a","err":"x"}}`,
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":1.0,"outcome":{"name":"a","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":9999999999,"outcome":{"name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/2","worker_id":"w1","index":99999999999999999999,"outcome":{"name":"a","err":"x"}}`,
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","cached":false,"err":"x"}}`,
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","variant":"v","variant":"w","err":"x"}}`,
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":null}}`,
@@ -185,23 +217,25 @@ func TestScanCompleteFallsBack(t *testing.T) {
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res + `,"err":"x"}}`,
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res[:len(res)-1] + `}}`,
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a<"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a` + " " + `"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a` + "\xff" + `"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a` + "\x01" + `"}}`,
+		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a<","err":"x"}}`,
+		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a` + "\u2028" + `","err":"x"}}`,
+		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a\u0020","err":"x"}}`,
+		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a` + "\xff" + `","err":"x"}}`,
+		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a\ufffd","err":"x"}}`,
+		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a` + "\x01" + `","err":"x"}}`,
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a"}`,
+		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}`,
 		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"Name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","variant":"","err":"x"}}`,
 	} {
-		if _, _, ok := scanComplete([]byte(b)); ok {
-			t.Errorf("scanComplete accepted %q", b)
+		if _, _, err := decodeComplete([]byte(b)); err == nil {
+			t.Errorf("decodeComplete accepted %q", b)
 		}
 		checkDecode(t, []byte(b))
+		if code := post(b); code != http.StatusBadRequest {
+			t.Errorf("POST %q: status %d, want %d", b, code, http.StatusBadRequest)
+		}
 	}
-	// An empty omitempty member is not appendComplete's form either,
-	// but scanComplete may read it: json.Unmarshal makes the same
-	// request of it.
-	checkDecode(t, []byte(`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","variant":"","err":"x"}}`))
 }
 
 // FuzzEncodeComplete holds appendComplete to json.Marshal on fuzzed
@@ -221,8 +255,9 @@ func FuzzEncodeComplete(f *testing.F) {
 }
 
 // FuzzDecodeComplete holds decodeComplete to the reference on
-// arbitrary bytes: whatever either accepts, both accept, and they
-// return the same request.
+// arbitrary bytes: whatever it accepts, the reference accepts and
+// decodes to the same request, and whatever the reference accepts in
+// canonical form, it accepts.
 func FuzzDecodeComplete(f *testing.F) {
 	for _, r := range edgeRequests(f) {
 		b, err := json.Marshal(&r)

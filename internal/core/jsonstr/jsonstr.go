@@ -1,17 +1,19 @@
 // Package jsonstr writes JSON strings exactly as encoding/json's
 // Marshal writes them, for the hand-written encoders of the store's
-// cache entries and the findings export: the quote, the backslash,
-// control characters, <, > and &, U+2028 and U+2029 are escaped, and
-// each byte of invalid UTF-8 becomes \ufffd.
+// cache entries and shard artifacts, the coordinator's completions and
+// the findings export: the quote, the backslash, control characters,
+// <, > and &, U+2028 and U+2029 are escaped, and each byte of invalid
+// UTF-8 becomes \ufffd. Its Decoder reads those encoders' bytes back
+// and nothing else.
 package jsonstr
 
 import "unicode/utf8"
 
-// LineSep and ParaSep, U+2028 and U+2029, are valid raw in JSON but
+// lineSep and paraSep, U+2028 and U+2029, are valid raw in JSON but
 // not in JavaScript, so encoding/json escapes them.
 const (
-	LineSep = 0x2028
-	ParaSep = 0x2029
+	lineSep = 0x2028
+	paraSep = 0x2029
 )
 
 // ascii holds the escaped form of each ASCII byte that needs one, and
@@ -41,9 +43,6 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// Plain reports whether Append writes the byte c as itself.
-func Plain(c byte) bool { return plain[c] }
-
 // escape returns the escaped form of the character that starts s, or
 // "" when Append writes it as itself, and its size in s. It is the one
 // statement of the escaping rules: Append and Len both read it.
@@ -55,9 +54,9 @@ func escape(s string) (string, int) {
 	switch {
 	case r == utf8.RuneError && size == 1:
 		return `\ufffd`, 1
-	case r == LineSep:
+	case r == lineSep:
 		return `\u2028`, size
-	case r == ParaSep:
+	case r == paraSep:
 		return `\u2029`, size
 	}
 	return "", size

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"unicode/utf8"
 )
 
-// TestAppendMatchesMarshal holds Append to json.Marshal and Len to
-// Append's output, on every byte alone and on the strings Marshal
-// escapes specially. The encoders that use the package fuzz it on
-// whole documents.
+// TestAppendMatchesMarshal holds Append to json.Marshal, Len to
+// Append's output and Decoder.Str to Append's inverse, on every byte
+// alone and on the strings Marshal escapes specially: Str reads back
+// every valid UTF-8 string and rejects the \ufffd that stands for
+// invalid UTF-8. The encoders and decoders that use the package fuzz
+// it on whole documents.
 func TestAppendMatchesMarshal(t *testing.T) {
 	cases := []string{"", "plain", `"\`, "<a>&b", "\u2028\u2029", "\xff\xe2\x80", "\u00e9\U0001f600", "\b\f\n\r\t\x00\x1f\x7f"}
 	for c := 0; c < 256; c++ {
@@ -26,6 +29,14 @@ func TestAppendMatchesMarshal(t *testing.T) {
 		}
 		if Len(s) != len(want) {
 			t.Errorf("Len(%q) = %d, want %d", s, Len(s), len(want))
+		}
+		d := NewDecoder(want)
+		back := d.Str()
+		d.End()
+		if utf8.ValidString(s) && (d.Err() != nil || back != s) {
+			t.Errorf("Str(%s) = %q, %v; want %q", want, back, d.Err(), s)
+		} else if !utf8.ValidString(s) && d.Err() == nil {
+			t.Errorf("Str(%s) accepted the escape of invalid UTF-8", want)
 		}
 	}
 }

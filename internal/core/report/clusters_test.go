@@ -12,6 +12,34 @@ import (
 	"repro/internal/interpose"
 )
 
+// suiteResults are two campaign results: alpha tolerates both its
+// injections at both its sites; beta violates once and perturbs one
+// of its four sites.
+func suiteResults() []*inject.Result {
+	mkInj := func(tolerate bool) inject.Injection {
+		in := inject.Injection{Point: "s#0", Site: "s", FaultID: "direct/file-system/existence",
+			Class: eai.ClassDirect, Attr: eai.AttrExistence, Applied: true}
+		if !tolerate {
+			in.Violations = []policy.Violation{{Kind: policy.KindIntegrity, Object: "/x"}}
+		}
+		return in
+	}
+	return []*inject.Result{
+		{
+			Campaign:       "alpha",
+			TotalSites:     []string{"a", "b"},
+			PerturbedSites: []string{"a", "b"},
+			Injections:     []inject.Injection{mkInj(true), mkInj(true)},
+		},
+		{
+			Campaign:       "beta",
+			TotalSites:     []string{"a", "b", "c", "d"},
+			PerturbedSites: []string{"a"},
+			Injections:     []inject.Injection{mkInj(false), mkInj(true)},
+		},
+	}
+}
+
 func scheduledSuite() *sched.SuiteResult {
 	results := suiteResults()
 	return &sched.SuiteResult{Campaigns: []sched.CampaignResult{
@@ -29,6 +57,24 @@ func TestSuiteRunRendering(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("suite run missing %q:\n%s", want, out)
+		}
+	}
+	// Violations, FC and IC per row.
+	for label, want := range map[string]string{
+		"alpha/vulnerable": "0 1.000 1.000",
+		"beta/fixed":       "1 0.500 0.250",
+	} {
+		found := false
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 5 && f[0] == label {
+				found = true
+				if got := strings.Join(f[3:6], " "); got != want {
+					t.Errorf("%s: violations, FC, IC = %s, want %s", label, got, want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no row for %s:\n%s", label, out)
 		}
 	}
 }

@@ -10,79 +10,3 @@
 // its plan-order slot, so the assembled Result — and every rendered
 // report — is byte-identical to the sequential engine's.
 package sched
-
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/core/inject"
-)
-
-// Config parameterises the campaign-level worker pool.
-type Config struct {
-	// Workers is the number of concurrent injection runs. Zero or
-	// negative means GOMAXPROCS.
-	Workers int
-}
-
-// workers normalises the worker count against the plan size.
-func (cfg Config) workers(runs int) int {
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > runs {
-		w = runs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// RunCampaign executes the campaign with default engine options across
-// the configured worker pool.
-func RunCampaign(c inject.Campaign, cfg Config) (*inject.Result, error) {
-	return RunCampaignWith(c, inject.Options{}, cfg)
-}
-
-// RunCampaignWith plans the campaign once, then executes the planned
-// injections across cfg.Workers goroutines. The returned Result lists
-// injections in plan order, bit-identical to inject.RunWith.
-func RunCampaignWith(c inject.Campaign, opt inject.Options, cfg Config) (*inject.Result, error) {
-	plan, err := inject.PrepareWith(c, opt)
-	if err != nil {
-		return nil, err
-	}
-	res := plan.Shell()
-	res.Injections = executePlan(plan, cfg.workers(plan.NumRuns()))
-	return &res, nil
-}
-
-// executePlan fans the plan's runs across w workers and returns the
-// outcomes in plan order.
-func executePlan(plan *inject.ExecPlan, w int) []inject.Injection {
-	n := plan.NumRuns()
-	out := make([]inject.Injection, n)
-	if n == 0 {
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = plan.RunOne(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}

@@ -10,9 +10,16 @@ import (
 	"repro/internal/core/sched"
 )
 
-// TestParallelMatchesSequential asserts the worker-pool executor's
-// Result is identical to the sequential engine's for every catalog
-// campaign, in both variants.
+// runOne runs one job as a one-job suite across the given workers,
+// the way eptest -campaign runs it for -j above 1.
+func runOne(job sched.Job, workers int) (*inject.Result, error) {
+	cr := sched.RunSuite([]sched.Job{job}, sched.SuiteOptions{Workers: workers}).Campaigns[0]
+	return cr.Result, cr.Err
+}
+
+// TestParallelMatchesSequential asserts a one-job suite's Result is
+// identical to the sequential engine's for every catalog campaign, in
+// both variants.
 func TestParallelMatchesSequential(t *testing.T) {
 	t.Parallel()
 	for _, job := range apps.SuiteJobs() {
@@ -23,7 +30,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			par, err := sched.RunCampaign(job.Build(), sched.Config{Workers: 8})
+			par, err := runOne(job, 8)
 			if err != nil {
 				t.Fatalf("parallel: %v", err)
 			}
@@ -58,7 +65,7 @@ func TestWorkerPoolStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := sched.RunCampaign(spec.Vulnerable(), sched.Config{Workers: 64})
+			got, err := runOne(sched.Job{Name: spec.Name, Build: spec.Vulnerable}, 64)
 			if err != nil {
 				t.Errorf("parallel: %v", err)
 				return
@@ -71,14 +78,15 @@ func TestWorkerPoolStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDefaultWorkerCount checks the zero Config still runs everything.
+// TestDefaultWorkerCount checks a zero worker count still runs
+// everything.
 func TestDefaultWorkerCount(t *testing.T) {
 	t.Parallel()
 	spec, err := apps.Lookup("lpr-create-site")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sched.RunCampaign(spec.Vulnerable(), sched.Config{})
+	res, err := runOne(sched.Job{Name: spec.Name, Build: spec.Vulnerable}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +96,13 @@ func TestDefaultWorkerCount(t *testing.T) {
 	}
 }
 
-// TestRunCampaignPlanError propagates planning failures.
+// TestRunCampaignPlanError propagates a one-job suite's planning
+// failure as the job's error, with no result.
 func TestRunCampaignPlanError(t *testing.T) {
 	t.Parallel()
-	if _, err := sched.RunCampaign(inject.Campaign{Name: "empty"}, sched.Config{Workers: 4}); err == nil {
-		t.Fatal("campaign without a world factory should fail to plan")
+	res, err := runOne(sched.Job{Name: "empty", Build: func() inject.Campaign { return inject.Campaign{Name: "empty"} }}, 4)
+	if err == nil || res != nil {
+		t.Fatalf("campaign without a world factory = (%v, %v), want a planning error", res, err)
 	}
 }
 

@@ -1,14 +1,11 @@
 package store
 
 import (
-	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"repro/internal/core/eai"
 	"repro/internal/core/inject"
@@ -19,23 +16,28 @@ import (
 
 // The store's canonical bytes, written and read by hand.
 //
-// A cache entry, and the campaign result inside it, has exactly one
-// encoding: the bytes encoding/json's Marshal produces for the entry
-// envelope around wireCampaign. Members come in declaration order with
-// no whitespace, omitempty members are left out when empty, nil slices
-// are null and empty ones [], []byte is standard base64, and strings
-// are escaped as Marshal escapes them: the quote, the backslash,
-// control characters, <, > and &, U+2028 and U+2029, and each byte of
-// invalid UTF-8 as \ufffd. The append functions below write those
-// bytes without reflection.
+// A cache entry, a shard artifact, and the campaign result inside
+// either, has exactly one encoding: the bytes encoding/json's Marshal
+// produces for the wire types reference_test.go keeps. Members come in
+// declaration order with no whitespace, omitempty members are left out
+// when empty, nil slices are null and empty ones [], []byte is
+// standard base64, and strings are escaped as Marshal escapes them:
+// the quote, the backslash, control characters, <, > and &, U+2028
+// and U+2029, and each byte of invalid UTF-8 as \ufffd. The append
+// functions below write those bytes without reflection.
 //
-// The decoder reads them back and accepts nothing else. Input the
-// encoder would not reproduce byte for byte — whitespace, reordered or
-// unknown members, a needless escape, an empty omitempty member, \ufffd
-// (it decodes to a rune the encoder writes raw) — is an error, so an
-// accepted body is its own re-encoding. The encoding/json path is kept
-// as the reference in reference_test.go, and the fuzz targets hold the
-// two to each other.
+// The decoder, on jsonstr.Decoder's cursor, reads them back and
+// accepts nothing else. Input the encoder would not reproduce byte for
+// byte — whitespace, reordered or unknown members, a needless escape,
+// an empty omitempty member, \ufffd (it decodes to a rune the encoder
+// writes raw) — is an error, so an accepted body is its own
+// re-encoding. The encoding/json path is kept as the reference in
+// reference_test.go, and the fuzz targets hold the two to each other.
+
+// FormatVersion identifies the on-disk schema of cache entries and shard
+// artifacts. Readers reject files written under a different format; see
+// docs/STORE.md for the schema itself.
+const FormatVersion = "eptest-store/1"
 
 // EncodeResult renders a campaign result in the store's canonical wire
 // form, the "result" member of a cache entry. Equal results produce
@@ -51,11 +53,11 @@ func EncodeResult(r *inject.Result) ([]byte, error) {
 // Trace errors come back as opaque errors carrying the original
 // message; every field a report or merge consumes round-trips exactly.
 func DecodeResult(b []byte) (*inject.Result, error) {
-	d := decoder{b: b}
+	d := decoder{Decoder: jsonstr.NewDecoder(b)}
 	r := d.campaign()
-	d.end()
-	if d.err != nil {
-		return nil, d.err
+	d.End()
+	if err := d.error(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -65,26 +67,26 @@ func DecodeResult(b []byte) (*inject.Result, error) {
 // version is a *versionError, and a different fingerprint or a null
 // result is an error, before any of the result is decoded.
 func decodeEntry(b []byte, fp string) (*inject.Result, error) {
-	d := decoder{b: b}
-	d.expect(`{"store":`)
+	d := decoder{Decoder: jsonstr.NewDecoder(b)}
+	d.Expect(`{"store":`)
 	st := d.str()
-	d.expect(`,"engine":`)
+	d.Expect(`,"engine":`)
 	eng := d.str()
-	if d.err == nil && (st != FormatVersion || eng != inject.EngineVersion) {
+	if d.Err() == nil && (st != FormatVersion || eng != inject.EngineVersion) {
 		return nil, &versionError{store: st, engine: eng}
 	}
-	d.expect(`,"fingerprint":`)
-	if got := d.str(); d.err == nil && got != fp {
+	d.Expect(`,"fingerprint":`)
+	if got := d.str(); d.Err() == nil && got != fp {
 		return nil, fmt.Errorf("store: entry is for fingerprint %q, not %s", got, fp)
 	}
-	d.expect(`,"label":`)
+	d.Expect(`,"label":`)
 	d.str()
-	d.expect(`,"result":`)
+	d.Expect(`,"result":`)
 	r := d.campaign()
-	d.expect("}")
-	d.end()
-	if d.err != nil {
-		return nil, d.err
+	d.Expect("}")
+	d.End()
+	if err := d.error(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -145,8 +147,9 @@ func appendEntry(dst []byte, fp, label string, r *inject.Result) []byte {
 	return append(dst, '}')
 }
 
-// appendCampaign appends r as a wireCampaign. The clean trace is never
-// null: the reference's toWire always allocates it.
+// appendCampaign appends r in the canonical campaign encoding. The
+// clean trace is never null: the reference's toWire always allocates
+// it.
 func appendCampaign(dst []byte, r *inject.Result) []byte {
 	dst = append(dst, `{"campaign":`...)
 	dst = jsonstr.Append(dst, r.Campaign)
@@ -179,7 +182,7 @@ func appendCampaign(dst []byte, r *inject.Result) []byte {
 	return append(dst, '}')
 }
 
-// appendEvent appends ev as a wireEvent.
+// appendEvent appends one clean-trace event.
 func appendEvent(dst []byte, ev *interpose.Event) []byte {
 	c := &ev.Call
 	dst = append(dst, `{"call":{"Seq":`...)
@@ -338,14 +341,12 @@ func appendBytes(dst []byte, b []byte) []byte {
 	return append(dst, '"')
 }
 
-// decoder reads canonical bytes. The strings it returns are copies, so
-// a decoded result holds no reference to the input. The first error
-// sticks: every later read returns a zero value and consumes nothing,
-// so loops over arrays end.
+// decoder reads the store's canonical bytes: the cursor primitives of
+// jsonstr.Decoder and this package's readers of an entry, a campaign
+// result and a shard artifact. The strings it returns are copies, so
+// a decoded result holds no reference to the input.
 type decoder struct {
-	b   []byte
-	i   int
-	err error
+	jsonstr.Decoder
 	// strs holds strings already copied out, so one entry's many
 	// repeats of a site, point, path, op or working directory share
 	// one copy. A slot holds the last string that hashed to it.
@@ -353,6 +354,24 @@ type decoder struct {
 }
 
 const strsLog = 6
+
+// error returns the first error, or nil.
+func (d *decoder) error() error {
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// str reads a string. One without escapes, the common case, is
+// interned.
+func (d *decoder) str() string {
+	body, escaped := d.RawStr()
+	if escaped {
+		return jsonstr.Unescape(body)
+	}
+	return d.intern(body)
+}
 
 // intern returns the string b spells: an earlier copy when strs holds
 // one, else a new copy that strs then keeps.
@@ -370,467 +389,168 @@ func (d *decoder) intern(b []byte) string {
 	return *slot
 }
 
-// fail records that the input at the cursor is not what the canonical
-// encoding has there.
-func (d *decoder) fail(want string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("store: not a canonical entry: want %s at byte %d", want, d.i)
-	}
-}
-
-// hasPrefix reports whether b begins with s.
-func hasPrefix(b []byte, s string) bool {
-	return len(b) >= len(s) && string(b[:len(s)]) == s
-}
-
-// peek consumes lit if the input continues with it.
-func (d *decoder) peek(lit string) bool {
-	if d.err != nil || !hasPrefix(d.b[d.i:], lit) {
-		return false
-	}
-	d.i += len(lit)
-	return true
-}
-
-// expect consumes lit, which the input must continue with.
-func (d *decoder) expect(lit string) {
-	if !d.peek(lit) {
-		d.fail(strconv.Quote(lit))
-	}
-}
-
-// end checks that the input is used up.
-func (d *decoder) end() {
-	if d.err == nil && d.i != len(d.b) {
-		d.fail("end of input")
-	}
-}
-
-// member consumes the key of an omitempty member of an object, `"name":`
-// — preceded by a comma when *n members came before it — if the input
-// continues with it, and counts it in *n.
-func (d *decoder) member(key string, n *int) bool {
-	if d.err != nil {
-		return false
-	}
-	i := d.i
-	if *n > 0 {
-		if i >= len(d.b) || d.b[i] != ',' {
-			return false
-		}
-		i++
-	}
-	if !hasPrefix(d.b[i:], key) {
-		return false
-	}
-	d.i = i + len(key)
-	*n++
-	return true
-}
-
-// nonEmpty fails unless ok: an omitempty member that is present must
-// not hold its type's zero value.
-func (d *decoder) nonEmpty(ok bool) {
-	if !ok {
-		d.fail("a non-empty value")
-	}
-}
-
-// int reads an integer in range for an int: an optional minus sign,
-// then digits without a leading zero, and never -0.
-func (d *decoder) int() int {
-	if d.err != nil {
-		return 0
-	}
-	i := d.i
-	neg := i < len(d.b) && d.b[i] == '-'
-	if neg {
-		i++
-	}
-	v, end, ok := d.digits(i)
-	limit := uint64(1) << (strconv.IntSize - 1) // the magnitude of the most negative int
-	if !ok || v > limit || (neg && v == 0) || (!neg && v == limit) {
-		d.fail("an integer")
-		return 0
-	}
-	d.i = end
-	if neg {
-		return int(-v)
-	}
-	return int(v)
-}
-
-// uint16 reads an unsigned integer below 1<<16.
-func (d *decoder) uint16() uint16 {
-	if d.err != nil {
-		return 0
-	}
-	v, end, ok := d.digits(d.i)
-	if !ok || v > 0xffff {
-		d.fail("an unsigned 16-bit integer")
-		return 0
-	}
-	d.i = end
-	return uint16(v)
-}
-
-// digits reads the run of decimal digits at i, which must be
-// canonical: at least one digit, no leading zero, and at most 19, the
-// most an int64 needs, so the value cannot overflow.
-func (d *decoder) digits(i int) (v uint64, end int, ok bool) {
-	b, start := d.b, i
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		if i-start == 19 {
-			return 0, i, false
-		}
-		v = v*10 + uint64(b[i]-'0')
-		i++
-	}
-	return v, i, i > start && (b[start] != '0' || i == start+1)
-}
-
-// bool reads true or false.
-func (d *decoder) bool() bool {
-	if d.peek("true") {
-		return true
-	}
-	d.expect("false")
-	return false
-}
-
-// str reads a string. The common case, printable ASCII without
-// escapes, is one scan and one copy.
-func (d *decoder) str() string {
-	if d.err != nil {
-		return ""
-	}
-	b, i := d.b, d.i
-	if i >= len(b) || b[i] != '"' {
-		d.fail("a string")
-		return ""
-	}
-	i++
-	start := i
-	for i < len(b) && jsonstr.Plain(b[i]) {
-		i++
-	}
-	if i < len(b) && b[i] == '"' {
-		d.i = i + 1
-		return d.intern(b[start:i])
-	}
-	escaped := false
-	for i < len(b) {
-		c := b[i]
-		switch {
-		case jsonstr.Plain(c):
-			i++
-		case c == '"':
-			d.i = i + 1
-			if escaped {
-				return unescape(b[start:i])
-			}
-			return d.intern(b[start:i])
-		case c == '\\':
-			n := escapeLen(b[i:])
-			if n == 0 {
-				d.i = i
-				d.fail("an escape the encoder writes")
-				return ""
-			}
-			escaped = true
-			i += n
-		case c >= utf8.RuneSelf:
-			r, size := utf8.DecodeRune(b[i:])
-			if (r == utf8.RuneError && size == 1) || r == jsonstr.LineSep || r == jsonstr.ParaSep {
-				d.i = i
-				d.fail("UTF-8 the encoder writes raw")
-				return ""
-			}
-			i += size
-		default:
-			d.i = i
-			d.fail("an escaped control or HTML character")
-			return ""
-		}
-	}
-	d.i = i
-	d.fail("a closing quote")
-	return ""
-}
-
-// escapeLen returns the length of the escape sequence that starts b if
-// it is one jsonstr.Append writes, and 0 otherwise.
-func escapeLen(b []byte) int {
-	if len(b) < 2 {
-		return 0
-	}
-	switch b[1] {
-	case '"', '\\', 'b', 'f', 'n', 'r', 't':
-		return 2
-	case 'u':
-		r, ok := escapedRune(b)
-		if !ok {
-			return 0
-		}
-		switch {
-		case r < 0x20:
-			// The five with a short escape are written short.
-			if r == '\b' || r == '\f' || r == '\n' || r == '\r' || r == '\t' {
-				return 0
-			}
-		case r == '<', r == '>', r == '&', r == jsonstr.LineSep, r == jsonstr.ParaSep:
-		default:
-			return 0
-		}
-		return 6
-	}
-	return 0
-}
-
-// escapedRune decodes the four lowercase hex digits of a \u escape.
-func escapedRune(b []byte) (rune, bool) {
-	if len(b) < 6 {
-		return 0, false
-	}
-	var r rune
-	for _, c := range b[2:6] {
-		v, ok := hexDigit(c)
-		if !ok {
-			return 0, false
-		}
-		r = r<<4 | rune(v)
-	}
-	return r, true
-}
-
-// unescape resolves the escapes of a string body str has validated.
-func unescape(b []byte) string {
-	var sb strings.Builder
-	sb.Grow(len(b))
-	for i := 0; i < len(b); {
-		c := b[i]
-		if c != '\\' {
-			sb.WriteByte(c)
-			i++
-			continue
-		}
-		switch b[i+1] {
-		case 'b':
-			sb.WriteByte('\b')
-		case 'f':
-			sb.WriteByte('\f')
-		case 'n':
-			sb.WriteByte('\n')
-		case 'r':
-			sb.WriteByte('\r')
-		case 't':
-			sb.WriteByte('\t')
-		case 'u':
-			r, _ := escapedRune(b[i:])
-			sb.WriteRune(r)
-			i += 6
-			continue
-		default: // the quote or the backslash
-			sb.WriteByte(b[i+1])
-		}
-		i += 2
-	}
-	return sb.String()
-}
-
-// strictBase64 rejects base64 whose padding bits are not zero, which
-// the encoder never writes.
-var strictBase64 = base64.StdEncoding.Strict()
-
-// bytes reads a byte slice: null, or a base64 string.
-func (d *decoder) bytes() []byte {
-	if d.peek("null") || d.err != nil {
-		return nil
-	}
-	b, i := d.b, d.i
-	if i >= len(b) || b[i] != '"' {
-		d.fail("a base64 string")
-		return nil
-	}
-	n := bytes.IndexByte(b[i+1:], '"')
-	if n < 0 {
-		d.fail("a base64 string")
-		return nil
-	}
-	src := b[i+1 : i+1+n]
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
-	m, err := strictBase64.Decode(out, src)
-	// The base64 decoder skips CR and LF; the encoded length of what
-	// it decoded catches them.
-	if err != nil || base64.StdEncoding.EncodedLen(m) != len(src) {
-		d.fail("canonical base64")
-		return nil
-	}
-	d.i = i + 1 + n + 1
-	return out[:m]
-}
-
 // elems reads the elements of an array whose "[" is consumed, through
 // its "]". An empty array is an empty slice, not nil, as encoding/json
 // decodes it.
 func elems[T any](d *decoder, elem func(*decoder) T) []T {
 	out := []T{}
-	if d.peek("]") {
+	if d.Peek("]") {
 		return out
 	}
 	for {
 		out = append(out, elem(d))
-		if !d.peek(",") {
+		if !d.Peek(",") {
 			break
 		}
 	}
-	d.expect("]")
+	d.Expect("]")
 	return out
 }
 
 // list reads an array that is null when nil.
 func list[T any](d *decoder, elem func(*decoder) T) []T {
-	if d.peek("null") {
+	if d.Peek("null") {
 		return nil
 	}
-	d.expect("[")
+	d.Expect("[")
 	return elems(d, elem)
 }
 
-// campaign reads a wireCampaign into the result it encodes.
+// campaign reads the canonical campaign encoding into the result it
+// encodes.
 func (d *decoder) campaign() *inject.Result {
 	r := &inject.Result{}
-	d.expect(`{"campaign":`)
+	d.Expect(`{"campaign":`)
 	r.Campaign = d.str()
-	d.expect(`,"clean_trace":[`)
+	d.Expect(`,"clean_trace":[`)
 	r.CleanTrace = elems(d, (*decoder).event)
-	d.expect(`,"total_sites":`)
+	d.Expect(`,"total_sites":`)
 	r.TotalSites = list(d, (*decoder).str)
-	if d.peek(`,"perturbed_sites":`) {
+	if d.Peek(`,"perturbed_sites":`) {
 		r.PerturbedSites = list(d, (*decoder).str)
-		d.nonEmpty(len(r.PerturbedSites) > 0)
+		d.NonEmpty(len(r.PerturbedSites) > 0)
 	}
-	d.expect(`,"injections":`)
+	d.Expect(`,"injections":`)
 	r.Injections = list(d, (*decoder).injection)
-	d.expect("}")
+	d.Expect("}")
 	return r
 }
 
-// event reads a wireEvent into the trace event it encodes.
+// event reads one clean-trace event.
 func (d *decoder) event() interpose.Event {
 	var ev interpose.Event
 	c := &ev.Call
-	d.expect(`{"call":{"Seq":`)
-	c.Seq = d.int()
-	d.expect(`,"Site":`)
+	d.Expect(`{"call":{"Seq":`)
+	c.Seq = d.Int()
+	d.Expect(`,"Site":`)
 	c.Site = d.str()
-	d.expect(`,"Occur":`)
-	c.Occur = d.int()
-	d.expect(`,"Op":`)
+	d.Expect(`,"Occur":`)
+	c.Occur = d.Int()
+	d.Expect(`,"Op":`)
 	c.Op = interpose.Op(d.str())
-	d.expect(`,"Kind":`)
-	c.Kind = interpose.ObjectKind(d.int())
-	d.expect(`,"Path":`)
+	d.Expect(`,"Kind":`)
+	c.Kind = interpose.ObjectKind(d.Int())
+	d.Expect(`,"Path":`)
 	c.Path = d.str()
-	d.expect(`,"Path2":`)
+	d.Expect(`,"Path2":`)
 	c.Path2 = d.str()
-	d.expect(`,"Data":`)
-	c.Data = d.bytes()
-	d.expect(`,"Mode":`)
-	c.Mode = d.uint16()
-	d.expect(`,"Flags":`)
-	c.Flags = d.int()
-	d.expect(`,"UID":`)
-	c.UID = d.int()
-	d.expect(`,"EUID":`)
-	c.EUID = d.int()
-	d.expect(`,"GID":`)
-	c.GID = d.int()
-	d.expect(`,"EGID":`)
-	c.EGID = d.int()
-	d.expect(`,"Cwd":`)
+	d.Expect(`,"Data":`)
+	c.Data = d.Bytes()
+	d.Expect(`,"Mode":`)
+	c.Mode = d.Uint16()
+	d.Expect(`,"Flags":`)
+	c.Flags = d.Int()
+	d.Expect(`,"UID":`)
+	c.UID = d.Int()
+	d.Expect(`,"EUID":`)
+	c.EUID = d.Int()
+	d.Expect(`,"GID":`)
+	c.GID = d.Int()
+	d.Expect(`,"EGID":`)
+	c.EGID = d.Int()
+	d.Expect(`,"Cwd":`)
 	c.Cwd = d.str()
 
 	res := &ev.Result
-	d.expect(`},"result":{`)
+	d.Expect(`},"result":{`)
 	n := 0
-	if d.member(`"data":`, &n) {
-		res.Data = d.bytes()
-		d.nonEmpty(len(res.Data) > 0)
+	if d.Member(`"data":`, &n) {
+		res.Data = d.Bytes()
+		d.NonEmpty(len(res.Data) > 0)
 	}
-	if d.member(`"str":`, &n) {
+	if d.Member(`"str":`, &n) {
 		res.Str = d.str()
-		d.nonEmpty(res.Str != "")
+		d.NonEmpty(res.Str != "")
 	}
-	if d.member(`"n":`, &n) {
-		res.N = d.int()
-		d.nonEmpty(res.N != 0)
+	if d.Member(`"n":`, &n) {
+		res.N = d.Int()
+		d.NonEmpty(res.N != 0)
 	}
-	if d.member(`"flag":`, &n) {
-		d.expect("true")
+	if d.Member(`"flag":`, &n) {
+		d.Expect("true")
 		res.Flag = true
 	}
-	if d.member(`"err":`, &n) {
+	if d.Member(`"err":`, &n) {
 		msg := d.str()
-		d.nonEmpty(msg != "")
+		d.NonEmpty(msg != "")
 		res.Err = errors.New(msg)
 	}
-	d.expect("}")
+	d.Expect("}")
 
-	if d.peek(`,"resolved_path":`) {
+	if d.Peek(`,"resolved_path":`) {
 		ev.ResolvedPath = d.str()
-		d.nonEmpty(ev.ResolvedPath != "")
+		d.NonEmpty(ev.ResolvedPath != "")
 	}
-	if d.peek(`,"mutated":`) {
-		d.expect("true")
+	if d.Peek(`,"mutated":`) {
+		d.Expect("true")
 		ev.Mutated = true
 	}
-	d.expect("}")
+	d.Expect("}")
 	return ev
 }
 
 // injection reads an inject.Injection.
 func (d *decoder) injection() inject.Injection {
 	var in inject.Injection
-	d.expect(`{"Point":`)
+	d.Expect(`{"Point":`)
 	in.Point = d.str()
-	d.expect(`,"Site":`)
+	d.Expect(`,"Site":`)
 	in.Site = d.str()
-	d.expect(`,"Kind":`)
-	in.Kind = interpose.ObjectKind(d.int())
-	d.expect(`,"FaultID":`)
+	d.Expect(`,"Kind":`)
+	in.Kind = interpose.ObjectKind(d.Int())
+	d.Expect(`,"FaultID":`)
 	in.FaultID = d.str()
-	d.expect(`,"Class":`)
-	in.Class = eai.Class(d.int())
-	d.expect(`,"Attr":`)
-	in.Attr = eai.Attr(d.int())
-	d.expect(`,"Sem":`)
-	in.Sem = eai.Semantic(d.int())
-	d.expect(`,"Applied":`)
-	in.Applied = d.bool()
-	d.expect(`,"ApplyErr":`)
+	d.Expect(`,"Class":`)
+	in.Class = eai.Class(d.Int())
+	d.Expect(`,"Attr":`)
+	in.Attr = eai.Attr(d.Int())
+	d.Expect(`,"Sem":`)
+	in.Sem = eai.Semantic(d.Int())
+	d.Expect(`,"Applied":`)
+	in.Applied = d.Bool()
+	d.Expect(`,"ApplyErr":`)
 	in.ApplyErr = d.str()
-	d.expect(`,"Exit":`)
-	in.Exit = d.int()
-	d.expect(`,"CrashMsg":`)
+	d.Expect(`,"Exit":`)
+	in.Exit = d.Int()
+	d.Expect(`,"CrashMsg":`)
 	in.CrashMsg = d.str()
-	d.expect(`,"Violations":`)
+	d.Expect(`,"Violations":`)
 	in.Violations = list(d, (*decoder).violation)
-	d.expect("}")
+	d.Expect("}")
 	return in
 }
 
 // violation reads a policy.Violation.
 func (d *decoder) violation() policy.Violation {
 	var v policy.Violation
-	d.expect(`{"Kind":`)
-	v.Kind = policy.Kind(d.int())
-	d.expect(`,"Point":`)
+	d.Expect(`{"Kind":`)
+	v.Kind = policy.Kind(d.Int())
+	d.Expect(`,"Point":`)
 	v.Point = d.str()
-	d.expect(`,"Object":`)
+	d.Expect(`,"Object":`)
 	v.Object = d.str()
-	d.expect(`,"Detail":`)
+	d.Expect(`,"Detail":`)
 	v.Detail = d.str()
-	d.expect("}")
+	d.Expect("}")
 	return v
 }

@@ -2,16 +2,20 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 
 	"repro/internal/core/inject"
 	"repro/internal/core/sched"
+	"repro/internal/interpose"
 )
 
 // The reference codec: the encoding/json path codec.go replaced. The
 // canonical bytes are by definition what json.Marshal writes for the
-// entry envelope around wireCampaign, so the hand-written encoder must
-// match it byte for byte, and the hand-written decoder must agree with
-// json.Unmarshal followed by fromWire on every input it accepts.
+// entry envelope around wireCampaign and for a shardFile, so the
+// hand-written encoders must match it byte for byte, and the
+// hand-written readers (decodeEntry, DecodeResult, MergeShards) must
+// agree with json.Unmarshal followed by fromWire on every input they
+// accept.
 
 // entry is the cache-entry envelope around one campaign result.
 type entry struct {
@@ -92,6 +96,42 @@ func toWire(r *inject.Result) *wireCampaign {
 	return w
 }
 
+// shardFile is the on-disk shard artifact: one process's slice of a
+// deterministic suite partition, self-describing enough to be merged
+// with its siblings on another machine.
+type shardFile struct {
+	Store  string `json:"store"`
+	Engine string `json:"engine"`
+	// Shard and Of are the partition coordinates (k of n).
+	Shard int `json:"shard"`
+	Of    int `json:"of"`
+	// TotalJobs is the length of the full, unsharded job list; every
+	// sibling artifact must agree on it for the partitions to line up.
+	TotalJobs int `json:"total_jobs"`
+	// Catalog is the label of every job in the full list, in order.
+	// Each shard sees the whole catalog before partitioning, so
+	// siblings produced from the same catalog agree on it — and the
+	// merge rejects siblings that do not (a renamed or reordered
+	// catalog between shard runs would otherwise splice results from
+	// different suite generations into one report).
+	Catalog []string   `json:"catalog"`
+	Jobs    []shardJob `json:"jobs"`
+}
+
+// shardJob is one job's outcome inside a shard artifact.
+type shardJob struct {
+	// Index is the job's position in the full job list — the merge key.
+	Index             int           `json:"index"`
+	Name              string        `json:"name"`
+	Variant           string        `json:"variant,omitempty"`
+	Fingerprint       string        `json:"fingerprint,omitempty"`
+	SourceFingerprint string        `json:"source_fingerprint,omitempty"`
+	Cached            bool          `json:"cached,omitempty"`
+	CachedSource      bool          `json:"cached_source,omitempty"`
+	Err               string        `json:"err,omitempty"`
+	Result            *wireCampaign `json:"result,omitempty"`
+}
+
 // referenceEncodeShard is the artifact WriteShard wrote before
 // encodeShard: json.Marshal over a shardFile.
 func referenceEncodeShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) ([]byte, error) {
@@ -123,4 +163,68 @@ func referenceEncodeShard(sp sched.ShardSpec, catalog []string, indices []int, s
 		f.Jobs[i] = j
 	}
 	return json.Marshal(f)
+}
+
+// wireCampaign is the serialised form of an inject.Result. Everything is
+// a plain exported value; the one impedance mismatch with the in-memory
+// type is the trace events' error field, which travels as its message.
+//
+// Its encoding/json form is the canonical encoding codec.go writes and
+// reads by hand.
+type wireCampaign struct {
+	Campaign       string      `json:"campaign"`
+	CleanTrace     []wireEvent `json:"clean_trace"`
+	TotalSites     []string    `json:"total_sites"`
+	PerturbedSites []string    `json:"perturbed_sites,omitempty"`
+	// Injections round-trip natively: inject.Injection and its nested
+	// policy.Violation carry only exported scalar fields.
+	Injections []inject.Injection `json:"injections"`
+}
+
+// wireEvent is one serialised trace event.
+type wireEvent struct {
+	Call         interpose.Call `json:"call"`
+	Result       wireCallResult `json:"result"`
+	ResolvedPath string         `json:"resolved_path,omitempty"`
+	Mutated      bool           `json:"mutated,omitempty"`
+}
+
+// wireCallResult mirrors interpose.Result with the error flattened to
+// its message ("" means nil).
+type wireCallResult struct {
+	Data []byte `json:"data,omitempty"`
+	Str  string `json:"str,omitempty"`
+	N    int    `json:"n,omitempty"`
+	Flag bool   `json:"flag,omitempty"`
+	Err  string `json:"err,omitempty"`
+}
+
+// fromWire converts a wire campaign back to a result.
+func fromWire(w *wireCampaign) *inject.Result {
+	r := &inject.Result{
+		Campaign:       w.Campaign,
+		CleanTrace:     make([]interpose.Event, len(w.CleanTrace)),
+		TotalSites:     w.TotalSites,
+		PerturbedSites: w.PerturbedSites,
+		Injections:     w.Injections,
+	}
+	for i := range w.CleanTrace {
+		we := &w.CleanTrace[i]
+		ev := interpose.Event{
+			Call: we.Call,
+			Result: interpose.Result{
+				Data: we.Result.Data,
+				Str:  we.Result.Str,
+				N:    we.Result.N,
+				Flag: we.Result.Flag,
+			},
+			ResolvedPath: we.ResolvedPath,
+			Mutated:      we.Mutated,
+		}
+		if we.Result.Err != "" {
+			ev.Result.Err = errors.New(we.Result.Err)
+		}
+		r.CleanTrace[i] = ev
+	}
+	return r
 }

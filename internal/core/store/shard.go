@@ -1,11 +1,11 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -14,42 +14,6 @@ import (
 	"repro/internal/core/jsonstr"
 	"repro/internal/core/sched"
 )
-
-// shardFile is the on-disk shard artifact: one process's slice of a
-// deterministic suite partition, self-describing enough to be merged
-// with its siblings on another machine.
-type shardFile struct {
-	Store  string `json:"store"`
-	Engine string `json:"engine"`
-	// Shard and Of are the partition coordinates (k of n).
-	Shard int `json:"shard"`
-	Of    int `json:"of"`
-	// TotalJobs is the length of the full, unsharded job list; every
-	// sibling artifact must agree on it for the partitions to line up.
-	TotalJobs int `json:"total_jobs"`
-	// Catalog is the label of every job in the full list, in order.
-	// Each shard sees the whole catalog before partitioning, so
-	// siblings produced from the same catalog agree on it — and the
-	// merge rejects siblings that do not (a renamed or reordered
-	// catalog between shard runs would otherwise splice results from
-	// different suite generations into one report).
-	Catalog []string   `json:"catalog"`
-	Jobs    []shardJob `json:"jobs"`
-}
-
-// shardJob is one job's outcome inside a shard artifact.
-type shardJob struct {
-	// Index is the job's position in the full job list — the merge key.
-	Index             int           `json:"index"`
-	Name              string        `json:"name"`
-	Variant           string        `json:"variant,omitempty"`
-	Fingerprint       string        `json:"fingerprint,omitempty"`
-	SourceFingerprint string        `json:"source_fingerprint,omitempty"`
-	Cached            bool          `json:"cached,omitempty"`
-	CachedSource      bool          `json:"cached_source,omitempty"`
-	Err               string        `json:"err,omitempty"`
-	Result            *wireCampaign `json:"result,omitempty"`
-}
 
 // ShardInfo describes one merged artifact, for reports.
 type ShardInfo struct {
@@ -78,13 +42,25 @@ func (s *Store) WriteShard(sp sched.ShardSpec, catalog []string, indices []int, 
 	return writeAtomic(s.shardPath(sp), encodeShard(sp, catalog, indices, sr))
 }
 
-// encodeShard writes the shard artifact without reflection: exactly
-// the bytes json.Marshal writes for the shardFile holding sr's
-// campaigns at their global indices (reference_test.go keeps that
-// reference), each result written by appendCampaign. A matrix artifact
-// runs to megabytes, and append would grow it a quarter at a time,
-// copying it each time; so each job is encoded on its own first, and
-// the artifact is assembled in one buffer of its final size.
+// encodeShard writes the shard artifact, one process's slice of a
+// deterministic suite partition, self-describing enough to be merged
+// with its siblings on another machine. It is one object: "store" and
+// "engine", the versions; "shard" and "of", the partition coordinates
+// k of n; "total_jobs", the length of the full job list; "catalog",
+// the label of every job in that list, in order, on which siblings
+// must agree, so a catalog renamed or reordered between shard runs
+// cannot splice two suite generations into one report; and "jobs",
+// each with its global "index" (the merge key), "name", and the
+// omitempty "variant", "fingerprint", "source_fingerprint", "cached",
+// "cached_source", "err" and "result".
+//
+// It is written without reflection: exactly the bytes json.Marshal
+// writes for sr's campaigns at their global indices (reference_test.go
+// keeps that reference), each result written by appendCampaign. A
+// matrix artifact runs to megabytes, and append would grow it a
+// quarter at a time, copying it each time; so each job is encoded on
+// its own first, and the artifact is assembled in one buffer of its
+// final size.
 func encodeShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) []byte {
 	head := getBuf()
 	defer putBuf(head)
@@ -119,7 +95,7 @@ func encodeShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.
 	return append(dst, "]}"...)
 }
 
-// appendShardJob appends one campaign as a shardJob.
+// appendShardJob appends one campaign as a job of an artifact.
 func appendShardJob(dst []byte, index int, c *sched.CampaignResult) []byte {
 	dst = append(dst, `{"index":`...)
 	dst = strconv.AppendInt(dst, int64(index), 10)
@@ -159,8 +135,12 @@ func appendOmitEmpty(dst []byte, key, s string) []byte {
 // so plan order — and with it every downstream report and ClusterSuite
 // pass — is preserved exactly.
 //
-// The artifacts must form one complete, consistent partition: same
-// format and engine version, same shard count and total job count,
+// Each artifact is read with the store's codec and must be in the
+// canonical form encodeShard writes; a result the codec rejects (one
+// holding invalid UTF-8, say, which the writer turned into \ufffd) is
+// an error naming the job. The artifacts must form one complete,
+// consistent partition: same format and engine version, coordinates
+// that match the file name, same shard count and total job count,
 // every index covered exactly once. Anything else is an error naming
 // the offending artifact, never a silently partial merge.
 func (s *Store) MergeShards() (*sched.SuiteResult, []ShardInfo, error) {
@@ -173,94 +153,149 @@ func (s *Store) MergeShards() (*sched.SuiteResult, []ShardInfo, error) {
 	}
 	sort.Strings(paths)
 
-	var (
-		sr    *sched.SuiteResult
-		infos []ShardInfo
-		first *shardFile
-		seen  map[int]string // global index -> artifact that filled it
-	)
+	var m merge
+	var infos []ShardInfo
 	for _, path := range paths {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: %w", err)
 		}
-		var f shardFile
-		if err := json.Unmarshal(b, &f); err != nil {
-			return nil, nil, fmt.Errorf("store: parse %s: %w", path, err)
+		info, err := m.add(s, path, b)
+		if err != nil {
+			return nil, nil, err
 		}
-		if f.Store != FormatVersion || f.Engine != inject.EngineVersion {
-			return nil, nil, fmt.Errorf("store: %s was written by %s/%s, want %s/%s",
-				path, f.Store, f.Engine, FormatVersion, inject.EngineVersion)
-		}
-		if f.TotalJobs != len(f.Catalog) {
-			return nil, nil, fmt.Errorf("store: %s claims %d jobs but its catalog names %d", path, f.TotalJobs, len(f.Catalog))
-		}
-		if first == nil {
-			first = &f
-			sr = &sched.SuiteResult{Campaigns: make([]sched.CampaignResult, f.TotalJobs)}
-			seen = make(map[int]string, f.TotalJobs)
-		} else if f.Of != first.Of || f.TotalJobs != first.TotalJobs {
-			return nil, nil, fmt.Errorf("store: %s is shard ?/%d over %d jobs, siblings are ?/%d over %d",
-				path, f.Of, f.TotalJobs, first.Of, first.TotalJobs)
-		} else if !equalCatalogs(f.Catalog, first.Catalog) {
-			return nil, nil, fmt.Errorf("store: %s was produced from a different job catalog than its siblings (did the catalog change between shard runs?)", path)
-		}
-		infos = append(infos, ShardInfo{Shard: f.Shard, Of: f.Of, Jobs: len(f.Jobs), Path: path})
-		for _, j := range f.Jobs {
-			if j.Index < 0 || j.Index >= f.TotalJobs {
-				return nil, nil, fmt.Errorf("store: %s: job index %d out of range [0,%d)", path, j.Index, f.TotalJobs)
-			}
-			label := sched.Job{Name: j.Name, Variant: j.Variant}.Label()
-			if label != f.Catalog[j.Index] {
-				return nil, nil, fmt.Errorf("store: %s: job %d is %q, but the catalog names it %q", path, j.Index, label, f.Catalog[j.Index])
-			}
-			if prev, dup := seen[j.Index]; dup {
-				return nil, nil, fmt.Errorf("store: job %d appears in both %s and %s", j.Index, prev, path)
-			}
-			seen[j.Index] = path
-			c := sched.CampaignResult{
-				Job:               sched.Job{Name: j.Name, Variant: j.Variant},
-				Fingerprint:       j.Fingerprint,
-				SourceFingerprint: j.SourceFingerprint,
-				Cached:            j.Cached,
-				CachedSource:      j.CachedSource,
-			}
-			if j.Err != "" {
-				c.Err = errors.New(j.Err)
-			}
-			if j.Result != nil {
-				c.Result = fromWire(j.Result)
-			}
-			sr.Campaigns[j.Index] = c
-		}
+		infos = append(infos, info)
 	}
-	if len(seen) != first.TotalJobs {
+	if total := len(m.catalog); len(m.seen) != total {
 		var missing []int
-		for i := 0; i < first.TotalJobs; i++ {
-			if _, ok := seen[i]; !ok {
+		for i := 0; i < total; i++ {
+			if _, ok := m.seen[i]; !ok {
 				missing = append(missing, i)
 			}
 		}
 		return nil, nil, fmt.Errorf("store: incomplete partition: %d of %d jobs covered, missing indices %v (is a shard artifact absent?)",
-			len(seen), first.TotalJobs, missing)
+			len(m.seen), total, missing)
 	}
 	// The glob order is lexical ("shard-10-…" before "shard-2-…");
 	// report shards numerically.
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Shard < infos[j].Shard })
-	return sr, infos, nil
+	return m.sr, infos, nil
 }
 
-// equalCatalogs compares two job-label lists.
-func equalCatalogs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// merge is MergeShards' state: the suite result the artifacts read so
+// far fill, and what the first artifact fixed for its siblings.
+type merge struct {
+	sr      *sched.SuiteResult
+	of      int
+	catalog []string
+	seen    map[int]string // global index -> artifact that filled it
+}
+
+// add reads the artifact b, found at path, checks it against its file
+// name and its siblings so far, and files its jobs.
+func (m *merge) add(s *Store, path string, b []byte) (ShardInfo, error) {
+	d := decoder{Decoder: jsonstr.NewDecoder(b)}
+	d.Expect(`{"store":`)
+	st := d.str()
+	d.Expect(`,"engine":`)
+	eng := d.str()
+	d.Expect(`,"shard":`)
+	k := d.Int()
+	d.Expect(`,"of":`)
+	n := d.Int()
+	d.Expect(`,"total_jobs":`)
+	total := d.Int()
+	d.Expect(`,"catalog":`)
+	catalog := list(&d, (*decoder).str)
+	d.Expect(`,"jobs":[`)
+	if err := d.Err(); err != nil {
+		return ShardInfo{}, fmt.Errorf("store: parse %s: %w", path, err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	if st != FormatVersion || eng != inject.EngineVersion {
+		return ShardInfo{}, fmt.Errorf("store: %s was written by %s/%s, want %s/%s",
+			path, st, eng, FormatVersion, inject.EngineVersion)
+	}
+	if n < 1 || k < 1 || k > n {
+		return ShardInfo{}, fmt.Errorf("store: %s claims to be shard %d of %d", path, k, n)
+	}
+	if want := s.shardPath(sched.ShardSpec{K: k, N: n}); path != want {
+		return ShardInfo{}, fmt.Errorf("store: %s holds shard %d of %d, which is written to %s", path, k, n, filepath.Base(want))
+	}
+	if total != len(catalog) {
+		return ShardInfo{}, fmt.Errorf("store: %s claims %d jobs but its catalog names %d", path, total, len(catalog))
+	}
+	if m.sr == nil {
+		m.sr = &sched.SuiteResult{Campaigns: make([]sched.CampaignResult, total)}
+		m.of, m.catalog = n, catalog
+		m.seen = make(map[int]string, total)
+	} else if n != m.of || total != len(m.catalog) {
+		return ShardInfo{}, fmt.Errorf("store: %s is shard ?/%d over %d jobs, siblings are ?/%d over %d",
+			path, n, total, m.of, len(m.catalog))
+	} else if !slices.Equal(catalog, m.catalog) {
+		return ShardInfo{}, fmt.Errorf("store: %s was produced from a different job catalog than its siblings (did the catalog change between shard runs?)", path)
+	}
+
+	info := ShardInfo{Shard: k, Of: n, Path: path}
+	if !d.Peek("]") {
+		for {
+			if err := m.job(&d, path); err != nil {
+				return ShardInfo{}, err
+			}
+			info.Jobs++
+			if !d.Peek(",") {
+				break
+			}
 		}
+		d.Expect("]")
 	}
-	return true
+	d.Expect("}")
+	d.End()
+	if err := d.Err(); err != nil {
+		return ShardInfo{}, fmt.Errorf("store: parse %s: %w", path, err)
+	}
+	return info, nil
+}
+
+// job reads one job of the artifact at path and files it at its
+// global index, which must be in the catalog's range, hold the job the
+// catalog names there, and not be filled yet.
+func (m *merge) job(d *decoder, path string) error {
+	var c sched.CampaignResult
+	d.Expect(`{"index":`)
+	idx := d.Int()
+	d.Expect(`,"name":`)
+	c.Job.Name = d.str()
+	c.Job.Variant = d.OmitEmpty(`,"variant":`)
+	c.Fingerprint = d.OmitEmpty(`,"fingerprint":`)
+	c.SourceFingerprint = d.OmitEmpty(`,"source_fingerprint":`)
+	c.Cached = d.Peek(`,"cached":true`)
+	c.CachedSource = d.Peek(`,"cached_source":true`)
+	if msg := d.OmitEmpty(`,"err":`); msg != "" {
+		c.Err = errors.New(msg)
+	}
+	if d.Peek(`,"result":`) {
+		c.Result = d.campaign()
+	}
+	d.Expect("}")
+	label := c.Job.Label()
+	if err := d.Err(); err != nil {
+		if c.Job.Name == "" {
+			return fmt.Errorf("store: parse %s: %w", path, err)
+		}
+		return fmt.Errorf("store: %s: job %d (%s): %w", path, idx, label, err)
+	}
+	if idx < 0 || idx >= len(m.catalog) {
+		return fmt.Errorf("store: %s: job index %d out of range [0,%d)", path, idx, len(m.catalog))
+	}
+	if label != m.catalog[idx] {
+		return fmt.Errorf("store: %s: job %d is %q, but the catalog names it %q", path, idx, label, m.catalog[idx])
+	}
+	if prev, dup := m.seen[idx]; dup {
+		return fmt.Errorf("store: job %d appears in both %s and %s", idx, prev, path)
+	}
+	m.seen[idx] = path
+	m.sr.Campaigns[idx] = c
+	return nil
 }
 
 // writeAtomic writes a shard artifact whole, so concurrent readers and
