@@ -465,9 +465,8 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 	// The findings fold runs unconditionally, like the rest of the
 	// registry: -findings only decides whether the records leave the
 	// process, while eptest_findings_total is always live for
-	// -metrics-json.
-	findingsReport := findings.FromSuite(sr)
-	findings.Instrument(reg, findingsReport)
+	// -metrics-json. It runs beside the rendering below.
+	fold := startFindings(sr, cfg.findingsOut)
 	fmt.Fprint(stdout, report.SuiteRun(sr))
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, report.Clusters(sched.ClusterSuite(sr)))
@@ -494,6 +493,7 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, report.Dispatch(sr))
 	}
+	findings.Instrument(reg, fold.wait())
 	if !spec.IsZero() {
 		if err := shardStore.WriteShard(spec, catalog, indices, sr); err != nil {
 			fmt.Fprintf(stderr, "eptest: %v\n", err)
@@ -501,12 +501,9 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "shard %s: wrote %d job(s) to %s\n", spec, len(jobs), shardStore.Dir())
 	}
-	if cfg.findingsOut != "" {
-		if err := findingsReport.WriteFile(cfg.findingsOut); err != nil {
-			fmt.Fprintf(stderr, "eptest: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %d finding record(s) to %s\n", len(findingsReport.Findings), cfg.findingsOut)
+	if err := fold.write(stdout); err != nil {
+		fmt.Fprintf(stderr, "eptest: %v\n", err)
+		return 1
 	}
 	if tracer != nil {
 		// The explicit Close (the deferred one is a backstop for error
@@ -553,6 +550,12 @@ func runMerge(dir string, matrix bool, findingsOut string, stdout, stderr io.Wri
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 2
 	}
+	// Findings are keyed and sorted by content, so the merged export
+	// is byte-identical to the file a single-process -all run writes.
+	var fold *findingsFold
+	if findingsOut != "" {
+		fold = startFindings(sr, findingsOut)
+	}
 	fmt.Fprint(stdout, report.SuiteRun(sr))
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, report.Clusters(sched.ClusterSuite(sr)))
@@ -562,16 +565,11 @@ func runMerge(dir string, matrix bool, findingsOut string, stdout, stderr io.Wri
 	}
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, report.MergedShards(infos))
-	if findingsOut != "" {
-		// Findings are keyed and sorted by content, so the merged
-		// export is byte-identical to the file a single-process -all
-		// run writes.
-		rep := findings.FromSuite(sr)
-		if err := rep.WriteFile(findingsOut); err != nil {
+	if fold != nil {
+		if err := fold.write(stdout); err != nil {
 			fmt.Fprintf(stderr, "eptest: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote %d finding record(s) to %s\n", len(rep.Findings), findingsOut)
 	}
 	if len(sr.Failed()) > 0 {
 		return 1

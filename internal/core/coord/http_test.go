@@ -2,6 +2,8 @@ package coord_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -122,16 +124,41 @@ func TestHTTPRejectsMalformed(t *testing.T) {
 	}{
 		"junk register":     {"/v1/coord/register", "{", http.StatusBadRequest},
 		"wrong proto":       {"/v1/coord/claim", `{"proto":"eptest-coord/0","worker_id":"w1"}`, http.StatusBadRequest},
-		"no worker":         {"/v1/coord/claim", `{"proto":"eptest-coord/2"}`, http.StatusBadRequest},
-		"unknown worker":    {"/v1/coord/claim", `{"proto":"eptest-coord/2","worker_id":"w9"}`, http.StatusConflict},
-		"negative complete": {"/v1/coord/complete", `{"proto":"eptest-coord/2","worker_id":"w9","index":-1,"outcome":{"name":"x"}}`, http.StatusBadRequest},
-		"catalog mismatch":  {"/v1/coord/register", `{"proto":"eptest-coord/2","worker":"w","catalog":["zzz"]}`, http.StatusConflict},
-		"empty label":       {"/v1/coord/register", `{"proto":"eptest-coord/2","worker":"w","catalog":[""]}`, http.StatusBadRequest},
+		"no worker":         {"/v1/coord/claim", `{"proto":"eptest-coord/3"}`, http.StatusBadRequest},
+		"unknown worker":    {"/v1/coord/claim", `{"proto":"eptest-coord/3","worker_id":"w9"}`, http.StatusConflict},
+		"negative complete": {"/v1/coord/complete", `{"proto":"eptest-coord/3","worker_id":"w9","index":-1,"outcome":{"name":"x"}}`, http.StatusBadRequest},
+		"catalog mismatch":  {"/v1/coord/register", `{"proto":"eptest-coord/3","worker":"w","catalog":["zzz"]}`, http.StatusConflict},
+		"empty label":       {"/v1/coord/register", `{"proto":"eptest-coord/3","worker":"w","catalog":[""]}`, http.StatusBadRequest},
 	}
 	for name, tc := range cases {
 		if got := post(tc.path, tc.body); got != tc.want {
 			t.Errorf("%s: status %d, want %d", name, got, tc.want)
 		}
+	}
+}
+
+// TestRegisterRefusesOldProtocol pins that a worker speaking
+// eptest-coord/2, whose completions carry the clean trace, is refused
+// at register, naming both versions, before it claims any job.
+func TestRegisterRefusesOldProtocol(t *testing.T) {
+	t.Parallel()
+	_, catalog := suiteCatalog(t)
+	co, srv := startCoord(t, catalog, time.Minute)
+	body, err := json.Marshal(coord.RegisterRequest{Proto: "eptest-coord/2", Worker: "old", Catalog: catalog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/coord/register", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `"eptest-coord/2"`) || !strings.Contains(string(msg), `"eptest-coord/3"`) {
+		t.Fatalf("register at eptest-coord/2 = %d %s, want 400 naming both versions", resp.StatusCode, msg)
+	}
+	if st := co.Stats(); len(st.Workers) != 0 {
+		t.Fatalf("the refused worker was admitted: %+v", st.Workers)
 	}
 }
 

@@ -20,7 +20,11 @@ import (
 // record shape. A journal written by a different schema is rejected at
 // restore rather than half-understood. Bump it on any incompatible
 // record change.
-const JournalSchemaVersion = "eptest-coordlog/1"
+//
+// Version 2 follows eptest-store/2: an inline outcome's result is the
+// campaign encoding without the clean trace. A version-1 journal's
+// inline results no longer decode, so restore refuses it whole.
+const JournalSchemaVersion = "eptest-coordlog/2"
 
 // Journal record ops. Each state transition the coordinator makes is
 // appended as one record; replaying them in order rebuilds the queue.

@@ -1,6 +1,7 @@
 package coord_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -248,6 +249,41 @@ func TestJournalCatalogMismatchRejected(t *testing.T) {
 	other := []string{"x/vulnerable", "x/fixed"}
 	if _, err := coord.Restore(other, coord.Options{Now: clk.Now, Results: cache}, mj.Records()); err == nil {
 		t.Fatal("Restore accepted a journal written for a different catalog")
+	}
+}
+
+// TestJournalOldSchemaRefused pins that restore refuses a journal of
+// the schema before eptest-coordlog/2, whose inline results carry the
+// clean trace the campaign encoding no longer has, with the message
+// that tells the operator what to do. Without the refusal such a job
+// would restore as done with no result and fail only at the drain.
+func TestJournalOldSchemaRefused(t *testing.T) {
+	t.Parallel()
+	co, clk, mj, cache, alice := journaledCoord(t)
+	mustClaim(t, co, alice, 0)
+	if dup, err := co.Complete(alice, 0, fakeOutcome(t, 0)); err != nil || dup {
+		t.Fatalf("Complete = (dup %v, %v)", dup, err)
+	}
+	recs := mj.Records()
+	restore(t, clk, mj, cache)
+
+	// The same journal as a version-1 coordinator wrote it.
+	old := make([]*coord.JournalRecord, len(recs))
+	for i, r := range recs {
+		c := *r
+		if c.Op == "meta" {
+			c.Schema = "eptest-coordlog/1"
+		}
+		if c.Outcome != nil {
+			o := *c.Outcome
+			o.Result = bytes.Replace(o.Result, []byte(`,"total_sites"`), []byte(`,"clean_trace":[],"total_sites"`), 1)
+			c.Outcome = &o
+		}
+		old[i] = &c
+	}
+	_, err := coord.Restore(testCatalog, coord.Options{Now: clk.Now, Results: cache}, old)
+	if err == nil || !strings.Contains(err.Error(), `journal schema "eptest-coordlog/1"`) || !strings.Contains(err.Error(), "move the journal aside") {
+		t.Fatalf("Restore of a version-1 journal = %v, want the schema refusal", err)
 	}
 }
 

@@ -21,7 +21,11 @@ import (
 // replies gained Resumed and the server grew the /v1/campaigns
 // submission surface. Version-1 workers are refused at register — a
 // fleet must upgrade together.
-const ProtocolVersion = "eptest-coord/2"
+//
+// Version 3 follows eptest-store/2: a completion's result is the
+// campaign encoding without the clean trace, so a version-2 worker,
+// whose completions would each get a 400, is refused at register.
+const ProtocolVersion = "eptest-coord/3"
 
 // Outcome is one completed job's wire form: the shard-artifact fields
 // of docs/STORE.md for a single job, with the result in the store's

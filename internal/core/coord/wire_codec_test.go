@@ -190,7 +190,7 @@ func TestDecodeCompleteRejectsNonCanonical(t *testing.T) {
 		store.CloseBody(resp.Body)
 		return resp.StatusCode
 	}
-	canonical := `{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}}`
+	canonical := `{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}}`
 	checkDecode(t, []byte(canonical))
 	if code := post(canonical); code != http.StatusConflict {
 		t.Fatalf("canonical body: status %d, want %d", code, http.StatusConflict)
@@ -198,35 +198,35 @@ func TestDecodeCompleteRejectsNonCanonical(t *testing.T) {
 
 	res := string(catalogOutcomes()[0].Result)
 	for _, b := range []string{
-		` {"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}} `,
-		`{"worker_id":"w1","proto":"eptest-coord/2","index":0,"outcome":{"name":"a","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"},"extra":1}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":00,"outcome":{"name":"a","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":-0,"outcome":{"name":"a","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":1e0,"outcome":{"name":"a","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":1.0,"outcome":{"name":"a","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":99999999999999999999,"outcome":{"name":"a","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","cached":false,"err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","variant":"v","variant":"w","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":null}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":{"campaign":"x"}}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result": ` + res + `}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res + ` }}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res + `}}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res + `,"err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res[:len(res)-1] + `}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a<","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a` + "\u2028" + `","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a\u0020","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a` + "\xff" + `","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a\ufffd","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a` + "\x01" + `","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"Name":"a","err":"x"}}`,
-		`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","variant":"","err":"x"}}`,
+		` {"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}} `,
+		`{"worker_id":"w1","proto":"eptest-coord/3","index":0,"outcome":{"name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"},"extra":1}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":00,"outcome":{"name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":-0,"outcome":{"name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":1e0,"outcome":{"name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":1.0,"outcome":{"name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":99999999999999999999,"outcome":{"name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","cached":false,"err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","variant":"v","variant":"w","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result":null}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result":{"campaign":"x"}}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result": ` + res + `}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res + ` }}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res + `}}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res + `,"err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result":` + res[:len(res)-1] + `}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result":}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a<","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a` + "\u2028" + `","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a\u0020","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a` + "\xff" + `","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a\ufffd","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a` + "\x01" + `","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","err":"x"}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"Name":"a","err":"x"}}`,
+		`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","variant":"","err":"x"}}`,
 	} {
 		if _, _, err := decodeComplete([]byte(b)); err == nil {
 			t.Errorf("decodeComplete accepted %q", b)
@@ -266,7 +266,7 @@ func FuzzDecodeComplete(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	f.Add([]byte(`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","result":null}}`))
+	f.Add([]byte(`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result":null}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkDecode(t, b)
 	})

@@ -20,12 +20,12 @@ func FuzzCoordWire(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
-	f.Add([]byte(`{"proto":"eptest-coord/2","worker":"w","catalog":["a/v","a/f"]}`))
-	f.Add([]byte(`{"proto":"eptest-coord/2","worker_id":"w1"}`))
-	f.Add([]byte(`{"proto":"eptest-coord/2","worker_id":"w1","indices":[0,1,2]}`))
-	f.Add([]byte(`{"proto":"eptest-coord/2","worker_id":"w1","index":0,"outcome":{"name":"a","variant":"v","err":"boom"}}`))
+	f.Add([]byte(`{"proto":"eptest-coord/3","worker":"w","catalog":["a/v","a/f"]}`))
+	f.Add([]byte(`{"proto":"eptest-coord/3","worker_id":"w1"}`))
+	f.Add([]byte(`{"proto":"eptest-coord/3","worker_id":"w1","indices":[0,1,2]}`))
+	f.Add([]byte(`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","variant":"v","err":"boom"}}`))
 	f.Add([]byte(`{"proto":"eptest-coord/0","worker_id":"w1"}`))
-	f.Add([]byte(`{"proto":"eptest-coord/2","worker_id":"w1","index":-4,"outcome":{"name":"a"}}`))
+	f.Add([]byte(`{"proto":"eptest-coord/3","worker_id":"w1","index":-4,"outcome":{"name":"a"}}`))
 
 	// A tiny lease keeps the claim endpoint's long-poll hold at a few
 	// milliseconds; a realistic TTL would throttle the fuzzer to one

@@ -22,7 +22,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/core/atomicfile"
 	"repro/internal/core/inject"
 	"repro/internal/core/jsonstr"
 	"repro/internal/core/obs"
@@ -410,17 +409,6 @@ func ReadFile(path string) (*Report, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return r, nil
-}
-
-// WriteFile encodes the report to its canonical bytes and replaces
-// path with them whole, so a killed writer never leaves a truncated
-// export behind.
-func (r *Report) WriteFile(path string) error {
-	b, err := r.Encode()
-	if err != nil {
-		return err
-	}
-	return atomicfile.Write(path, b, 0o644)
 }
 
 // Count folds n violating traces into the registry's

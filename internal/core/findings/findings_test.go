@@ -2,9 +2,7 @@ package findings
 
 import (
 	"bytes"
-	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -189,7 +187,11 @@ func TestWriteReadFile(t *testing.T) {
 	b.Add("lpr", "", sigDirect(), Trace{Point: "p"})
 	r := b.Report()
 	path := t.TempDir() + "/f.json"
-	if err := r.WriteFile(path); err != nil {
+	enc, err := r.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFile(path)
@@ -201,47 +203,6 @@ func TestWriteReadFile(t *testing.T) {
 	}
 	if _, err := ReadFile(t.TempDir() + "/absent.json"); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-// TestWriteFileReplacesWhole pins the atomic export: an existing file
-// is replaced by exactly the new bytes, and no temp file lingers
-// beside it.
-func TestWriteFileReplacesWhole(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "findings.json")
-	big := NewBuilder()
-	for i := 0; i < 50; i++ {
-		big.Add("lpr", "vulnerable", sigDirect(), Trace{Point: fmt.Sprintf("p%d", i), Fault: "f", Detail: strings.Repeat("x", 100)})
-	}
-	if err := big.Report().WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	small := NewBuilder()
-	small.Add("untar", "", sigIndirect(), Trace{Point: "p"})
-	if err := small.Report().WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := small.Report().Encode()
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("export not replaced whole:\n%s", got)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "findings.json" {
-		t.Fatalf("directory holds %v, want only findings.json", entries)
-	}
-	if err := small.Report().WriteFile(filepath.Join(dir, "absent", "f.json")); err == nil {
-		t.Error("write into a missing directory succeeded")
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-		t.Fatalf("failed write left %v behind", entries)
 	}
 }
 

@@ -72,8 +72,9 @@ func jobOptions(j sched.Job) inject.Options {
 }
 
 // matchReference runs c through the engine and the reference engine and
-// fails on any byte of drift in the canonical result encoding or in the
-// finding records (IDs included). It returns the number of runs.
+// fails on any drift in the clean trace, on any byte of drift in the
+// canonical result encoding, which leaves the clean trace out, or in
+// the finding records (IDs included). It returns the number of runs.
 func matchReference(t *testing.T, app, variant string, c inject.Campaign, opt inject.Options) int {
 	t.Helper()
 	label := app + "/" + variant
@@ -84,6 +85,9 @@ func matchReference(t *testing.T, app, variant string, c inject.Campaign, opt in
 			t.Fatalf("%s: engine error %v, reference error %v", label, gotErr, wantErr)
 		}
 		return 0
+	}
+	if !inject.SameTrace(got.CleanTrace, want.CleanTrace) {
+		t.Errorf("%s (%+v): engine clean trace drifted from the reference", label, opt)
 	}
 	gotRes, err := store.EncodeResult(got)
 	if err != nil {

@@ -130,7 +130,11 @@ func (in Injection) Tolerated() bool { return len(in.Violations) == 0 }
 // Result is a completed campaign.
 type Result struct {
 	Campaign string
-	// CleanTrace is the unperturbed execution trace.
+	// CleanTrace is the unperturbed execution trace. The engine reads
+	// it to plan, fingerprint and seed the oracle. It is nil on a
+	// result that came from the result store, a shard artifact or a
+	// coordinator completion: their encoding leaves it out, since no
+	// report, findings export or merge reads it.
 	CleanTrace []interpose.Event
 	// TotalSites is every distinct call site on the clean trace, in first-
 	// hit order.

@@ -1,8 +1,6 @@
 package jsonstr
 
 import (
-	"bytes"
-	"encoding/base64"
 	"fmt"
 	"strconv"
 	"strings"
@@ -149,20 +147,6 @@ func (d *Decoder) Int() int {
 		return int(-v)
 	}
 	return int(v)
-}
-
-// Uint16 reads an unsigned integer below 1<<16.
-func (d *Decoder) Uint16() uint16 {
-	if d.err != nil {
-		return 0
-	}
-	v, end, ok := d.digits(d.i)
-	if !ok || v > 0xffff {
-		d.Fail("an unsigned 16-bit integer")
-		return 0
-	}
-	d.i = end
-	return uint16(v)
 }
 
 // digits reads the run of decimal digits at i, which must be
@@ -340,37 +324,4 @@ func Unescape(b []byte) string {
 		i += 2
 	}
 	return sb.String()
-}
-
-// strictBase64 rejects base64 whose padding bits are not zero, which
-// the encoder never writes.
-var strictBase64 = base64.StdEncoding.Strict()
-
-// Bytes reads a byte slice as Marshal writes one: null, or a standard
-// base64 string. The slice is a copy.
-func (d *Decoder) Bytes() []byte {
-	if d.Peek("null") || d.err != nil {
-		return nil
-	}
-	b, i := d.b, d.i
-	if i >= len(b) || b[i] != '"' {
-		d.Fail("a base64 string")
-		return nil
-	}
-	n := bytes.IndexByte(b[i+1:], '"')
-	if n < 0 {
-		d.Fail("a base64 string")
-		return nil
-	}
-	src := b[i+1 : i+1+n]
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
-	m, err := strictBase64.Decode(out, src)
-	// The base64 decoder skips CR and LF; the encoded length of what
-	// it decoded catches them.
-	if err != nil || base64.StdEncoding.EncodedLen(m) != len(src) {
-		d.Fail("canonical base64")
-		return nil
-	}
-	d.i = i + 1 + n + 1
-	return out[:m]
 }

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"encoding/base64"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -20,8 +18,8 @@ import (
 // either, has exactly one encoding: the bytes encoding/json's Marshal
 // produces for the wire types reference_test.go keeps. Members come in
 // declaration order with no whitespace, omitempty members are left out
-// when empty, nil slices are null and empty ones [], []byte is
-// standard base64, and strings are escaped as Marshal escapes them:
+// when empty, nil slices are null and empty ones [], and strings are
+// escaped as Marshal escapes them:
 // the quote, the backslash, control characters, <, > and &, U+2028
 // and U+2029, and each byte of invalid UTF-8 as \ufffd. The append
 // functions below write those bytes without reflection.
@@ -37,21 +35,25 @@ import (
 // FormatVersion identifies the on-disk schema of cache entries and shard
 // artifacts. Readers reject files written under a different format; see
 // docs/STORE.md for the schema itself.
-const FormatVersion = "eptest-store/1"
+//
+// Version 2 dropped the clean trace from the campaign encoding. A
+// version-1 entry is a miss, so a store written before it re-runs each
+// job once.
+const FormatVersion = "eptest-store/2"
 
 // EncodeResult renders a campaign result in the store's canonical wire
-// form, the "result" member of a cache entry. Equal results produce
-// equal bytes, which is what the replay- and merge-determinism tests
-// compare. The bytes are one allocation of exactly their size; the
-// error is always nil.
+// form, the "result" member of a cache entry, which leaves out the
+// clean trace. Equal results produce equal bytes, which is what the
+// replay- and merge-determinism tests compare. The bytes are one
+// allocation of exactly their size; the error is always nil.
 func EncodeResult(r *inject.Result) ([]byte, error) {
 	return encode(func(dst []byte) []byte { return appendCampaign(dst, r) }), nil
 }
 
 // DecodeResult parses the canonical wire form back into a campaign
 // result, rejecting any input EncodeResult would not have produced.
-// Trace errors come back as opaque errors carrying the original
-// message; every field a report or merge consumes round-trips exactly.
+// Every field a report, findings export or merge reads round-trips
+// exactly; CleanTrace, which the encoding leaves out, is nil.
 func DecodeResult(b []byte) (*inject.Result, error) {
 	d := decoder{Decoder: jsonstr.NewDecoder(b)}
 	r := d.campaign()
@@ -147,20 +149,14 @@ func appendEntry(dst []byte, fp, label string, r *inject.Result) []byte {
 	return append(dst, '}')
 }
 
-// appendCampaign appends r in the canonical campaign encoding. The
-// clean trace is never null: the reference's toWire always allocates
-// it.
+// appendCampaign appends r in the canonical campaign encoding. It
+// leaves out r.CleanTrace: the engine reads a clean trace only to plan,
+// fingerprint and seed its oracle, and no report, findings export or
+// merge of a stored result reads it.
 func appendCampaign(dst []byte, r *inject.Result) []byte {
 	dst = append(dst, `{"campaign":`...)
 	dst = jsonstr.Append(dst, r.Campaign)
-	dst = append(dst, `,"clean_trace":[`...)
-	for i := range r.CleanTrace {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendEvent(dst, &r.CleanTrace[i])
-	}
-	dst = append(dst, `],"total_sites":`...)
+	dst = append(dst, `,"total_sites":`...)
 	dst = appendStrings(dst, r.TotalSites)
 	if len(r.PerturbedSites) > 0 {
 		dst = append(dst, `,"perturbed_sites":`...)
@@ -178,90 +174,6 @@ func appendCampaign(dst []byte, r *inject.Result) []byte {
 			dst = appendInjection(dst, &r.Injections[i])
 		}
 		dst = append(dst, ']')
-	}
-	return append(dst, '}')
-}
-
-// appendEvent appends one clean-trace event.
-func appendEvent(dst []byte, ev *interpose.Event) []byte {
-	c := &ev.Call
-	dst = append(dst, `{"call":{"Seq":`...)
-	dst = strconv.AppendInt(dst, int64(c.Seq), 10)
-	dst = append(dst, `,"Site":`...)
-	dst = jsonstr.Append(dst, c.Site)
-	dst = append(dst, `,"Occur":`...)
-	dst = strconv.AppendInt(dst, int64(c.Occur), 10)
-	dst = append(dst, `,"Op":`...)
-	dst = jsonstr.Append(dst, string(c.Op))
-	dst = append(dst, `,"Kind":`...)
-	dst = strconv.AppendInt(dst, int64(c.Kind), 10)
-	dst = append(dst, `,"Path":`...)
-	dst = jsonstr.Append(dst, c.Path)
-	dst = append(dst, `,"Path2":`...)
-	dst = jsonstr.Append(dst, c.Path2)
-	dst = append(dst, `,"Data":`...)
-	dst = appendBytes(dst, c.Data)
-	dst = append(dst, `,"Mode":`...)
-	dst = strconv.AppendUint(dst, uint64(c.Mode), 10)
-	dst = append(dst, `,"Flags":`...)
-	dst = strconv.AppendInt(dst, int64(c.Flags), 10)
-	dst = append(dst, `,"UID":`...)
-	dst = strconv.AppendInt(dst, int64(c.UID), 10)
-	dst = append(dst, `,"EUID":`...)
-	dst = strconv.AppendInt(dst, int64(c.EUID), 10)
-	dst = append(dst, `,"GID":`...)
-	dst = strconv.AppendInt(dst, int64(c.GID), 10)
-	dst = append(dst, `,"EGID":`...)
-	dst = strconv.AppendInt(dst, int64(c.EGID), 10)
-	dst = append(dst, `,"Cwd":`...)
-	dst = jsonstr.Append(dst, c.Cwd)
-
-	// Every member of the call result is omitempty.
-	res := &ev.Result
-	dst = append(dst, `},"result":`...)
-	sep := byte('{')
-	if len(res.Data) > 0 {
-		dst = append(dst, sep)
-		dst = append(dst, `"data":`...)
-		dst = appendBytes(dst, res.Data)
-		sep = ','
-	}
-	if res.Str != "" {
-		dst = append(dst, sep)
-		dst = append(dst, `"str":`...)
-		dst = jsonstr.Append(dst, res.Str)
-		sep = ','
-	}
-	if res.N != 0 {
-		dst = append(dst, sep)
-		dst = append(dst, `"n":`...)
-		dst = strconv.AppendInt(dst, int64(res.N), 10)
-		sep = ','
-	}
-	if res.Flag {
-		dst = append(dst, sep)
-		dst = append(dst, `"flag":true`...)
-		sep = ','
-	}
-	if res.Err != nil {
-		if msg := res.Err.Error(); msg != "" {
-			dst = append(dst, sep)
-			dst = append(dst, `"err":`...)
-			dst = jsonstr.Append(dst, msg)
-			sep = ','
-		}
-	}
-	if sep == '{' {
-		dst = append(dst, '{')
-	}
-	dst = append(dst, '}')
-
-	if ev.ResolvedPath != "" {
-		dst = append(dst, `,"resolved_path":`...)
-		dst = jsonstr.Append(dst, ev.ResolvedPath)
-	}
-	if ev.Mutated {
-		dst = append(dst, `,"mutated":true`...)
 	}
 	return append(dst, '}')
 }
@@ -329,16 +241,6 @@ func appendStrings(dst []byte, ss []string) []byte {
 		dst = jsonstr.Append(dst, s)
 	}
 	return append(dst, ']')
-}
-
-// appendBytes appends a byte slice as a base64 string: null when nil.
-func appendBytes(dst []byte, b []byte) []byte {
-	if b == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '"')
-	dst = base64.StdEncoding.AppendEncode(dst, b)
-	return append(dst, '"')
 }
 
 // decoder reads the store's canonical bytes: the cursor primitives of
@@ -417,13 +319,11 @@ func list[T any](d *decoder, elem func(*decoder) T) []T {
 }
 
 // campaign reads the canonical campaign encoding into the result it
-// encodes.
+// encodes, whose CleanTrace is nil.
 func (d *decoder) campaign() *inject.Result {
 	r := &inject.Result{}
 	d.Expect(`{"campaign":`)
 	r.Campaign = d.str()
-	d.Expect(`,"clean_trace":[`)
-	r.CleanTrace = elems(d, (*decoder).event)
 	d.Expect(`,"total_sites":`)
 	r.TotalSites = list(d, (*decoder).str)
 	if d.Peek(`,"perturbed_sites":`) {
@@ -434,79 +334,6 @@ func (d *decoder) campaign() *inject.Result {
 	r.Injections = list(d, (*decoder).injection)
 	d.Expect("}")
 	return r
-}
-
-// event reads one clean-trace event.
-func (d *decoder) event() interpose.Event {
-	var ev interpose.Event
-	c := &ev.Call
-	d.Expect(`{"call":{"Seq":`)
-	c.Seq = d.Int()
-	d.Expect(`,"Site":`)
-	c.Site = d.str()
-	d.Expect(`,"Occur":`)
-	c.Occur = d.Int()
-	d.Expect(`,"Op":`)
-	c.Op = interpose.Op(d.str())
-	d.Expect(`,"Kind":`)
-	c.Kind = interpose.ObjectKind(d.Int())
-	d.Expect(`,"Path":`)
-	c.Path = d.str()
-	d.Expect(`,"Path2":`)
-	c.Path2 = d.str()
-	d.Expect(`,"Data":`)
-	c.Data = d.Bytes()
-	d.Expect(`,"Mode":`)
-	c.Mode = d.Uint16()
-	d.Expect(`,"Flags":`)
-	c.Flags = d.Int()
-	d.Expect(`,"UID":`)
-	c.UID = d.Int()
-	d.Expect(`,"EUID":`)
-	c.EUID = d.Int()
-	d.Expect(`,"GID":`)
-	c.GID = d.Int()
-	d.Expect(`,"EGID":`)
-	c.EGID = d.Int()
-	d.Expect(`,"Cwd":`)
-	c.Cwd = d.str()
-
-	res := &ev.Result
-	d.Expect(`},"result":{`)
-	n := 0
-	if d.Member(`"data":`, &n) {
-		res.Data = d.Bytes()
-		d.NonEmpty(len(res.Data) > 0)
-	}
-	if d.Member(`"str":`, &n) {
-		res.Str = d.str()
-		d.NonEmpty(res.Str != "")
-	}
-	if d.Member(`"n":`, &n) {
-		res.N = d.Int()
-		d.NonEmpty(res.N != 0)
-	}
-	if d.Member(`"flag":`, &n) {
-		d.Expect("true")
-		res.Flag = true
-	}
-	if d.Member(`"err":`, &n) {
-		msg := d.str()
-		d.NonEmpty(msg != "")
-		res.Err = errors.New(msg)
-	}
-	d.Expect("}")
-
-	if d.Peek(`,"resolved_path":`) {
-		ev.ResolvedPath = d.str()
-		d.NonEmpty(ev.ResolvedPath != "")
-	}
-	if d.Peek(`,"mutated":`) {
-		d.Expect("true")
-		ev.Mutated = true
-	}
-	d.Expect("}")
-	return ev
 }
 
 // injection reads an inject.Injection.

@@ -2,11 +2,9 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 
 	"repro/internal/core/inject"
 	"repro/internal/core/sched"
-	"repro/internal/interpose"
 )
 
 // The reference codec: the encoding/json path codec.go replaced. The
@@ -66,34 +64,15 @@ func referenceDecodeResult(b []byte) (*inject.Result, error) {
 	return fromWire(&w), nil
 }
 
-// toWire converts a result to its wire form.
+// toWire converts a result to its wire form, which leaves out the
+// clean trace.
 func toWire(r *inject.Result) *wireCampaign {
-	w := &wireCampaign{
+	return &wireCampaign{
 		Campaign:       r.Campaign,
-		CleanTrace:     make([]wireEvent, len(r.CleanTrace)),
 		TotalSites:     r.TotalSites,
 		PerturbedSites: r.PerturbedSites,
 		Injections:     r.Injections,
 	}
-	for i := range r.CleanTrace {
-		ev := &r.CleanTrace[i]
-		we := wireEvent{
-			Call: ev.Call,
-			Result: wireCallResult{
-				Data: ev.Result.Data,
-				Str:  ev.Result.Str,
-				N:    ev.Result.N,
-				Flag: ev.Result.Flag,
-			},
-			ResolvedPath: ev.ResolvedPath,
-			Mutated:      ev.Mutated,
-		}
-		if ev.Result.Err != nil {
-			we.Result.Err = ev.Result.Err.Error()
-		}
-		w.CleanTrace[i] = we
-	}
-	return w
 }
 
 // shardFile is the on-disk shard artifact: one process's slice of a
@@ -165,66 +144,27 @@ func referenceEncodeShard(sp sched.ShardSpec, catalog []string, indices []int, s
 	return json.Marshal(f)
 }
 
-// wireCampaign is the serialised form of an inject.Result. Everything is
-// a plain exported value; the one impedance mismatch with the in-memory
-// type is the trace events' error field, which travels as its message.
+// wireCampaign is the serialised form of an inject.Result: every
+// field but the clean trace, as plain exported values.
 //
 // Its encoding/json form is the canonical encoding codec.go writes and
 // reads by hand.
 type wireCampaign struct {
-	Campaign       string      `json:"campaign"`
-	CleanTrace     []wireEvent `json:"clean_trace"`
-	TotalSites     []string    `json:"total_sites"`
-	PerturbedSites []string    `json:"perturbed_sites,omitempty"`
+	Campaign       string   `json:"campaign"`
+	TotalSites     []string `json:"total_sites"`
+	PerturbedSites []string `json:"perturbed_sites,omitempty"`
 	// Injections round-trip natively: inject.Injection and its nested
 	// policy.Violation carry only exported scalar fields.
 	Injections []inject.Injection `json:"injections"`
 }
 
-// wireEvent is one serialised trace event.
-type wireEvent struct {
-	Call         interpose.Call `json:"call"`
-	Result       wireCallResult `json:"result"`
-	ResolvedPath string         `json:"resolved_path,omitempty"`
-	Mutated      bool           `json:"mutated,omitempty"`
-}
-
-// wireCallResult mirrors interpose.Result with the error flattened to
-// its message ("" means nil).
-type wireCallResult struct {
-	Data []byte `json:"data,omitempty"`
-	Str  string `json:"str,omitempty"`
-	N    int    `json:"n,omitempty"`
-	Flag bool   `json:"flag,omitempty"`
-	Err  string `json:"err,omitempty"`
-}
-
-// fromWire converts a wire campaign back to a result.
+// fromWire converts a wire campaign back to a result, whose CleanTrace
+// is nil.
 func fromWire(w *wireCampaign) *inject.Result {
-	r := &inject.Result{
+	return &inject.Result{
 		Campaign:       w.Campaign,
-		CleanTrace:     make([]interpose.Event, len(w.CleanTrace)),
 		TotalSites:     w.TotalSites,
 		PerturbedSites: w.PerturbedSites,
 		Injections:     w.Injections,
 	}
-	for i := range w.CleanTrace {
-		we := &w.CleanTrace[i]
-		ev := interpose.Event{
-			Call: we.Call,
-			Result: interpose.Result{
-				Data: we.Result.Data,
-				Str:  we.Result.Str,
-				N:    we.Result.N,
-				Flag: we.Result.Flag,
-			},
-			ResolvedPath: we.ResolvedPath,
-			Mutated:      we.Mutated,
-		}
-		if we.Result.Err != "" {
-			ev.Result.Err = errors.New(we.Result.Err)
-		}
-		r.CleanTrace[i] = ev
-	}
-	return r
 }

@@ -69,6 +69,11 @@ func FuzzMergeShards(f *testing.F) {
 		f.Add(a, bad)
 	}
 	f.Add(a, bytes.Replace(b, []byte(`"a:open"]`), []byte(`"a:open\ufffd"]`), 1))
+	// Shard 2 as a version-1 store wrote it, with a clean trace, and
+	// with only the clean trace of version 1.
+	v1Trace := bytes.ReplaceAll(b, []byte(`,"total_sites"`), []byte(`,"clean_trace":[],"total_sites"`))
+	f.Add(a, v1Trace)
+	f.Add(a, bytes.Replace(v1Trace, []byte(FormatVersion), []byte("eptest-store/1"), 1))
 
 	f.Fuzz(func(t *testing.T, first, second []byte) { checkMerge(t, s, first, second) })
 }

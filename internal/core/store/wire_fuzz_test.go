@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,19 +28,10 @@ func FuzzDecodeResult(f *testing.F) {
 		Campaign:       "fuzz",
 		TotalSites:     []string{"a:open", "a:read"},
 		PerturbedSites: []string{"a:open"},
-		CleanTrace: []interpose.Event{
-			{
-				Call:         interpose.Call{Site: "a:open", Op: interpose.OpOpen, Path: "/etc/passwd", Occur: 1, Data: []byte("x\x1e\xff")},
-				Result:       interpose.Result{Str: "ok <&> \xe2\x80\xa8", N: -3, Data: []byte{}, Err: errors.New("boom\x00")},
-				ResolvedPath: "/etc/passwd",
-				Mutated:      true,
-			},
-			{},
-		},
 		Injections: []inject.Injection{
 			{
 				Point: "a:open#1", Site: "a:open", FaultID: "direct/file-system/existence",
-				Applied: true, Exit: 1,
+				Applied: true, ApplyErr: "ok <&> \xe2\x80\xa8", Exit: -3, CrashMsg: "boom\x00",
 				Violations: []policy.Violation{{Kind: policy.KindIntegrity, Object: "/x", Detail: "é\t\"\\"}},
 			},
 		},
@@ -54,11 +44,13 @@ func FuzzDecodeResult(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"campaign":"x","injections":null}`))
+	f.Add([]byte(`{"campaign":"x","total_sites":null,"injections":null}`))
+	// The version-1 encoding, which carried the clean trace.
 	f.Add([]byte(`{"campaign":"x","clean_trace":[],"total_sites":null,"injections":null}`))
 	f.Add([]byte(`{"campaign":1}`))
 	f.Add([]byte(`[`))
 	f.Add([]byte(``))
-	f.Add([]byte(`{"clean_trace":[{"result":{"err":"boom"}}]}`))
+	f.Add([]byte(`{"campaign":"x","clean_trace":[{"result":{"err":"boom"}}],"total_sites":[],"injections":[]}`))
 
 	prefix := `{"store":"` + FormatVersion + `","engine":"` + inject.EngineVersion + `","fingerprint":"` + fuzzFP + `","label":"fuzz","result":`
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -94,40 +86,21 @@ func FuzzDecodeResult(f *testing.F) {
 	})
 }
 
-// FuzzEncodeResult builds results from fuzzed strings, integers and
-// bytes — invalid UTF-8, control characters, <, > and &, U+2028, the
-// record separator 0x1E, negative numbers, nil and empty slices, errors
-// with empty messages — and holds the hand-written encoder to
-// json.Marshal byte for byte, for the bare result and for the cache
-// entry. The output never holds 0x1E, which the segment scanner
-// resynchronises on, and a result whose strings are valid UTF-8
-// decodes back to bytes that re-encode identically.
+// FuzzEncodeResult builds results from fuzzed strings and integers —
+// invalid UTF-8, control characters, <, > and &, U+2028, the record
+// separator 0x1E, negative numbers, nil and empty slices, a clean trace
+// or none — and holds the hand-written encoder to json.Marshal byte for
+// byte, for the bare result and for the cache entry. The output never
+// holds 0x1E, which the segment scanner resynchronises on, and a
+// result whose strings are valid UTF-8 decodes back to bytes that
+// re-encode identically.
 func FuzzEncodeResult(f *testing.F) {
-	f.Add("a:open", "/etc/passwd", 0, 1, []byte("data"), uint16(0))
-	f.Add("<a>&b\xe2\x80\xa8\xe2\x80\xa9", "\x1e\x00\x7f\xff\xfe", -1, -1<<63, []byte{0x1e}, uint16(0xffff))
-	f.Add("\b\f\n\r\t\"\\", "\xed\xa0\x80\xef\xbf\xbd", 1<<62, 65535, []byte{}, uint16(0x5555))
-	f.Add("", "", 0, 0, []byte(nil), uint16(0xaaaa))
-	f.Fuzz(func(t *testing.T, s, u string, n, m int, data []byte, shape uint16) {
+	f.Add("a:open", "/etc/passwd", 0, 1, uint16(0))
+	f.Add("<a>&b\xe2\x80\xa8\xe2\x80\xa9", "\x1e\x00\x7f\xff\xfe", -1, -1<<63, uint16(0xffff))
+	f.Add("\b\f\n\r\t\"\\", "\xed\xa0\x80\xef\xbf\xbd", 1<<62, 65535, uint16(0x5555))
+	f.Add("", "", 0, 0, uint16(0xaaaa))
+	f.Fuzz(func(t *testing.T, s, u string, n, m int, shape uint16) {
 		bit := func(i uint) bool { return shape>>i&1 == 1 }
-		ev := interpose.Event{
-			Call: interpose.Call{
-				Seq: n, Site: s, Occur: m, Op: interpose.Op(u), Kind: interpose.ObjectKind(n),
-				Path: u, Path2: s, Data: data, Mode: uint16(m), Flags: -n,
-				UID: m, EUID: -m, GID: n, EGID: -1, Cwd: s,
-			},
-			Result:       interpose.Result{Data: data, Str: u, N: m, Flag: bit(0)},
-			ResolvedPath: s,
-			Mutated:      bit(1),
-		}
-		if bit(2) {
-			ev.Call.Data = nil
-		}
-		if bit(3) {
-			ev.Result.Data = nil
-		}
-		if bit(4) {
-			ev.Result.Err = errors.New(s)
-		}
 		in := inject.Injection{
 			Point: s, Site: u, Kind: interpose.ObjectKind(m), FaultID: u,
 			Class: eai.Class(n), Attr: eai.Attr(m), Sem: eai.Semantic(-n),
@@ -141,13 +114,14 @@ func FuzzEncodeResult(f *testing.F) {
 		}
 		r := &inject.Result{
 			Campaign:       s,
-			CleanTrace:     []interpose.Event{ev, {}},
 			TotalSites:     []string{s, u},
 			PerturbedSites: []string{u},
 			Injections:     []inject.Injection{in, {}},
 		}
 		if bit(8) {
-			r.CleanTrace = nil
+			// The encoding leaves the clean trace out, so the bytes
+			// must still equal the reference's, which has no such member.
+			r.CleanTrace = []interpose.Event{{Call: interpose.Call{Site: s, Path: u}}}
 		}
 		if bit(9) {
 			r.TotalSites = nil
