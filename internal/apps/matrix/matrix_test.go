@@ -106,6 +106,34 @@ func TestMatrixCellIdentity(t *testing.T) {
 	}
 }
 
+// TestWorldKeyMatchesSource pins the label convention the coordinator
+// claims by: sched.WorldKey over the labels partitions the jobs into
+// exactly the groups their built campaigns' Source declares, for the
+// base catalog and the matrix.
+func TestWorldKeyMatchesSource(t *testing.T) {
+	t.Parallel()
+	for name, jobs := range map[string][]sched.Job{"base": apps.SuiteJobs(), "matrix": matrix.SuiteJobs()} {
+		sourceOf := map[string]string{} // world key -> Source
+		keyOf := map[string]string{}    // Source -> world key
+		for _, j := range jobs {
+			key, src := sched.WorldKey(j.Label()), j.Build().Source
+			if src == "" {
+				t.Fatalf("%s: job %q has no Source", name, j.Label())
+			}
+			if prev, ok := sourceOf[key]; ok && prev != src {
+				t.Errorf("%s: world key %q holds Sources %q and %q", name, key, prev, src)
+			}
+			if prev, ok := keyOf[src]; ok && prev != key {
+				t.Errorf("%s: Source %q spans world keys %q and %q", name, src, prev, key)
+			}
+			sourceOf[key], keyOf[src] = src, key
+		}
+		if len(sourceOf) < 2 {
+			t.Errorf("%s: %d world(s); the test needs several", name, len(sourceOf))
+		}
+	}
+}
+
 // TestSiteCutsNest verifies the cut axis actually narrows the surface:
 // for one swept app, s2 perturbs no more sites than the full cell, and
 // every cut site list is a prefix of the full selection.

@@ -1,8 +1,6 @@
 package ntreg
 
 import (
-	"strings"
-
 	"repro/internal/core/eai"
 	"repro/internal/core/inject"
 	"repro/internal/core/policy"
@@ -167,27 +165,4 @@ func RunSurvey(fixed bool) (*Survey, error) {
 		}
 	}
 	return s, nil
-}
-
-// KeyOfSite maps a regget site name back to the registry key it reads
-// (for reports).
-func KeyOfSite(site string) string {
-	all := map[string]string{}
-	names := []string{"cleanup", "temp", "cache", "preview"}
-	for i, k := range FontCleanKeys {
-		all["fontclean:regget-"+names[i]] = k
-	}
-	snames := []string{"main", "helper", "agent"}
-	for i, k := range ScrSaveKeys {
-		all["scrsave:regget-"+snames[i]] = k
-	}
-	all["updater:regget-target"] = UpdaterKeys[0]
-	all["updater:regget-manifest"] = UpdaterKeys[1]
-	if k, ok := all[site]; ok {
-		return k
-	}
-	if strings.HasPrefix(site, "logond:") {
-		return LogonKey
-	}
-	return ""
 }

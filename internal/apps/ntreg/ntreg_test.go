@@ -209,22 +209,6 @@ func TestFixedSurveyToleratesAll(t *testing.T) {
 	}
 }
 
-func TestKeyOfSite(t *testing.T) {
-	t.Parallel()
-	if got := KeyOfSite("fontclean:regget-cleanup"); got != FontCleanKeys[0] {
-		t.Errorf("KeyOfSite = %q", got)
-	}
-	if got := KeyOfSite("updater:regget-manifest"); got != UpdaterKeys[1] {
-		t.Errorf("KeyOfSite = %q", got)
-	}
-	if got := KeyOfSite("logond:open-profile"); got != LogonKey {
-		t.Errorf("KeyOfSite = %q", got)
-	}
-	if got := KeyOfSite("unknown:site"); got != "" {
-		t.Errorf("KeyOfSite = %q", got)
-	}
-}
-
 // TestFixedLogondSurvives: the repaired logon module tolerates the same
 // campaign.
 func TestFixedLogondSurvives(t *testing.T) {

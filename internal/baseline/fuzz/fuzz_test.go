@@ -37,10 +37,8 @@ func TestFuzzCrashRate(t *testing.T) {
 	if rate < 0.25 || rate > 0.40 {
 		t.Errorf("suite crash rate = %.2f, want within Miller's 25-40%% band", rate)
 	}
-	vulnerable := map[string]bool{}
-	for _, name := range VulnerableUtilities() {
-		vulnerable[name] = true
-	}
+	// The suite members with unchecked buffers.
+	vulnerable := map[string]bool{"grep": true, "banner": true, "cal": true}
 	for _, r := range results {
 		if vulnerable[r.Name] && r.Crashes == 0 {
 			t.Errorf("%s never crashed in %d trials", r.Name, r.Trials)

@@ -165,6 +165,3 @@ func UtilitySuite() []Target {
 		{Name: "date", World: utilWorld(dateUtil)},
 	}
 }
-
-// VulnerableUtilities names the suite members with unchecked buffers.
-func VulnerableUtilities() []string { return []string{"grep", "banner", "cal"} }

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"time"
 
@@ -169,8 +168,17 @@ type Coordinator struct {
 	now     func() time.Time
 	reg     *obs.Registry
 
-	jobs     []jobRecord
-	workers  map[string]*workerStats
+	jobs    []jobRecord
+	workers map[string]*workerStats
+	// world[i] is catalog index i's dense world id (sched.WorldKey of
+	// its label, numbered in first-appearance order); held is the set
+	// of held world ids Claim fills and clears on each call.
+	world []int
+	held  []bool
+	// cur maps a worker id to its current world, the world of its
+	// latest granted claim. It is set by the claim fold alone, so
+	// Restore rebuilds it from the journal.
+	cur      map[string]int
 	order    []string          // worker ids in registration order
 	byName   map[string]string // live worker name -> id, the reattach seam
 	nextID   int
@@ -240,6 +248,8 @@ func newCoordinator(catalog []string, opt Options) *Coordinator {
 		now:       now,
 		reg:       opt.Metrics,
 		jobs:      make([]jobRecord, len(catalog)),
+		world:     make([]int, len(catalog)),
+		cur:       make(map[string]int),
 		doneOrder: make([]int, 0, len(catalog)),
 		workers:   make(map[string]*workerStats),
 		byName:    make(map[string]string),
@@ -252,6 +262,17 @@ func newCoordinator(catalog []string, opt Options) *Coordinator {
 		drained:   make(chan struct{}),
 		change:    make(chan struct{}),
 	}
+	ids := make(map[string]int)
+	for i, label := range catalog {
+		key := sched.WorldKey(label)
+		id, ok := ids[key]
+		if !ok {
+			id = len(ids)
+			ids[key] = id
+		}
+		co.world[i] = id
+	}
+	co.held = make([]bool, len(ids))
 	co.m.resolve(opt.Metrics)
 	// The default campaign always matches the full catalog, so the
 	// zero-member error path is unreachable.
@@ -567,8 +588,8 @@ const (
 // jobPriorityLocked returns the best priority among unfinished
 // campaigns containing index i. The default campaign contains every
 // index at priority zero, so the result is at least zero and — with no
-// submitted campaigns — uniformly zero, which keeps claiming in plain
-// lowest-index order. Callers hold co.mu.
+// submitted campaigns — uniformly zero, which leaves the choice to
+// world affinity alone. Callers hold co.mu.
 func (co *Coordinator) jobPriorityLocked(i int) int {
 	best := 0
 	for _, name := range co.campOrder {
@@ -580,12 +601,18 @@ func (co *Coordinator) jobPriorityLocked(i int) int {
 	return best
 }
 
-// Claim leases a pending job to the worker: the job in the
-// highest-priority unfinished campaign, lowest catalog index breaking
-// ties (with only the default campaign that is simply the lowest
-// pending index). A granted claim must be completed before its lease
-// expires, or renewed via Renew; otherwise it requeues for other
-// workers.
+// Claim leases a pending job to the worker. Priority decides first:
+// the job comes from the highest-priority unfinished campaign. Within
+// that class, claims go by world (sched.WorldKey), so that the cells
+// sharing one world land on one worker and its dispatcher executes
+// their equivalent runs once. The grant is the lowest pending index
+//  1. in the caller's current world, the world of its latest claim;
+//  2. otherwise, in a world no other worker holds — a world is held
+//     while it is the current world of a worker with a live lease;
+//  3. otherwise, anywhere.
+//
+// A granted claim must be completed before its lease expires, or
+// renewed via Renew; otherwise it requeues for other workers.
 func (co *Coordinator) Claim(workerID string) (idx int, status ClaimStatus, err error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -601,15 +628,7 @@ func (co *Coordinator) Claim(workerID string) (idx int, status ClaimStatus, err 
 		co.m.claimDrained.Inc()
 		return 0, ClaimDrained, nil
 	}
-	best, bestPrio := -1, 0
-	for i := range co.jobs {
-		if co.jobs[i].phase != jobPending {
-			continue
-		}
-		if p := co.jobPriorityLocked(i); best < 0 || p > bestPrio {
-			best, bestPrio = i, p
-		}
-	}
+	best := co.pickLocked(workerID)
 	if best < 0 {
 		co.m.claimWait.Inc()
 		return 0, ClaimWait, nil
@@ -618,6 +637,46 @@ func (co *Coordinator) Claim(workerID string) (idx int, status ClaimStatus, err 
 	co.m.claimGranted.Inc()
 	co.updateGaugesLocked()
 	return best, ClaimGranted, nil
+}
+
+// pickLocked chooses the pending index Claim grants the worker, or -1
+// when none is pending. Callers hold co.mu, after the sweep.
+func (co *Coordinator) pickLocked(workerID string) int {
+	for i := range co.jobs {
+		if j := &co.jobs[i]; j.phase == jobClaimed && j.worker != workerID {
+			if w, ok := co.cur[j.worker]; ok {
+				co.held[w] = true
+			}
+		}
+	}
+	own, hasOwn := co.cur[workerID]
+	inOwn, free, lowest, bestPrio := -1, -1, -1, 0
+	for i := range co.jobs {
+		if co.jobs[i].phase != jobPending {
+			continue
+		}
+		switch p := co.jobPriorityLocked(i); {
+		case lowest < 0 || p > bestPrio:
+			inOwn, free, lowest, bestPrio = -1, -1, i, p
+		case p < bestPrio:
+			continue
+		}
+		w := co.world[i]
+		if inOwn < 0 && hasOwn && w == own {
+			inOwn = i
+		}
+		if free < 0 && !co.held[w] {
+			free = i
+		}
+	}
+	clear(co.held)
+	switch {
+	case inOwn >= 0:
+		return inOwn
+	case free >= 0:
+		return free
+	}
+	return lowest
 }
 
 // Renew extends the leases the worker still holds on the given
@@ -900,10 +959,12 @@ func (co *Coordinator) Stats() Stats {
 
 // SuiteResult assembles the recorded outcomes into the SuiteResult a
 // single-process run over the catalog would have produced, campaigns
-// in catalog order. It fails unless the queue has drained.
+// in catalog order. It fails unless the queue has drained. Only the
+// outcome pointers are taken under co.mu: a recorded outcome never
+// changes (first write wins), so the decode runs without the lock and
+// claims, renewals and status reads do not wait behind it.
 func (co *Coordinator) SuiteResult() (*sched.SuiteResult, error) {
 	co.mu.Lock()
-	defer co.mu.Unlock()
 	if co.done != len(co.jobs) {
 		missing := make([]int, 0, 8)
 		for i := range co.jobs {
@@ -911,12 +972,17 @@ func (co *Coordinator) SuiteResult() (*sched.SuiteResult, error) {
 				missing = append(missing, i)
 			}
 		}
-		sort.Ints(missing)
+		co.mu.Unlock()
 		return nil, fmt.Errorf("coord: %d of %d jobs incomplete (indices %v)", len(missing), len(co.jobs), missing)
 	}
-	sr := &sched.SuiteResult{Campaigns: make([]sched.CampaignResult, len(co.jobs))}
+	outs := make([]*Outcome, len(co.jobs))
 	for i := range co.jobs {
-		cr, err := co.jobs[i].outcome.campaignResult()
+		outs[i] = co.jobs[i].outcome
+	}
+	co.mu.Unlock()
+	sr := &sched.SuiteResult{Campaigns: make([]sched.CampaignResult, len(outs))}
+	for i, o := range outs {
+		cr, err := o.campaignResult()
 		if err != nil {
 			return nil, fmt.Errorf("coord: job %d (%s): %w", i, co.catalog[i], err)
 		}

@@ -418,6 +418,7 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 			return fmt.Errorf("claim of job %d, which is done", rec.Index)
 		}
 		*j = jobRecord{phase: jobClaimed, worker: rec.Worker, expires: time.UnixMilli(rec.ExpiresMillis)}
+		co.cur[rec.Worker] = co.world[rec.Index]
 		if ws != nil {
 			ws.Claims++
 		}
@@ -521,6 +522,7 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 		d.Expiries += ws.Expiries
 		d.RunsDone += ws.RunsDone
 		delete(co.workers, ws.id)
+		delete(co.cur, ws.id)
 		if ws.name != "" && co.byName[ws.name] == ws.id {
 			delete(co.byName, ws.name)
 		}
@@ -691,8 +693,18 @@ func (co *Coordinator) snapshotLocked() []*JournalRecord {
 			Outcome: jo, ResultRef: ref,
 		})
 	}
-	for i := range co.jobs {
-		if j := &co.jobs[i]; j.phase == jobClaimed {
+	// Each worker's claims in its current world come after its others,
+	// so the replayed claim fold leaves every leaseholder in the world it
+	// was in. A worker with no lease restarts with no current world.
+	for _, inCur := range []bool{false, true} {
+		for i := range co.jobs {
+			j := &co.jobs[i]
+			if j.phase != jobClaimed {
+				continue
+			}
+			if w, ok := co.cur[j.worker]; (ok && w == co.world[i]) != inCur {
+				continue
+			}
 			recs = append(recs, &JournalRecord{
 				Op: opClaim, AtMillis: now, Worker: j.worker, Index: i,
 				ExpiresMillis: j.expires.UnixMilli(),

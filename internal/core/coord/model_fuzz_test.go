@@ -3,11 +3,14 @@ package coord_test
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core/coord"
+	"repro/internal/core/inject"
 	"repro/internal/core/sched"
+	"repro/internal/core/store"
 )
 
 // The reference model for FuzzCoordModel: the queue's job phases, its
@@ -21,6 +24,11 @@ const (
 )
 
 var (
+	// modelCatalog's worlds hold two cells each, interleaved, so that
+	// claiming by world and claiming by lowest index disagree.
+	// modelWorld is each label's world, written out by hand.
+	modelCatalog = []string{"a/vulnerable", "a/fixed", "a/vulnerable+x", "a/fixed+x", "b/vulnerable", "b/vulnerable+x"}
+	modelWorld   = []int{0, 1, 0, 1, 2, 2}
 	modelNames   = []string{"alice", "bob", "carol", "dave"}
 	modelCamps   = []string{"x", "y", "z"}
 	modelFilters = []string{"a*", "*fixed", "b/vulnerable"}
@@ -58,6 +66,11 @@ type coordModel struct {
 	byName   map[string]string
 	departed coord.DepartedStats
 	camps    []*mCampaign // submission order, the default first
+	// cur is each worker's current world, the world of its latest
+	// grant. journaled is the same map as a restore of the current
+	// journal rebuilds it: a compacted journal keeps only the worlds of
+	// workers that hold a lease.
+	cur, journaled map[string]int
 
 	requeues, duplicates, grants int
 }
@@ -68,10 +81,12 @@ func newCoordModel(now time.Time, n int) *coordModel {
 		all[i] = true
 	}
 	return &coordModel{
-		now:     now,
-		jobs:    make([]mJob, n),
-		workers: map[string]*mWorker{},
-		byName:  map[string]string{},
+		now:       now,
+		jobs:      make([]mJob, n),
+		workers:   map[string]*mWorker{},
+		byName:    map[string]string{},
+		cur:       map[string]int{},
+		journaled: map[string]int{},
 		camps: []*mCampaign{{
 			spec:    coord.CampaignSpec{Name: coord.DefaultCampaignName, Note: "full catalog"},
 			member:  all,
@@ -135,6 +150,8 @@ func (m *coordModel) sweep() {
 		d.Duplicates += w.c.Duplicates
 		d.Expiries += w.c.Expiries
 		delete(m.workers, id)
+		delete(m.cur, id)
+		delete(m.journaled, id)
 		if m.byName[w.c.Name] == id {
 			delete(m.byName, w.c.Name)
 		}
@@ -169,28 +186,85 @@ func (m *coordModel) claim(id string) (int, coord.ClaimStatus, bool) {
 	if m.finished(m.camps[0]) {
 		return 0, coord.ClaimDrained, true
 	}
-	best, bestPrio := -1, 0
+	prio := make([]int, len(m.jobs))
+	bestPrio := -1
 	for i := range m.jobs {
 		if m.jobs[i].phase != mPending {
 			continue
 		}
-		prio := 0
 		for _, c := range m.camps {
-			if c.member[i] && !m.finished(c) && c.spec.Priority > prio {
-				prio = c.spec.Priority
+			if c.member[i] && !m.finished(c) && c.spec.Priority > prio[i] {
+				prio[i] = c.spec.Priority
 			}
 		}
-		if best < 0 || prio > bestPrio {
-			best, bestPrio = i, prio
-		}
+		bestPrio = max(bestPrio, prio[i])
 	}
-	if best < 0 {
+	if bestPrio < 0 {
 		return 0, coord.ClaimWait, true
 	}
+	held := map[int]bool{}
+	for _, j := range m.jobs {
+		if w, ok := m.cur[j.holder]; ok && j.phase == mClaimed && j.holder != id {
+			held[w] = true
+		}
+	}
+	own, hasOwn := m.cur[id]
+	best := -1
+	for _, rule := range []func(i int) bool{
+		func(i int) bool { return hasOwn && modelWorld[i] == own },
+		func(i int) bool { return !held[modelWorld[i]] },
+		func(i int) bool { return true },
+	} {
+		for i := range m.jobs {
+			if m.jobs[i].phase == mPending && prio[i] == bestPrio && rule(i) {
+				best = i
+				break
+			}
+		}
+		if best >= 0 {
+			break
+		}
+	}
 	m.jobs[best] = mJob{phase: mClaimed, holder: id, deadline: m.now.Add(modelTTL)}
+	m.cur[id] = modelWorld[best]
+	m.journaled[id] = modelWorld[best]
 	w.c.Claims++
 	m.grants++
 	return best, coord.ClaimGranted, true
+}
+
+// compacted is worlds as a restore of the compacted snapshot rebuilds
+// them: a leaseholder keeps its world when it holds a lease there and
+// otherwise gets the world of its highest-index lease; a worker with no
+// lease has none.
+func (m *coordModel) compacted(worlds map[string]int) map[string]int {
+	out := map[string]int{}
+	for i, j := range m.jobs {
+		if j.phase == mClaimed {
+			out[j.holder] = modelWorld[i]
+		}
+	}
+	for i, j := range m.jobs {
+		if w, ok := worlds[j.holder]; ok && j.phase == mClaimed && modelWorld[i] == w {
+			out[j.holder] = w
+		}
+	}
+	return out
+}
+
+// restart models a crash and restore: the live worlds become the
+// journal's, optionally compacted once more, and the new journal is the
+// compacted snapshot.
+func (m *coordModel) restart(twice bool) {
+	m.cur = m.journaled
+	if twice {
+		m.cur = m.compacted(m.cur)
+	}
+	m.journaled = m.compacted(m.cur)
+	// A restart restarts every worker's heartbeat clock.
+	for _, w := range m.workers {
+		w.lastSeen = m.now
+	}
 }
 
 func (m *coordModel) renew(id string, indices []int) (renewed, lost []int, ok bool) {
@@ -324,12 +398,14 @@ func (m *coordModel) stats() coord.Stats {
 // departed completions equal the done jobs and claims equal the grants;
 // the worker table stays bounded; and at every restart the live
 // coordinator, its restore and restore∘compact∘restore report equal
-// Stats.
+// Stats. Claims follow the world-affine grant order, so the model
+// also tracks each worker's current world across restarts.
 func FuzzCoordModel(f *testing.F) {
 	f.Add([]byte{
 		// One worker claims and completes every job, then the journal is
 		// restored and compacted twice: worker counters must not drift.
-		0, 0, 1, 0, 3, 0, 1, 0, 3, 0, 1, 0, 3, 0, 8, 1, 8, 1,
+		0, 0, 1, 0, 3, 0, 1, 0, 3, 0, 1, 0, 3, 0, 1, 0, 3, 0, 1, 0, 3, 0,
+		1, 0, 3, 0, 8, 1, 8, 1,
 	})
 	f.Add([]byte{
 		// alice completes a job and departs, bob registers, restart
@@ -342,6 +418,18 @@ func FuzzCoordModel(f *testing.F) {
 		0, 0, 0, 1, 1, 0, 1, 1, 4, 3, 2, 1, 5, 0, 1, 1, 3, 5, 3, 4,
 		7, 10, 8, 0, 1, 1, 2, 1, 3, 1, 6, 0, 1, 2, 0, 2, 1, 2, 8, 1, 3, 10,
 	})
+	f.Add([]byte{
+		// Two workers drain by world, with a compacting restart while
+		// both hold leases and a plain one after: each keeps its world.
+		0, 0, 0, 1, 1, 0, 1, 1, 3, 0, 1, 0, 8, 1, 3, 1, 1, 1, 3, 0, 1, 0,
+		8, 0, 3, 1, 1, 1, 3, 0, 3, 1,
+	})
+	f.Add([]byte{
+		// alice moves to a second world while still holding leases in
+		// her first, at higher indices; a compacting restart must leave
+		// her in the second, so bob starts the third.
+		0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 8, 1, 1, 1, 1, 0,
+	})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		clk := newFakeClock()
@@ -349,13 +437,18 @@ func FuzzCoordModel(f *testing.F) {
 		opts := func(j coord.Journal) coord.Options {
 			return coord.Options{LeaseTTL: modelTTL, Now: clk.Now, Journal: j, Results: cache, Retention: modelRetention}
 		}
-		outcomes := make([]coord.Outcome, len(testCatalog))
-		for i := range outcomes {
-			outcomes[i] = fakeOutcomeFP(t, i)
+		outcomes := make([]coord.Outcome, len(modelCatalog))
+		for i, label := range modelCatalog {
+			name, variant, _ := strings.Cut(label, "/")
+			b, err := store.EncodeResult(&inject.Result{Campaign: label})
+			if err != nil {
+				t.Fatal(err)
+			}
+			outcomes[i] = coord.Outcome{Name: name, Variant: variant, Result: b, Fingerprint: fakeFingerprint(i)}
 		}
 		mj := &coord.MemJournal{}
-		co := coord.New(testCatalog, opts(mj))
-		m := newCoordModel(clk.Now(), len(testCatalog))
+		co := coord.New(modelCatalog, opts(mj))
+		m := newCoordModel(clk.Now(), len(modelCatalog))
 		ids := map[string]string{} // name -> last id the coordinator gave it
 		recorded := map[int]bool{}
 
@@ -391,7 +484,7 @@ func FuzzCoordModel(f *testing.F) {
 					t.Fatalf("step %d: drained queue: %v", step, err)
 				}
 				for i, c := range sr.Campaigns {
-					if c.Job.Label() != testCatalog[i] || c.Result == nil {
+					if c.Job.Label() != modelCatalog[i] || c.Result == nil {
 						t.Fatalf("step %d: suite result index %d is %q (result %v)", step, i, c.Job.Label(), c.Result)
 					}
 				}
@@ -404,7 +497,7 @@ func FuzzCoordModel(f *testing.F) {
 			switch op {
 			case 0: // register or reattach
 				want := m.register(name)
-				id, err := co.Register(name, testCatalog)
+				id, err := co.Register(name, modelCatalog)
 				if err != nil {
 					t.Fatalf("step %d: Register(%s): %v", step, name, err)
 				}
@@ -430,14 +523,14 @@ func FuzzCoordModel(f *testing.F) {
 						indices = append(indices, i)
 					}
 				}
-				indices = append(indices, (arg/4)%len(testCatalog))
+				indices = append(indices, (arg/4)%len(modelCatalog))
 				wantR, wantL, ok := m.renew(idOf(name), indices)
 				renewed, lost, err := co.Renew(idOf(name), indices)
 				if (err == nil) != ok || !reflect.DeepEqual(renewed, wantR) || !reflect.DeepEqual(lost, wantL) {
 					t.Fatalf("step %d: Renew(%s, %v) = (%v, %v, %v), model (%v, %v, ok %v)", step, name, indices, renewed, lost, err, wantR, wantL, ok)
 				}
 			case 3: // complete a held lease, or any index
-				idx := (arg / 8) % len(testCatalog)
+				idx := (arg / 8) % len(modelCatalog)
 				if (arg/4)%2 == 0 {
 					for i, j := range m.jobs {
 						if j.phase == mClaimed && j.holder == idOf(name) {
@@ -475,7 +568,7 @@ func FuzzCoordModel(f *testing.F) {
 					Filter:   modelFilters[(arg/3)%len(modelFilters)],
 					Priority: (arg / 9) % 4,
 				}
-				exists := m.submit(spec, testCatalog)
+				exists := m.submit(spec, modelCatalog)
 				_, err := co.Submit(spec)
 				if exists != errors.Is(err, coord.ErrCampaignExists) || (!exists && err != nil) {
 					t.Fatalf("step %d: Submit(%+v) = %v, model exists=%v", step, spec, err, exists)
@@ -484,12 +577,12 @@ func FuzzCoordModel(f *testing.F) {
 				live := co.Stats()
 				check(step, live)
 				j1 := &coord.MemJournal{}
-				r1, err := coord.Restore(testCatalog, opts(j1), mj.Records())
+				r1, err := coord.Restore(modelCatalog, opts(j1), mj.Records())
 				if err != nil {
 					t.Fatalf("step %d: restore: %v", step, err)
 				}
 				j2 := &coord.MemJournal{}
-				r2, err := coord.Restore(testCatalog, opts(j2), j1.Records())
+				r2, err := coord.Restore(modelCatalog, opts(j2), j1.Records())
 				if err != nil {
 					t.Fatalf("step %d: restore of the compacted journal: %v", step, err)
 				}
@@ -502,10 +595,7 @@ func FuzzCoordModel(f *testing.F) {
 				if arg%2 == 1 {
 					co, mj = r2, j2
 				}
-				// A restart restarts every worker's heartbeat clock.
-				for _, w := range m.workers {
-					w.lastSeen = m.now
-				}
+				m.restart(arg%2 == 1)
 			}
 			check(step, co.Stats())
 		}

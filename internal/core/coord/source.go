@@ -173,7 +173,9 @@ func (s *Source) Next() (sched.SourcedJob, bool) {
 	for {
 		claimStart := time.Now()
 		idx, status, err := s.cl.Claim()
-		s.span(obs.TIDCoord, "claim", claimStart, claimResult(idx, status, err))
+		if s.tr != nil {
+			s.span(obs.TIDCoord, "claim", claimStart, claimResult(idx, status, err))
+		}
 		switch {
 		case err != nil:
 			if s.fail(err) {
@@ -226,10 +228,9 @@ func (s *Source) Next() (sched.SourcedJob, bool) {
 }
 
 // span records one coordinator round trip on a reserved trace row.
+// Callers check s.tr first, so that the span's arguments are built
+// only when a tracer is attached.
 func (s *Source) span(tid int, name string, start time.Time, args map[string]string) {
-	if s.tr == nil {
-		return
-	}
 	s.tr.Span(tid, "coord", name, start, time.Since(start), args)
 }
 
@@ -335,8 +336,10 @@ func (s *Source) uploader() {
 			case dup:
 				result = "duplicate"
 			}
-			s.span(obs.TIDUpload, "complete", start,
-				map[string]string{"index": strconv.Itoa(c.seq), "result": result})
+			if s.tr != nil {
+				s.span(obs.TIDUpload, "complete", start,
+					map[string]string{"index": strconv.Itoa(c.seq), "result": result})
+			}
 			if err == nil {
 				break
 			}
@@ -381,9 +384,11 @@ func (s *Source) heartbeat() {
 		}
 		renewStart := time.Now()
 		lost, err := s.cl.Renew(indices)
-		s.span(obs.TIDCoord, "renew", renewStart, map[string]string{
-			"leases": strconv.Itoa(len(indices)), "lost": strconv.Itoa(len(lost)),
-		})
+		if s.tr != nil {
+			s.span(obs.TIDCoord, "renew", renewStart, map[string]string{
+				"leases": strconv.Itoa(len(indices)), "lost": strconv.Itoa(len(lost)),
+			})
+		}
 		if err != nil {
 			s.fail(err)
 			continue

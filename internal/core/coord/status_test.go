@@ -102,8 +102,9 @@ func TestStatusSnapshot(t *testing.T) {
 		t.Fatalf("eta = %dms, want 33000 (1 job per 11s, 3 left)", st.EtaMillis)
 	}
 
-	// Jobs 1-3 are pending again; beta re-claims and completes them.
-	for idx := 1; idx < 4; idx++ {
+	// Jobs 1-3 are pending again; beta re-claims and completes them,
+	// its own world's job 2 first.
+	for _, idx := range []int{2, 1, 3} {
 		mustClaim(t, co, b, idx)
 	}
 	for idx := 1; idx < 4; idx++ {

@@ -5,7 +5,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core/coverage"
@@ -137,14 +136,4 @@ func (t CountTable) String() string {
 		fmt.Fprintf(&b, "  %-*s %5d  %5.1f%%\n", w, c, t.Counts[c], pct)
 	}
 	return b.String()
-}
-
-// SortedKeys returns the map keys sorted, for deterministic ad-hoc tables.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

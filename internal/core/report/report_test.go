@@ -110,11 +110,3 @@ func TestCountTable(t *testing.T) {
 		t.Error("empty table percent")
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	t.Parallel()
-	got := SortedKeys(map[string]int{"b": 1, "a": 2, "c": 3})
-	if len(got) != 3 || got[0] != "a" || got[2] != "c" {
-		t.Errorf("SortedKeys = %v", got)
-	}
-}

@@ -417,8 +417,10 @@ func (st *dispatchState) cacheGet(w int, tier, fp string, hitC, missC *obs.Count
 		res, c = "hit", hitC
 	}
 	c.Inc()
-	st.d.Tracer.Span(w, "cache", "cache.get", start, time.Since(start),
-		map[string]string{"tier": tier, "result": res})
+	if st.d.Tracer != nil {
+		st.d.Tracer.Span(w, "cache", "cache.get", start, time.Since(start),
+			map[string]string{"tier": tier, "result": res})
+	}
 	return hit, found
 }
 
@@ -433,8 +435,10 @@ func (st *dispatchState) cachePut(w int, tier, fp, label string, r *inject.Resul
 	} else {
 		st.m.writeOK.Inc()
 	}
-	st.d.Tracer.Span(w, "cache", "cache.put", start, time.Since(start),
-		map[string]string{"tier": tier, "result": res})
+	if st.d.Tracer != nil {
+		st.d.Tracer.Span(w, "cache", "cache.put", start, time.Since(start),
+			map[string]string{"tier": tier, "result": res})
+	}
 	return err
 }
 
@@ -469,8 +473,11 @@ func (st *dispatchState) planJob(w int, js *jobState) {
 
 	planStart := time.Now()
 	plan, err := inject.PrepareWith(c, engine)
-	st.d.Tracer.Span(w, "plan", "plan "+job.Label(), planStart, time.Since(planStart),
-		map[string]string{"campaign": job.Label()})
+	if st.d.Tracer != nil {
+		label := job.Label()
+		st.d.Tracer.Span(w, "plan", "plan "+label, planStart, time.Since(planStart),
+			map[string]string{"campaign": label})
+	}
 	if err != nil {
 		cr.Err = err
 		st.emit(Event{Kind: EventDone, Job: job, Err: err})

@@ -124,3 +124,20 @@ func TestJobEngineOverride(t *testing.T) {
 		t.Fatalf("base job planned %d runs, sequential default plans %d", nBase, len(want.Injections))
 	}
 }
+
+// TestWorldKey pins the label-to-world convention: the name plus the
+// variant's program token, whatever axis tokens follow.
+func TestWorldKey(t *testing.T) {
+	t.Parallel()
+	for label, want := range map[string]string{
+		"lpr":                       "lpr",
+		"lpr/vulnerable":            "lpr/vulnerable",
+		"lpr/vulnerable+nodedup+s2": "lpr/vulnerable",
+		"lpr/fixed+s4":              "lpr/fixed",
+		"lpr+turnin/vulnerable+s2":  "lpr+turnin/vulnerable",
+	} {
+		if got := WorldKey(label); got != want {
+			t.Errorf("WorldKey(%q) = %q, want %q", label, got, want)
+		}
+	}
+}

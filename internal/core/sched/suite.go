@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"strings"
+
 	"repro/internal/core/inject"
 	"repro/internal/core/obs"
 )
@@ -30,6 +32,20 @@ func (j Job) Label() string {
 		return j.Name
 	}
 	return j.Name + "/" + j.Variant
+}
+
+// WorldKey names the world a job label runs in: the job name plus the
+// first "+"-token of its variant, the program ("lpr/vulnerable" for
+// "lpr/vulnerable+nodedup+s2"). Matrix cells of one app program share
+// a campaign Source, and so a world, exactly when they share this key;
+// the coordinator groups its claims by it, from the label alone.
+func WorldKey(label string) string {
+	name, variant, ok := strings.Cut(label, "/")
+	if !ok {
+		return label
+	}
+	program, _, _ := strings.Cut(variant, "+")
+	return name + "/" + program
 }
 
 // engine resolves the job's effective engine options against the

@@ -15,7 +15,6 @@ package interpose
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Op identifies the kind of environment interaction.
@@ -159,20 +158,6 @@ func (c *Call) PointID() string { return PointID(c.Site, c.Occur) }
 // fmt machinery.
 func PointID(site string, occur int) string {
 	return site + "#" + strconv.Itoa(occur)
-}
-
-// SplitPointID parses a PointID back into site and occurrence. It returns
-// occur -1 when the string has no "#" suffix.
-func SplitPointID(id string) (site string, occur int) {
-	i := strings.LastIndex(id, "#")
-	if i < 0 {
-		return id, -1
-	}
-	occur = 0
-	if _, err := fmt.Sscanf(id[i+1:], "%d", &occur); err != nil {
-		return id, -1
-	}
-	return id[:i], occur
 }
 
 // Result carries the outcome of an interaction back toward the

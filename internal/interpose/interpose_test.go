@@ -3,7 +3,6 @@ package interpose
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 )
 
 func TestOpHasInput(t *testing.T) {
@@ -43,26 +42,6 @@ func TestObjectKindString(t *testing.T) {
 		if got := tt.k.String(); got != tt.want {
 			t.Errorf("%d.String() = %q, want %q", int(tt.k), got, tt.want)
 		}
-	}
-}
-
-func TestPointIDRoundTrip(t *testing.T) {
-	t.Parallel()
-	f := func(site string, occur uint8) bool {
-		id := PointID(site, int(occur))
-		s, o := SplitPointID(id)
-		return s == site && o == int(occur)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplitPointIDMalformed(t *testing.T) {
-	t.Parallel()
-	s, o := SplitPointID("no-separator")
-	if s != "no-separator" || o != -1 {
-		t.Errorf("SplitPointID = %q, %d", s, o)
 	}
 }
 

@@ -37,11 +37,6 @@ func Allows(n *Inode, uid, gid int, want Mode) bool {
 	return granted&want == want
 }
 
-// WorldWritable reports whether the inode grants write to the "other"
-// class. The policy oracle uses this to decide whether an object is
-// attacker-controllable.
-func WorldWritable(n *Inode) bool { return n.Mode&ModeOtherWrite != 0 }
-
 // WritableBy reports whether the given uid/gid can write the inode. It is
 // Allows specialised for the oracle's common question.
 func WritableBy(n *Inode, uid, gid int) bool { return Allows(n, uid, gid, WantWrite) }

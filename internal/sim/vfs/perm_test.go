@@ -54,9 +54,6 @@ func TestRootExecOnDirectory(t *testing.T) {
 func TestHelpers(t *testing.T) {
 	t.Parallel()
 	n := &Inode{Type: TypeRegular, Mode: 0o602, UID: 100, GID: 100}
-	if !WorldWritable(n) {
-		t.Error("WorldWritable(0602) = false")
-	}
 	if !WritableBy(n, 100, 100) {
 		t.Error("owner WritableBy = false")
 	}
