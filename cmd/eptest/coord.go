@@ -151,7 +151,7 @@ func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, reten
 	fmt.Fprintf(stdout, "eptest: coordinator listening on %s (%d jobs, lease %s, store %s)\n",
 		ln.Addr(), len(catalog), lease, st.Dir())
 	if co.Resumed() {
-		rst := co.Stats()
+		rst := co.Status()
 		fmt.Fprintf(stdout, "eptest: resumed from journal — %d done, %d claimed, %d pending of %d jobs\n",
 			rst.Done, rst.Claimed, rst.Pending, rst.Jobs)
 	}

@@ -302,14 +302,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runCampaign runs one campaign on the sequential engine or, for -j
-// other than 1, as a one-job suite on the work-stealing dispatcher.
-// Both produce identical results; the split keeps -j 1 on the engine
-// the paper describes.
+// runCampaign runs one campaign as a one-job suite on the
+// work-stealing dispatcher, whose result equals the sequential
+// engine's (inject.Run) at any -j.
 func runCampaign(c inject.Campaign, workers int) (*inject.Result, error) {
-	if workers == 1 {
-		return inject.Run(c)
-	}
 	job := sched.Job{Name: c.Name, Build: func() inject.Campaign { return c }}
 	cr := sched.RunSuite([]sched.Job{job}, sched.SuiteOptions{Workers: workers}).Campaigns[0]
 	return cr.Result, cr.Err

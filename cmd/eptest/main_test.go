@@ -84,8 +84,9 @@ func TestFixedCampaignExitsZero(t *testing.T) {
 }
 
 // TestParallelCampaignOutputMatchesSequential runs every catalog
-// campaign, in both variants, on the sequential engine (-j 1) and as a
-// one-job suite (-j 8): the output and the exit code must match.
+// campaign, in both variants, as a one-job suite on one worker (-j 1)
+// and on eight (-j 8): the output and the exit code must match. The
+// sched tests pin the suite against the sequential engine, inject.Run.
 func TestParallelCampaignOutputMatchesSequential(t *testing.T) {
 	t.Parallel()
 	for _, spec := range apps.Catalog() {

@@ -66,7 +66,7 @@ func TestSourceReusesConnections(t *testing.T) {
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if st := co.Stats(); st.Done != len(catalog) {
+	if st := co.Status(); st.Done != len(catalog) {
 		t.Fatalf("%d of %d jobs done", st.Done, len(catalog))
 	}
 	if renewals.Load() == 0 {

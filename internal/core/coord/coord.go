@@ -143,11 +143,53 @@ type campaign struct {
 	name, filter, note string
 	priority           int
 	member             []bool // member[i]: catalog index i is in this campaign
-	jobs, done         int
-	createdAt          time.Time
-	finishedAt         time.Time // zero while running
+	jobs               int
+	tally
+	createdAt  time.Time
+	finishedAt time.Time // zero while running
 
-	gPending, gClaimed, gDone *obs.Gauge
+	g phaseGauges
+}
+
+// tally is what the fold keeps of a job population: its claimed and
+// done jobs (pending is the rest) and the findings of the done ones.
+// setJobLocked moves it on every phase change, so no view counts.
+type tally struct {
+	claimed, done int
+	// findings counts distinct violation classes: each index is a
+	// distinct (app, variant), so summing per-job distinct signatures
+	// counts distinct finding records exactly. violations counts the
+	// violating traces behind them.
+	findings, violations int
+}
+
+// move shifts one job's count from its old record to its new one.
+func (t *tally) move(from, to *jobRecord) {
+	t.add(from, -1)
+	t.add(to, 1)
+}
+
+// add counts job j into the tally n times (n = -1 takes it out).
+func (t *tally) add(j *jobRecord, n int) {
+	switch j.phase {
+	case jobClaimed:
+		t.claimed += n
+	case jobDone:
+		t.done += n
+		if jf := j.finds; jf != nil {
+			t.findings += n * len(jf.sigs)
+			t.violations += n * jf.traces
+		}
+	}
+}
+
+// phaseGauges publishes a job population's tally by lease phase.
+type phaseGauges struct{ pending, claimed, done *obs.Gauge }
+
+func (g phaseGauges) set(jobs int, t tally) {
+	g.pending.Set(int64(jobs - t.claimed - t.done))
+	g.claimed.Set(int64(t.claimed))
+	g.done.Set(int64(t.done))
 }
 
 // DepartedStats aggregates the protocol counters of workers the churn
@@ -194,10 +236,10 @@ type Coordinator struct {
 	journalErrOnce sync.Once
 	resumed        bool
 
-	done      int   // jobs in jobDone
+	tally           // every job's, kept by setJobLocked
 	doneOrder []int // indices of the done jobs, in completion order
 	// requeues counts expired leases; every expiry requeues, so it
-	// renders as both Stats.Requeues and Stats.Expiries.
+	// renders as both Status.Requeues and Status.Expiries.
 	requeues   int
 	duplicates int
 	runsDone   int // injection runs across recorded outcomes
@@ -277,7 +319,7 @@ func newCoordinator(catalog []string, opt Options) *Coordinator {
 	// The default campaign always matches the full catalog, so the
 	// zero-member error path is unreachable.
 	co.newCampaignLocked(DefaultCampaignName, "", 0, "full catalog", co.startedAt)
-	co.updateGaugesLocked()
+	co.m.jobs.set(len(co.jobs), co.tally)
 	return co
 }
 
@@ -308,7 +350,7 @@ type coordMetrics struct {
 	renewals, expiries                    *obs.Counter
 	recorded, duplicates                  *obs.Counter
 	workers                               *obs.Gauge
-	pending, claimed, doneJobs            *obs.Gauge
+	jobs                                  phaseGauges
 }
 
 // resolve looks up every coordinator metric in r (nil-safe).
@@ -324,18 +366,20 @@ func (m *coordMetrics) resolve(r *obs.Registry) {
 	m.duplicates = r.Counter("eptest_coord_completions_total", doneHelp, "result", "duplicate")
 	m.workers = r.Gauge("eptest_coord_workers", "Workers registered against the queue.")
 	const jobsHelp = "Catalog jobs by lease phase."
-	m.pending = r.Gauge("eptest_coord_jobs", jobsHelp, "phase", "pending")
-	m.claimed = r.Gauge("eptest_coord_jobs", jobsHelp, "phase", "claimed")
-	m.doneJobs = r.Gauge("eptest_coord_jobs", jobsHelp, "phase", "done")
+	m.jobs = phaseGauges{
+		pending: r.Gauge("eptest_coord_jobs", jobsHelp, "phase", "pending"),
+		claimed: r.Gauge("eptest_coord_jobs", jobsHelp, "phase", "claimed"),
+		done:    r.Gauge("eptest_coord_jobs", jobsHelp, "phase", "done"),
+	}
 }
 
 // campaignGaugeHelp documents the per-campaign job gauges.
 const campaignGaugeHelp = "Campaign jobs by lease phase."
 
 // newCampaignLocked creates a campaign from a filter over the catalog,
-// counting already-done members so a campaign submitted after its work
-// happened completes instantly. Callers hold co.mu (or own co
-// exclusively during construction/restore).
+// counting members already claimed or done, so a campaign submitted
+// after its work happened completes instantly. Callers hold co.mu (or
+// own co exclusively during construction/restore).
 func (co *Coordinator) newCampaignLocked(name, filter string, priority int, note string, created time.Time) (*campaign, error) {
 	c := &campaign{
 		name: name, filter: filter, priority: priority, note: note,
@@ -346,9 +390,7 @@ func (co *Coordinator) newCampaignLocked(name, filter string, priority int, note
 		if sched.MatchLabel(filter, label) {
 			c.member[i] = true
 			c.jobs++
-			if co.jobs[i].phase == jobDone {
-				c.done++
-			}
+			c.tally.add(&co.jobs[i], 1)
 		}
 	}
 	if c.jobs == 0 && name != DefaultCampaignName {
@@ -358,13 +400,14 @@ func (co *Coordinator) newCampaignLocked(name, filter string, priority int, note
 		c.finishedAt = created
 	}
 	if co.reg != nil {
-		c.gPending = co.reg.Gauge("eptest_coord_campaign_jobs", campaignGaugeHelp, "campaign", name, "phase", "pending")
-		c.gClaimed = co.reg.Gauge("eptest_coord_campaign_jobs", campaignGaugeHelp, "campaign", name, "phase", "claimed")
-		c.gDone = co.reg.Gauge("eptest_coord_campaign_jobs", campaignGaugeHelp, "campaign", name, "phase", "done")
+		gauge := func(phase string) *obs.Gauge {
+			return co.reg.Gauge("eptest_coord_campaign_jobs", campaignGaugeHelp, "campaign", name, "phase", phase)
+		}
+		c.g = phaseGauges{pending: gauge("pending"), claimed: gauge("claimed"), done: gauge("done")}
 	}
 	co.campaigns[name] = c
 	co.campOrder = append(co.campOrder, name)
-	co.updateCampaignGaugesLocked(c)
+	c.g.set(c.jobs, c.tally)
 	return c, nil
 }
 
@@ -375,9 +418,7 @@ func (co *Coordinator) dropCampaignLocked(name string) {
 	if c == nil || name == DefaultCampaignName {
 		return
 	}
-	c.gPending.Set(0)
-	c.gClaimed.Set(0)
-	c.gDone.Set(0)
+	c.g.set(0, tally{})
 	delete(co.campaigns, name)
 	for i, n := range co.campOrder {
 		if n == name {
@@ -387,48 +428,26 @@ func (co *Coordinator) dropCampaignLocked(name string) {
 	}
 }
 
-// updateCampaignGaugesLocked republishes one campaign's phase gauges.
+// setJobLocked moves job i to j. It is the one write of a job's
+// phase: it moves the job between the tallies of the queue and of each
+// campaign containing it, publishes them to the phase gauges, and
+// stamps a campaign finished at the completion that finishes it.
 // Callers hold co.mu.
-func (co *Coordinator) updateCampaignGaugesLocked(c *campaign) {
-	if c.gPending == nil {
-		return
-	}
-	pending, claimed, done := 0, 0, 0
-	for i, in := range c.member {
-		if !in {
+func (co *Coordinator) setJobLocked(i int, j jobRecord) {
+	old := co.jobs[i]
+	co.jobs[i] = j
+	co.tally.move(&old, &j)
+	co.m.jobs.set(len(co.jobs), co.tally)
+	for _, name := range co.campOrder {
+		c := co.campaigns[name]
+		if !c.member[i] {
 			continue
 		}
-		switch co.jobs[i].phase {
-		case jobPending:
-			pending++
-		case jobClaimed:
-			claimed++
-		case jobDone:
-			done++
+		c.tally.move(&old, &j)
+		c.g.set(c.jobs, c.tally)
+		if c.done == c.jobs && c.finishedAt.IsZero() {
+			c.finishedAt = j.doneAt
 		}
-	}
-	c.gPending.Set(int64(pending))
-	c.gClaimed.Set(int64(claimed))
-	c.gDone.Set(int64(done))
-}
-
-// updateGaugesLocked republishes the job-phase gauges. Callers hold
-// co.mu (or, in New, exclusive ownership).
-func (co *Coordinator) updateGaugesLocked() {
-	pending, claimed := 0, 0
-	for i := range co.jobs {
-		switch co.jobs[i].phase {
-		case jobPending:
-			pending++
-		case jobClaimed:
-			claimed++
-		}
-	}
-	co.m.pending.Set(int64(pending))
-	co.m.claimed.Set(int64(claimed))
-	co.m.doneJobs.Set(int64(co.done))
-	for _, name := range co.campOrder {
-		co.updateCampaignGaugesLocked(co.campaigns[name])
 	}
 }
 
@@ -487,7 +506,6 @@ func (co *Coordinator) sweepLocked() {
 	co.gcWorkersLocked(now)
 	co.gcCampaignsLocked(now)
 	if requeued {
-		co.updateGaugesLocked()
 		co.notifyLocked()
 	}
 }
@@ -635,7 +653,6 @@ func (co *Coordinator) Claim(workerID string) (idx int, status ClaimStatus, err 
 	}
 	co.commitLocked(&JournalRecord{Op: opClaim, Worker: workerID, Index: best, ExpiresMillis: co.now().Add(co.ttl).UnixMilli()})
 	co.m.claimGranted.Inc()
-	co.updateGaugesLocked()
 	return best, ClaimGranted, nil
 }
 
@@ -766,7 +783,6 @@ func (co *Coordinator) complete(workerID string, idx int, out Outcome, res *inje
 	co.liveRuns += co.runsDone - runsBefore
 	co.m.recorded.Inc()
 	co.syncJournalLocked()
-	co.updateGaugesLocked()
 	allDone := co.done == len(co.jobs)
 	if allDone {
 		co.notifyLocked()
@@ -804,7 +820,7 @@ func (co *Coordinator) Submit(spec CampaignSpec) (CampaignStatus, error) {
 		return CampaignStatus{}, err
 	}
 	co.syncJournalLocked()
-	return co.campaignStatusLocked(co.campaigns[spec.Name]), nil
+	return co.campaigns[spec.Name].status(), nil
 }
 
 // CampaignStatus is one campaign's point-in-time progress, for the
@@ -830,30 +846,15 @@ type CampaignStatus struct {
 	Violations int `json:"violations,omitempty"`
 }
 
-// campaignStatusLocked snapshots one campaign. Callers hold co.mu.
-func (co *Coordinator) campaignStatusLocked(c *campaign) CampaignStatus {
+// status snapshots the campaign. Callers hold co.mu.
+func (c *campaign) status() CampaignStatus {
 	st := CampaignStatus{
 		Name: c.name, Filter: c.filter, Priority: c.priority, Note: c.note,
-		Jobs: c.jobs, Done: c.done,
+		Jobs: c.jobs, Pending: c.jobs - c.claimed - c.done, Claimed: c.claimed, Done: c.done,
 		State:         "running",
 		CreatedMillis: c.createdAt.UnixMilli(),
-	}
-	for i, in := range c.member {
-		if !in {
-			continue
-		}
-		switch co.jobs[i].phase {
-		case jobPending:
-			st.Pending++
-		case jobClaimed:
-			st.Claimed++
-		}
-		// Each index is a distinct (app, variant), so summing per-job
-		// distinct signatures counts distinct finding records exactly.
-		if jf := co.jobs[i].finds; jf != nil {
-			st.Findings += len(jf.sigs)
-			st.Violations += jf.traces
-		}
+		Findings:      c.findings,
+		Violations:    c.violations,
 	}
 	if c.jobs > 0 && c.done == c.jobs {
 		st.State = "done"
@@ -873,7 +874,7 @@ func (co *Coordinator) Campaign(name string) (CampaignStatus, bool) {
 	if !ok {
 		return CampaignStatus{}, false
 	}
-	return co.campaignStatusLocked(c), true
+	return c.status(), true
 }
 
 // Campaigns returns every campaign's status in submission order,
@@ -884,77 +885,9 @@ func (co *Coordinator) Campaigns() []CampaignStatus {
 	co.sweepLocked()
 	out := make([]CampaignStatus, 0, len(co.campOrder))
 	for _, name := range co.campOrder {
-		out = append(out, co.campaignStatusLocked(co.campaigns[name]))
+		out = append(out, co.campaigns[name].status())
 	}
 	return out
-}
-
-// WorkerStats is one worker's protocol counters, for reports.
-type WorkerStats struct {
-	ID, Name                                            string
-	Claims, Renewals, Completions, Duplicates, Expiries int
-}
-
-// Stats is a point-in-time snapshot of the coordinator, for the
-// report's coordinator section and the /v1/coord/state endpoint.
-type Stats struct {
-	Jobs    int `json:"jobs"`
-	Pending int `json:"pending"`
-	Claimed int `json:"claimed"`
-	Done    int `json:"done"`
-	// Requeues counts expired leases put back in the queue; Duplicates
-	// counts late completions discarded first-write-wins.
-	Requeues   int           `json:"requeues"`
-	Expiries   int           `json:"expiries"`
-	Duplicates int           `json:"duplicates"`
-	Drained    bool          `json:"drained"`
-	Workers    []WorkerStats `json:"workers,omitempty"`
-	// Departed aggregates the counters of workers the churn sweep
-	// folded away; nil until the first departure.
-	Departed *DepartedStats `json:"departed,omitempty"`
-	// Campaigns lists every campaign view in submission order (the
-	// full-catalog default first).
-	Campaigns []CampaignStatus `json:"campaigns,omitempty"`
-}
-
-// Stats snapshots the coordinator. The sweep runs first, so the
-// pending/claimed split reflects current leases, not stale ones.
-func (co *Coordinator) Stats() Stats {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	co.sweepLocked()
-	st := Stats{
-		Jobs:       len(co.jobs),
-		Done:       co.done,
-		Requeues:   co.requeues,
-		Expiries:   co.requeues,
-		Duplicates: co.duplicates,
-		Drained:    co.done == len(co.jobs),
-	}
-	for i := range co.jobs {
-		switch co.jobs[i].phase {
-		case jobPending:
-			st.Pending++
-		case jobClaimed:
-			st.Claimed++
-		}
-	}
-	for _, id := range co.order {
-		ws := co.workers[id]
-		st.Workers = append(st.Workers, WorkerStats{
-			ID: ws.id, Name: ws.name,
-			Claims: ws.Claims, Renewals: ws.Renewals, Completions: ws.Completions,
-			Duplicates: ws.Duplicates, Expiries: ws.Expiries,
-		})
-	}
-	if co.departed.Workers > 0 {
-		d := co.departed
-		st.Departed = &d
-	}
-	for _, name := range co.campOrder {
-		st.Campaigns = append(st.Campaigns, co.campaignStatusLocked(co.campaigns[name]))
-	}
-	return st
 }
 
 // SuiteResult assembles the recorded outcomes into the SuiteResult a

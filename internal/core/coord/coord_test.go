@@ -34,6 +34,18 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
+// stable is the part of a status snapshot that does not depend on the
+// clock: the fields that a restore and a fold must agree on. The
+// heartbeat ages, elapsed time, throughput and ETA are zeroed.
+func stable(st coord.Status) coord.Status {
+	st.ElapsedMillis, st.RunsPerSec, st.EtaMillis = 0, 0, 0
+	st.Workers = append([]coord.WorkerStatus(nil), st.Workers...)
+	for i := range st.Workers {
+		st.Workers[i].HeartbeatAgeMillis = 0
+	}
+	return st
+}
+
 // testCatalog is a four-job catalog; outcomes for it are fabricated
 // with fakeOutcome.
 var testCatalog = []string{"a/vulnerable", "a/fixed", "b/vulnerable", "b/fixed"}
@@ -102,7 +114,7 @@ func TestClaimExpiryRequeues(t *testing.T) {
 	mustClaim(t, co, b, 0)
 	mustClaim(t, co, b, 1)
 
-	st := co.Stats()
+	st := co.Status()
 	if st.Requeues != 2 || st.Expiries != 2 {
 		t.Errorf("requeues/expiries = %d/%d, want 2/2", st.Requeues, st.Expiries)
 	}
@@ -199,7 +211,7 @@ func TestCompleteFirstWriteWins(t *testing.T) {
 		t.Fatalf("lease holder's late completion = (dup %v, %v), want duplicate", dup, err)
 	}
 
-	st := co.Stats()
+	st := co.Status()
 	if st.Duplicates != 2 || st.Done != 2 {
 		t.Errorf("duplicates/done = %d/%d, want 2/2", st.Duplicates, st.Done)
 	}

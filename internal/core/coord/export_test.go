@@ -1,0 +1,40 @@
+package coord
+
+import "fmt"
+
+// Recount scans every job and checks the fold's counts against the
+// scan: the queue's claimed and done jobs, and each campaign's claimed
+// and done members and their findings and violations. It returns the
+// first disagreement, or nil.
+func (co *Coordinator) Recount() error {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	scan := func(in func(i int) bool) (t tally) {
+		for i := range co.jobs {
+			if !in(i) {
+				continue
+			}
+			switch j := &co.jobs[i]; j.phase {
+			case jobClaimed:
+				t.claimed++
+			case jobDone:
+				t.done++
+				if j.finds != nil {
+					t.findings += len(j.finds.sigs)
+					t.violations += j.finds.traces
+				}
+			}
+		}
+		return t
+	}
+	if got := scan(func(int) bool { return true }); got != co.tally {
+		return fmt.Errorf("queue: folded %+v, scanned %+v", co.tally, got)
+	}
+	for _, name := range co.campOrder {
+		c := co.campaigns[name]
+		if got := scan(func(i int) bool { return c.member[i] }); got != c.tally {
+			return fmt.Errorf("campaign %q: folded %+v, scanned %+v", name, c.tally, got)
+		}
+	}
+	return nil
+}

@@ -37,13 +37,13 @@ type jobFindings struct {
 	traces int
 }
 
-// extractFindingsLocked caches the violation traces of a freshly
-// recorded outcome's decoded result on the job record, grouped by
-// signature, and folds each group into the eptest_findings_total
-// counters. Failed campaigns contribute nothing. Callers hold co.mu.
-func (co *Coordinator) extractFindingsLocked(idx int, o *Outcome, res *inject.Result) {
+// extractFindingsLocked extracts the violation traces of a freshly
+// recorded outcome's decoded result, grouped by signature, for its job
+// record, and folds each group into the eptest_findings_total counters.
+// Failed and clean campaigns extract nil. Callers hold co.mu.
+func (co *Coordinator) extractFindingsLocked(o *Outcome, res *inject.Result) *jobFindings {
 	if o.Err != "" {
-		return
+		return nil
 	}
 	jf := &jobFindings{app: o.Name, variant: o.Variant}
 	sched.EachViolation(res, func(sig sched.Signature, in *inject.Injection, v *policy.Violation) {
@@ -67,9 +67,10 @@ func (co *Coordinator) extractFindingsLocked(idx int, o *Outcome, res *inject.Re
 		findings.Count(co.reg, o.Name, st.sig.Rule.String(),
 			vulndb.CategoryOfFinding(st.sig.Class, st.sig.Kind, st.sig.Attr), len(st.traces))
 	}
-	if jf.traces > 0 {
-		co.jobs[idx].finds = jf
+	if jf.traces == 0 {
+		return nil
 	}
+	return jf
 }
 
 // FindingsReport assembles the canonical findings report over every

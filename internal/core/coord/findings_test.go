@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -188,7 +189,9 @@ func TestFindingsAggregation(t *testing.T) {
 
 // TestFindingsSurviveRestore pins durability: a coordinator rebuilt
 // from its journal (with ref-elided outcomes resolved through the
-// result cache) re-extracts the same findings, byte-identically.
+// result cache) re-extracts the same findings, byte-identically, and
+// folds the same per-campaign counts, also for a campaign submitted
+// after its findings landed.
 func TestFindingsSurviveRestore(t *testing.T) {
 	t.Parallel()
 	co, _, mj, cache, id := journaledCoord(t)
@@ -212,6 +215,13 @@ func TestFindingsSurviveRestore(t *testing.T) {
 	if co.FindingsReport().Traces() == 0 {
 		t.Fatal("no findings before restore; the test proves nothing")
 	}
+	if _, err := co.Submit(coord.CampaignSpec{Name: "late", Filter: "a/*"}); err != nil {
+		t.Fatal(err)
+	}
+	camps := co.Campaigns()
+	if late := camps[1]; late.Findings == 0 || late.Findings != camps[0].Findings || late.Violations != camps[0].Violations {
+		t.Fatalf("campaigns = %+v, want the late campaign to count job 0's findings", camps)
+	}
 
 	clk2 := newFakeClock()
 	co2 := restoreWithClock(t, clk2, mj, cache)
@@ -221,6 +231,14 @@ func TestFindingsSurviveRestore(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("findings drift across restore:\n--- restored\n%s--- want\n%s", got, want)
+	}
+	for _, c := range []*coord.Coordinator{co, co2} {
+		if err := c.Recount(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := co2.Campaigns(); !reflect.DeepEqual(got, camps) {
+		t.Fatalf("restored campaigns = %+v, want %+v", got, camps)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //	POST /v1/coord/claim    -> ClaimResponse
 //	POST /v1/coord/renew    -> RenewResponse
 //	POST /v1/coord/complete -> CompleteResponse
-//	GET  /v1/coord/state    -> Stats
+//	GET  /v1/coord/state    -> Status (as GET /v1/status)
 const (
 	// Prefix is the coordinator's endpoint namespace, for mounting the
 	// server on a shared mux.
@@ -54,7 +54,7 @@ func NewServer(co *Coordinator) *Server {
 	s.mux.HandleFunc("POST "+claimPath, s.claim)
 	s.mux.HandleFunc("POST "+renewPath, s.renew)
 	s.mux.HandleFunc("POST "+completePath, s.complete)
-	s.mux.HandleFunc("GET "+statePath, s.state)
+	s.mux.Handle("GET "+statePath, StatusHandler(co))
 	return s
 }
 
@@ -233,10 +233,6 @@ func (s *Server) complete(w http.ResponseWriter, r *http.Request) {
 	reply(w, CompleteResponse{Duplicate: dup})
 }
 
-func (s *Server) state(w http.ResponseWriter, r *http.Request) {
-	reply(w, s.co.Stats())
-}
-
 // Client speaks the coordinator protocol against a running
 // `eptest -serve-coord`. Unlike the cache transport, coordinator calls
 // do not degrade silently: a claim or completion that cannot reach the
@@ -302,16 +298,23 @@ func (c *Client) post(path string, reqBody, respBody any) error {
 	if err != nil {
 		return fmt.Errorf("coord: encode %s: %w", path, err)
 	}
-	return c.postBytes(path, b, respBody)
+	return c.do(http.MethodPost, path, b, respBody)
 }
 
-// postBytes is post with the request body already encoded.
-func (c *Client) postBytes(path string, b []byte, respBody any) error {
-	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(b))
+// do issues one round trip, with a JSON request body unless b is nil,
+// and decodes the JSON response into respBody.
+func (c *Client) do(method, path string, b []byte, respBody any) error {
+	var body io.Reader
+	if b != nil {
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, c.base+path, body)
 	if err != nil {
 		return fmt.Errorf("coord: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if b != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
 	}
@@ -322,7 +325,7 @@ func (c *Client) postBytes(path string, b []byte, respBody any) error {
 	defer store.CloseBody(resp.Body)
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("coord: POST %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
+		return fmt.Errorf("coord: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(respBody); err != nil {
 		return fmt.Errorf("coord: decode %s response: %w", path, err)
@@ -392,7 +395,7 @@ func (c *Client) Complete(idx int, out Outcome) (duplicate bool, err error) {
 	// transport may still be reading it after the response is in.
 	b := appendComplete(make([]byte, 0, len(out.Result)+completeOverhead), &req)
 	var resp CompleteResponse
-	if err := c.postBytes(completePath, b, &resp); err != nil {
+	if err := c.do(http.MethodPost, completePath, b, &resp); err != nil {
 		return false, err
 	}
 	return resp.Duplicate, nil
@@ -403,27 +406,9 @@ func (c *Client) Complete(idx int, out Outcome) (duplicate bool, err error) {
 // short error fit in it, so the body is written without growing.
 const completeOverhead = 512
 
-// State fetches the coordinator's stats snapshot.
-func (c *Client) State() (Stats, error) {
-	req, err := http.NewRequest(http.MethodGet, c.base+statePath, nil)
-	if err != nil {
-		return Stats{}, fmt.Errorf("coord: %w", err)
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return Stats{}, fmt.Errorf("coord: %w", err)
-	}
-	defer store.CloseBody(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return Stats{}, fmt.Errorf("coord: GET %s: %s: %s", statePath, resp.Status, bytes.TrimSpace(msg))
-	}
-	var st Stats
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&st); err != nil {
-		return Stats{}, fmt.Errorf("coord: decode state: %w", err)
-	}
-	return st, nil
+// State fetches the coordinator's status snapshot.
+func (c *Client) State() (Status, error) {
+	var st Status
+	err := c.do(http.MethodGet, statePath, nil, &st)
+	return st, err
 }

@@ -157,7 +157,7 @@ func TestRegisterRefusesOldProtocol(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `"eptest-coord/2"`) || !strings.Contains(string(msg), `"eptest-coord/3"`) {
 		t.Fatalf("register at eptest-coord/2 = %d %s, want 400 naming both versions", resp.StatusCode, msg)
 	}
-	if st := co.Stats(); len(st.Workers) != 0 {
+	if st := co.Status(); len(st.Workers) != 0 {
 		t.Fatalf("the refused worker was admitted: %+v", st.Workers)
 	}
 }
@@ -224,7 +224,7 @@ func TestElasticWorkersKillOneMidRun(t *testing.T) {
 			t.Errorf("campaign %d (%s) differs between coordinator merge and direct run", i, catalog[i])
 		}
 	}
-	st := co.Stats()
+	st := co.Status()
 	if st.Requeues < 2 {
 		t.Errorf("requeues = %d, want >= 2 (the doomed worker's leases)", st.Requeues)
 	}
@@ -276,7 +276,7 @@ func TestConcurrentWorkersDrainDisjointly(t *testing.T) {
 			t.Errorf("%s ran %d times", label, n)
 		}
 	}
-	st := co.Stats()
+	st := co.Status()
 	if st.Duplicates != 0 || st.Requeues != 0 || !st.Drained {
 		t.Errorf("final state = %+v, want clean drain", st)
 	}

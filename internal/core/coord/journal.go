@@ -64,15 +64,13 @@ type JournalRecord struct {
 	AtMillis int64  `json:"at_ms,omitempty"`
 
 	// meta fields — journal identity plus aggregate totals at snapshot
-	// time (incremental records re-accumulate on top of them). Expiries
-	// repeats Requeues, since every expiry requeues; restore reads
-	// Requeues.
+	// time (incremental records re-accumulate on top of them). Every
+	// expiry requeues, so Requeues is the expiry total too.
 	Schema      string         `json:"schema,omitempty"`
 	CatalogHash string         `json:"catalog_hash,omitempty"`
 	Jobs        int            `json:"jobs,omitempty"`
 	LeaseMillis int64          `json:"lease_ms,omitempty"`
 	Requeues    int            `json:"requeues,omitempty"`
-	Expiries    int            `json:"expiries,omitempty"`
 	Duplicates  int            `json:"duplicates,omitempty"`
 	Departed    *DepartedStats `json:"departed,omitempty"`
 
@@ -241,7 +239,6 @@ func (co *Coordinator) metaRecordLocked() *JournalRecord {
 		Jobs:        len(co.catalog),
 		LeaseMillis: co.ttl.Milliseconds(),
 		Requeues:    co.requeues,
-		Expiries:    co.requeues,
 		Duplicates:  co.duplicates,
 	}
 	if co.departed.Workers > 0 {
@@ -350,8 +347,9 @@ func (co *Coordinator) checkIndex(op string, i int) error {
 // record creates a worker row; every other record bumps counters only
 // on a row that exists, so a record naming a departed worker cannot
 // bring it back. A record from a worker's own call refreshes its
-// heartbeat. Callers hold co.mu (or own co exclusively, as Restore
-// does).
+// heartbeat. Every job phase change goes through setJobLocked, which
+// keeps the counts. Callers hold co.mu (or own co exclusively, as
+// Restore does).
 func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 	if rec.AtMillis == 0 {
 		return fmt.Errorf("%s record carries no timestamp", rec.Op)
@@ -413,11 +411,10 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 			ws.JournalCounters = *rec.Counters
 		}
 	case opClaim:
-		j := &co.jobs[rec.Index]
-		if j.phase == jobDone {
+		if co.jobs[rec.Index].phase == jobDone {
 			return fmt.Errorf("claim of job %d, which is done", rec.Index)
 		}
-		*j = jobRecord{phase: jobClaimed, worker: rec.Worker, expires: time.UnixMilli(rec.ExpiresMillis)}
+		co.setJobLocked(rec.Index, jobRecord{phase: jobClaimed, worker: rec.Worker, expires: time.UnixMilli(rec.ExpiresMillis)})
 		co.cur[rec.Worker] = co.world[rec.Index]
 		if ws != nil {
 			ws.Claims++
@@ -444,7 +441,7 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 		if holder := co.workers[j.worker]; holder != nil {
 			holder.Expiries++
 		}
-		*j = jobRecord{phase: jobPending}
+		co.setJobLocked(rec.Index, jobRecord{phase: jobPending})
 		co.requeues++
 	case opComplete:
 		// The outcome passes the checks a live upload does; the first
@@ -484,31 +481,23 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 			// Restore could not resolve the by-reference result (the
 			// cache entry is gone): the job goes back to pending and the
 			// fleet redoes it.
-			co.jobs[idx] = jobRecord{phase: jobPending}
+			co.setJobLocked(idx, jobRecord{phase: jobPending})
 			co.logf("coord: journal outcome for job %d (%s) references missing cache entry %s; job requeued", idx, co.catalog[idx], o.Fingerprint)
 			return nil
 		}
-		co.jobs[idx] = jobRecord{phase: jobDone, outcome: o, doneBy: rec.Worker, doneAt: at}
+		j := jobRecord{phase: jobDone, outcome: o, doneBy: rec.Worker, doneAt: at}
 		runs := 0
 		if res != nil {
 			runs = len(res.Injections)
-			co.extractFindingsLocked(idx, o, res)
+			j.finds = co.extractFindingsLocked(o, res)
 		}
+		co.setJobLocked(idx, j)
 		if ws != nil {
 			ws.Completions++
 			ws.RunsDone += runs
 		}
-		co.done++
 		co.doneOrder = append(co.doneOrder, idx)
 		co.runsDone += runs
-		for _, name := range co.campOrder {
-			if c := co.campaigns[name]; c.member[idx] {
-				c.done++
-				if c.done == c.jobs && c.finishedAt.IsZero() {
-					c.finishedAt = at
-				}
-			}
-		}
 	case opWorkerGone:
 		if ws == nil {
 			return nil
@@ -608,7 +597,6 @@ func Restore(catalog []string, opt Options, recs []*JournalRecord) (*Coordinator
 		ws.lastSeen = now
 	}
 	co.resumed = true
-	co.updateGaugesLocked()
 	co.m.workers.Set(int64(len(co.workers)))
 	if co.done == len(co.jobs) && len(co.jobs) > 0 {
 		close(co.drained)

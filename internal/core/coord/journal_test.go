@@ -2,7 +2,10 @@ package coord_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -101,7 +104,7 @@ func TestJournalReplayResumes(t *testing.T) {
 	}
 
 	co2 := restore(t, clk, mj, cache)
-	st := co2.Stats()
+	st := co2.Status()
 	if st.Done != 1 || st.Claimed != 1 || st.Pending != 2 {
 		t.Fatalf("restored stats = %d done / %d claimed / %d pending, want 1/1/2", st.Done, st.Claimed, st.Pending)
 	}
@@ -147,7 +150,7 @@ func TestJournalInFlightLeaseRequeues(t *testing.T) {
 	// Past the original deadline: job 0 requeues and bob picks it up.
 	clk.Advance(6 * time.Second)
 	mustClaim(t, co2, bob, 0)
-	if st := co2.Stats(); st.Requeues != 1 {
+	if st := co2.Status(); st.Requeues != 1 {
 		t.Errorf("requeues = %d, want 1 (the restored lease expiring)", st.Requeues)
 	}
 }
@@ -168,7 +171,7 @@ func TestJournalDuplicateAcrossRestart(t *testing.T) {
 	if err != nil || !dup {
 		t.Fatalf("post-restart Complete = (dup %v, %v), want a discarded duplicate", dup, err)
 	}
-	if st := co2.Stats(); st.Duplicates != 1 || st.Done != 1 {
+	if st := co2.Status(); st.Duplicates != 1 || st.Done != 1 {
 		t.Errorf("stats = %d duplicates / %d done, want 1/1", st.Duplicates, st.Done)
 	}
 }
@@ -233,7 +236,7 @@ func TestJournalMissingCacheEntryRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := co2.Stats(); st.Done != 0 || st.Pending != len(testCatalog) {
+	if st := co2.Status(); st.Done != 0 || st.Pending != len(testCatalog) {
 		t.Errorf("stats = %d done / %d pending, want the orphaned job requeued (0/%d)", st.Done, st.Pending, len(testCatalog))
 	}
 	if len(logged) == 0 || !strings.Contains(logged[0], "missing cache entry") {
@@ -287,6 +290,60 @@ func TestJournalOldSchemaRefused(t *testing.T) {
 	}
 }
 
+// TestJournalMetaExpiriesIgnored pins the meta record's form: it
+// carries the requeue total once, with no "expiries" repeat, and a
+// journal written when meta still repeated it restores unchanged.
+func TestJournalMetaExpiriesIgnored(t *testing.T) {
+	t.Parallel()
+	co, clk, mj, cache, alice := journaledCoord(t)
+	mustClaim(t, co, alice, 0)
+	clk.Advance(11 * time.Second)
+	mustClaim(t, co, alice, 0) // the sweep requeues the expired lease first
+	compacted := &coord.MemJournal{}
+	if _, err := coord.Restore(testCatalog, coord.Options{LeaseTTL: 10 * time.Second, Now: clk.Now, Journal: compacted, Results: cache}, mj.Records()); err != nil {
+		t.Fatal(err)
+	}
+
+	var lines [][]byte
+	for _, r := range compacted.Records() {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Op == "meta" {
+			if r.Requeues != 1 || bytes.Contains(b, []byte(`"expiries"`)) {
+				t.Fatalf("meta record %s, want requeues 1 and no expiries", b)
+			}
+			b = bytes.Replace(b, []byte(`"requeues":1,`), []byte(`"requeues":1,"expiries":1,`), 1)
+		}
+		lines = append(lines, b)
+	}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fj, old, err := coord.OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fj.Close()
+	if !bytes.Contains(lines[0], []byte(`"expiries":1`)) {
+		t.Fatalf("old-form meta record %s carries no expiries", lines[0])
+	}
+	opt := coord.Options{LeaseTTL: 10 * time.Second, Now: clk.Now, Results: cache}
+	want, err := coord.Restore(testCatalog, opt, compacted.Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := coord.Restore(testCatalog, opt, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := stable(got.Status()), stable(want.Status()); !reflect.DeepEqual(g, w) {
+		t.Errorf("journal with meta expiries restores to\n%+v\nwant\n%+v", g, w)
+	}
+}
+
 // TestJournalCampaignsSurviveRestart pins named-campaign durability: a
 // submitted campaign's spec, progress, and finished state all replay.
 func TestJournalCampaignsSurviveRestart(t *testing.T) {
@@ -334,7 +391,7 @@ func TestWorkerChurnBounded(t *testing.T) {
 		// silent worker.
 		clk.Advance(61 * time.Second)
 	}
-	st := co.Stats()
+	st := co.Status()
 	if len(st.Workers) > 2 {
 		t.Errorf("worker table grew to %d rows under churn, want it bounded", len(st.Workers))
 	}
@@ -365,7 +422,7 @@ func TestCompactionKeepsDepartedWorkersGone(t *testing.T) {
 	if _, err := co.Register("bob", testCatalog); err != nil {
 		t.Fatal(err)
 	}
-	want := co.Stats()
+	want := stable(co.Status())
 	if len(want.Workers) != 1 || want.Departed == nil || want.Departed.Workers != 1 || want.Departed.Completions != 1 {
 		t.Fatalf("live stats = workers %+v, departed %+v; want bob live and alice departed with 1 completion", want.Workers, want.Departed)
 	}
@@ -378,7 +435,7 @@ func TestCompactionKeepsDepartedWorkersGone(t *testing.T) {
 		if err != nil {
 			t.Fatalf("restore %d: %v", gen, err)
 		}
-		got := r.Stats()
+		got := stable(r.Status())
 		if !reflect.DeepEqual(got.Workers, want.Workers) || !reflect.DeepEqual(got.Departed, want.Departed) {
 			t.Fatalf("restore %d: workers %+v, departed %+v; want workers %+v, departed %+v",
 				gen, got.Workers, got.Departed, want.Workers, want.Departed)
@@ -428,7 +485,7 @@ func TestRestoreReadsOldSnapshotOrder(t *testing.T) {
 	if dup, err := co.Complete(alice, 0, fakeOutcomeFP(t, 0)); err != nil || dup {
 		t.Fatalf("Complete = (dup %v, %v)", dup, err)
 	}
-	want := co.Stats()
+	want := stable(co.Status())
 
 	at := clk.Now().UnixMilli()
 	o := fakeOutcomeFP(t, 0)
@@ -443,7 +500,7 @@ func TestRestoreReadsOldSnapshotOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Stats(); !reflect.DeepEqual(got, want) {
+	if got := stable(r.Status()); !reflect.DeepEqual(got, want) {
 		t.Errorf("old-order snapshot restores to\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -49,7 +49,7 @@ type mJob struct {
 
 type mWorker struct {
 	lastSeen time.Time
-	c        coord.WorkerStats
+	c        coord.WorkerStatus
 }
 
 type mCampaign struct {
@@ -324,7 +324,7 @@ func (m *coordModel) register(name string) string {
 }
 
 func (m *coordModel) adopt(id, name string) {
-	m.workers[id] = &mWorker{lastSeen: m.now, c: coord.WorkerStats{ID: id, Name: name}}
+	m.workers[id] = &mWorker{lastSeen: m.now, c: coord.WorkerStatus{ID: id, Name: name}}
 	m.order = append(m.order, id)
 	m.byName[name] = id
 }
@@ -363,17 +363,25 @@ func (m *coordModel) campaignStatus(c *mCampaign) coord.CampaignStatus {
 	return st
 }
 
-// stats is what Coordinator.Stats must report.
-func (m *coordModel) stats() coord.Stats {
+// stats is what Coordinator.Status must report, clock-derived fields
+// aside (see stable).
+func (m *coordModel) stats() coord.Status {
 	m.sweep()
 	def := m.campaignStatus(m.camps[0])
-	st := coord.Stats{
-		Jobs: len(m.jobs), Pending: def.Pending, Claimed: def.Claimed, Done: def.Done,
+	st := coord.Status{
+		Schema: coord.StatusSchemaVersion,
+		Jobs:   len(m.jobs), Pending: def.Pending, Claimed: def.Claimed, Done: def.Done,
 		Requeues: m.requeues, Expiries: m.requeues, Duplicates: m.duplicates,
 		Drained: def.Done == len(m.jobs),
 	}
 	for _, id := range m.order {
-		st.Workers = append(st.Workers, m.workers[id].c)
+		w := m.workers[id].c
+		for i, j := range m.jobs {
+			if j.phase == mClaimed && j.holder == id {
+				w.ActiveLeases = append(w.ActiveLeases, i)
+			}
+		}
+		st.Workers = append(st.Workers, w)
 	}
 	if m.departed.Workers > 0 {
 		d := m.departed
@@ -398,7 +406,9 @@ func (m *coordModel) stats() coord.Stats {
 // departed completions equal the done jobs and claims equal the grants;
 // the worker table stays bounded; and at every restart the live
 // coordinator, its restore and restore∘compact∘restore report equal
-// Stats. Claims follow the world-affine grant order, so the model
+// Status snapshots. After every step, and after each restore, the
+// counts the coordinator folds equal a scan of its jobs (Recount).
+// Claims follow the world-affine grant order, so the model
 // also tracks each worker's current world across restarts.
 func FuzzCoordModel(f *testing.F) {
 	f.Add([]byte{
@@ -458,8 +468,12 @@ func FuzzCoordModel(f *testing.F) {
 			}
 			return "unregistered"
 		}
-		check := func(step int, st coord.Stats) {
+		check := func(step int, st coord.Status) {
 			t.Helper()
+			if err := co.Recount(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			st = stable(st)
 			if want := m.stats(); !reflect.DeepEqual(st, want) {
 				t.Fatalf("step %d: stats diverge from the model:\n got %+v\nwant %+v", step, st, want)
 			}
@@ -574,7 +588,7 @@ func FuzzCoordModel(f *testing.F) {
 					t.Fatalf("step %d: Submit(%+v) = %v, model exists=%v", step, spec, err, exists)
 				}
 			case 8: // crash and restart, continuing on one or two restores
-				live := co.Stats()
+				live := co.Status()
 				check(step, live)
 				j1 := &coord.MemJournal{}
 				r1, err := coord.Restore(modelCatalog, opts(j1), mj.Records())
@@ -586,8 +600,11 @@ func FuzzCoordModel(f *testing.F) {
 				if err != nil {
 					t.Fatalf("step %d: restore of the compacted journal: %v", step, err)
 				}
-				for gen, got := range []coord.Stats{r1.Stats(), r2.Stats()} {
-					if !reflect.DeepEqual(got, live) {
+				for gen, r := range []*coord.Coordinator{r1, r2} {
+					if err := r.Recount(); err != nil {
+						t.Fatalf("step %d: restore %d: %v", step, gen+1, err)
+					}
+					if got := stable(r.Status()); !reflect.DeepEqual(got, stable(live)) {
 						t.Fatalf("step %d: restore %d stats diverge:\n got %+v\nlive %+v", step, gen+1, got, live)
 					}
 				}
@@ -597,7 +614,7 @@ func FuzzCoordModel(f *testing.F) {
 				}
 				m.restart(arg%2 == 1)
 			}
-			check(step, co.Stats())
+			check(step, co.Status())
 		}
 	})
 }

@@ -12,7 +12,7 @@ import (
 // dispatcher section, the split across workers describes this
 // particular fleet run and never takes part in report byte-identity
 // checks — those compare the merged report the coordinator assembles.
-func (st Stats) Render() string {
+func (st Status) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "coordinator: %d job(s) — %d done, %d claimed, %d pending; %d requeue(s) after lease expiry, %d duplicate completion(s) discarded\n",
 		st.Jobs, st.Done, st.Claimed, st.Pending, st.Requeues, st.Duplicates)

@@ -135,7 +135,7 @@ func TestRestoreRedoesDamagedStoreEntry(t *testing.T) {
 	if !st2.Has(fp) {
 		t.Fatal("the damaged record left the index; the test no longer covers Has vouching for it")
 	}
-	if s := co2.Stats(); s.Done != len(catalog)-1 || s.Pending != 1 {
+	if s := co2.Status(); s.Done != len(catalog)-1 || s.Pending != 1 {
 		t.Fatalf("restored %d done / %d pending, want the damaged job alone requeued", s.Done, s.Pending)
 	}
 	mu.Lock()
@@ -145,7 +145,7 @@ func TestRestoreRedoesDamagedStoreEntry(t *testing.T) {
 	mu.Unlock()
 
 	fleetGeneration(t, co2, st2, jobs, catalog, "second")
-	s := co2.Stats()
+	s := co2.Status()
 	if !s.Drained || s.Done != len(catalog) || s.Duplicates != 0 {
 		t.Fatalf("after the redo: %+v", s)
 	}

@@ -66,7 +66,7 @@ func TestSourceCompleteNeverBlocks(t *testing.T) {
 	if err := src.Err(); err != nil {
 		t.Fatal(err)
 	}
-	st := co.Stats()
+	st := co.Status()
 	if st.Done != len(catalog) || st.Duplicates != n-len(catalog) {
 		t.Errorf("after flush: %d done / %d duplicates, want %d/%d", st.Done, st.Duplicates, len(catalog), n-len(catalog))
 	}

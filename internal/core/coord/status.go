@@ -28,6 +28,7 @@ type WorkerStatus struct {
 	// TTL, so an age beyond the TTL means it is gone.
 	HeartbeatAgeMillis int64 `json:"heartbeat_age_ms"`
 	Claims             int   `json:"claims"`
+	Renewals           int   `json:"renewals,omitempty"`
 	Completions        int   `json:"completions"`
 	Duplicates         int   `json:"duplicates,omitempty"`
 	Expiries           int   `json:"expiries,omitempty"`
@@ -36,8 +37,9 @@ type WorkerStatus struct {
 	RunsDone int `json:"runs_done"`
 }
 
-// Status is the live queue snapshot served at GET /v1/status and
-// rendered by the HTML status page.
+// Status is the coordinator's one snapshot: served at GET /v1/status
+// and GET /v1/coord/state, rendered by the HTML status page, and
+// printed by a -coord-url worker (Render).
 type Status struct {
 	Schema  string `json:"schema"`
 	Jobs    int    `json:"jobs"`
@@ -64,14 +66,17 @@ type Status struct {
 	// while this process has recorded no completion.
 	EtaMillis int64          `json:"eta_ms"`
 	Workers   []WorkerStatus `json:"workers,omitempty"`
+	// Departed aggregates the counters of workers the churn sweep
+	// folded away; nil until the first departure.
+	Departed *DepartedStats `json:"departed,omitempty"`
 	// Campaigns lists every campaign view in submission order, the
 	// full-catalog default first.
 	Campaigns []CampaignStatus `json:"campaigns,omitempty"`
 }
 
-// Status snapshots the queue for the live status surface. The expiry
-// sweep runs first, so leases and heartbeat ages reflect the present,
-// not the last protocol call.
+// Status snapshots the queue. The expiry sweep runs first, so leases
+// and heartbeat ages reflect the present, not the last protocol call.
+// The counts are the fold's; the jobs are walked once, for the leases.
 func (co *Coordinator) Status() Status {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -81,6 +86,8 @@ func (co *Coordinator) Status() Status {
 	st := Status{
 		Schema:        StatusSchemaVersion,
 		Jobs:          len(co.jobs),
+		Pending:       len(co.jobs) - co.claimed - co.done,
+		Claimed:       co.claimed,
 		Done:          co.done,
 		Requeues:      co.requeues,
 		Expiries:      co.requeues,
@@ -91,12 +98,8 @@ func (co *Coordinator) Status() Status {
 	}
 	leases := make(map[string][]int)
 	for i := range co.jobs {
-		switch co.jobs[i].phase {
-		case jobPending:
-			st.Pending++
-		case jobClaimed:
-			st.Claimed++
-			leases[co.jobs[i].worker] = append(leases[co.jobs[i].worker], i)
+		if j := &co.jobs[i]; j.phase == jobClaimed {
+			leases[j.worker] = append(leases[j.worker], i)
 		}
 	}
 	// Throughput and ETA extrapolate only from completions this process
@@ -123,14 +126,19 @@ func (co *Coordinator) Status() Status {
 			ActiveLeases:       leases[id],
 			HeartbeatAgeMillis: now.Sub(ws.lastSeen).Milliseconds(),
 			Claims:             ws.Claims,
+			Renewals:           ws.Renewals,
 			Completions:        ws.Completions,
 			Duplicates:         ws.Duplicates,
 			Expiries:           ws.Expiries,
 			RunsDone:           ws.RunsDone,
 		})
 	}
+	if co.departed.Workers > 0 {
+		d := co.departed
+		st.Departed = &d
+	}
 	for _, name := range co.campOrder {
-		st.Campaigns = append(st.Campaigns, co.campaignStatusLocked(co.campaigns[name]))
+		st.Campaigns = append(st.Campaigns, co.campaigns[name].status())
 	}
 	return st
 }

@@ -1,6 +1,7 @@
 package coord_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core/coord"
 	"repro/internal/core/inject"
+	"repro/internal/core/obs"
 	"repro/internal/core/store"
 )
 
@@ -161,6 +163,97 @@ func TestStatusEndpoints(t *testing.T) {
 			t.Fatalf("status page missing %q:\n%s", want, body)
 		}
 	}
+}
+
+// TestStateIsStatus pins the one snapshot: GET /v1/coord/state and
+// GET /v1/status serve the same bytes.
+func TestStateIsStatus(t *testing.T) {
+	t.Parallel()
+	co, clk, ids := newCoord(t, "alpha", "beta")
+	mustClaim(t, co, ids[0], 0)
+	mustClaim(t, co, ids[1], 1)
+	clk.Advance(time.Second)
+	if _, err := co.Complete(ids[0], 0, runsOutcome(t, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+
+	mux := http.NewServeMux()
+	mux.Handle(coord.Prefix, coord.NewServer(co))
+	mux.Handle("GET /v1/status", coord.StatusHandler(co))
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+		}
+		return b
+	}
+	state, status := get(coord.Prefix+"state"), get("/v1/status")
+	if !bytes.Equal(state, status) {
+		t.Errorf("state and status differ:\n%s\n%s", state, status)
+	}
+	if !bytes.Contains(status, []byte(`"schema":"eptest-status/1"`)) {
+		t.Errorf("status %s has no eptest-status/1 schema", status)
+	}
+}
+
+// TestPhaseGaugesFollowTheFold pins the job-phase gauges, which the
+// fold publishes as jobs change phase: for the queue and each
+// campaign, through a claim, an expiry, a completion and a campaign
+// dropped past retention.
+func TestPhaseGaugesFollowTheFold(t *testing.T) {
+	t.Parallel()
+	clk := newFakeClock()
+	reg := obs.NewRegistry()
+	co := coord.New(testCatalog, coord.Options{LeaseTTL: 10 * time.Second, Now: clk.Now, Metrics: reg, Retention: time.Minute})
+	id, err := co.Register("alpha", testCatalog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Submit(coord.CampaignSpec{Name: "b", Filter: "b/*", Priority: 1}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, want map[string]float64) {
+		t.Helper()
+		flat := reg.Flat()
+		for key, v := range want {
+			if flat[key] != v {
+				t.Errorf("%s: %s = %v, want %v", when, key, flat[key], v)
+			}
+		}
+	}
+	gauges := func(q, b [3]float64) map[string]float64 {
+		m := map[string]float64{}
+		for i, phase := range []string{"pending", "claimed", "done"} {
+			m[`eptest_coord_jobs{phase="`+phase+`"}`] = q[i]
+			m[`eptest_coord_campaign_jobs{campaign="b",phase="`+phase+`"}`] = b[i]
+		}
+		return m
+	}
+	check("fresh", gauges([3]float64{4, 0, 0}, [3]float64{2, 0, 0}))
+	mustClaim(t, co, id, 2) // campaign b's priority first
+	check("claimed", gauges([3]float64{3, 1, 0}, [3]float64{1, 1, 0}))
+	clk.Advance(11 * time.Second)
+	mustClaim(t, co, id, 2) // the sweep requeues the expired lease first
+	check("re-claimed", gauges([3]float64{3, 1, 0}, [3]float64{1, 1, 0}))
+	if _, err := co.Complete(id, 2, fakeOutcome(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	mustClaim(t, co, id, 3)
+	if _, err := co.Complete(id, 3, fakeOutcome(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	check("campaign done", gauges([3]float64{2, 0, 2}, [3]float64{0, 0, 2}))
+	clk.Advance(time.Minute)
+	co.Status() // the sweep drops campaign b past retention
+	check("campaign dropped", gauges([3]float64{2, 0, 2}, [3]float64{0, 0, 0}))
 }
 
 // TestStatusAfterRestoreShowsNoThroughput pins the restart fix: a

@@ -207,8 +207,8 @@ func TestSuiteResultDecodesOutsideTheLock(t *testing.T) {
 					return
 				default:
 				}
-				if st := co.Stats(); !st.Drained {
-					t.Error("Stats lost the drain")
+				if st := co.Status(); !st.Drained {
+					t.Error("Status lost the drain")
 					return
 				}
 				if _, st, err := co.Claim(ids[1]); err != nil || st != coord.ClaimDrained {

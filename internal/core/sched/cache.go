@@ -3,7 +3,7 @@ package sched
 import "repro/internal/core/inject"
 
 // Cache is a campaign-result cache keyed by fingerprint. The
-// Dispatcher consults it twice per job: before planning under the
+// dispatcher consults it twice per job: before planning under the
 // source fingerprint (inject.SourceFingerprint — a hit skips even the
 // clean run) and after planning under the plan fingerprint
 // (inject.(*ExecPlan).Fingerprint). A hit replays the stored result in

@@ -12,51 +12,6 @@ import (
 	"repro/internal/core/obs"
 )
 
-// Dispatcher schedules a suite at run granularity: every Job is
-// expanded into its inject.ExecPlan run units, and the units flow
-// through per-worker deques with work stealing, so a worker that
-// drains its own queue rebalances onto whichever job still has runs
-// outstanding — no static partition, no idle workers while an
-// expensive campaign hogs one queue.
-//
-// Equivalent runs execute once per pass: when a planned run repeats
-// one that another plan of the same world already executes (see
-// runTable), it is not queued; its slot receives a copy of that run's
-// outcome as soon as the run lands. No worker blocks on another's run.
-//
-// Determinism is preserved by construction: each run writes its
-// outcome into its plan-order slot, and each campaign's result is
-// assembled exactly as the sequential engine would have, so the suite
-// report is byte-identical no matter how the runs interleave.
-type Dispatcher struct {
-	// Workers is the worker-goroutine count — the maximum number of
-	// concurrently executing plan/run units. Zero or negative means
-	// GOMAXPROCS.
-	Workers int
-	// Engine is the injection-engine options applied to every job that
-	// does not carry its own Job.Engine override.
-	Engine inject.Options
-	// OnEvent, when non-nil, receives progress events. Calls are
-	// serialised.
-	OnEvent func(Event)
-	// Cache, when non-nil, makes the suite incremental. A job whose
-	// source fingerprint (inject.SourceFingerprint) is cached replays
-	// without even its clean run; otherwise the job plans, and a plan-
-	// fingerprint hit replays without executing injection runs. Fresh
-	// results are written back under both fingerprints. The Cache may
-	// be local (store.Store) or a network transport (store.Client).
-	Cache Cache
-	// Metrics, when non-nil, receives fleet telemetry: run/plan/steal
-	// counters, cache probes by tier and result, queue depth and run
-	// latency. Purely observational — a nil registry and a populated one
-	// yield byte-identical suite results.
-	Metrics *obs.Registry
-	// Tracer, when non-nil, records each plan and injection run as a
-	// span tree (run ⊃ world/exec/compare, plus cache get/put spans) on
-	// the executing worker's tid row.
-	Tracer *obs.Tracer
-}
-
 // WorkerStats counts one dispatcher worker's activity.
 type WorkerStats struct {
 	// Plans is the number of campaigns this worker planned.
@@ -100,9 +55,9 @@ type jobState struct {
 	world *worldRuns // the shared run table, once the world has one
 }
 
-// dispatchState is the shared coordination state of one Run call.
+// dispatchState is the shared coordination state of one suite pass.
 type dispatchState struct {
-	d   *Dispatcher
+	opt SuiteOptions
 	res *SuiteResult
 
 	// mu guards the deques, the remaining counter and the sourced-mode
@@ -130,9 +85,9 @@ type dispatchState struct {
 }
 
 // dispatchMetrics is the dispatcher's metric handles, resolved once per
-// Run/RunFrom pass so the hot path is a few atomic adds. Every handle
-// is nil when the dispatcher has no registry; obs handles are nil-safe,
-// so call sites record unconditionally.
+// pass so the hot path is a few atomic adds. Every handle is nil when
+// the dispatcher has no registry; obs handles are nil-safe, so call
+// sites record unconditionally.
 type dispatchMetrics struct {
 	plans, runs, shared *obs.Counter
 	steals              *obs.Counter
@@ -181,9 +136,27 @@ func (m *dispatchMetrics) resolve(r *obs.Registry) {
 	m.phaseCompare = r.Histogram("eptest_run_phase_seconds", phaseHelp, obs.DefBuckets, "phase", "compare")
 }
 
-// Run dispatches the jobs and returns their results in job order.
-func (d *Dispatcher) Run(jobs []Job) *SuiteResult {
-	st := d.newState()
+// RunSuite schedules every job's injection runs at run granularity,
+// bounded by opt.Workers concurrently executing units, and returns
+// their results in job order. Every Job is expanded into its
+// inject.ExecPlan run units, and the units flow through per-worker
+// deques with work stealing, so a worker that drains its own queue
+// rebalances onto whichever job still has runs outstanding — no static
+// partition, no idle workers while an expensive campaign hogs one
+// queue.
+//
+// Equivalent runs execute once per pass: when a planned run repeats
+// one that another plan of the same world already executes (see
+// runTable), it is not queued; its slot receives a copy of that run's
+// outcome as soon as the run lands. No worker blocks on another's run.
+//
+// Determinism is preserved by construction: each run writes its
+// outcome into its plan-order slot, and each campaign's result is
+// assembled exactly as the sequential engine (inject.RunWith) would
+// have, so the suite report is byte-identical no matter how the runs
+// interleave.
+func RunSuite(jobs []Job, opt SuiteOptions) *SuiteResult {
+	st := newState(opt)
 	st.drained = true // the whole catalog is seeded below; nothing more arrives
 	st.res.Campaigns = make([]CampaignResult, len(jobs))
 
@@ -203,12 +176,14 @@ func (d *Dispatcher) Run(jobs []Job) *SuiteResult {
 	return st.res
 }
 
-// RunFrom dispatches jobs pulled incrementally from src: a feeder
+// RunSuiteFrom schedules jobs pulled incrementally from src: a feeder
 // goroutine claims up to Workers jobs ahead of completion and workers
-// schedule their runs exactly as in Run. The returned result holds the
-// jobs this dispatcher claimed, in catalog (Seq) order.
-func (d *Dispatcher) RunFrom(src JobSource) *SuiteResult {
-	st := d.newState()
+// schedule their runs exactly as in RunSuite. The returned result holds
+// only the jobs this dispatcher claimed, in catalog (Seq) order, so a
+// run over a SliceSource of the full catalog is identical to RunSuite
+// over the same slice.
+func RunSuiteFrom(src JobSource, opt SuiteOptions) *SuiteResult {
+	st := newState(opt)
 	st.src = src
 	st.window = len(st.deques)
 
@@ -235,14 +210,14 @@ func (d *Dispatcher) RunFrom(src JobSource) *SuiteResult {
 	return st.res
 }
 
-// newState builds the shared dispatch state for one Run/RunFrom pass.
-func (d *Dispatcher) newState() *dispatchState {
-	w := d.Workers
+// newState builds the shared dispatch state for one pass.
+func newState(opt SuiteOptions) *dispatchState {
+	w := opt.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	st := &dispatchState{
-		d:      d,
+		opt:    opt,
 		res:    &SuiteResult{},
 		deques: make([]*deque, w),
 		stats:  make([]WorkerStats, w),
@@ -251,9 +226,9 @@ func (d *Dispatcher) newState() *dispatchState {
 	for i := range st.deques {
 		st.deques[i] = &deque{}
 	}
-	st.m.resolve(d.Metrics)
+	st.m.resolve(opt.Metrics)
 	for i := 0; i < w; i++ {
-		d.Tracer.NameThread(i, "worker "+strconv.Itoa(i))
+		opt.Tracer.NameThread(i, "worker "+strconv.Itoa(i))
 	}
 	return st
 }
@@ -386,12 +361,12 @@ func (st *dispatchState) jobDone(js *jobState) {
 
 // emit serialises event delivery.
 func (st *dispatchState) emit(ev Event) {
-	if st.d.OnEvent == nil {
+	if st.opt.OnEvent == nil {
 		return
 	}
 	st.emitMu.Lock()
 	defer st.emitMu.Unlock()
-	st.d.OnEvent(ev)
+	st.opt.OnEvent(ev)
 }
 
 // execute runs one task on worker w.
@@ -411,14 +386,14 @@ func (st *dispatchState) execute(w int, t task) {
 // as a counter sample and a span on the worker's row.
 func (st *dispatchState) cacheGet(w int, tier, fp string, hitC, missC *obs.Counter) (*inject.Result, bool) {
 	start := time.Now()
-	hit, found := st.d.Cache.Get(fp)
+	hit, found := st.opt.Cache.Get(fp)
 	res, c := "miss", missC
 	if found {
 		res, c = "hit", hitC
 	}
 	c.Inc()
-	if st.d.Tracer != nil {
-		st.d.Tracer.Span(w, "cache", "cache.get", start, time.Since(start),
+	if st.opt.Tracer != nil {
+		st.opt.Tracer.Span(w, "cache", "cache.get", start, time.Since(start),
 			map[string]string{"tier": tier, "result": res})
 	}
 	return hit, found
@@ -427,7 +402,7 @@ func (st *dispatchState) cacheGet(w int, tier, fp string, hitC, missC *obs.Count
 // cachePut writes one entry back, recording the outcome.
 func (st *dispatchState) cachePut(w int, tier, fp, label string, r *inject.Result) error {
 	start := time.Now()
-	err := st.d.Cache.Put(fp, label, r)
+	err := st.opt.Cache.Put(fp, label, r)
 	res := "ok"
 	if err != nil {
 		res = "error"
@@ -435,8 +410,8 @@ func (st *dispatchState) cachePut(w int, tier, fp, label string, r *inject.Resul
 	} else {
 		st.m.writeOK.Inc()
 	}
-	if st.d.Tracer != nil {
-		st.d.Tracer.Span(w, "cache", "cache.put", start, time.Since(start),
+	if st.opt.Tracer != nil {
+		st.opt.Tracer.Span(w, "cache", "cache.put", start, time.Since(start),
 			map[string]string{"tier": tier, "result": res})
 	}
 	return err
@@ -450,12 +425,12 @@ func (st *dispatchState) planJob(w int, js *jobState) {
 	job := js.job
 	cr := js.cr
 	c := job.Build()
-	engine := job.engine(st.d.Engine)
+	engine := job.engine(st.opt.Engine)
 
 	// Source-level probe: a hit replays the campaign without even the
 	// clean run (the fingerprint pins the campaign source instead of
 	// the trace; see inject.SourceFingerprint for the trust caveat).
-	if st.d.Cache != nil {
+	if st.opt.Cache != nil {
 		if fp, ok := inject.SourceFingerprint(c, engine, job.Name, job.Variant); ok {
 			cr.SourceFingerprint = fp
 			if hit, found := st.cacheGet(w, "source", fp, st.m.srcHit, st.m.srcMiss); found {
@@ -473,9 +448,9 @@ func (st *dispatchState) planJob(w int, js *jobState) {
 
 	planStart := time.Now()
 	plan, err := inject.PrepareWith(c, engine)
-	if st.d.Tracer != nil {
+	if st.opt.Tracer != nil {
 		label := job.Label()
-		st.d.Tracer.Span(w, "plan", "plan "+label, planStart, time.Since(planStart),
+		st.opt.Tracer.Span(w, "plan", "plan "+label, planStart, time.Since(planStart),
 			map[string]string{"campaign": label})
 	}
 	if err != nil {
@@ -487,7 +462,7 @@ func (st *dispatchState) planJob(w int, js *jobState) {
 	n := plan.NumRuns()
 	st.emit(Event{Kind: EventPlanned, Job: job, Total: n})
 
-	if st.d.Cache != nil {
+	if st.opt.Cache != nil {
 		fp := plan.Fingerprint(job.Name, job.Variant)
 		cr.Fingerprint = fp
 		if hit, found := st.cacheGet(w, "plan", fp, st.m.planHit, st.m.planMiss); found {
@@ -582,7 +557,7 @@ func (st *dispatchState) recordLocked(js *jobState, k int) bool {
 func (st *dispatchState) runOne(w int, t task) {
 	js := t.js
 	var phase inject.PhaseFunc
-	if tr := st.d.Tracer; tr != nil || st.d.Metrics != nil {
+	if tr := st.opt.Tracer; tr != nil || st.opt.Metrics != nil {
 		phase = func(name string, start time.Time, d time.Duration) {
 			if tr != nil {
 				tr.Span(w, "run", name, start, d, nil)
@@ -594,9 +569,9 @@ func (st *dispatchState) runOne(w int, t task) {
 	inj := js.plan.RunOneObserved(t.run, phase)
 	d := time.Since(start)
 	st.m.runSeconds.Observe(d.Seconds())
-	if st.d.Tracer != nil {
+	if st.opt.Tracer != nil {
 		run := strconv.Itoa(t.run)
-		st.d.Tracer.Span(w, "run", js.job.Label()+"#"+run, start, d, map[string]string{
+		st.opt.Tracer.Span(w, "run", js.job.Label()+"#"+run, start, d, map[string]string{
 			"campaign": js.job.Label(),
 			"run":      run,
 			"fault":    js.plan.Planned(t.run).FaultID,
@@ -633,7 +608,7 @@ func (st *dispatchState) completeJob(w int, js *jobState) {
 	shell := js.plan.Shell()
 	shell.Injections = js.out
 	cr.Result = &shell
-	if st.d.Cache != nil {
+	if st.opt.Cache != nil {
 		err := st.cachePut(w, "plan", cr.Fingerprint, js.job.Label(), &shell)
 		if cr.SourceFingerprint != "" {
 			err = errors.Join(err, st.cachePut(w, "source", cr.SourceFingerprint, js.job.Label(), &shell))

@@ -2,7 +2,7 @@
 // methodology of Section 3.3 makes every injection run independent —
 // each builds a fresh world through the campaign Factory, perturbs it,
 // and observes the oracle — so work can be scheduled at run
-// granularity: the suite Dispatcher expands every job into its
+// granularity: the suite dispatcher (RunSuite) expands every job into its
 // inject.ExecPlan run units and feeds them through per-worker deques
 // with work stealing, so workers rebalance onto whichever campaign
 // still has runs outstanding instead of idling behind a static

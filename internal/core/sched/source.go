@@ -14,7 +14,7 @@ type SourcedJob struct {
 }
 
 // JobSource supplies a suite's jobs incrementally — the seam that lets
-// the Dispatcher pull work from a remote claim queue (coord.Source)
+// the dispatcher pull work from a remote claim queue (coord.Source)
 // instead of a static pre-partitioned slice. The dispatcher calls Next
 // from a single feeder goroutine and Complete from worker goroutines;
 // implementations must tolerate Complete calls racing one another.
@@ -62,12 +62,3 @@ func (s *SliceSource) Next() (SourcedJob, bool) {
 
 // Complete implements JobSource; the slice source keeps no outcomes.
 func (s *SliceSource) Complete(SourcedJob, CampaignResult) {}
-
-// RunSuiteFrom schedules jobs pulled from src through the same
-// run-granularity work-stealing dispatcher as RunSuite. The returned
-// SuiteResult holds only the jobs this dispatcher claimed, ordered by
-// their catalog Seq, so a run over a SliceSource of the full catalog
-// is identical to RunSuite over the same slice.
-func RunSuiteFrom(src JobSource, opt SuiteOptions) *SuiteResult {
-	return opt.dispatcher().RunFrom(src)
-}

@@ -100,11 +100,12 @@ type Event struct {
 	Err error
 }
 
-// SuiteOptions parameterises a suite run. It is the option surface of
-// RunSuite; the fields map one to one onto Dispatcher's.
+// SuiteOptions parameterises a suite run (RunSuite, RunSuiteFrom).
 type SuiteOptions struct {
 	// Workers is the global concurrency budget shared by every
-	// campaign in the suite. Zero or negative means GOMAXPROCS.
+	// campaign in the suite: the worker-goroutine count, the maximum
+	// number of concurrently executing plan/run units. Zero or
+	// negative means GOMAXPROCS.
 	Workers int
 	// Engine is the injection-engine options applied to every job that
 	// does not carry its own Job.Engine override.
@@ -112,14 +113,21 @@ type SuiteOptions struct {
 	// OnEvent, when non-nil, receives progress events. Calls are
 	// serialised.
 	OnEvent func(Event)
-	// Cache, when non-nil, makes the suite incremental; see
-	// Dispatcher.Cache for the two-level fingerprint protocol.
+	// Cache, when non-nil, makes the suite incremental. A job whose
+	// source fingerprint (inject.SourceFingerprint) is cached replays
+	// without even its clean run; otherwise the job plans, and a plan-
+	// fingerprint hit replays without executing injection runs. Fresh
+	// results are written back under both fingerprints. The Cache may
+	// be local (store.Store) or a network transport (store.Client).
 	Cache Cache
-	// Metrics, when non-nil, receives dispatcher telemetry; see
-	// Dispatcher.Metrics.
+	// Metrics, when non-nil, receives fleet telemetry: run/plan/steal
+	// counters, cache probes by tier and result, queue depth and run
+	// latency. Purely observational — a nil registry and a populated one
+	// yield byte-identical suite results.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, records per-run span trees; see
-	// Dispatcher.Tracer.
+	// Tracer, when non-nil, records each plan and injection run as a
+	// span tree (run ⊃ world/exec/compare, plus cache get/put spans) on
+	// the executing worker's tid row.
 	Tracer *obs.Tracer
 }
 
@@ -173,27 +181,4 @@ func (s *SuiteResult) Failed() []CampaignResult {
 		}
 	}
 	return out
-}
-
-// RunSuite schedules every job's injection runs across the
-// run-granularity work-stealing dispatcher, bounded by opt.Workers
-// concurrently executing units. Campaigns plan and execute
-// concurrently with one another and runs rebalance across workers,
-// but per-campaign results are deterministic and equal to sequential
-// inject.RunWith output.
-func RunSuite(jobs []Job, opt SuiteOptions) *SuiteResult {
-	return opt.dispatcher().Run(jobs)
-}
-
-// dispatcher is the Dispatcher the suite options describe, shared by
-// RunSuite and RunSuiteFrom.
-func (opt SuiteOptions) dispatcher() *Dispatcher {
-	return &Dispatcher{
-		Workers: opt.Workers,
-		Engine:  opt.Engine,
-		OnEvent: opt.OnEvent,
-		Cache:   opt.Cache,
-		Metrics: opt.Metrics,
-		Tracer:  opt.Tracer,
-	}
 }
