@@ -500,21 +500,24 @@ func regFaults() []DirectFault {
 	}
 }
 
+// directCatalogs holds each entity's Table 6 perturbations, indexed by
+// Entity. They are built once: planning asks for a catalog at every
+// interaction point of every campaign.
+var directCatalogs = [...][]DirectFault{
+	EntityFileSystem: fileFaults(),
+	EntityNetwork:    netFaults(),
+	EntityProcess:    procFaults(),
+	EntityRegistry:   regFaults(),
+}
+
 // CatalogDirect returns the Table 6 perturbations for an entity kind, in
-// catalog order.
+// catalog order. The returned slice is shared; callers must not modify
+// it (AllDirect returns a copy).
 func CatalogDirect(e Entity) []DirectFault {
-	switch e {
-	case EntityFileSystem:
-		return fileFaults()
-	case EntityNetwork:
-		return netFaults()
-	case EntityProcess:
-		return procFaults()
-	case EntityRegistry:
-		return regFaults()
-	default:
+	if e < 0 || int(e) >= len(directCatalogs) {
 		return nil
 	}
+	return directCatalogs[e]
 }
 
 // AllEntities lists the direct-fault entities in Table 3 order plus the

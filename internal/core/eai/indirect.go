@@ -88,10 +88,28 @@ func mkReorderPaths(value []byte) []byte {
 	return []byte(strings.Join(parts, ":"))
 }
 
+// indirectCatalogs holds each semantic's Table 5 perturbations, indexed
+// by Semantic. They are built once: planning asks for a catalog at every
+// input point of every campaign.
+var indirectCatalogs = func() (t [SemRaw + 1][]IndirectFault) {
+	for _, sem := range AllSemantics() {
+		t[sem] = indirectFaults(sem)
+	}
+	return t
+}()
+
 // CatalogIndirect returns the Table 5 perturbations for a semantic input
-// kind, in catalog order. The returned slice is freshly allocated; callers
-// may keep it.
+// kind, in catalog order. The returned slice is shared; callers must not
+// modify it (AllIndirect returns a copy).
 func CatalogIndirect(sem Semantic) []IndirectFault {
+	if sem < 0 || int(sem) >= len(indirectCatalogs) {
+		return nil
+	}
+	return indirectCatalogs[sem]
+}
+
+// indirectFaults builds one semantic's Table 5 catalog.
+func indirectFaults(sem Semantic) []IndirectFault {
 	mk := func(name, desc string, m func([]byte) []byte) IndirectFault {
 		return IndirectFault{
 			ID:     "indirect/" + sem.String() + "/" + name,

@@ -3,12 +3,14 @@ package inject
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"hash"
-	"io"
-	"sort"
+	"encoding/hex"
+	"slices"
+	"strconv"
+	"sync"
 
+	"repro/internal/core/eai"
 	"repro/internal/interpose"
+	"repro/internal/sim/proc"
 )
 
 // EngineVersion identifies the planning and execution semantics of this
@@ -34,34 +36,44 @@ const EngineVersion = "eptest-engine/2"
 // factory does not change the fingerprint — changing campaign code
 // requires clearing the store or bumping EngineVersion. The result
 // store keys cached campaign results by this value; see docs/STORE.md
-// for the invalidation rules and this caveat spelled out.
+// for the invalidation rules, this caveat, and the exact byte stream.
 func (p *ExecPlan) Fingerprint(labels ...string) string {
-	h := sha256.New()
-	fpStr(h, EngineVersion)
-	fpInt(h, len(labels))
-	for _, l := range labels {
-		fpStr(h, l)
-	}
+	e := getEncoder()
+	defer e.release()
+	e.str(EngineVersion)
+	e.labels(labels)
+	e.campaign(&p.campaign)
+	e.options(p.opt)
 
-	fpCampaign(h, &p.campaign)
-	fpOptions(h, p.opt)
-
-	fpInt(h, len(p.shell.CleanTrace))
+	e.int(len(p.shell.CleanTrace))
 	for i := range p.shell.CleanTrace {
-		fpEvent(h, &p.shell.CleanTrace[i])
+		e.event(&p.shell.CleanTrace[i])
 	}
 
-	fpInt(h, p.NumRuns())
-	for i := 0; i < p.NumRuns(); i++ {
-		pl := p.Planned(i)
-		fpStr(h, pl.Point)
-		fpStr(h, pl.FaultID)
-		fpInt(h, int(pl.Kind))
-		fpInt(h, int(pl.Class))
-		fpInt(h, int(pl.Attr))
-		fpInt(h, int(pl.Sem))
+	// The planned fault list, run by run, as Planned describes it.
+	e.int(len(p.plans))
+	for i := range p.plans {
+		pl := &p.plans[i]
+		e.point(pl.site, pl.occur)
+		var (
+			id    string
+			class eai.Class
+			attr  eai.Attr
+			sem   eai.Semantic
+		)
+		switch {
+		case pl.dir != nil:
+			id, class, attr = pl.dir.ID, eai.ClassDirect, pl.dir.Attr
+		case pl.ind != nil:
+			id, class, sem = pl.ind.ID, eai.ClassIndirect, pl.ind.Sem
+		}
+		e.str(id)
+		e.int(int(pl.kind))
+		e.int(int(class))
+		e.int(int(attr))
+		e.int(int(sem))
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return e.sum()
 }
 
 // SourceFingerprint returns the content address of the campaign's
@@ -84,110 +96,196 @@ func SourceFingerprint(c Campaign, opt Options, labels ...string) (string, bool)
 	// PrepareWith defaults the fault config before the plan fingerprint
 	// hashes it; mirror that so both addresses see one configuration.
 	c.Faults = c.Faults.WithDefaults()
-	h := sha256.New()
-	fpStr(h, EngineVersion, "source-fingerprint", c.Source)
-	fpInt(h, len(labels))
-	for _, l := range labels {
-		fpStr(h, l)
-	}
-	fpCampaign(h, &c)
-	fpOptions(h, opt)
-	return fmt.Sprintf("%x", h.Sum(nil)), true
+	e := getEncoder()
+	defer e.release()
+	e.str(EngineVersion)
+	e.str("source-fingerprint")
+	e.str(c.Source)
+	e.labels(labels)
+	e.campaign(&c)
+	e.options(opt)
+	return e.sum(), true
 }
 
-// fpCampaign hashes the campaign fields the runs consume: the name, the
+// encoder builds the byte stream a fingerprint hashes:
+//
+//   - an int is 8 bytes, little-endian (two's complement);
+//   - a string or byte slice is its length as an int, then its bytes,
+//     so adjacent fields cannot alias ("ab","c" vs "a","bc");
+//   - a bool is one byte, 0 or 1;
+//   - an interaction point is the string "site#occur".
+//
+// The whole stream is hashed with one sha256.Sum256. Encoders are
+// pooled, so a fingerprint allocates its hex string and nothing else
+// once the pool is warm.
+type encoder struct {
+	buf  []byte
+	keys []string // scratch for sorting map keys
+}
+
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// getEncoder returns an empty pooled encoder.
+func getEncoder() *encoder {
+	e := encoders.Get().(*encoder)
+	e.buf = e.buf[:0]
+	return e
+}
+
+// release returns the encoder to the pool. The key scratch is cleared
+// so the pool pins no campaign's strings.
+func (e *encoder) release() {
+	clear(e.keys[:cap(e.keys)])
+	e.keys = e.keys[:0]
+	encoders.Put(e)
+}
+
+// sum hashes the stream and returns the digest in lower-case hex.
+func (e *encoder) sum() string {
+	d := sha256.Sum256(e.buf)
+	var x [2 * sha256.Size]byte
+	hex.Encode(x[:], d[:])
+	return string(x[:])
+}
+
+func (e *encoder) int(v int) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(int64(v)))
+}
+
+func (e *encoder) str(s string) {
+	e.int(len(s))
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) bytes(b []byte) {
+	e.int(len(b))
+	e.buf = append(e.buf, b...)
+}
+
+func (e *encoder) bool(v bool) {
+	b := byte(0)
+	if v {
+		b = 1
+	}
+	e.buf = append(e.buf, b)
+}
+
+// point appends interpose.PointID(site, occur) as a string without
+// building it: the length prefix is patched in once the digits are out.
+func (e *encoder) point(site string, occur int) {
+	at := len(e.buf)
+	e.int(0)
+	e.buf = append(e.buf, site...)
+	e.buf = append(e.buf, '#')
+	e.buf = strconv.AppendInt(e.buf, int64(occur), 10)
+	binary.LittleEndian.PutUint64(e.buf[at:], uint64(len(e.buf)-at-8))
+}
+
+func (e *encoder) labels(labels []string) {
+	e.int(len(labels))
+	for _, l := range labels {
+		e.str(l)
+	}
+}
+
+func (e *encoder) cred(c proc.Cred) {
+	e.int(c.UID)
+	e.int(c.GID)
+	e.int(c.EUID)
+	e.int(c.EGID)
+	e.int(c.SUID)
+}
+
+// sortedKeys returns m's keys in order, in the encoder's scratch.
+func sortedKeys[V any](e *encoder, m map[string]V) []string {
+	e.keys = e.keys[:0]
+	for k := range m {
+		e.keys = append(e.keys, k)
+	}
+	slices.Sort(e.keys)
+	return e.keys
+}
+
+// campaign appends the campaign fields the runs consume: the name, the
 // site selection, the semantic annotations, the oracle policy, and the
 // (defaulted) fault configuration.
-func fpCampaign(h hash.Hash, c *Campaign) {
-	fpStr(h, c.Name)
-	fpInt(h, len(c.Sites))
+func (e *encoder) campaign(c *Campaign) {
+	e.str(c.Name)
+	e.int(len(c.Sites))
 	for _, s := range c.Sites {
-		fpStr(h, s)
+		e.str(s)
 	}
-	sems := make([]string, 0, len(c.Semantics))
-	for site := range c.Semantics {
-		sems = append(sems, site)
-	}
-	sort.Strings(sems)
-	fpInt(h, len(sems))
+	sems := sortedKeys(e, c.Semantics)
+	e.int(len(sems))
 	for _, site := range sems {
-		fpStr(h, site)
-		fpInt(h, int(c.Semantics[site]))
+		e.str(site)
+		e.int(int(c.Semantics[site]))
 	}
 
-	pol := c.Policy
-	fpInt(h, pol.Invoker.UID, pol.Invoker.GID, pol.Invoker.EUID, pol.Invoker.EGID, pol.Invoker.SUID)
-	fpInt(h, pol.Attacker.UID, pol.Attacker.GID, pol.Attacker.EUID, pol.Attacker.EGID, pol.Attacker.SUID)
-	fpInt(h, len(pol.TrustedWritePaths))
+	pol := &c.Policy
+	e.cred(pol.Invoker)
+	e.cred(pol.Attacker)
+	e.int(len(pol.TrustedWritePaths))
 	for _, p := range pol.TrustedWritePaths {
-		fpStr(h, p)
+		e.str(p)
 	}
-	fpInt(h, pol.MinLeakLen)
+	e.int(pol.MinLeakLen)
 
-	cfg := c.Faults
-	fpInt(h, cfg.Attacker.UID, cfg.Attacker.GID, cfg.Attacker.EUID, cfg.Attacker.EGID, cfg.Attacker.SUID)
-	fpStr(h, cfg.AttackerDir, cfg.ReadTarget, cfg.WriteTarget, cfg.DirTarget, string(cfg.AttackerContent), cfg.EvilHost)
-	overrides := make([]string, 0, len(cfg.ReadTargetOverrides))
-	for obj := range cfg.ReadTargetOverrides {
-		overrides = append(overrides, obj)
-	}
-	sort.Strings(overrides)
-	fpInt(h, len(overrides))
+	cfg := &c.Faults
+	e.cred(cfg.Attacker)
+	e.str(cfg.AttackerDir)
+	e.str(cfg.ReadTarget)
+	e.str(cfg.WriteTarget)
+	e.str(cfg.DirTarget)
+	e.bytes(cfg.AttackerContent)
+	e.str(cfg.EvilHost)
+	overrides := sortedKeys(e, cfg.ReadTargetOverrides)
+	e.int(len(overrides))
 	for _, obj := range overrides {
-		fpStr(h, obj, cfg.ReadTargetOverrides[obj])
+		e.str(obj)
+		e.str(cfg.ReadTargetOverrides[obj])
 	}
 }
 
-// fpOptions hashes the engine options (they change both the fault list
+// options appends the engine options (they change both the fault list
 // and the injection timing).
-func fpOptions(h hash.Hash, opt Options) {
-	fpBool(h, opt.NoObjectDedup, opt.OnlyDirect, opt.OnlyIndirect, opt.DirectAfterPoint)
+func (e *encoder) options(opt Options) {
+	e.bool(opt.NoObjectDedup)
+	e.bool(opt.OnlyDirect)
+	e.bool(opt.OnlyIndirect)
+	e.bool(opt.DirectAfterPoint)
 }
 
-// fpEvent hashes one clean-trace event: the call as the kernel saw it
-// and the result as the application saw it.
-func fpEvent(h hash.Hash, ev *interpose.Event) {
+// event appends one clean-trace event: the call as the kernel saw it
+// and the result as the application saw it. A nil error encodes as the
+// empty string.
+func (e *encoder) event(ev *interpose.Event) {
 	c := &ev.Call
-	fpInt(h, c.Seq, c.Occur, c.Flags, c.UID, c.EUID, c.GID, c.EGID, int(c.Mode), int(c.Kind))
-	fpStr(h, c.Site, string(c.Op), c.Path, c.Path2, string(c.Data), c.Cwd)
+	e.int(c.Seq)
+	e.int(c.Occur)
+	e.int(c.Flags)
+	e.int(c.UID)
+	e.int(c.EUID)
+	e.int(c.GID)
+	e.int(c.EGID)
+	e.int(int(c.Mode))
+	e.int(int(c.Kind))
+	e.str(c.Site)
+	e.str(string(c.Op))
+	e.str(c.Path)
+	e.str(c.Path2)
+	e.bytes(c.Data)
+	e.str(c.Cwd)
 	r := &ev.Result
-	fpStr(h, string(r.Data), r.Str)
-	fpInt(h, r.N)
-	fpBool(h, r.Flag)
+	e.bytes(r.Data)
+	e.str(r.Str)
+	e.int(r.N)
+	e.bool(r.Flag)
 	if r.Err != nil {
-		fpStr(h, r.Err.Error())
+		e.str(r.Err.Error())
 	} else {
-		fpStr(h, "")
+		e.str("")
 	}
-	fpStr(h, ev.ResolvedPath)
-	fpBool(h, ev.Mutated)
-}
-
-// fpStr writes length-prefixed strings, so adjacent fields can never
-// alias ("ab","c" vs "a","bc").
-func fpStr(w io.Writer, parts ...string) {
-	for _, s := range parts {
-		fpInt(w, len(s))
-		io.WriteString(w, s)
-	}
-}
-
-// fpInt writes fixed-width integers.
-func fpInt(w io.Writer, vs ...int) {
-	var buf [8]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		w.Write(buf[:])
-	}
-}
-
-// fpBool writes booleans as one byte each.
-func fpBool(w io.Writer, vs ...bool) {
-	for _, v := range vs {
-		b := byte(0)
-		if v {
-			b = 1
-		}
-		w.Write([]byte{b})
-	}
+	e.str(ev.ResolvedPath)
+	e.bool(ev.Mutated)
 }

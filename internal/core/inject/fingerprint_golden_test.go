@@ -81,3 +81,32 @@ func TestFingerprintGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintMatchesReference checks the production hasher against
+// the io.Writer reference on every base and matrix job, so no address a
+// store already holds moves.
+func TestFingerprintMatchesReference(t *testing.T) {
+	t.Parallel()
+	jobs := suiteJobs()
+	if len(jobs) < 620 {
+		t.Fatalf("%d suite jobs, want at least 620", len(jobs))
+	}
+	for _, job := range jobs {
+		var opt inject.Options
+		if job.Engine != nil {
+			opt = *job.Engine
+		}
+		c := job.Build()
+		src, _ := inject.SourceFingerprint(c, opt, job.Name, job.Variant)
+		if want, _ := inject.ReferenceSourceFingerprint(c, opt, job.Name, job.Variant); src != want {
+			t.Errorf("%s: source fingerprint %s, reference %s", job.Label(), src, want)
+		}
+		p, err := inject.PrepareWith(c, opt)
+		if err != nil {
+			t.Fatalf("prepare %s: %v", job.Label(), err)
+		}
+		if got, want := p.Fingerprint(job.Name, job.Variant), inject.ReferenceFingerprint(p, job.Name, job.Variant); got != want {
+			t.Errorf("%s: plan fingerprint %s, reference %s", job.Label(), got, want)
+		}
+	}
+}

@@ -212,12 +212,15 @@ type siteFilter struct {
 }
 
 // newSiteFilter compiles a Sites list.
-func newSiteFilter(sites []string) *siteFilter {
-	f := &siteFilter{exact: map[string]bool{}, empty: len(sites) == 0}
+func newSiteFilter(sites []string) siteFilter {
+	f := siteFilter{empty: len(sites) == 0}
 	for _, s := range sites {
 		if n := len(s); n > 0 && s[n-1] == '*' {
 			f.prefixes = append(f.prefixes, s[:n-1])
 			continue
+		}
+		if f.exact == nil {
+			f.exact = make(map[string]bool, len(sites))
 		}
 		f.exact[s] = true
 	}
@@ -265,15 +268,14 @@ func planCampaign(c Campaign, opt Options, world Factory) (*planResult, error) {
 
 	include := newSiteFilter(c.Sites)
 
-	firstEvent := map[string]*interpose.Event{}
-	firstIdx := map[string]int{}
-	var siteOrder []string
-	for i := range trace {
-		s := trace[i].Call.Site
-		if _, ok := firstEvent[s]; !ok {
-			firstEvent[s] = &trace[i]
-			firstIdx[s] = i
-			siteOrder = append(siteOrder, s)
+	// first[k] is the trace index of site k's first event. Sites are in
+	// first-hit order, so every event before that one belongs to an
+	// earlier site.
+	first := make([]int, len(res.TotalSites))
+	for i, k := 0, 0; k < len(first); i++ {
+		if trace[i].Call.Site == res.TotalSites[k] {
+			first[k] = i
+			k++
 		}
 	}
 
@@ -282,21 +284,29 @@ func planCampaign(c Campaign, opt Options, world Factory) (*planResult, error) {
 	// is frozen as a tripwire: a (hypothetically) mutating predicate
 	// panics loudly instead of silently leaking state into later sites'
 	// probes. Built lazily — campaigns with no direct-eligible sites
-	// never pay for it.
+	// never pay for it. The predicates' context is built with it and
+	// re-aimed at each site, on a copy of the site's call.
 	var (
 		probe       *kernel.Kernel
 		probeLaunch Launch
+		ctx         *eai.Ctx
 	)
 
+	// attrKey is the same-object dedup key: one direct fault per
+	// (object, attribute) pair.
+	type attrKey struct {
+		obj  string
+		attr eai.Attr
+	}
 	pr := &planResult{result: res}
-	perturbed := map[string]bool{}
-	injectedAttr := map[string]bool{}
-	for _, site := range siteOrder {
+	injectedAttr := map[attrKey]bool{}
+	for k, site := range res.TotalSites {
 		if !include.match(site) {
 			continue
 		}
-		ev := firstEvent[site]
-		var sitePlans []planned
+		ev := &trace[first[k]]
+		at := planned{site: site, occur: ev.Call.Occur, kind: ev.Call.Kind, armedIdx: first[k]}
+		start := len(pr.plans)
 
 		if !opt.OnlyIndirect {
 			if ent := eai.EntityForKind(ev.Call.Kind); ent != 0 {
@@ -306,28 +316,27 @@ func planCampaign(c Campaign, opt Options, world Factory) (*planResult, error) {
 					if probe.Reg != nil {
 						probe.Reg.Freeze()
 					}
+					ctx = &eai.Ctx{Kern: probe, Call: new(interpose.Call), SetCwd: func(string) {}, Cfg: c.Faults}
 				}
-				call := ev.Call
-				ctx := &eai.Ctx{
-					Kern:   probe,
-					Call:   &call,
-					Cwd:    callCwd(&ev.Call, probeLaunch),
-					SetCwd: func(string) {},
-					Cfg:    c.Faults,
-				}
+				*ctx.Call = ev.Call
+				ctx.Cwd = callCwd(&ev.Call, probeLaunch)
 				obj := objectIdentity(&ev.Call)
-				for _, f := range eai.CatalogDirect(ent) {
-					f := f
+				// Plans point into the shared catalog.
+				cat := eai.CatalogDirect(ent)
+				for fi := range cat {
+					f := &cat[fi]
 					if !f.Applies(ctx) {
 						continue
 					}
-					key := obj + "|" + f.Attr.String()
+					key := attrKey{obj, f.Attr}
 					if !opt.NoObjectDedup && injectedAttr[key] {
 						continue
 					}
 					injectedAttr[key] = true
-					sitePlans = append(sitePlans, planned{site: site, occur: ev.Call.Occur, kind: ev.Call.Kind, armedIdx: firstIdx[site], dir: &f})
+					at.dir = f
+					pr.plans = append(pr.plans, at)
 				}
+				at.dir = nil
 			}
 		}
 
@@ -336,19 +345,14 @@ func planCampaign(c Campaign, opt Options, world Factory) (*planResult, error) {
 			if !ok {
 				sem = eai.InferSemantic(ev.Call.Op, ev.Call.Path)
 			}
-			for _, f := range eai.CatalogIndirect(sem) {
-				f := f
-				sitePlans = append(sitePlans, planned{site: site, occur: ev.Call.Occur, kind: ev.Call.Kind, armedIdx: firstIdx[site], ind: &f})
+			cat := eai.CatalogIndirect(sem)
+			for fi := range cat {
+				at.ind = &cat[fi]
+				pr.plans = append(pr.plans, at)
 			}
 		}
 
-		if len(sitePlans) > 0 {
-			perturbed[site] = true
-			pr.plans = append(pr.plans, sitePlans...)
-		}
-	}
-	for _, site := range siteOrder {
-		if perturbed[site] {
+		if len(pr.plans) > start {
 			res.PerturbedSites = append(res.PerturbedSites, site)
 		}
 	}
