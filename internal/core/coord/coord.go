@@ -131,6 +131,7 @@ type workerStats struct {
 	id, name string
 	JournalCounters
 	lastSeen time.Time // last protocol call (the heartbeat age base)
+	leases   int       // jobs it holds claimed, kept by setJobLocked
 }
 
 // campaign is one named view over the shared per-index job state. All
@@ -430,13 +431,19 @@ func (co *Coordinator) dropCampaignLocked(name string) {
 
 // setJobLocked moves job i to j. It is the one write of a job's
 // phase: it moves the job between the tallies of the queue and of each
-// campaign containing it, publishes them to the phase gauges, and
-// stamps a campaign finished at the completion that finishes it.
-// Callers hold co.mu.
+// campaign containing it and between the lease counts of its holders,
+// publishes the tallies to the phase gauges, and stamps a campaign
+// finished at the completion that finishes it. Callers hold co.mu.
 func (co *Coordinator) setJobLocked(i int, j jobRecord) {
 	old := co.jobs[i]
 	co.jobs[i] = j
 	co.tally.move(&old, &j)
+	if ws := co.workers[old.worker]; ws != nil && old.phase == jobClaimed {
+		ws.leases--
+	}
+	if ws := co.workers[j.worker]; ws != nil && j.phase == jobClaimed {
+		ws.leases++
+	}
 	co.m.jobs.set(len(co.jobs), co.tally)
 	for _, name := range co.campOrder {
 		c := co.campaigns[name]
@@ -519,16 +526,10 @@ func (co *Coordinator) gcWorkersLocked(now time.Time) {
 	if cutoff < workerGCFloor {
 		cutoff = workerGCFloor
 	}
-	held := make(map[string]int)
-	for i := range co.jobs {
-		if co.jobs[i].phase == jobClaimed {
-			held[co.jobs[i].worker]++
-		}
-	}
 	var gone []string
 	for _, id := range co.order {
 		ws := co.workers[id]
-		if held[id] == 0 && now.Sub(ws.lastSeen) >= cutoff {
+		if ws.leases == 0 && now.Sub(ws.lastSeen) >= cutoff {
 			gone = append(gone, id)
 		}
 	}

@@ -3,9 +3,9 @@ package coord
 import "fmt"
 
 // Recount scans every job and checks the fold's counts against the
-// scan: the queue's claimed and done jobs, and each campaign's claimed
-// and done members and their findings and violations. It returns the
-// first disagreement, or nil.
+// scan: the queue's claimed and done jobs, each campaign's claimed and
+// done members and their findings and violations, and each worker's
+// leases. It returns the first disagreement, or nil.
 func (co *Coordinator) Recount() error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -34,6 +34,18 @@ func (co *Coordinator) Recount() error {
 		c := co.campaigns[name]
 		if got := scan(func(i int) bool { return c.member[i] }); got != c.tally {
 			return fmt.Errorf("campaign %q: folded %+v, scanned %+v", name, c.tally, got)
+		}
+	}
+	for _, id := range co.order {
+		ws := co.workers[id]
+		held := 0
+		for i := range co.jobs {
+			if j := &co.jobs[i]; j.phase == jobClaimed && j.worker == id {
+				held++
+			}
+		}
+		if ws.leases != held {
+			return fmt.Errorf("worker %s: folded %d leases, scanned %d", id, ws.leases, held)
 		}
 	}
 	return nil

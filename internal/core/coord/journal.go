@@ -401,6 +401,13 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 		}
 		if ws == nil {
 			ws = &workerStats{id: rec.Worker, name: rec.WorkerName, lastSeen: at}
+			// A returning id may still hold leases from before it
+			// departed; count them once, setJobLocked keeps them after.
+			for i := range co.jobs {
+				if j := &co.jobs[i]; j.phase == jobClaimed && j.worker == ws.id {
+					ws.leases++
+				}
+			}
 			co.workers[ws.id] = ws
 			co.order = append(co.order, ws.id)
 			if ws.name != "" {
