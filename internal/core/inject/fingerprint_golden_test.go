@@ -1,6 +1,7 @@
 package inject_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -109,4 +110,37 @@ func TestFingerprintMatchesReference(t *testing.T) {
 			t.Errorf("%s: plan fingerprint %s, reference %s", job.Label(), got, want)
 		}
 	}
+}
+
+// TestFingerprintConcurrent computes fingerprints of different plans
+// from several goroutines at once, as the dispatcher's workers do: the
+// pooled encoders must never mix two streams.
+func TestFingerprintConcurrent(t *testing.T) {
+	t.Parallel()
+	jobs := suiteJobs()[:40]
+	want := make([]string, len(jobs))
+	plans := make([]*inject.ExecPlan, len(jobs))
+	for i, job := range jobs {
+		p, err := inject.Prepare(job.Build())
+		if err != nil {
+			t.Fatalf("prepare %s: %v", job.Label(), err)
+		}
+		plans[i], want[i] = p, p.Fingerprint(job.Name, job.Variant)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				for i := range plans {
+					k := (i + g*7) % len(plans)
+					if got := plans[k].Fingerprint(jobs[k].Name, jobs[k].Variant); got != want[k] {
+						t.Errorf("%s: concurrent fingerprint %s, serial %s", jobs[k].Label(), got, want[k])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
