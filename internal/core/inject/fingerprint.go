@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/core/eai"
 	"repro/internal/interpose"
 	"repro/internal/sim/proc"
 )
@@ -50,28 +49,16 @@ func (p *ExecPlan) Fingerprint(labels ...string) string {
 		e.event(&p.shell.CleanTrace[i])
 	}
 
-	// The planned fault list, run by run, as Planned describes it.
+	// The planned fault list, run by run, in the fields Planned reports.
 	e.int(len(p.plans))
 	for i := range p.plans {
-		pl := &p.plans[i]
-		e.point(pl.site, pl.occur)
-		var (
-			id    string
-			class eai.Class
-			attr  eai.Attr
-			sem   eai.Semantic
-		)
-		switch {
-		case pl.dir != nil:
-			id, class, attr = pl.dir.ID, eai.ClassDirect, pl.dir.Attr
-		case pl.ind != nil:
-			id, class, sem = pl.ind.ID, eai.ClassIndirect, pl.ind.Sem
-		}
-		e.str(id)
-		e.int(int(pl.kind))
-		e.int(int(class))
-		e.int(int(attr))
-		e.int(int(sem))
+		k := p.RunKey(i)
+		e.point(k.Site, k.Occur)
+		e.str(k.FaultID)
+		e.int(int(p.plans[i].kind))
+		e.int(int(k.Class))
+		e.int(int(k.Attr))
+		e.int(int(k.Sem))
 	}
 	return e.sum()
 }
