@@ -17,10 +17,7 @@ import (
 func TestFingerprintAllocations(t *testing.T) {
 	const limit = 3
 	for _, job := range suiteJobs() {
-		var opt inject.Options
-		if job.Engine != nil {
-			opt = *job.Engine
-		}
+		opt := jobOptions(job)
 		c := job.Build()
 		p, err := inject.PrepareWith(c, opt)
 		if err != nil {

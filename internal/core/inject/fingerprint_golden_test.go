@@ -16,14 +16,11 @@ func suiteJobs() []sched.Job {
 }
 
 // jobFingerprints computes a suite job's source and plan fingerprints
-// the way the dispatcher does: the job's own engine options (or the
-// default) and its name and variant as the labels.
+// the way the dispatcher does: under jobOptions, with its name and
+// variant as the labels.
 func jobFingerprints(t *testing.T, job sched.Job) (src, plan string) {
 	t.Helper()
-	var opt inject.Options
-	if job.Engine != nil {
-		opt = *job.Engine
-	}
+	opt := jobOptions(job)
 	c := job.Build()
 	src, ok := inject.SourceFingerprint(c, opt, job.Name, job.Variant)
 	if !ok {
@@ -93,10 +90,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		t.Fatalf("%d suite jobs, want at least 620", len(jobs))
 	}
 	for _, job := range jobs {
-		var opt inject.Options
-		if job.Engine != nil {
-			opt = *job.Engine
-		}
+		opt := jobOptions(job)
 		c := job.Build()
 		src, _ := inject.SourceFingerprint(c, opt, job.Name, job.Variant)
 		if want, _ := inject.ReferenceSourceFingerprint(c, opt, job.Name, job.Variant); src != want {
