@@ -124,9 +124,11 @@ func BenchmarkTable5IndirectCatalog(b *testing.B) {
 	var n int
 	for i := 0; i < b.N; i++ {
 		n = 0
-		for _, f := range eai.AllIndirect() {
-			_ = f.Mutate(sample)
-			n++
+		for _, s := range eai.AllSemantics() {
+			for _, f := range eai.CatalogIndirect(s) {
+				_ = f.Mutate(sample)
+				n++
+			}
 		}
 	}
 	if n != 32 {
@@ -162,7 +164,11 @@ func BenchmarkTable6DirectCatalog(b *testing.B) {
 	if applied == 0 {
 		b.Fatal("no direct faults applied")
 	}
-	b.ReportMetric(float64(len(eai.AllDirect())), "catalog_faults")
+	catalog := 0
+	for _, e := range eai.AllEntities() {
+		catalog += len(eai.CatalogDirect(e))
+	}
+	b.ReportMetric(float64(catalog), "catalog_faults")
 	b.Logf("\n%s", report.Table6())
 }
 

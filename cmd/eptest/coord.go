@@ -90,12 +90,12 @@ func coordJournalPath(storeDir string) string {
 // now is the coordinator's clock, nil meaning time.Now; tests pass a
 // fake one to drive lease expiry.
 func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, retention time.Duration, token, pprofAddr string, now func() time.Time, stdout, stderr io.Writer) int {
-	st, err := store.Open(dir)
+	_, catalog, err := suiteCatalog(useMatrix, filter)
 	if err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 2
 	}
-	_, catalog, err := suiteCatalog(useMatrix, filter)
+	st, err := store.Open(dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 2

@@ -310,15 +310,15 @@ func TestCoordFlagValidation(t *testing.T) {
 		want string
 	}{
 		"serve-coord without store": {[]string{"-serve-coord", ":0"}, "needs -cache DIR"},
-		"serve-coord with all":      {[]string{"-serve-coord", ":0", "-cache", "d", "-all"}, "-serve-coord runs alone"},
+		"serve-coord with all":      {[]string{"-serve-coord", ":0", "-cache", "d", "-all"}, "-serve-coord does not apply to -all"},
 		"serve-coord bad lease":     {[]string{"-serve-coord", ":0", "-cache", "d", "-lease", "0s"}, "not a lease TTL"},
-		"lease without serve-coord": {[]string{"-all", "-coord-url", "http://x", "-lease", "10s"}, "needs -serve-coord"},
-		"coord-url without all":     {[]string{"-coord-url", "http://x"}, "require -all"},
+		"lease without serve-coord": {[]string{"-all", "-coord-url", "http://x", "-lease", "10s"}, "-lease does not apply to -all"},
+		"coord-url without all":     {[]string{"-coord-url", "http://x"}, "-campaign required"},
 		"coord-url with cache":      {[]string{"-all", "-coord-url", "http://x", "-cache", "d"}, "replaces -cache"},
 		"coord-url with shard":      {[]string{"-all", "-coord-url", "http://x", "-shard", "1/2"}, "replaces -cache"},
 		"coord-url malformed":       {[]string{"-all", "-coord-url", "10.0.0.7:7077"}, "coordinator URL"},
-		"worker without coord":      {[]string{"-all", "-worker", "w"}, "needs -coord-url"},
-		"auth-token alone":          {[]string{"-all", "-auth-token", "t"}, "does nothing"},
+		"worker without coord":      {[]string{"-all", "-worker", "w"}, "need -coord-url"},
+		"auth-token alone":          {[]string{"-all", "-auth-token", "t"}, "need -coord-url"},
 	}
 	for name, tc := range cases {
 		var out, errb bytes.Buffer

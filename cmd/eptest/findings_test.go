@@ -168,11 +168,11 @@ func TestFindingsFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-findings", "f.json", "-campaign", "turnin"}, "requires -all or -merge"},
-		{[]string{"-findings", "f.json", "-list"}, "requires -all or -merge"},
-		{[]string{"-diff-fail-on", "new", "-all"}, "needs -diff OLD NEW"},
+		{[]string{"-findings", "f.json", "-campaign", "turnin"}, "-findings does not apply to -campaign"},
+		{[]string{"-findings", "f.json", "-list"}, "-findings does not apply to -list"},
+		{[]string{"-diff-fail-on", "new", "-all"}, "-diff-fail-on does not apply to -all"},
 		{[]string{"-diff", "old.json"}, "needs exactly one NEW findings file"},
-		{[]string{"-diff", "old.json", "new.json", "-all"}, "-diff runs alone"},
+		{[]string{"-diff", "old.json", "new.json", "-all"}, "-all does not apply to -diff"},
 		{[]string{"-diff", "old.json", "new.json", "-diff-fail-on", "bogus"}, "bogus"},
 		{[]string{"-diff", "missing-old.json", "missing-new.json"}, "missing-old.json"},
 	}

@@ -44,12 +44,17 @@
 // Usage:
 //
 //	eptest -list
-//	eptest -campaign turnin [-fixed] [-per-point] [-v] [-j N]
-//	eptest -all [-matrix] [-filter GLOB] [-j N] [-v] [-cache DIR [-shard k/n]]
-//	eptest -all [-matrix] [-filter GLOB] -coord-url URL [-worker NAME] [-j N]
-//	eptest -all ... [-trace FILE] [-metrics-json FILE] [-pprof ADDR]
-//	eptest -merge DIR [-matrix]
-//	eptest -serve-coord ADDR -cache DIR [-matrix] [-filter GLOB] [-lease DUR] [-campaign-retention DUR] [-auth-token TOKEN] [-pprof ADDR]
+//	eptest -campaign NAME [-fixed] [-per-point] [-v] [-j N]
+//	eptest -all [-matrix] [-filter GLOB] [-j N] [-v]
+//		[-cache DIR [-shard k/n] | -coord-url URL [-worker NAME] [-auth-token TOKEN]]
+//		[-trace FILE] [-metrics-json FILE] [-pprof ADDR] [-findings FILE]
+//	eptest -merge DIR [-matrix] [-findings FILE]
+//	eptest -serve-coord ADDR -cache DIR [-matrix] [-filter GLOB] [-lease DUR]
+//		[-campaign-retention DUR] [-auth-token TOKEN] [-pprof ADDR]
+//	eptest -diff OLD NEW [-diff-fail-on CLASSES]
+//
+// Each mode takes only the flags on its line; any other flag is refused
+// with exit status 2.
 package main
 
 import (
@@ -57,6 +62,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/core/coord"
@@ -77,7 +84,9 @@ type suiteConfig struct {
 	workers  int
 	verbose  bool
 	cacheDir string
-	shard    string
+	// shard, when not zero, runs one partition of the suite and writes
+	// its artifact to the -cache store.
+	shard sched.ShardSpec
 	// matrix selects the expanded campaign matrix instead of the base
 	// catalog and adds the per-axis rollup to the report.
 	matrix bool
@@ -108,21 +117,36 @@ type suiteConfig struct {
 	tty bool
 }
 
+// modes is the table of eptest's modes: each mode flag, and the flags
+// that mode takes. run selects the first mode flag given a value (not
+// empty, not false), in table order, and refuses every other flag set
+// beside it, a second mode flag included, so no flag is ever silently
+// ignored. The checks after the table are on values and on relations
+// inside one mode. The Usage block above lists the same rows.
+var modes = []struct{ flag, takes string }{
+	{"list", ""},
+	{"campaign", "fixed per-point v j"},
+	{"all", "matrix filter j v cache shard coord-url worker auth-token trace metrics-json pprof findings"},
+	{"merge", "matrix findings"},
+	{"serve-coord", "cache matrix filter lease campaign-retention auth-token pprof"},
+	{"diff", "diff-fail-on"},
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("eptest", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list        = fs.Bool("list", false, "list available campaigns")
+		_           = fs.Bool("list", false, "list available campaigns")
 		campaign    = fs.String("campaign", "", "campaign to run (see -list)")
-		all         = fs.Bool("all", false, "run every catalog campaign, both variants, as one suite")
-		workers     = fs.Int("j", 1, "concurrent injection runs (must be >= 1)")
-		fixed       = fs.Bool("fixed", false, "run against the repaired program variant")
-		perPoint    = fs.Bool("per-point", false, "print the per-interaction-point breakdown")
+		_           = fs.Bool("all", false, "run every catalog campaign, both variants, as one suite")
+		workers     = fs.Int("j", 1, "with -campaign or -all: concurrent injection runs (must be >= 1)")
+		fixed       = fs.Bool("fixed", false, "with -campaign: run against the repaired program variant")
+		perPoint    = fs.Bool("per-point", false, "with -campaign: print the per-interaction-point breakdown")
 		verbose     = fs.Bool("v", false, "print every injection (or, with -all, per-campaign progress and dispatcher stats)")
-		cache       = fs.String("cache", "", "with -all: result-store directory; replay campaigns whose fingerprint is cached")
+		cache       = fs.String("cache", "", "with -all: result-store directory; replay campaigns whose fingerprint is cached; with -serve-coord: the store the coordinator serves")
 		shard       = fs.String("shard", "", "with -all and -cache: run only partition \"k/n\" of the suite and write a shard artifact to the store")
-		matrix      = fs.Bool("matrix", false, "with -all: run the expanded campaign matrix (option sweeps, site cuts, multi-site compositions) instead of the base catalog; with -merge: render the per-axis rollup")
-		filter      = fs.String("filter", "", "with -all: run only jobs whose \"name/variant\" label matches GLOB ('*' crosses the separator, e.g. 'lpr*' or '*+nodedup*')")
+		matrix      = fs.Bool("matrix", false, "with -all or -serve-coord: run the expanded campaign matrix (option sweeps, site cuts, multi-site compositions) instead of the base catalog; with -merge: render the per-axis rollup")
+		filter      = fs.String("filter", "", "with -all or -serve-coord: run only jobs whose \"name/variant\" label matches GLOB ('*' crosses the separator, e.g. 'lpr*' or '*+nodedup*')")
 		merge       = fs.String("merge", "", "merge the shard artifacts in a result-store directory and print the combined suite report")
 		serveCoord  = fs.String("serve-coord", "", "serve the -cache store AND the job catalog as a lease-based claim queue at ADDR for -coord-url workers (catalog selected by -matrix/-filter)")
 		coordURL    = fs.String("coord-url", "", "with -all: claim jobs from a running `eptest -serve-coord` instead of owning a static shard; the same URL is used as the shared result cache")
@@ -141,23 +165,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *workers < 1 {
-		fmt.Fprintf(stderr, "eptest: -j %d is not a worker count; pass how many injection runs may execute concurrently (-j 1 for sequential, -j 8 for eight workers)\n", *workers)
+	var mode, takes string
+	for _, m := range modes {
+		if v := fs.Lookup(m.flag).Value.String(); v != "" && v != "false" {
+			mode, takes = m.flag, m.takes
+			break
+		}
+	}
+	if mode == "" {
+		fmt.Fprintln(stderr, "eptest: -campaign required (or -list / -all)")
+		fs.Usage()
 		return 2
 	}
-	if *authToken != "" && *serveCoord == "" && *coordURL == "" {
-		fmt.Fprintln(stderr, "eptest: -auth-token does nothing without -serve-coord or -coord-url")
-		return 2
-	}
-	if *lease != coord.DefaultLeaseTTL && *serveCoord == "" {
-		fmt.Fprintln(stderr, "eptest: -lease is a coordinator-side setting; it needs -serve-coord (workers inherit the TTL at registration)")
-		return 2
-	}
-	if *retention != coord.DefaultCampaignRetention && *serveCoord == "" {
-		fmt.Fprintln(stderr, "eptest: -campaign-retention is a coordinator-side setting; it needs -serve-coord")
-		return 2
-	}
-	if *diffOld != "" {
+	var newPath string
+	if mode == "diff" {
 		if fs.NArg() == 0 {
 			fmt.Fprintln(stderr, "eptest: -diff OLD needs exactly one NEW findings file as its argument: `eptest -diff OLD NEW`")
 			return 2
@@ -165,83 +186,69 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Parsing stops at the first positional argument, so flags
 		// written after NEW (`eptest -diff OLD NEW -diff-fail-on new`)
 		// arrive as leftovers; take NEW, then parse the rest.
-		newPath := fs.Arg(0)
+		newPath = fs.Arg(0)
 		if err := fs.Parse(fs.Args()[1:]); err != nil {
 			return 2
 		}
-		if fs.NArg() != 0 {
-			fmt.Fprintln(stderr, "eptest: -diff compares exactly two findings files: `eptest -diff OLD NEW`")
-			return 2
-		}
-		if *list || *all || *campaign != "" || *merge != "" || *serveCoord != "" || *findingsOut != "" {
-			fmt.Fprintln(stderr, "eptest: -diff runs alone, comparing two findings files; produce them first with `eptest -all -findings FILE`")
-			return 2
-		}
-		return runDiff(*diffOld, newPath, *diffFailOn, stdout, stderr)
 	}
-	if *diffFailOn != "" {
-		fmt.Fprintln(stderr, "eptest: -diff-fail-on gates a findings diff; it needs -diff OLD NEW")
+	var stray string
+	fs.Visit(func(f *flag.Flag) {
+		if stray == "" && f.Name != mode && !slices.Contains(strings.Fields(takes), f.Name) {
+			stray = f.Name
+		}
+	})
+	var usage string
+	switch {
+	case stray != "":
+		usage = fmt.Sprintf("-%s does not apply to -%s", stray, mode)
+	case fs.NArg() != 0 && mode == "diff":
+		usage = "-diff compares exactly two findings files: `eptest -diff OLD NEW`"
+	case fs.NArg() != 0:
+		usage = fmt.Sprintf("-%s takes no positional argument; got %q", mode, fs.Arg(0))
+	case *workers < 1:
+		usage = fmt.Sprintf("-j %d is not a worker count; pass how many injection runs may execute concurrently (-j 1 for sequential, -j 8 for eight workers)", *workers)
+	case *lease <= 0:
+		usage = fmt.Sprintf("-lease %v is not a lease TTL; pass how long a silent worker keeps its claims (e.g. -lease 60s)", *lease)
+	case mode == "serve-coord" && *cache == "":
+		usage = "-serve-coord needs -cache DIR naming the store directory that holds the cache and the merged artifact"
+	case *coordURL != "" && (*cache != "" || *shard != ""):
+		usage = "-coord-url replaces -cache/-shard — the coordinator is the cache, and claims replace the static partition"
+	case *shard != "" && *cache == "":
+		usage = "-shard needs -cache DIR to hold the shard artifact"
+	case mode == "all" && *coordURL == "" && (*workerName != "" || *authToken != ""):
+		usage = "-worker and -auth-token talk to a coordinator; under -all they need -coord-url"
+	}
+	var shardSpec sched.ShardSpec
+	if usage == "" && *shard != "" {
+		var err error
+		if shardSpec, err = sched.ParseShard(*shard); err != nil {
+			usage = err.Error()
+		}
+	}
+	if usage != "" {
+		fmt.Fprintf(stderr, "eptest: %s\n", usage)
 		return 2
 	}
-	if *findingsOut != "" && !*all && *merge == "" {
-		fmt.Fprintln(stderr, "eptest: -findings exports a suite's violation records; it requires -all or -merge")
-		return 2
-	}
-	if (*traceFile != "" || *metricsOut != "") && !*all {
-		fmt.Fprintln(stderr, "eptest: -trace and -metrics-json record a suite run; they require -all")
-		return 2
-	}
-	if *pprofAddr != "" && !*all && *serveCoord == "" {
-		fmt.Fprintln(stderr, "eptest: -pprof profiles a long-running process; it needs -all or -serve-coord")
-		return 2
-	}
-	if *serveCoord != "" {
-		if *list || *all || *campaign != "" || *merge != "" || *shard != "" || *coordURL != "" {
-			fmt.Fprintln(stderr, "eptest: -serve-coord runs alone with -cache DIR (plus -matrix/-filter/-lease/-auth-token); start workers separately with -coord-url")
-			return 2
-		}
-		if *cache == "" {
-			fmt.Fprintln(stderr, "eptest: -serve-coord needs -cache DIR naming the store directory that holds the cache and the merged artifact")
-			return 2
-		}
-		if *lease <= 0 {
-			fmt.Fprintf(stderr, "eptest: -lease %v is not a lease TTL; pass how long a silent worker keeps its claims (e.g. -lease 60s)\n", *lease)
-			return 2
-		}
-		return runServeCoord(*serveCoord, *cache, *matrix, *filter, *lease, *retention, *authToken, *pprofAddr, nil, stdout, stderr)
-	}
-	if *merge != "" {
-		if *list || *all || *campaign != "" || *shard != "" || *cache != "" || *coordURL != "" || *filter != "" {
-			fmt.Fprintln(stderr, "eptest: -merge runs alone (no -list/-all/-campaign/-shard/-cache/-coord-url/-filter)")
-			return 2
-		}
-		return runMerge(*merge, *matrix, *findingsOut, stdout, stderr)
-	}
-	if *list {
+
+	switch mode {
+	case "list":
 		fmt.Fprintln(stdout, "available campaigns:")
 		for _, s := range apps.Catalog() {
 			fmt.Fprintf(stdout, "  %-18s %s\n", s.Name, s.Paper)
 		}
 		return 0
-	}
-	if *all {
-		if *coordURL != "" && (*cache != "" || *shard != "") {
-			fmt.Fprintln(stderr, "eptest: -coord-url replaces -cache/-shard — the coordinator is the cache, and claims replace the static partition")
-			return 2
-		}
-		if *shard != "" && *cache == "" {
-			fmt.Fprintln(stderr, "eptest: -shard needs -cache DIR to hold the shard artifact")
-			return 2
-		}
-		if *workerName != "" && *coordURL == "" {
-			fmt.Fprintln(stderr, "eptest: -worker names this process to a coordinator; it needs -coord-url")
-			return 2
-		}
-		cfg := suiteConfig{
+	case "diff":
+		return runDiff(*diffOld, newPath, *diffFailOn, stdout, stderr)
+	case "merge":
+		return runMerge(*merge, *matrix, *findingsOut, stdout, stderr)
+	case "serve-coord":
+		return runServeCoord(*serveCoord, *cache, *matrix, *filter, *lease, *retention, *authToken, *pprofAddr, nil, stdout, stderr)
+	case "all":
+		return runSuite(suiteConfig{
 			workers:     *workers,
 			verbose:     *verbose,
 			cacheDir:    *cache,
-			shard:       *shard,
+			shard:       shardSpec,
 			matrix:      *matrix,
 			filter:      *filter,
 			coordURL:    *coordURL,
@@ -254,17 +261,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// The coordinator hands jobs out one at a time, so the
 			// renderer's fixed upfront job list does not apply there.
 			tty: !*verbose && *coordURL == "" && isTerminal(stdout),
-		}
-		return runSuite(cfg, stdout, stderr)
-	}
-	if *shard != "" || *cache != "" || *coordURL != "" || *matrix || *filter != "" || *workerName != "" {
-		fmt.Fprintln(stderr, "eptest: -cache, -coord-url, -worker, -shard and -filter require -all; -matrix requires -all or -merge")
-		return 2
-	}
-	if *campaign == "" {
-		fmt.Fprintln(stderr, "eptest: -campaign required (or -list / -all)")
-		fs.Usage()
-		return 2
+		}, stdout, stderr)
 	}
 
 	spec, err := apps.Lookup(*campaign)
@@ -358,6 +355,16 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 2
 	}
+	// The partition is checked, like the flags, before anything touches
+	// the disk or the network.
+	var indices []int
+	if !cfg.shard.IsZero() {
+		jobs, indices = sched.ShardJobs(jobs, cfg.shard)
+		if len(jobs) == 0 {
+			fmt.Fprintf(stderr, "eptest: shard %s of the %d-job catalog selects zero jobs; lower n or broaden -filter\n", cfg.shard, len(catalog))
+			return 2
+		}
+	}
 	// The registry always exists (registration is cheap and the handles
 	// are atomic); the flags only decide whether its contents leave the
 	// process. The tracer is per-flag: a nil *obs.Tracer disables every
@@ -403,26 +410,10 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		defer source.Close()
 	}
 
-	var (
-		spec    sched.ShardSpec
-		indices []int
-	)
 	cache, shardStore, err := suiteCache(cfg, reg)
 	if err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 2
-	}
-	if cfg.shard != "" {
-		spec, err = sched.ParseShard(cfg.shard)
-		if err != nil {
-			fmt.Fprintf(stderr, "eptest: %v\n", err)
-			return 2
-		}
-		jobs, indices = sched.ShardJobs(jobs, spec)
-		if len(jobs) == 0 {
-			fmt.Fprintf(stderr, "eptest: shard %s of the %d-job catalog selects zero jobs; lower n or broaden -filter\n", spec, len(catalog))
-			return 2
-		}
 	}
 
 	opt := sched.SuiteOptions{Workers: cfg.workers, Cache: cache, Metrics: reg, Tracer: tracer}
@@ -490,12 +481,12 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, report.Dispatch(sr))
 	}
 	findings.Instrument(reg, fold.wait())
-	if !spec.IsZero() {
-		if err := shardStore.WriteShard(spec, catalog, indices, sr); err != nil {
+	if !cfg.shard.IsZero() {
+		if err := shardStore.WriteShard(cfg.shard, catalog, indices, sr); err != nil {
 			fmt.Fprintf(stderr, "eptest: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "shard %s: wrote %d job(s) to %s\n", spec, len(jobs), shardStore.Dir())
+		fmt.Fprintf(stdout, "shard %s: wrote %d job(s) to %s\n", cfg.shard, len(jobs), shardStore.Dir())
 	}
 	if err := fold.write(stdout); err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)

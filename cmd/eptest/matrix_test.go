@@ -6,20 +6,24 @@ import (
 	"testing"
 )
 
-// TestMatrixFlagRequiresAll mirrors the other suite-only flags.
+// TestMatrixFlagRequiresAll mirrors the other suite-only flags: alone
+// they select no mode, and beside -campaign they are refused.
 func TestMatrixFlagRequiresAll(t *testing.T) {
 	t.Parallel()
-	for _, args := range [][]string{
-		{"-matrix"},
-		{"-filter", "lpr*"},
-		{"-matrix", "-campaign", "lpr"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-matrix"}, "-campaign required"},
+		{[]string{"-filter", "lpr*"}, "-campaign required"},
+		{[]string{"-matrix", "-campaign", "lpr"}, "-matrix does not apply to -campaign"},
 	} {
 		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 2 {
-			t.Errorf("%v: exit = %d, want 2", args, code)
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", tc.args, code)
 		}
-		if !strings.Contains(errb.String(), "require -all") {
-			t.Errorf("%v: stderr = %q", args, errb.String())
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: stderr = %q, want %q", tc.args, errb.String(), tc.want)
 		}
 	}
 }

@@ -22,10 +22,10 @@ func TestTelemetryFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-trace", "t.json", "-campaign", "turnin"}, "require -all"},
-		{[]string{"-metrics-json", "m.json", "-list"}, "require -all"},
-		{[]string{"-pprof", "localhost:0", "-campaign", "turnin"}, "it needs -all or -serve-coord"},
-		{[]string{"-pprof", "localhost:0", "-merge", "d"}, "it needs -all or -serve-coord"},
+		{[]string{"-trace", "t.json", "-campaign", "turnin"}, "-trace does not apply to -campaign"},
+		{[]string{"-metrics-json", "m.json", "-list"}, "-metrics-json does not apply to -list"},
+		{[]string{"-pprof", "localhost:0", "-campaign", "turnin"}, "-pprof does not apply to -campaign"},
+		{[]string{"-pprof", "localhost:0", "-merge", "d"}, "-pprof does not apply to -merge"},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer

@@ -159,9 +159,7 @@ func TestMergeEmptyStoreFails(t *testing.T) {
 }
 
 // TestShardFlagValidation pins the flag-combination and input-validation
-// errors of local suite runs. The cache directory is a temp dir because
-// the shard-spec errors are detected after the store opens — a literal
-// name would leave a stray store skeleton in the working tree.
+// errors of local suite runs.
 func TestShardFlagValidation(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -169,14 +167,14 @@ func TestShardFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		"shard without all":   {[]string{"-shard", "1/2", "-cache", dir}, "require -all"},
-		"cache without all":   {[]string{"-campaign", "turnin", "-cache", dir}, "require -all"},
+		"shard without all":   {[]string{"-shard", "1/2", "-cache", dir}, "-campaign required"},
+		"cache without all":   {[]string{"-campaign", "turnin", "-cache", dir}, "-cache does not apply to -campaign"},
 		"shard without cache": {[]string{"-all", "-shard", "1/2"}, "-shard needs -cache DIR"},
 		"malformed shard":     {[]string{"-all", "-shard", "2", "-cache", dir}, `malformed shard "2"`},
 		"out-of-range shard":  {[]string{"-all", "-shard", "3/2", "-cache", dir}, "out of range"},
-		"merge with all":      {[]string{"-merge", dir, "-all"}, "-merge runs alone"},
-		"merge with cache":    {[]string{"-merge", dir, "-cache", dir}, "-merge runs alone"},
-		"merge with list":     {[]string{"-merge", dir, "-list"}, "-merge runs alone"},
+		"merge with all":      {[]string{"-merge", dir, "-all"}, "-merge does not apply to -all"},
+		"merge with cache":    {[]string{"-merge", dir, "-cache", dir}, "-cache does not apply to -merge"},
+		"merge with list":     {[]string{"-merge", dir, "-list"}, "-merge does not apply to -list"},
 		"j zero":              {[]string{"-all", "-j", "0"}, "-j 0 is not a worker count"},
 		"j negative":          {[]string{"-campaign", "turnin", "-j", "-3"}, "-j -3 is not a worker count"},
 	}

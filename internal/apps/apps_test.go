@@ -83,20 +83,20 @@ func TestPlansAreStable(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			a, err := inject.Plan(spec.Vulnerable())
+			a, err := inject.PrepareWith(spec.Vulnerable(), inject.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := inject.Plan(spec.Vulnerable())
+			b, err := inject.PrepareWith(spec.Vulnerable(), inject.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(a) != len(b) {
-				t.Fatalf("plan lengths differ: %d vs %d", len(a), len(b))
+			if a.NumRuns() != b.NumRuns() {
+				t.Fatalf("plan lengths differ: %d vs %d", a.NumRuns(), b.NumRuns())
 			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("plan[%d] differs: %+v vs %+v", i, a[i], b[i])
+			for i := range a.NumRuns() {
+				if a.Planned(i) != b.Planned(i) {
+					t.Fatalf("plan[%d] differs: %+v vs %+v", i, a.Planned(i), b.Planned(i))
 				}
 			}
 		})

@@ -309,15 +309,9 @@ func DecodeCampaignSpec(b []byte) (*CampaignSpec, error) {
 	return &s, nil
 }
 
-// DecodeComplete parses and validates a complete request. The outcome
-// payload itself is validated by the coordinator against its catalog.
-func DecodeComplete(b []byte) (*CompleteRequest, error) {
-	r, _, err := decodeComplete(b)
-	return r, err
-}
-
-// decodeComplete is DecodeComplete, also returning the outcome's
-// result decoded. The body must be in the canonical form
+// decodeComplete parses and validates a complete request, also
+// returning the outcome's result decoded. The outcome payload itself is
+// validated by the coordinator against its catalog. The body must be in the canonical form
 // appendComplete writes, the bytes json.Marshal writes for the
 // request, and anything else is an error. It is read by hand, with
 // jsonstr's cursor: the envelope member by member, and the result with

@@ -20,9 +20,9 @@ import (
 
 // The completion codec's reference is the encoding/json path it
 // replaced: json.Marshal for the worker's request, and json.Unmarshal
-// followed by DecodeComplete's checks for the server's decode.
+// followed by the request's checks for the server's decode.
 
-// referenceDecodeComplete is DecodeComplete as it was on
+// referenceDecodeComplete is decodeComplete as it was on
 // encoding/json.
 func referenceDecodeComplete(b []byte) (*CompleteRequest, error) {
 	var r CompleteRequest
@@ -257,7 +257,9 @@ func FuzzEncodeComplete(f *testing.F) {
 // FuzzDecodeComplete holds decodeComplete to the reference on
 // arbitrary bytes: whatever it accepts, the reference accepts and
 // decodes to the same request, and whatever the reference accepts in
-// canonical form, it accepts.
+// canonical form, it accepts. An accepted request re-encodes to bytes
+// it accepts again (round-trip closure, as FuzzCoordWire checks for
+// the other requests).
 func FuzzDecodeComplete(f *testing.F) {
 	for _, r := range edgeRequests(f) {
 		b, err := json.Marshal(&r)
@@ -268,6 +270,10 @@ func FuzzDecodeComplete(f *testing.F) {
 	}
 	f.Add([]byte(`{"proto":"eptest-coord/3","worker_id":"w1","index":0,"outcome":{"name":"a","result":null}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		checkDecode(t, b)
+		if r, _ := checkDecode(t, b); r != nil {
+			if again, _ := checkDecode(t, checkEncode(t, r)); again == nil {
+				t.Fatalf("re-encoded complete rejected: %q", b)
+			}
+		}
 	})
 }

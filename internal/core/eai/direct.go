@@ -512,7 +512,7 @@ var directCatalogs = [...][]DirectFault{
 
 // CatalogDirect returns the Table 6 perturbations for an entity kind, in
 // catalog order. The returned slice is shared; callers must not modify
-// it (AllDirect returns a copy).
+// it.
 func CatalogDirect(e Entity) []DirectFault {
 	if e < 0 || int(e) >= len(directCatalogs) {
 		return nil
@@ -524,13 +524,4 @@ func CatalogDirect(e Entity) []DirectFault {
 // registry extension.
 func AllEntities() []Entity {
 	return []Entity{EntityFileSystem, EntityNetwork, EntityProcess, EntityRegistry}
-}
-
-// AllDirect returns the full Table 6 catalog across every entity.
-func AllDirect() []DirectFault {
-	var out []DirectFault
-	for _, e := range AllEntities() {
-		out = append(out, CatalogDirect(e)...)
-	}
-	return out
 }

@@ -31,31 +31,6 @@ func TestEnumStrings(t *testing.T) {
 	}
 }
 
-func TestOriginForOp(t *testing.T) {
-	t.Parallel()
-	tests := []struct {
-		op   interpose.Op
-		want Origin
-	}{
-		{interpose.OpArg, OriginUserInput},
-		{interpose.OpGetenv, OriginEnvVar},
-		{interpose.OpRead, OriginFileInput},
-		{interpose.OpReadlink, OriginFileInput},
-		{interpose.OpReadDir, OriginFileInput},
-		{interpose.OpRecv, OriginNetworkInput},
-		{interpose.OpDNS, OriginNetworkInput},
-		{interpose.OpMsgRecv, OriginProcessInput},
-		{interpose.OpRegGet, OriginFileInput},
-		{interpose.OpWrite, 0},
-		{interpose.OpOpen, 0},
-	}
-	for _, tt := range tests {
-		if got := OriginForOp(tt.op); got != tt.want {
-			t.Errorf("OriginForOp(%s) = %v, want %v", tt.op, got, tt.want)
-		}
-	}
-}
-
 func TestEntityForKind(t *testing.T) {
 	t.Parallel()
 	tests := []struct {
@@ -141,8 +116,8 @@ func TestTable5Shape(t *testing.T) {
 			seen[f.ID] = true
 		}
 	}
-	if got := len(AllIndirect()); got != 32 {
-		t.Errorf("AllIndirect = %d faults, want 32", got)
+	if got := len(allIndirect()); got != 32 {
+		t.Errorf("Table 5 has %d faults, want 32", got)
 	}
 }
 
@@ -190,7 +165,7 @@ func TestIndirectMutators(t *testing.T) {
 
 func TestMutatorsDoNotAliasInput(t *testing.T) {
 	t.Parallel()
-	for _, f := range AllIndirect() {
+	for _, f := range allIndirect() {
 		in := []byte("sample-input-value")
 		orig := string(in)
 		_ = f.Mutate(in)
@@ -666,8 +641,12 @@ func TestTable6Shape(t *testing.T) {
 			}
 		}
 	}
-	if got := len(AllDirect()); got != 17 {
-		t.Errorf("AllDirect = %d, want 17", got)
+	n := 0
+	for _, e := range AllEntities() {
+		n += len(CatalogDirect(e))
+	}
+	if n != 17 {
+		t.Errorf("Table 6 has %d faults, want 17", n)
 	}
 }
 
@@ -684,4 +663,13 @@ func TestConfigDefaults(t *testing.T) {
 	if c2.ReadTarget != "/secret" {
 		t.Error("explicit ReadTarget overwritten")
 	}
+}
+
+// allIndirect lists the full Table 5 catalog across every semantic.
+func allIndirect() []IndirectFault {
+	var out []IndirectFault
+	for _, s := range AllSemantics() {
+		out = append(out, CatalogIndirect(s)...)
+	}
+	return out
 }

@@ -100,7 +100,7 @@ var indirectCatalogs = func() (t [SemRaw + 1][]IndirectFault) {
 
 // CatalogIndirect returns the Table 5 perturbations for a semantic input
 // kind, in catalog order. The returned slice is shared; callers must not
-// modify it (AllIndirect returns a copy).
+// modify it.
 func CatalogIndirect(sem Semantic) []IndirectFault {
 	if sem < 0 || int(sem) >= len(indirectCatalogs) {
 		return nil
@@ -210,13 +210,4 @@ func AllSemantics() []Semantic {
 		SemIPAddress, SemPacket, SemHostName, SemDNSReply, SemProcMessage,
 		SemRaw,
 	}
-}
-
-// AllIndirect returns the full Table 5 catalog across every semantic.
-func AllIndirect() []IndirectFault {
-	var out []IndirectFault
-	for _, s := range AllSemantics() {
-		out = append(out, CatalogIndirect(s)...)
-	}
-	return out
 }

@@ -208,29 +208,6 @@ func (s Semantic) String() string {
 	}
 }
 
-// OriginForOp maps an interaction operation to the Table 2 input channel
-// it draws from. Ops that return no environment input map to 0.
-func OriginForOp(op interpose.Op) Origin {
-	switch op {
-	case interpose.OpArg:
-		return OriginUserInput
-	case interpose.OpGetenv:
-		return OriginEnvVar
-	case interpose.OpRead, interpose.OpReadlink, interpose.OpReadDir:
-		return OriginFileInput
-	case interpose.OpRecv, interpose.OpDNS, interpose.OpAccept:
-		return OriginNetworkInput
-	case interpose.OpMsgRecv:
-		return OriginProcessInput
-	case interpose.OpRegGet:
-		// The registry is configuration input; the closest Table 2 channel
-		// is the file system (NT stores per-machine configuration there).
-		return OriginFileInput
-	default:
-		return 0
-	}
-}
-
 // EntityForKind maps an interaction's object kind to the Table 3 entity
 // perturbed by direct faults. Kinds with no direct-fault entity (pure
 // inputs such as argv and environment variables) map to 0.

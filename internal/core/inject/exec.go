@@ -30,10 +30,6 @@ type ExecPlan struct {
 	seed *policy.Seed
 }
 
-// Prepare materialises the campaign's execution plan under default
-// engine options.
-func Prepare(c Campaign) (*ExecPlan, error) { return PrepareWith(c, Options{}) }
-
 // PrepareWith materialises the campaign's execution plan: the clean run,
 // the interaction-point enumeration, and the per-point fault lists.
 func PrepareWith(c Campaign, opt Options) (*ExecPlan, error) {

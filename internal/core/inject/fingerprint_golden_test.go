@@ -115,7 +115,7 @@ func TestFingerprintConcurrent(t *testing.T) {
 	want := make([]string, len(jobs))
 	plans := make([]*inject.ExecPlan, len(jobs))
 	for i, job := range jobs {
-		p, err := inject.Prepare(job.Build())
+		p, err := inject.PrepareWith(job.Build(), inject.Options{})
 		if err != nil {
 			t.Fatalf("prepare %s: %v", job.Label(), err)
 		}

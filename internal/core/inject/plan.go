@@ -24,26 +24,6 @@ type PlannedInjection struct {
 	Sem     eai.Semantic
 }
 
-// Plan enumerates the injections a campaign would perform: the clean run,
-// the interaction points, and each point's applicable fault list. It is
-// the dry-run counterpart of Run and shares its planning logic.
-func Plan(c Campaign) ([]PlannedInjection, error) {
-	return PlanWith(c, Options{})
-}
-
-// PlanWith is Plan under explicit engine options.
-func PlanWith(c Campaign, opt Options) ([]PlannedInjection, error) {
-	plan, err := PrepareWith(c, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PlannedInjection, plan.NumRuns())
-	for i := range out {
-		out[i] = plan.Planned(i)
-	}
-	return out, nil
-}
-
 // EquivalenceGroup is a set of interaction sites that touch the same
 // environment object with the same class of operation — the paper's
 // future-work reduction: "exploit static analysis to further reduce the
@@ -240,7 +220,7 @@ func (f *siteFilter) match(site string) bool {
 	return false
 }
 
-// planResult is the internal planning outcome shared by Plan and Run.
+// planResult is the internal planning outcome shared by PrepareWith and Run.
 type planResult struct {
 	result *Result
 	plans  []planned

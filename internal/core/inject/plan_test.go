@@ -12,7 +12,7 @@ func TestPlanMatchesRun(t *testing.T) {
 	t.Parallel()
 	c := lprCampaign()
 	c.Sites = nil
-	plans, err := Plan(c)
+	plans, err := planAll(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestPlanMatchesRun(t *testing.T) {
 
 func TestPlanErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := Plan(Campaign{}); !errors.Is(err, ErrNoWorld) {
+	if _, err := planAll(Campaign{}, Options{}); !errors.Is(err, ErrNoWorld) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -41,7 +41,7 @@ func TestPlanRespectsOptions(t *testing.T) {
 	t.Parallel()
 	c := lprCampaign()
 	c.Sites = nil
-	direct, err := PlanWith(c, Options{OnlyDirect: true})
+	direct, err := planAll(c, Options{OnlyDirect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPlanRespectsOptions(t *testing.T) {
 			t.Errorf("OnlyDirect planned %v", p.Class)
 		}
 	}
-	both, err := Plan(c)
+	both, err := planAll(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,4 +166,18 @@ func TestRunUntilAdequateAlreadyAdequate(t *testing.T) {
 	if rounds != 1 {
 		t.Errorf("rounds = %d, want 1", rounds)
 	}
+}
+
+// planAll lists every run the campaign's plan would perform under opt:
+// the dry-run counterpart of Run.
+func planAll(c Campaign, opt Options) ([]PlannedInjection, error) {
+	plan, err := PrepareWith(c, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PlannedInjection, plan.NumRuns())
+	for i := range out {
+		out[i] = plan.Planned(i)
+	}
+	return out, nil
 }

@@ -17,11 +17,11 @@ import (
 // calls because the dispatcher's workers share the campaign's seed.
 func TestSeededPlanConcurrentRuns(t *testing.T) {
 	t.Parallel()
-	shared, err := inject.Prepare(turnin.Campaign(turnin.Vulnerable))
+	shared, err := inject.PrepareWith(turnin.Campaign(turnin.Vulnerable), inject.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequential, err := inject.Prepare(turnin.Campaign(turnin.Vulnerable))
+	sequential, err := inject.PrepareWith(turnin.Campaign(turnin.Vulnerable), inject.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

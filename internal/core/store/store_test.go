@@ -19,7 +19,7 @@ import (
 // and plan fingerprint.
 func runLpr(t *testing.T) (*inject.Result, string) {
 	t.Helper()
-	plan, err := inject.Prepare(lpr.Campaign(lpr.Vulnerable))
+	plan, err := inject.PrepareWith(lpr.Campaign(lpr.Vulnerable), inject.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,8 @@ func CategoryOfFinding(class eai.Class, kind interpose.ObjectKind, attr eai.Attr
 	return Category{Class: eai.ClassDirect, Entity: eai.EntityForKind(kind), Attr: attr}
 }
 
-// originForKind is the object-kind analogue of eai.OriginForOp: which
-// Table 2 input channel a perturbed value of this kind arrives on.
+// originForKind maps an object kind to the Table 2 input channel a
+// perturbed value of this kind arrives on.
 func originForKind(k interpose.ObjectKind) eai.Origin {
 	switch k {
 	case interpose.KindArg:
@@ -74,7 +74,8 @@ func originForKind(k interpose.ObjectKind) eai.Origin {
 		return eai.OriginProcessInput
 	case interpose.KindRegistry:
 		// Registry values are configuration input; the closest Table 2
-		// channel is the file system, matching eai.OriginForOp.
+		// channel is the file system (NT stores per-machine configuration
+		// there).
 		return eai.OriginFileInput
 	default:
 		return 0
