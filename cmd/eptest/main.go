@@ -367,9 +367,34 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 	}
 	// The registry always exists (registration is cheap and the handles
 	// are atomic); the flags only decide whether its contents leave the
-	// process. The tracer is per-flag: a nil *obs.Tracer disables every
-	// span site.
+	// process. The pprof banner goes to stderr so the report on stdout
+	// stays byte-identical with profiling on.
 	reg := obs.NewRegistry()
+	if !startPprof(cfg.pprofAddr, reg, stderr, stderr) {
+		return 2
+	}
+	// Coordinator mode: register against the claim queue before
+	// anything else, so a malformed URL, a wrong token, or a catalog
+	// mismatch fails fast, before any file, transport or work starts.
+	var coordClient *coord.Client
+	if cfg.coordURL != "" {
+		coordClient, err = coord.Dial(cfg.coordURL, coord.WithToken(cfg.authToken), coord.WithMetrics(reg))
+		if err != nil {
+			fmt.Fprintf(stderr, "eptest: %v (start one with `eptest -serve-coord ADDR -cache DIR`)\n", err)
+			return 2
+		}
+		if err := coordClient.Register(workerDisplayName(cfg.worker), catalog); err != nil {
+			fmt.Fprintf(stderr, "eptest: %v\n", err)
+			return 2
+		}
+	}
+	cache, shardStore, err := suiteCache(cfg, reg)
+	if err != nil {
+		fmt.Fprintf(stderr, "eptest: %v\n", err)
+		return 2
+	}
+	// The tracer is per-flag: a nil *obs.Tracer disables every span
+	// site.
 	var tracer *obs.Tracer
 	if cfg.traceFile != "" {
 		tracer, err = obs.StartTrace(cfg.traceFile)
@@ -380,40 +405,19 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 		tracer.NameProcess("eptest " + workerDisplayName(cfg.worker))
 		defer tracer.Close()
 	}
-	// The pprof banner goes to stderr so the report on stdout stays
-	// byte-identical with profiling on.
-	if !startPprof(cfg.pprofAddr, reg, stderr, stderr) {
-		return 2
-	}
-	// Coordinator mode: register against the claim queue before
-	// anything else, so a malformed URL, a wrong token, or a catalog
-	// mismatch fails fast, before any transport or work starts.
+	// The one job source: the coordinator's claim queue, or the
+	// (sharded) job list.
 	var (
-		coordClient *coord.Client
-		source      *coord.Source
+		src    sched.JobSource = sched.NewSliceSource(jobs)
+		source *coord.Source
 	)
-	if cfg.coordURL != "" {
-		var err error
-		coordClient, err = coord.Dial(cfg.coordURL, coord.WithToken(cfg.authToken), coord.WithMetrics(reg))
-		if err != nil {
-			fmt.Fprintf(stderr, "eptest: %v (start one with `eptest -serve-coord ADDR -cache DIR`)\n", err)
-			return 2
-		}
-		if err := coordClient.Register(workerDisplayName(cfg.worker), catalog); err != nil {
-			fmt.Fprintf(stderr, "eptest: %v\n", err)
-			return 2
-		}
+	if coordClient != nil {
 		if source, err = coord.NewSource(coordClient, jobs, coord.WithSourceTracer(tracer)); err != nil {
 			fmt.Fprintf(stderr, "eptest: %v\n", err)
 			return 2
 		}
 		defer source.Close()
-	}
-
-	cache, shardStore, err := suiteCache(cfg, reg)
-	if err != nil {
-		fmt.Fprintf(stderr, "eptest: %v\n", err)
-		return 2
+		src = source
 	}
 
 	opt := sched.SuiteOptions{Workers: cfg.workers, Cache: cache, Metrics: reg, Tracer: tracer}
@@ -439,12 +443,9 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	var sr *sched.SuiteResult
+	sr := sched.RunSuiteFrom(src, opt)
 	if source != nil {
-		sr = sched.RunSuiteFrom(source, opt)
 		source.Close()
-	} else {
-		sr = sched.RunSuite(jobs, opt)
 	}
 	if progress != nil {
 		progress.Close()
@@ -527,12 +528,7 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 // matrix set (shards produced by -matrix workers), the per-axis rollup
 // is rendered in its unsharded position too.
 func runMerge(dir string, matrix bool, findingsOut string, stdout, stderr io.Writer) int {
-	st, err := store.Open(dir)
-	if err != nil {
-		fmt.Fprintf(stderr, "eptest: %v\n", err)
-		return 2
-	}
-	sr, infos, err := st.MergeShards()
+	sr, infos, err := store.MergeShards(dir)
 	if err != nil {
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 2

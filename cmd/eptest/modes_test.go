@@ -105,7 +105,9 @@ func TestModeRefusesOtherFlags(t *testing.T) {
 // TestModeRefusals pins named refusals: combinations that were once
 // accepted with a flag silently ignored, a second mode flag, a flag set
 // to its default value, and a malformed -shard, which must be refused
-// before the trace file or the store is created.
+// before the trace file or the store is created; and two failed runs,
+// a merge of a store that does not exist and a worker whose
+// coordinator is unreachable, which must create nothing either.
 func TestModeRefusals(t *testing.T) {
 	t.Parallel()
 	cases := map[string]struct {
@@ -151,6 +153,16 @@ func TestModeRefusals(t *testing.T) {
 				return []string{"-serve-coord", "127.0.0.1:0", "-cache", d + "/D", "-filter", "no-such-app*"}
 			},
 			[]string{"selects zero jobs"},
+		},
+		"merge of a missing store": {
+			func(d string) []string { return []string{"-merge", d + "/NOPE"} },
+			[]string{"no shard artifacts"},
+		},
+		"unreachable coordinator": {
+			func(d string) []string {
+				return []string{"-all", "-filter", "lpr/vulnerable", "-coord-url", "http://127.0.0.1:1", "-trace", d + "/T.json"}
+			},
+			[]string{"connection refused"},
 		},
 		"flag after a positional argument": {
 			func(string) []string { return []string{"-all", "extra", "-j", "4"} },

@@ -1,6 +1,6 @@
 // Command papertables regenerates every table and figure of the paper in
-// one run and prints a paper-vs-measured summary — the data source for
-// EXPERIMENTS.md.
+// one run and prints a paper-vs-measured summary; `go run
+// ./cmd/papertables` is the reproduction's record of its experiments.
 package main
 
 import (

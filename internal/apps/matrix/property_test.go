@@ -68,7 +68,7 @@ func TestMatrixShardMergeEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			merged, infos, err := st.MergeShards()
+			merged, infos, err := store.MergeShards(st.Dir())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,8 @@
 // The paper's campaign identified 8 interaction places, injected 41
 // perturbations, and found 9 that violate the security policy. The
 // campaign constructed here reproduces those counts; see the package tests
-// and EXPERIMENTS.md.
+// and the "Section 4.1: turnin" table that `go run ./cmd/papertables`
+// prints.
 package turnin
 
 import (

@@ -102,7 +102,7 @@ func TestStoredFormHoldsNoCleanTrace(t *testing.T) {
 		if bytes.Contains(artifact, []byte("clean_trace")) {
 			t.Fatal("the shard artifact holds a clean trace")
 		}
-		merged, _, err := st.MergeShards()
+		merged, _, err := store.MergeShards(st.Dir())
 		if err != nil {
 			t.Fatal(err)
 		}

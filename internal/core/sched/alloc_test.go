@@ -23,7 +23,7 @@ func (c fixedCache) Put(string, string, *inject.Result) error { return nil }
 // allocation beyond the cache's own work: their span arguments are
 // built only for a tracer.
 func TestCacheProbeUntracedAllocatesNothing(t *testing.T) {
-	st := newState(SuiteOptions{Workers: 1, Cache: fixedCache{res: &inject.Result{}}, Metrics: obs.NewRegistry()})
+	st := newState(nil, SuiteOptions{Workers: 1, Cache: fixedCache{res: &inject.Result{}}, Metrics: obs.NewRegistry()})
 	if n := testing.AllocsPerRun(100, func() {
 		st.cacheGet(0, "source", "fp", st.m.srcHit, st.m.srcMiss)
 	}); n != 0 {

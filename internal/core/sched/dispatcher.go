@@ -3,7 +3,7 @@ package sched
 import (
 	"errors"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -41,9 +41,9 @@ type DispatchStats struct {
 
 // jobState is one job's in-flight scheduling state.
 type jobState struct {
-	seq  int // index in the full catalog (merge key in sourced mode)
+	seq  int // index in the source's catalog, the result's merge key
 	job  Job
-	cr   *CampaignResult
+	cr   CampaignResult
 	plan *inject.ExecPlan
 
 	// mu guards out, the progress counters and world; progress events
@@ -55,29 +55,34 @@ type jobState struct {
 	world *worldRuns // the shared run table, once the world has one
 }
 
+// jobResult is one completed job's result and its merge key. The
+// dispatcher keeps these, not the jobStates, so a finished job's plan
+// is released unless the run table still shares its runs.
+type jobResult struct {
+	seq int
+	cr  CampaignResult
+}
+
 // dispatchState is the shared coordination state of one suite pass.
 type dispatchState struct {
 	opt SuiteOptions
-	res *SuiteResult
+	src JobSource
 
-	// mu guards the deques, the remaining counter and the sourced-mode
-	// fields; cond wakes idle workers when work is pushed and the
-	// feeder when a claimed job completes.
+	// mu guards the deques, remaining and the claim fields; cond wakes
+	// parked workers when runs are pushed, a claim ends or the suite
+	// drains.
 	mu        sync.Mutex
 	cond      *sync.Cond
 	deques    []*deque
-	remaining int // tasks queued or executing
+	remaining int  // tasks queued or executing
+	claiming  bool // a worker is inside src.Next
+	drained   bool // the source will yield no more jobs
 
-	// Sourced mode: jobs arrive from a JobSource via the feeder
-	// goroutine instead of being seeded up front.
-	src      JobSource
-	drained  bool        // the source will yield no more jobs
-	inflight int         // jobs claimed from the source, not yet completed
-	window   int         // claim-ahead bound on inflight
-	claimed  []*jobState // every job this dispatcher claimed, in claim order
-
-	stats  []WorkerStats // one slot per worker, owned by that worker
-	emitMu sync.Mutex
+	// One slot per worker, owned by that worker: its counters and the
+	// jobs it completed, in completion order.
+	stats    []WorkerStats
+	finished [][]jobResult
+	emitMu   sync.Mutex
 
 	table runTable
 
@@ -136,14 +141,20 @@ func (m *dispatchMetrics) resolve(r *obs.Registry) {
 	m.phaseCompare = r.Histogram("eptest_run_phase_seconds", phaseHelp, obs.DefBuckets, "phase", "compare")
 }
 
-// RunSuite schedules every job's injection runs at run granularity,
-// bounded by opt.Workers concurrently executing units, and returns
-// their results in job order. Every Job is expanded into its
-// inject.ExecPlan run units, and the units flow through per-worker
-// deques with work stealing, so a worker that drains its own queue
-// rebalances onto whichever job still has runs outstanding — no static
-// partition, no idle workers while an expensive campaign hogs one
-// queue.
+// RunSuite schedules jobs as one pass of RunSuiteFrom over a
+// SliceSource, and returns their results in job order.
+func RunSuite(jobs []Job, opt SuiteOptions) *SuiteResult {
+	return RunSuiteFrom(NewSliceSource(jobs), opt)
+}
+
+// RunSuiteFrom schedules the jobs it pulls from src at run
+// granularity, bounded by opt.Workers concurrently executing units.
+// Every job expands into its inject.ExecPlan run units, and the units
+// flow through per-worker deques with work stealing, so a worker that
+// drains its own queue rebalances onto whichever job still has runs
+// outstanding — no static partition, no idle workers while an
+// expensive campaign hogs one queue. A worker claims a new job from
+// src only when no queued run is left to take.
 //
 // Equivalent runs execute once per pass: when a planned run repeats
 // one that another plan of the same world already executes (see
@@ -154,73 +165,39 @@ func (m *dispatchMetrics) resolve(r *obs.Registry) {
 // outcome into its plan-order slot, and each campaign's result is
 // assembled exactly as the sequential engine (inject.RunWith) would
 // have, so the suite report is byte-identical no matter how the runs
-// interleave.
-func RunSuite(jobs []Job, opt SuiteOptions) *SuiteResult {
-	st := newState(opt)
-	st.drained = true // the whole catalog is seeded below; nothing more arrives
-	st.res.Campaigns = make([]CampaignResult, len(jobs))
-
-	// Seed the deques round-robin with one plan task per job; the
-	// expansion into run units happens on whichever worker plans the
-	// job, and stealing spreads those units from there.
-	w := len(st.deques)
-	for ji := range jobs {
-		st.res.Campaigns[ji].Job = jobs[ji]
-		js := &jobState{seq: ji, job: jobs[ji], cr: &st.res.Campaigns[ji]}
-		st.deques[ji%w].push(task{js: js, run: planTask})
-	}
-	st.remaining = len(jobs)
-	st.m.queueDepth.Set(int64(st.remaining))
-
-	st.runWorkers()
-	return st.res
-}
-
-// RunSuiteFrom schedules jobs pulled incrementally from src: a feeder
-// goroutine claims up to Workers jobs ahead of completion and workers
-// schedule their runs exactly as in RunSuite. The returned result holds
-// only the jobs this dispatcher claimed, in catalog (Seq) order, so a
-// run over a SliceSource of the full catalog is identical to RunSuite
-// over the same slice.
+// interleave. The result holds the jobs this dispatcher claimed, in
+// Seq order.
 func RunSuiteFrom(src JobSource, opt SuiteOptions) *SuiteResult {
-	st := newState(opt)
-	st.src = src
-	st.window = len(st.deques)
+	st := newState(src, opt)
+	res := &SuiteResult{Dispatch: st.runWorkers()}
 
-	var fwg sync.WaitGroup
-	fwg.Add(1)
-	go func() {
-		defer fwg.Done()
-		st.feed()
-	}()
-	st.runWorkers()
-	fwg.Wait()
-
-	sort.SliceStable(st.claimed, func(i, j int) bool { return st.claimed[i].seq < st.claimed[j].seq })
-	st.res.Campaigns = make([]CampaignResult, 0, len(st.claimed))
-	for i, js := range st.claimed {
+	done := slices.Concat(st.finished...)
+	slices.SortFunc(done, func(a, b jobResult) int { return a.seq - b.seq })
+	res.Campaigns = make([]CampaignResult, 0, len(done))
+	for i, f := range done {
 		// A source may re-issue a Seq this dispatcher already ran (a
 		// coordinator requeues a job whose completion upload was
 		// lost); the runs are deterministic, so keep one.
-		if i > 0 && st.claimed[i-1].seq == js.seq {
+		if i > 0 && done[i-1].seq == f.seq {
 			continue
 		}
-		st.res.Campaigns = append(st.res.Campaigns, *js.cr)
+		res.Campaigns = append(res.Campaigns, f.cr)
 	}
-	return st.res
+	return res
 }
 
 // newState builds the shared dispatch state for one pass.
-func newState(opt SuiteOptions) *dispatchState {
+func newState(src JobSource, opt SuiteOptions) *dispatchState {
 	w := opt.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	st := &dispatchState{
-		opt:    opt,
-		res:    &SuiteResult{},
-		deques: make([]*deque, w),
-		stats:  make([]WorkerStats, w),
+		opt:      opt,
+		src:      src,
+		deques:   make([]*deque, w),
+		stats:    make([]WorkerStats, w),
+		finished: make([][]jobResult, w),
 	}
 	st.cond = sync.NewCond(&st.mu)
 	for i := range st.deques {
@@ -234,8 +211,8 @@ func newState(opt SuiteOptions) *dispatchState {
 }
 
 // runWorkers runs the worker goroutines to completion and folds their
-// counters into the result's dispatch stats.
-func (st *dispatchState) runWorkers() {
+// counters into the pass's dispatch stats.
+func (st *dispatchState) runWorkers() DispatchStats {
 	w := len(st.deques)
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -254,45 +231,12 @@ func (st *dispatchState) runWorkers() {
 		ds.Shared += ws.Shared
 		ds.Steals += ws.Steals
 	}
-	st.res.Dispatch = ds
+	return ds
 }
 
-// feed claims jobs from the source and seeds their plan tasks, never
-// holding more than window incomplete claims — enough to keep every
-// worker busy without hoarding jobs another machine's dispatcher could
-// be draining.
-func (st *dispatchState) feed() {
-	rr := 0
-	for {
-		st.mu.Lock()
-		for st.inflight >= st.window {
-			st.cond.Wait()
-		}
-		st.mu.Unlock()
-
-		sj, ok := st.src.Next() // blocks; must run outside the lock
-		if !ok {
-			st.mu.Lock()
-			st.drained = true
-			st.mu.Unlock()
-			st.cond.Broadcast()
-			return
-		}
-		js := &jobState{seq: sj.Seq, job: sj.Job, cr: &CampaignResult{Job: sj.Job}}
-		st.mu.Lock()
-		st.claimed = append(st.claimed, js)
-		st.deques[rr%len(st.deques)].push(task{js: js, run: planTask})
-		rr++
-		st.remaining++
-		st.inflight++
-		st.m.queueDepth.Set(int64(st.remaining))
-		st.mu.Unlock()
-		st.cond.Broadcast()
-	}
-}
-
-// worker is one scheduling loop: pop own work, steal when dry, park
-// when the whole dispatcher is dry, exit when the suite drains.
+// worker is one scheduling loop: pop own work, steal when dry, claim a
+// job when nothing is queued, park while another worker claims, exit
+// when the suite drains.
 func (st *dispatchState) worker(w int) {
 	for {
 		t, stolen, ok := st.next(w)
@@ -310,9 +254,10 @@ func (st *dispatchState) worker(w int) {
 
 // next returns the worker's next task: its own deque bottom first,
 // then a steal sweep over the other deques starting at its right
-// neighbour. With nothing queued it parks on cond until either new
-// work is pushed or the suite drains (remaining == 0 with a drained
-// source, the only not-ok return).
+// neighbour, then the plan task of a job it claims from the source.
+// Only one worker claims at a time; the others park on cond until runs
+// are pushed, the claim ends or the suite drains (remaining == 0 with
+// a drained source, the only not-ok return).
 func (st *dispatchState) next(w int) (t task, stolen, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -325,11 +270,37 @@ func (st *dispatchState) next(w int) (t task, stolen, ok bool) {
 				return t, true, true
 			}
 		}
-		if st.remaining == 0 && st.drained {
+		switch {
+		case !st.drained && !st.claiming:
+			if js := st.claimLocked(); js != nil {
+				return task{js: js, run: planTask}, false, true
+			}
+		case st.drained && st.remaining == 0:
 			return task{}, false, false
+		default:
+			st.cond.Wait()
 		}
-		st.cond.Wait()
 	}
+}
+
+// claimLocked pulls one job from the source and counts its plan task,
+// or marks the source drained and returns nil. Next may block, so it
+// runs with st.mu released: the other workers keep executing queued
+// runs meanwhile, and any that go idle park until the claim ends.
+func (st *dispatchState) claimLocked() *jobState {
+	st.claiming = true
+	st.mu.Unlock()
+	sj, ok := st.src.Next()
+	st.mu.Lock()
+	st.claiming = false
+	st.cond.Broadcast()
+	if !ok {
+		st.drained = true
+		return nil
+	}
+	st.remaining++
+	st.m.queueDepth.Set(int64(st.remaining))
+	return &jobState{seq: sj.Seq, job: sj.Job, cr: CampaignResult{Job: sj.Job}}
 }
 
 // finish retires one task; the last one wakes every parked worker so
@@ -345,18 +316,12 @@ func (st *dispatchState) finish() {
 	}
 }
 
-// jobDone retires one job after its result is fully recorded: in
-// sourced mode the outcome is reported back to the source and the
-// feeder is woken to claim a replacement.
-func (st *dispatchState) jobDone(js *jobState) {
-	if st.src == nil {
-		return
-	}
-	st.src.Complete(SourcedJob{Job: js.job, Seq: js.seq}, *js.cr)
-	st.mu.Lock()
-	st.inflight--
-	st.mu.Unlock()
-	st.cond.Broadcast()
+// jobDone retires one job on worker w after its result is fully
+// recorded: the outcome is reported back to the source and kept for
+// the pass's result.
+func (st *dispatchState) jobDone(w int, js *jobState) {
+	st.src.Complete(SourcedJob{Job: js.job, Seq: js.seq}, js.cr)
+	st.finished[w] = append(st.finished[w], jobResult{seq: js.seq, cr: js.cr})
 }
 
 // emit serialises event delivery.
@@ -423,7 +388,7 @@ func (st *dispatchState) cachePut(w int, tier, fp, label string, r *inject.Resul
 // deque, from where idle workers steal them.
 func (st *dispatchState) planJob(w int, js *jobState) {
 	job := js.job
-	cr := js.cr
+	cr := &js.cr
 	c := job.Build()
 	engine := job.engine(st.opt.Engine)
 
@@ -440,7 +405,7 @@ func (st *dispatchState) planJob(w int, js *jobState) {
 				cr.CachedSource = true
 				st.emit(Event{Kind: EventPlanned, Job: job, Total: n})
 				st.emit(Event{Kind: EventDone, Job: job, Done: n, Total: n, Cached: true})
-				st.jobDone(js)
+				st.jobDone(w, js)
 				return
 			}
 		}
@@ -456,7 +421,7 @@ func (st *dispatchState) planJob(w int, js *jobState) {
 	if err != nil {
 		cr.Err = err
 		st.emit(Event{Kind: EventDone, Job: job, Err: err})
-		st.jobDone(js)
+		st.jobDone(w, js)
 		return
 	}
 	n := plan.NumRuns()
@@ -475,7 +440,7 @@ func (st *dispatchState) planJob(w int, js *jobState) {
 				cr.CacheErr = st.cachePut(w, "source", cr.SourceFingerprint, job.Label(), hit)
 			}
 			st.emit(Event{Kind: EventDone, Job: job, Done: n, Total: n, Cached: true})
-			st.jobDone(js)
+			st.jobDone(w, js)
 			return
 		}
 	}
@@ -604,7 +569,7 @@ func (st *dispatchState) runOne(w int, t task) {
 // back to the cache (best effort, under both fingerprints — a failure
 // on one address does not stop the other), and emits the done event.
 func (st *dispatchState) completeJob(w int, js *jobState) {
-	cr := js.cr
+	cr := &js.cr
 	shell := js.plan.Shell()
 	shell.Injections = js.out
 	cr.Result = &shell
@@ -617,5 +582,5 @@ func (st *dispatchState) completeJob(w int, js *jobState) {
 	}
 	n := len(js.out)
 	st.emit(Event{Kind: EventDone, Job: js.job, Done: n, Total: n})
-	st.jobDone(js)
+	st.jobDone(w, js)
 }

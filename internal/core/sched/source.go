@@ -13,11 +13,15 @@ type SourcedJob struct {
 	Seq int
 }
 
-// JobSource supplies a suite's jobs incrementally — the seam that lets
-// the dispatcher pull work from a remote claim queue (coord.Source)
-// instead of a static pre-partitioned slice. The dispatcher calls Next
-// from a single feeder goroutine and Complete from worker goroutines;
-// implementations must tolerate Complete calls racing one another.
+// JobSource supplies a suite's jobs incrementally: every pass of the
+// dispatcher pulls its jobs through it, from a static list
+// (SliceSource) or a remote claim queue (coord.Source). There is no
+// feeder: a worker with no queued run to take calls Next itself, and
+// the dispatcher allows one Next call at a time, while the other
+// workers keep executing the runs already queued. Complete is called
+// from worker goroutines, possibly while Next is in flight;
+// implementations must tolerate Complete calls racing one another and
+// Next.
 //
 // Next may block (a remote source polls until a job frees up); it
 // returns ok=false only when the source is permanently drained — no
@@ -32,32 +36,33 @@ type JobSource interface {
 }
 
 // SliceSource adapts a static job list to the JobSource seam: jobs are
-// handed out in catalog order, and Complete is a no-op (the dispatcher
-// already collects results). It is safe for several dispatchers to
-// share one SliceSource — each job is returned exactly once across all
-// of them — which is the in-process model of the distributed
-// coordinator's claim queue.
+// handed out last first, each with its index as Seq, and Complete is a
+// no-op (the dispatcher already collects results). Last first because
+// a cold matrix run (eptest -all -matrix -cache on 2 CPUs) peaks about
+// 1.5 MB (4%) lower in that order than in catalog order. It is safe
+// for several dispatchers to share one SliceSource — each job is
+// returned exactly once across all of them — which is the in-process
+// model of the distributed coordinator's claim queue.
 type SliceSource struct {
 	mu   sync.Mutex
 	jobs []Job
-	next int
+	left int // jobs[:left] are unclaimed
 }
 
 // NewSliceSource returns a source over the job list.
 func NewSliceSource(jobs []Job) *SliceSource {
-	return &SliceSource{jobs: jobs}
+	return &SliceSource{jobs: jobs, left: len(jobs)}
 }
 
-// Next returns the next unclaimed job.
+// Next returns the last unclaimed job.
 func (s *SliceSource) Next() (SourcedJob, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.next >= len(s.jobs) {
+	if s.left == 0 {
 		return SourcedJob{}, false
 	}
-	sj := SourcedJob{Job: s.jobs[s.next], Seq: s.next}
-	s.next++
-	return sj, true
+	s.left--
+	return SourcedJob{Job: s.jobs[s.left], Seq: s.left}, true
 }
 
 // Complete implements JobSource; the slice source keeps no outcomes.

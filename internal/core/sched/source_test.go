@@ -2,9 +2,12 @@ package sched_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
+	"repro/internal/core/inject"
 	"repro/internal/core/report"
 	"repro/internal/core/sched"
 )
@@ -121,4 +124,105 @@ func indexOf(t *testing.T, jobs []sched.Job, label string) int {
 	}
 	t.Fatalf("label %q not in catalog", label)
 	return -1
+}
+
+// gatedSource hands out its jobs in order. Its second Next call blocks
+// until gate closes, and every call records how many Next calls were
+// in flight at once and every Complete.
+type gatedSource struct {
+	t       *testing.T
+	jobs    []sched.Job
+	entered chan struct{} // closed when the second Next call starts
+	gate    chan struct{} // closed when the first job is done
+
+	mu        sync.Mutex
+	next      int
+	completed map[int]int
+
+	inNext, maxInNext atomic.Int32
+}
+
+func (s *gatedSource) Next() (sched.SourcedJob, bool) {
+	n := s.inNext.Add(1)
+	defer s.inNext.Add(-1)
+	for {
+		m := s.maxInNext.Load()
+		if n <= m || s.maxInNext.CompareAndSwap(m, n) {
+			break
+		}
+	}
+	s.mu.Lock()
+	seq := s.next
+	s.next++
+	s.mu.Unlock()
+	if seq == 1 {
+		close(s.entered)
+		select {
+		case <-s.gate:
+		case <-time.After(10 * time.Second):
+			s.t.Error("the first job's queued runs did not finish while a worker blocked in Next")
+		}
+	}
+	if seq >= len(s.jobs) {
+		return sched.SourcedJob{}, false
+	}
+	return sched.SourcedJob{Job: s.jobs[seq], Seq: seq}, true
+}
+
+func (s *gatedSource) Complete(sj sched.SourcedJob, _ sched.CampaignResult) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.completed[sj.Seq]++
+}
+
+// TestRunSuiteFromBlockingSource pins the JobSource contract at four
+// workers: the dispatcher makes at most one Next call at a time, the
+// runs already queued keep executing while a worker blocks in Next,
+// and every job is completed exactly once. The first job's plan waits
+// until the second Next call has started, so all of its 41 runs are
+// queued behind that blocked call, and the call returns only once they
+// have all executed.
+func TestRunSuiteFromBlockingSource(t *testing.T) {
+	t.Parallel()
+	spec, err := apps.Lookup("turnin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &gatedSource{
+		t:         t,
+		entered:   make(chan struct{}),
+		gate:      make(chan struct{}),
+		completed: map[int]int{},
+	}
+	first := sched.Job{Name: spec.Name, Variant: "vulnerable", Build: func() inject.Campaign {
+		select {
+		case <-src.entered:
+		case <-time.After(10 * time.Second):
+			t.Error("no second Next call while the first job was planning")
+		}
+		return spec.Vulnerable()
+	}}
+	src.jobs = append([]sched.Job{first}, apps.SuiteJobs()[:5]...)
+
+	var done sync.Once
+	sr := sched.RunSuiteFrom(src, sched.SuiteOptions{Workers: 4, OnEvent: func(ev sched.Event) {
+		if ev.Kind == sched.EventDone && ev.Job.Name == first.Name && ev.Job.Variant == first.Variant {
+			done.Do(func() { close(src.gate) })
+		}
+	}})
+
+	if m := src.maxInNext.Load(); m != 1 {
+		t.Errorf("%d Next calls were in flight at once, want 1", m)
+	}
+	if len(sr.Campaigns) != len(src.jobs) || len(src.completed) != len(src.jobs) {
+		t.Fatalf("%d campaigns and %d completions for %d jobs", len(sr.Campaigns), len(src.completed), len(src.jobs))
+	}
+	for seq, n := range src.completed {
+		if n != 1 {
+			t.Errorf("job %d completed %d times", seq, n)
+		}
+	}
+	if m := sr.Campaigns[0].Result.Metric(); m.FaultsInjected != 41 {
+		t.Errorf("first job injected %d faults, want 41", m.FaultsInjected)
+	}
 }

@@ -25,9 +25,9 @@ type ShardInfo struct {
 	Path string
 }
 
-// shardPath names the artifact for shard k of n.
-func (s *Store) shardPath(sp sched.ShardSpec) string {
-	return filepath.Join(s.dir, shardDir, fmt.Sprintf("shard-%d-of-%d.json", sp.K, sp.N))
+// shardPath names the artifact for shard k of n of the store at dir.
+func shardPath(dir string, sp sched.ShardSpec) string {
+	return filepath.Join(dir, shardDir, fmt.Sprintf("shard-%d-of-%d.json", sp.K, sp.N))
 }
 
 // WriteShard persists one shard's suite result as a mergeable artifact.
@@ -39,7 +39,7 @@ func (s *Store) WriteShard(sp sched.ShardSpec, catalog []string, indices []int, 
 	if len(indices) != len(sr.Campaigns) {
 		return fmt.Errorf("store: shard %s: %d indices for %d campaigns", sp, len(indices), len(sr.Campaigns))
 	}
-	return writeAtomic(s.shardPath(sp), encodeShard(sp, catalog, indices, sr))
+	return writeAtomic(shardPath(s.dir, sp), encodeShard(sp, catalog, indices, sr))
 }
 
 // encodeShard writes the shard artifact, one process's slice of a
@@ -129,11 +129,13 @@ func appendOmitEmpty(dst []byte, key, s string) []byte {
 	return jsonstr.Append(append(dst, key...), s)
 }
 
-// MergeShards reads every shard artifact in the store and recombines
-// them into the SuiteResult an unsharded run over the same job list
-// would have produced: campaigns land at their recorded global indices,
-// so plan order — and with it every downstream report and ClusterSuite
-// pass — is preserved exactly.
+// MergeShards reads every shard artifact in the store at dir and
+// recombines them into the SuiteResult an unsharded run over the same
+// job list would have produced: campaigns land at their recorded
+// global indices, so plan order — and with it every downstream report
+// and ClusterSuite pass — is preserved exactly. It only reads: a
+// directory that holds no artifacts, or does not exist, is an error
+// and is left as it was.
 //
 // Each artifact is read with the store's codec and must be in the
 // canonical form encodeShard writes; a result the codec rejects (one
@@ -143,13 +145,13 @@ func appendOmitEmpty(dst []byte, key, s string) []byte {
 // that match the file name, same shard count and total job count,
 // every index covered exactly once. Anything else is an error naming
 // the offending artifact, never a silently partial merge.
-func (s *Store) MergeShards() (*sched.SuiteResult, []ShardInfo, error) {
-	paths, err := filepath.Glob(filepath.Join(s.dir, shardDir, "shard-*-of-*.json"))
+func MergeShards(dir string) (*sched.SuiteResult, []ShardInfo, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, shardDir, "shard-*-of-*.json"))
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: %w", err)
 	}
 	if len(paths) == 0 {
-		return nil, nil, fmt.Errorf("store: no shard artifacts under %s", filepath.Join(s.dir, shardDir))
+		return nil, nil, fmt.Errorf("store: no shard artifacts under %s", filepath.Join(dir, shardDir))
 	}
 	sort.Strings(paths)
 
@@ -160,7 +162,7 @@ func (s *Store) MergeShards() (*sched.SuiteResult, []ShardInfo, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("store: %w", err)
 		}
-		info, err := m.add(s, path, b)
+		info, err := m.add(dir, path, b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -193,7 +195,7 @@ type merge struct {
 
 // add reads the artifact b, found at path, checks it against its file
 // name and its siblings so far, and files its jobs.
-func (m *merge) add(s *Store, path string, b []byte) (ShardInfo, error) {
+func (m *merge) add(dir, path string, b []byte) (ShardInfo, error) {
 	d := decoder{Decoder: jsonstr.NewDecoder(b)}
 	d.Expect(`{"store":`)
 	st := d.str()
@@ -218,7 +220,7 @@ func (m *merge) add(s *Store, path string, b []byte) (ShardInfo, error) {
 	if n < 1 || k < 1 || k > n {
 		return ShardInfo{}, fmt.Errorf("store: %s claims to be shard %d of %d", path, k, n)
 	}
-	if want := s.shardPath(sched.ShardSpec{K: k, N: n}); path != want {
+	if want := shardPath(dir, sched.ShardSpec{K: k, N: n}); path != want {
 		return ShardInfo{}, fmt.Errorf("store: %s holds shard %d of %d, which is written to %s", path, k, n, filepath.Base(want))
 	}
 	if total != len(catalog) {

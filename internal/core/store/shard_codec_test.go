@@ -73,7 +73,7 @@ func TestShardMatchesReferenceOnCatalog(t *testing.T) {
 	if err := st.WriteShard(sp, catalog, all, sr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(st.shardPath(sp))
+	got, err := os.ReadFile(shardPath(st.Dir(), sp))
 	if err != nil {
 		t.Fatal(err)
 	}

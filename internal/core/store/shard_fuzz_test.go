@@ -41,7 +41,7 @@ func mergeFixture(tb testing.TB) (s *Store, first, second []byte) {
 		if err := s.WriteShard(spec, catalog, indices, sr); err != nil {
 			tb.Fatal(err)
 		}
-		b, err := os.ReadFile(s.shardPath(spec))
+		b, err := os.ReadFile(shardPath(s.Dir(), spec))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -101,12 +101,12 @@ func TestMergeChecksCoordinates(t *testing.T) {
 	t.Parallel()
 	s, a, b := mergeFixture(t)
 	checkMerge(t, s, a, b)
-	if _, _, err := s.MergeShards(); err != nil {
+	if _, _, err := MergeShards(s.Dir()); err != nil {
 		t.Fatalf("the fixture does not merge: %v", err)
 	}
 	for name, bad := range badCoordinates(b) {
 		checkMerge(t, s, a, bad)
-		_, _, err := s.MergeShards()
+		_, _, err := MergeShards(s.Dir())
 		if err == nil {
 			t.Errorf("%s: merged", name)
 		} else if !strings.Contains(err.Error(), "shard-2-of-2.json") {
@@ -131,7 +131,7 @@ func TestMergeNamesJobWithInvalidUTF8(t *testing.T) {
 	if err := s.WriteShard(sched.ShardSpec{K: 1, N: 1}, []string{"ok", "lpr/fixed"}, []int{0, 1}, sr); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = s.MergeShards()
+	_, _, err = MergeShards(s.Dir())
 	if err == nil || !strings.Contains(err.Error(), "job 1 (lpr/fixed)") {
 		t.Fatalf("merge error = %v, want one naming job 1 (lpr/fixed)", err)
 	}
@@ -142,11 +142,11 @@ func TestMergeNamesJobWithInvalidUTF8(t *testing.T) {
 func checkMerge(t *testing.T, s *Store, first, second []byte) {
 	t.Helper()
 	for k, data := range [][]byte{first, second} {
-		if err := os.WriteFile(s.shardPath(sched.ShardSpec{K: k + 1, N: 2}), data, 0o644); err != nil {
+		if err := os.WriteFile(shardPath(s.Dir(), sched.ShardSpec{K: k + 1, N: 2}), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sr, infos, err := s.MergeShards()
+	sr, infos, err := MergeShards(s.Dir())
 	if err != nil {
 		return
 	}

@@ -44,7 +44,7 @@ func TestShardMergeReproducesUnshardedSuite(t *testing.T) {
 				t.Fatalf("n=%d: write shard %s: %v", n, spec, err)
 			}
 		}
-		merged, infos, err := st.MergeShards()
+		merged, infos, err := store.MergeShards(st.Dir())
 		if err != nil {
 			t.Fatalf("n=%d: merge: %v", n, err)
 		}
@@ -99,7 +99,7 @@ func TestMergeRejectsIncompletePartition(t *testing.T) {
 	if err := st.WriteShard(spec, labels(jobs), indices, sr); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.MergeShards(); err == nil {
+	if _, _, err := store.MergeShards(st.Dir()); err == nil {
 		t.Fatal("merging half a partition succeeded")
 	} else if !strings.Contains(err.Error(), "incomplete partition") {
 		t.Errorf("error = %v, want it to name the incomplete partition", err)
@@ -125,7 +125,7 @@ func TestMergeRejectsMixedPartitions(t *testing.T) {
 	if err := st.WriteShard(spec, labels(jobs), indices, sr); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.MergeShards(); err == nil {
+	if _, _, err := store.MergeShards(st.Dir()); err == nil {
 		t.Fatal("merging mixed partitions succeeded")
 	}
 }
@@ -152,7 +152,7 @@ func TestMergeRejectsMixedCatalogs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := st.MergeShards(); err == nil {
+	if _, _, err := store.MergeShards(st.Dir()); err == nil {
 		t.Fatal("merging shards from different catalogs succeeded")
 	} else if !strings.Contains(err.Error(), "catalog") {
 		t.Errorf("error = %v, want it to blame the catalog", err)
@@ -166,7 +166,7 @@ func TestMergeRejectsEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.MergeShards(); err == nil {
+	if _, _, err := store.MergeShards(st.Dir()); err == nil {
 		t.Error("merging an empty store succeeded")
 	}
 }
