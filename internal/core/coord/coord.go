@@ -747,15 +747,14 @@ func (co *Coordinator) Complete(workerID string, idx int, out Outcome) (duplicat
 	return co.complete(workerID, idx, out, nil)
 }
 
-// complete is Complete with the outcome's result, when res is non-nil,
-// already decoded from out.Result (the HTTP handler decodes canonical
-// results as it reads the body). Otherwise it is decoded here. Either
-// way the decode happens before co.mu is taken, and the transition and
-// the journal step share it.
+// complete is Complete with out.Result, when res is non-nil, already
+// decoded (the HTTP handler decodes it as it reads the body); otherwise
+// out is checked here. Either way that happens before co.mu is taken,
+// and the transition and the journal step share it.
 func (co *Coordinator) complete(workerID string, idx int, out Outcome, res *inject.Result) (duplicate bool, err error) {
 	dec := outcomeDecode{res: res}
 	if res == nil {
-		dec = decodeOutcome(&out)
+		dec.res, dec.err = out.Check()
 	}
 	co.mu.Lock()
 	ws := co.workers[workerID]
@@ -916,7 +915,7 @@ func (co *Coordinator) SuiteResult() (*sched.SuiteResult, error) {
 	co.mu.Unlock()
 	sr := &sched.SuiteResult{Campaigns: make([]sched.CampaignResult, len(outs))}
 	for i, o := range outs {
-		cr, err := o.campaignResult()
+		cr, err := o.CampaignResult()
 		if err != nil {
 			return nil, fmt.Errorf("coord: job %d (%s): %w", i, co.catalog[i], err)
 		}

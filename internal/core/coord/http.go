@@ -386,9 +386,8 @@ func (c *Client) Renew(indices []int) (lost []int, err error) {
 
 // Complete reports one job's outcome; duplicate means the coordinator
 // already had a result for the index and discarded this one. The
-// request is written by hand, with out.Result copied in as it is, so
-// out.Result must be store.EncodeResult's canonical bytes (or empty),
-// as in every outcome this package builds.
+// request is written by hand (appendComplete), so out.Result must be
+// canonical bytes, or empty, as store.OutcomeOf's are.
 func (c *Client) Complete(idx int, out Outcome) (duplicate bool, err error) {
 	req := CompleteRequest{Proto: ProtocolVersion, WorkerID: c.workerID, Index: idx, Outcome: out}
 	// The body gets its own allocation, not a pooled buffer: the

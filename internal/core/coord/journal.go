@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core/inject"
-	"repro/internal/core/sched"
 	"repro/internal/core/store"
 )
 
@@ -100,9 +99,9 @@ type JournalRecord struct {
 	Outcome   *Outcome `json:"outcome,omitempty"`
 	ResultRef bool     `json:"result_ref,omitempty"`
 
-	// decoded is a live completion's outcome, decoded before co.mu was
+	// decoded is a live completion's outcome checked before co.mu was
 	// taken; nil (as in every journaled record) means applyLocked
-	// decodes it. Never journaled, and gone with the record.
+	// checks it. Never journaled, and gone with the record.
 	decoded *outcomeDecode
 }
 
@@ -457,20 +456,19 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 		idx, o := rec.Index, rec.Outcome
 		var res *inject.Result
 		if o != nil {
-			if label := (sched.Job{Name: o.Name, Variant: o.Variant}).Label(); label != co.catalog[idx] {
+			if label := o.Label(); label != co.catalog[idx] {
 				return fmt.Errorf("completion for job %d is labelled %q, catalog names it %q", idx, label, co.catalog[idx])
 			}
 			if !rec.ResultRef {
 				dec := rec.decoded
 				if dec == nil {
-					d := decodeOutcome(o)
-					dec = &d
+					dec = &outcomeDecode{}
+					dec.res, dec.err = o.Check()
 				}
-				if dec.err != nil {
+				if errors.Is(dec.err, store.ErrUndecodable) {
+					co.logf("coord: outcome for job %d (%s): %v", idx, co.catalog[idx], dec.err)
+				} else if dec.err != nil {
 					return fmt.Errorf("completion for job %d: %w", idx, dec.err)
-				}
-				if dec.undecodable != nil {
-					co.logf("coord: outcome for job %d (%s): result undecodable: %v", idx, co.catalog[idx], dec.undecodable)
 				}
 				res = dec.res
 			}
@@ -531,41 +529,10 @@ func (co *Coordinator) applyLocked(rec *JournalRecord) error {
 	return nil
 }
 
-// outcomeDecode is an outcome checked as every completion is checked,
-// with its result decoded, once for the whole completion.
+// outcomeDecode is a completion's store.Outcome.Check, made once.
 type outcomeDecode struct {
 	res *inject.Result
-	// err refuses the completion: a missing name, or a successful job
-	// whose result is missing or not JSON.
 	err error
-	// undecodable is why a successful job's result that is JSON, but
-	// not a canonical campaign encoding, did not decode. The outcome is
-	// still recorded (and the reason logged): it counts no runs and
-	// adds no findings, and the merge fails loudly on it with the job
-	// named.
-	undecodable error
-}
-
-// decodeOutcome checks and decodes o. It reads nothing of the
-// coordinator, so a live completion runs it before taking co.mu.
-func decodeOutcome(o *Outcome) outcomeDecode {
-	if o.Name == "" {
-		return outcomeDecode{err: errors.New("outcome has no job name")}
-	}
-	if len(o.Result) == 0 {
-		if o.Err == "" {
-			return outcomeDecode{err: errors.New("outcome has neither a result nor an error")}
-		}
-		return outcomeDecode{}
-	}
-	res, err := store.DecodeResult(o.Result)
-	if err != nil && o.Err == "" {
-		if !json.Valid(o.Result) {
-			return outcomeDecode{err: errors.New("outcome result is not valid JSON")}
-		}
-		return outcomeDecode{undecodable: err}
-	}
-	return outcomeDecode{res: res}
 }
 
 // Restore rebuilds a coordinator from its journal. With no records it
@@ -589,13 +556,10 @@ func Restore(catalog []string, opt Options, recs []*JournalRecord) (*Coordinator
 		return nil, fmt.Errorf("coord: journal does not start with a meta record (op %q); move it aside to start fresh", op)
 	}
 	for i, rec := range recs {
-		var err error
 		if i > 0 && rec.Op == opMeta {
-			err = fmt.Errorf("unexpected mid-journal meta record")
-		} else if rec, err = co.resolveRef(rec); err == nil {
-			err = co.applyLocked(rec)
+			return nil, fmt.Errorf("coord: journal record %d: unexpected mid-journal meta record", i+1)
 		}
-		if err != nil {
+		if err := co.applyLocked(co.resolveRef(rec)); err != nil {
 			return nil, fmt.Errorf("coord: journal record %d: %w", i+1, err)
 		}
 	}
@@ -620,22 +584,18 @@ func Restore(catalog []string, opt Options, recs []*JournalRecord) (*Coordinator
 // reference, re-encoded from Options.Results (the cache codec is
 // canonical, so the bytes are identical). When the cache entry is gone
 // the record comes back unresolved, and applying it requeues the job.
-func (co *Coordinator) resolveRef(rec *JournalRecord) (*JournalRecord, error) {
+func (co *Coordinator) resolveRef(rec *JournalRecord) *JournalRecord {
 	if !rec.ResultRef || rec.Outcome == nil || co.results == nil || rec.Outcome.Fingerprint == "" {
-		return rec, nil
+		return rec
 	}
 	res, ok := co.results.Get(rec.Outcome.Fingerprint)
 	if !ok {
-		return rec, nil
-	}
-	b, err := store.EncodeResult(res)
-	if err != nil {
-		return nil, fmt.Errorf("re-encode cached outcome for job %d: %w", rec.Index, err)
+		return rec
 	}
 	r, o := *rec, *rec.Outcome
-	o.Result = b
+	o.Result, _ = store.EncodeResult(res) // its error is always nil
 	r.Outcome, r.ResultRef = &o, false
-	return &r, nil
+	return &r
 }
 
 // bumpNextIDLocked keeps freshly minted worker ids ("w<N>") ahead of

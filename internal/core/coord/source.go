@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core/obs"
 	"repro/internal/core/sched"
+	"repro/internal/core/store"
 )
 
 // The source gives up on the coordinator only after failures have
@@ -42,10 +43,10 @@ type Source struct {
 	err       error     // first fatal transport error
 
 	// Completions are uploaded off the dispatcher's worker goroutines:
-	// Complete enqueues and returns, so a worker starts its next run
-	// while the previous result is still on the wire, and the claim
-	// window frees immediately. The lease stays held (inflight, so the
-	// heartbeat renews it) until the upload lands. The queue is an
+	// Complete enqueues and returns, so a worker goes on to its next
+	// Next, and its next run, while the previous result is still on
+	// the wire. The lease stays held (inflight, so the heartbeat renews
+	// it) until the upload lands. The queue is an
 	// unbounded spill (guarded by mu, signalled through upSignal) —
 	// never a bounded channel, which would block worker goroutines
 	// behind a slow or briefly unreachable coordinator and stall the
@@ -255,7 +256,7 @@ func claimResult(idx int, status ClaimStatus, err error) map[string]string {
 // it burns this source's failure budget so a dead coordinator
 // eventually stops the claim loop too.
 func (s *Source) Complete(sj sched.SourcedJob, cr sched.CampaignResult) {
-	out, err := outcomeFromResult(cr)
+	out, err := store.OutcomeOf(&cr)
 	if err != nil {
 		s.mu.Lock()
 		if s.err == nil {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core/inject"
 	"repro/internal/core/jsonstr"
-	"repro/internal/core/sched"
 	"repro/internal/core/store"
 )
 
@@ -27,72 +26,11 @@ import (
 // whose completions would each get a 400, is refused at register.
 const ProtocolVersion = "eptest-coord/3"
 
-// Outcome is one completed job's wire form: the shard-artifact fields
-// of docs/STORE.md for a single job, with the result in the store's
-// canonical campaign encoding (store.EncodeResult). The coordinator
-// records it verbatim. It decodes the result once per completion,
-// before taking its lock, for the run count, the findings and the
-// journal step, and again when it assembles the merged suite result.
-type Outcome struct {
-	Name              string `json:"name"`
-	Variant           string `json:"variant,omitempty"`
-	Fingerprint       string `json:"fingerprint,omitempty"`
-	SourceFingerprint string `json:"source_fingerprint,omitempty"`
-	Cached            bool   `json:"cached,omitempty"`
-	CachedSource      bool   `json:"cached_source,omitempty"`
-	// Err is the campaign's planning error, if it failed.
-	Err string `json:"err,omitempty"`
-	// Result is the campaign result in canonical wire form; required
-	// unless Err is set.
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
-// campaignResult converts a recorded outcome back into the scheduler's
-// in-memory form.
-func (o *Outcome) campaignResult() (sched.CampaignResult, error) {
-	cr := sched.CampaignResult{
-		Job:               sched.Job{Name: o.Name, Variant: o.Variant},
-		Fingerprint:       o.Fingerprint,
-		SourceFingerprint: o.SourceFingerprint,
-		Cached:            o.Cached,
-		CachedSource:      o.CachedSource,
-	}
-	if o.Err != "" {
-		cr.Err = errors.New(o.Err)
-		return cr, nil
-	}
-	res, err := store.DecodeResult(o.Result)
-	if err != nil {
-		return sched.CampaignResult{}, err
-	}
-	cr.Result = res
-	return cr, nil
-}
-
-// outcomeFromResult builds the wire outcome for one campaign result.
-func outcomeFromResult(cr sched.CampaignResult) (Outcome, error) {
-	o := Outcome{
-		Name:              cr.Job.Name,
-		Variant:           cr.Job.Variant,
-		Fingerprint:       cr.Fingerprint,
-		SourceFingerprint: cr.SourceFingerprint,
-		Cached:            cr.Cached,
-		CachedSource:      cr.CachedSource,
-	}
-	if cr.Err != nil {
-		o.Err = cr.Err.Error()
-		return o, nil
-	}
-	if cr.Result == nil {
-		return Outcome{}, fmt.Errorf("coord: %s has neither a result nor an error", cr.Job.Label())
-	}
-	b, err := store.EncodeResult(cr.Result)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("coord: encode %s: %w", cr.Job.Label(), err)
-	}
-	o.Result = b
-	return o, nil
-}
+// Outcome is one completed job's record, a shard-artifact job without
+// its index (store.Outcome). The coordinator records it verbatim. It
+// decodes the result once per completion, before taking its lock, and
+// again when it assembles the merged suite result.
+type Outcome = store.Outcome
 
 // RegisterRequest admits a worker to the queue.
 type RegisterRequest struct {
@@ -310,49 +248,23 @@ func DecodeCampaignSpec(b []byte) (*CampaignSpec, error) {
 }
 
 // decodeComplete parses and validates a complete request, also
-// returning the outcome's result decoded. The outcome payload itself is
-// validated by the coordinator against its catalog. The body must be in the canonical form
-// appendComplete writes, the bytes json.Marshal writes for the
-// request, and anything else is an error. It is read by hand, with
-// jsonstr's cursor: the envelope member by member, and the result with
-// store.DecodeResult, the one decode the completion needs. Whatever it
-// accepts, json.Unmarshal accepts too and decodes to the same request.
-// The request's strings and result are copies, so it holds no
-// reference to b.
+// returning the outcome's result decoded, the one decode the completion
+// needs. The body must be in the canonical form appendComplete writes,
+// the bytes json.Marshal writes for the request; anything else is an
+// error. The envelope is read with jsonstr's cursor and the outcome
+// with store.ReadOutcome. Whatever it accepts, json.Unmarshal accepts
+// too and decodes to the same request, which holds no reference to b.
 func decodeComplete(b []byte) (*CompleteRequest, *inject.Result, error) {
 	d := jsonstr.NewDecoder(b)
 	r := &CompleteRequest{}
-	o := &r.Outcome
 	d.Expect(`{"proto":`)
 	r.Proto = d.Str()
 	d.Expect(`,"worker_id":`)
 	r.WorkerID = d.Str()
 	d.Expect(`,"index":`)
 	r.Index = d.Int()
-	d.Expect(`,"outcome":{"name":`)
-	o.Name = d.Str()
-	o.Variant = d.OmitEmpty(`,"variant":`)
-	o.Fingerprint = d.OmitEmpty(`,"fingerprint":`)
-	o.SourceFingerprint = d.OmitEmpty(`,"source_fingerprint":`)
-	o.Cached = d.Peek(`,"cached":true`)
-	o.CachedSource = d.Peek(`,"cached_source":true`)
-	o.Err = d.OmitEmpty(`,"err":`)
-	var res *inject.Result
-	if d.Peek(`,"result":`) {
-		// The result runs to the two closing braces that end the body.
-		raw := d.Rest()
-		if len(raw) < len("}}") {
-			return nil, nil, errors.New("coord: completion body ends inside its result")
-		}
-		raw = raw[:len(raw)-len("}}")]
-		var err error
-		if res, err = store.DecodeResult(raw); err != nil {
-			return nil, nil, fmt.Errorf("coord: completion result: %w", err)
-		}
-		o.Result = make(json.RawMessage, len(raw))
-		copy(o.Result, raw)
-		d.Skip(len(raw))
-	}
+	d.Expect(`,"outcome":{`)
+	res := store.ReadOutcome(&d, &r.Outcome)
 	d.Expect("}}")
 	d.End()
 	if err := d.Err(); err != nil {
@@ -374,41 +286,16 @@ func decodeComplete(b []byte) (*CompleteRequest, *inject.Result, error) {
 }
 
 // appendComplete appends r exactly as json.Marshal writes it, without
-// reflection. The result bytes are copied in unchanged, which is what
-// Marshal does with compact JSON whose strings escape <, >, &, U+2028
-// and U+2029: r.Outcome.Result must be such bytes, or empty. Every
-// outcome this package builds holds store.EncodeResult's canonical
-// bytes, which are.
+// reflection: the envelope, and the outcome with store.AppendOutcome,
+// whose result must be canonical bytes, or empty.
 func appendComplete(dst []byte, r *CompleteRequest) []byte {
-	o := &r.Outcome
 	dst = append(dst, `{"proto":`...)
 	dst = jsonstr.Append(dst, r.Proto)
 	dst = append(dst, `,"worker_id":`...)
 	dst = jsonstr.Append(dst, r.WorkerID)
 	dst = append(dst, `,"index":`...)
 	dst = strconv.AppendInt(dst, int64(r.Index), 10)
-	dst = append(dst, `,"outcome":{"name":`...)
-	dst = jsonstr.Append(dst, o.Name)
-	for _, m := range [...]struct{ key, val string }{
-		{`,"variant":`, o.Variant},
-		{`,"fingerprint":`, o.Fingerprint},
-		{`,"source_fingerprint":`, o.SourceFingerprint},
-	} {
-		if m.val != "" {
-			dst = jsonstr.Append(append(dst, m.key...), m.val)
-		}
-	}
-	if o.Cached {
-		dst = append(dst, `,"cached":true`...)
-	}
-	if o.CachedSource {
-		dst = append(dst, `,"cached_source":true`...)
-	}
-	if o.Err != "" {
-		dst = jsonstr.Append(append(dst, `,"err":`...), o.Err)
-	}
-	if len(o.Result) > 0 {
-		dst = append(append(dst, `,"result":`...), o.Result...)
-	}
+	dst = append(dst, `,"outcome":{`...)
+	dst = store.AppendOutcome(dst, &r.Outcome, nil)
 	return append(dst, "}}"...)
 }

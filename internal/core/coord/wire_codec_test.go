@@ -50,7 +50,7 @@ var catalogOutcomes = sync.OnceValue(func() []Outcome {
 	sr := sched.RunSuite(sched.FilterJobs(apps.SuiteJobs(), "lpr*"), sched.SuiteOptions{Workers: 2})
 	var outs []Outcome
 	for _, cr := range sr.Campaigns {
-		o, err := outcomeFromResult(cr)
+		o, err := store.OutcomeOf(&cr)
 		if err != nil {
 			panic(err)
 		}

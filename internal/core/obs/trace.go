@@ -108,20 +108,6 @@ func (t *Tracer) Span(tid int, cat, name string, start time.Time, d time.Duratio
 	})
 }
 
-// Instant records a zero-duration marker event (ph "i").
-func (t *Tracer) Instant(tid int, cat, name string, args map[string]string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.writeLocked(&traceEvent{
-		Name: name, Cat: cat, Ph: "i",
-		TS:  t.ts(time.Now()),
-		PID: os.Getpid(), TID: tid, Args: args,
-	})
-}
-
 // NameProcess labels this process's row group in trace viewers —
 // typically the worker's display name.
 func (t *Tracer) NameProcess(name string) {

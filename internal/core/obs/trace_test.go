@@ -41,7 +41,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	})
 	tr.Span(0, "run", "exec", base.Add(time.Millisecond), 6*time.Millisecond, nil)
 	tr.Span(0, "run", "compare", base.Add(8*time.Millisecond), time.Millisecond, nil)
-	tr.Instant(TIDCoord, "coord", "lease-lost", map[string]string{"index": "4"})
 
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -60,8 +59,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &events); err != nil {
 		t.Fatalf("trace is not a strict JSON array: %v\n%s", err, b)
 	}
-	if len(events) != 6 {
-		t.Fatalf("events = %d, want 6 (2 metadata + 3 spans + 1 instant)", len(events))
+	if len(events) != 5 {
+		t.Fatalf("events = %d, want 5 (2 metadata + 3 spans)", len(events))
 	}
 	if events[0].Ph != "M" || events[0].Args["name"] != "worker-test" {
 		t.Fatalf("first event is not the process_name metadata: %+v", events[0])
@@ -80,9 +79,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if compare.TS < exec.TS+exec.Dur {
 		t.Fatalf("compare overlaps exec: exec=%+v compare=%+v", exec, compare)
-	}
-	if events[5].Ph != "i" || events[5].TID != TIDCoord {
-		t.Fatalf("instant event wrong: %+v", events[5])
 	}
 }
 

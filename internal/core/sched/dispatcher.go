@@ -390,7 +390,7 @@ func (st *dispatchState) planJob(w int, js *jobState) {
 	job := js.job
 	cr := &js.cr
 	c := job.Build()
-	engine := job.engine(st.opt.Engine)
+	engine := job.engine()
 
 	// Source-level probe: a hit replays the campaign without even the
 	// clean run (the fingerprint pins the campaign source instead of

@@ -18,10 +18,10 @@ type Job struct {
 	// Build constructs the campaign. It is invoked once, on a
 	// dispatcher worker.
 	Build func() inject.Campaign
-	// Engine, when non-nil, overrides the suite-wide engine options for
-	// this job only — the hook matrix catalogs use to sweep
-	// inject.Options across cells of one suite. The options take part
-	// in both cache fingerprints, so every sweep cell caches
+	// Engine, when non-nil, is the engine options of this job; nil
+	// means the zero inject.Options. It is the hook matrix catalogs use
+	// to sweep inject.Options across cells of one suite. The options
+	// take part in both cache fingerprints, so every sweep cell caches
 	// independently.
 	Engine *inject.Options
 }
@@ -48,13 +48,13 @@ func WorldKey(label string) string {
 	return name + "/" + program
 }
 
-// engine resolves the job's effective engine options against the
-// suite-wide default.
-func (j Job) engine(suite inject.Options) inject.Options {
+// engine returns the job's engine options: *j.Engine, or the zero
+// options.
+func (j Job) engine() inject.Options {
 	if j.Engine != nil {
 		return *j.Engine
 	}
-	return suite
+	return inject.Options{}
 }
 
 // EventKind discriminates suite progress events.
@@ -101,15 +101,14 @@ type Event struct {
 }
 
 // SuiteOptions parameterises a suite run (RunSuite, RunSuiteFrom).
+// Engine options are not among them: each job carries its own
+// (Job.Engine).
 type SuiteOptions struct {
 	// Workers is the global concurrency budget shared by every
 	// campaign in the suite: the worker-goroutine count, the maximum
 	// number of concurrently executing plan/run units. Zero or
 	// negative means GOMAXPROCS.
 	Workers int
-	// Engine is the injection-engine options applied to every job that
-	// does not carry its own Job.Engine override.
-	Engine inject.Options
 	// OnEvent, when non-nil, receives progress events. Calls are
 	// serialised.
 	OnEvent func(Event)

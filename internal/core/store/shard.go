@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,17 +49,16 @@ func (s *Store) WriteShard(sp sched.ShardSpec, catalog []string, indices []int, 
 // the label of every job in that list, in order, on which siblings
 // must agree, so a catalog renamed or reordered between shard runs
 // cannot splice two suite generations into one report; and "jobs",
-// each with its global "index" (the merge key), "name", and the
-// omitempty "variant", "fingerprint", "source_fingerprint", "cached",
-// "cached_source", "err" and "result".
+// each its global "index" (the merge key) and then the members of the
+// job's record (Outcome).
 //
 // It is written without reflection: exactly the bytes json.Marshal
 // writes for sr's campaigns at their global indices (reference_test.go
-// keeps that reference), each result written by appendCampaign. A
-// matrix artifact runs to megabytes, and append would grow it a
-// quarter at a time, copying it each time; so each job is encoded on
-// its own first, and the artifact is assembled in one buffer of its
-// final size.
+// keeps that reference), each record written by AppendOutcome and its
+// result by appendCampaign. A matrix artifact runs to megabytes, and
+// append would grow it a quarter at a time, copying it each time; so
+// each job is encoded on its own first, and the artifact is assembled
+// in one buffer of its final size.
 func encodeShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.SuiteResult) []byte {
 	head := getBuf()
 	defer putBuf(head)
@@ -95,38 +93,12 @@ func encodeShard(sp sched.ShardSpec, catalog []string, indices []int, sr *sched.
 	return append(dst, "]}"...)
 }
 
-// appendShardJob appends one campaign as a job of an artifact.
+// appendShardJob appends one campaign as a job of an artifact: its
+// global index, then its record.
 func appendShardJob(dst []byte, index int, c *sched.CampaignResult) []byte {
-	dst = append(dst, `{"index":`...)
-	dst = strconv.AppendInt(dst, int64(index), 10)
-	dst = append(dst, `,"name":`...)
-	dst = jsonstr.Append(dst, c.Job.Name)
-	dst = appendOmitEmpty(dst, `,"variant":`, c.Job.Variant)
-	dst = appendOmitEmpty(dst, `,"fingerprint":`, c.Fingerprint)
-	dst = appendOmitEmpty(dst, `,"source_fingerprint":`, c.SourceFingerprint)
-	if c.Cached {
-		dst = append(dst, `,"cached":true`...)
-	}
-	if c.CachedSource {
-		dst = append(dst, `,"cached_source":true`...)
-	}
-	if c.Err != nil {
-		dst = appendOmitEmpty(dst, `,"err":`, c.Err.Error())
-	}
-	if c.Result != nil {
-		dst = append(dst, `,"result":`...)
-		dst = appendCampaign(dst, c.Result)
-	}
-	return append(dst, '}')
-}
-
-// appendOmitEmpty appends an omitempty string member, key included,
-// unless s is empty.
-func appendOmitEmpty(dst []byte, key, s string) []byte {
-	if s == "" {
-		return dst
-	}
-	return jsonstr.Append(append(dst, key...), s)
+	dst = strconv.AppendInt(append(dst, `{"index":`...), int64(index), 10)
+	o := recordOf(c)
+	return append(AppendOutcome(append(dst, ','), &o, c.Result), '}')
 }
 
 // MergeShards reads every shard artifact in the store at dir and
@@ -262,26 +234,15 @@ func (m *merge) add(dir, path string, b []byte) (ShardInfo, error) {
 // global index, which must be in the catalog's range, hold the job the
 // catalog names there, and not be filled yet.
 func (m *merge) job(d *decoder, path string) error {
-	var c sched.CampaignResult
+	var o Outcome
 	d.Expect(`{"index":`)
 	idx := d.Int()
-	d.Expect(`,"name":`)
-	c.Job.Name = d.str()
-	c.Job.Variant = d.OmitEmpty(`,"variant":`)
-	c.Fingerprint = d.OmitEmpty(`,"fingerprint":`)
-	c.SourceFingerprint = d.OmitEmpty(`,"source_fingerprint":`)
-	c.Cached = d.Peek(`,"cached":true`)
-	c.CachedSource = d.Peek(`,"cached_source":true`)
-	if msg := d.OmitEmpty(`,"err":`); msg != "" {
-		c.Err = errors.New(msg)
-	}
-	if d.Peek(`,"result":`) {
-		c.Result = d.campaign()
-	}
+	d.Expect(",")
+	res := d.outcome(&o, false)
 	d.Expect("}")
-	label := c.Job.Label()
+	label := o.Label()
 	if err := d.Err(); err != nil {
-		if c.Job.Name == "" {
+		if o.Name == "" {
 			return fmt.Errorf("store: parse %s: %w", path, err)
 		}
 		return fmt.Errorf("store: %s: job %d (%s): %w", path, idx, label, err)
@@ -296,7 +257,7 @@ func (m *merge) job(d *decoder, path string) error {
 		return fmt.Errorf("store: job %d appears in both %s and %s", idx, prev, path)
 	}
 	m.seen[idx] = path
-	m.sr.Campaigns[idx] = c
+	m.sr.Campaigns[idx] = o.campaignResult(res)
 	return nil
 }
 
