@@ -465,9 +465,6 @@ func runSuite(cfg suiteConfig, stdout, stderr io.Writer) int {
 	if cache != nil {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, report.CacheStats(sr))
-		if cl, ok := cache.(*store.Client); ok {
-			fmt.Fprint(stdout, report.CacheTransport(cl))
-		}
 	}
 	if coordClient != nil {
 		fmt.Fprintln(stdout)

@@ -114,6 +114,38 @@ func TestFileJournalBytesPinned(t *testing.T) {
 	}
 }
 
+// TestFileJournalTornTailCut pins that the open cuts a torn tail from
+// the file: the next append starts a line of its own, so the journal
+// still reads after the next restart. A crash during the very first
+// append, the meta header, leaves only a torn tail.
+func TestFileJournalTornTailCut(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(`{"op":"meta","at_ms":1`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fj, recs, err := coord.OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("a torn tail read as %d records, want none", len(recs))
+	}
+	meta := journalSequence()[0]
+	if err := fj.Append(meta); err != nil {
+		t.Fatal(err)
+	}
+	fj.Close()
+	fj, recs, err = coord.OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fj.Close()
+	if want := []*coord.JournalRecord{meta}; !reflect.DeepEqual(recs, want) {
+		t.Errorf("reopened journal read\n%s\nwant\n%s", mustJSON(t, recs), mustJSON(t, want))
+	}
+}
+
 // TestFileJournalUnparsableLine pins the refusal of a damaged journal:
 // a complete line that is not a record fails the open, naming the file
 // and the record.

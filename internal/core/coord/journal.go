@@ -1,14 +1,18 @@
 package coord
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core/inject"
@@ -106,10 +110,9 @@ type JournalRecord struct {
 }
 
 // Journal is the coordinator's durable-state sink. FileJournal persists
-// records as JSON lines through the store's journal file; MemJournal
-// backs fake-clock tests. A nil Journal in Options means in-memory
-// operation (the pre-durability behaviour, and what unit tests that do
-// not care about restarts use).
+// records as JSON lines in a file; MemJournal backs fake-clock tests. A
+// nil Journal in Options means in-memory operation (the pre-durability
+// behaviour, and what unit tests that do not care about restarts use).
 type Journal interface {
 	// Append records one state transition.
 	Append(rec *JournalRecord) error
@@ -121,62 +124,135 @@ type Journal interface {
 	Rewrite(recs []*JournalRecord) error
 }
 
-// FileJournal persists coordinator records as JSON lines in a
-// store-directory journal file (<store>/coord/journal.jsonl).
+// FileJournal is the coordinator's journal file
+// (<store>/coord/journal.jsonl), and the one code that writes or reads
+// it. Each record is one line, json.Marshal's bytes and a '\n', and
+// Append writes the line in one write(2), so a crash tears at most the
+// last line. OpenFileJournal drops a torn tail, so a journal survives
+// SIGKILL at any instant. Rewrite compacts through a same-directory
+// temp file that is synced before it is renamed over the journal, so
+// a crash during compaction leaves the old generation or the new one.
 type FileJournal struct {
-	j *store.Journal
+	path string
+
+	mu  sync.Mutex // guards the fields below
+	f   *os.File   // opened O_APPEND
+	buf bytes.Buffer
+	enc *json.Encoder // writes into buf
 }
 
-// OpenFileJournal reads every intact record from the journal at path
-// (a missing file is an empty journal; a torn trailing line from a
-// crash mid-append is dropped) and opens the file for appending.
+// OpenFileJournal reads every record from the journal at path and opens
+// the file for appending, creating it and its directory if need be. A
+// missing file is an empty journal, blank lines are skipped, and the
+// bytes after the last '\n', an append a crash tore, are dropped and
+// cut from the file, so the next append starts a line of its own. A
+// complete line that is not a record fails the open.
 func OpenFileJournal(path string) (*FileJournal, []*JournalRecord, error) {
-	lines, err := store.ReadJournalLines(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("coord: %w", err)
+	all, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, fmt.Errorf("coord: journal %s: %w", path, err)
 	}
-	recs := make([]*JournalRecord, 0, len(lines))
-	for i, line := range lines {
+	b := all[:bytes.LastIndexByte(all, '\n')+1]
+	var recs []*JournalRecord
+	for line := range bytes.Lines(b) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
 		var r JournalRecord
 		if err := json.Unmarshal(line, &r); err != nil {
-			return nil, nil, fmt.Errorf("coord: journal %s record %d does not parse (%v); move the file aside to start a fresh queue", path, i+1, err)
+			return nil, nil, fmt.Errorf("coord: journal %s record %d does not parse (%v); move the file aside to start a fresh queue", path, len(recs)+1, err)
 		}
 		recs = append(recs, &r)
 	}
-	j, err := store.OpenJournal(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("coord: %w", err)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, nil, fmt.Errorf("coord: journal %s: %w", path, err)
 	}
-	return &FileJournal{j: j}, recs, nil
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("coord: journal %s: %w", path, err)
+	}
+	if len(b) < len(all) {
+		if err := f.Truncate(int64(len(b))); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("coord: journal %s: %w", path, err)
+		}
+	}
+	j := &FileJournal{path: path, f: f}
+	j.enc = json.NewEncoder(&j.buf)
+	return j, recs, nil
 }
 
-// Append implements Journal.
-func (f *FileJournal) Append(rec *JournalRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
+// Append implements Journal. The record is encoded into a buffer the
+// journal reuses, so an append allocates nothing once it has grown.
+func (j *FileJournal) Append(rec *JournalRecord) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.buf.Reset()
+	if err := j.enc.Encode(rec); err != nil {
 		return fmt.Errorf("coord: encode journal record: %w", err)
 	}
-	return f.j.Append(b)
+	if _, err := j.f.Write(j.buf.Bytes()); err != nil {
+		return fmt.Errorf("coord: journal append: %w", err)
+	}
+	return nil
 }
 
 // Sync implements Journal.
-func (f *FileJournal) Sync() error { return f.j.Sync() }
-
-// Rewrite implements Journal.
-func (f *FileJournal) Rewrite(recs []*JournalRecord) error {
-	lines := make([][]byte, len(recs))
-	for i, r := range recs {
-		b, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("coord: encode journal record: %w", err)
-		}
-		lines[i] = b
+func (j *FileJournal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("coord: journal sync: %w", err)
 	}
-	return f.j.Rewrite(lines)
+	return nil
 }
 
-// Close releases the underlying file handle.
-func (f *FileJournal) Close() error { return f.j.Close() }
+// Rewrite implements Journal: the snapshot is written to a temp file
+// beside the journal, synced, and renamed over it, and the append
+// handle is reopened on the new file.
+func (j *FileJournal) Rewrite(recs []*JournalRecord) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, r := range recs {
+		if err := enc.Encode(r); err != nil {
+			return fmt.Errorf("coord: encode journal record: %w", err)
+		}
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	tmp, err := os.CreateTemp(filepath.Dir(j.path), "."+filepath.Base(j.path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("coord: journal rewrite: %w", err)
+	}
+	defer os.Remove(tmp.Name())
+	_, err = tmp.Write(buf.Bytes())
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), j.path)
+	}
+	if err != nil {
+		return fmt.Errorf("coord: journal rewrite: %w", err)
+	}
+	f, err := os.OpenFile(j.path, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("coord: journal reopen: %w", err)
+	}
+	j.f.Close()
+	j.f = f
+	return nil
+}
+
+// Close releases the append handle.
+func (j *FileJournal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.f.Close()
+}
 
 // MemJournal is an in-memory Journal for tests. Records round-trip
 // through the JSON codec on Append, so a replay from Records exercises

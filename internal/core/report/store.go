@@ -51,17 +51,6 @@ func CacheStats(sr *sched.SuiteResult) string {
 	return b.String()
 }
 
-// CacheTransport renders the one-line upload summary for a remote
-// cache client, so a flaky coordinator store is visible even when the
-// per-campaign lines scroll away. Empty when nothing failed.
-func CacheTransport(cl *store.Client) string {
-	attempts, failures := cl.PutStats()
-	if failures == 0 {
-		return ""
-	}
-	return fmt.Sprintf("cache transport: %d/%d upload(s) to %s failed\n", failures, attempts, cl.Base())
-}
-
 // MergedShards renders the merged-shard section of an `eptest -merge`
 // run: which artifacts the combined report above was assembled from.
 func MergedShards(infos []store.ShardInfo) string {

@@ -291,31 +291,42 @@ func (d *decoder) intern(b []byte) string {
 	return *slot
 }
 
-// elems reads the elements of an array whose "[" is consumed, through
-// its "]". An empty array is an empty slice, not nil, as encoding/json
-// decodes it.
-func elems[T any](d *decoder, elem func(*decoder) T) []T {
-	out := []T{}
-	if d.Peek("]") {
-		return out
-	}
-	for {
-		out = append(out, elem(d))
-		if !d.Peek(",") {
-			break
-		}
-	}
-	d.Expect("]")
-	return out
-}
-
-// list reads an array that is null when nil.
-func list[T any](d *decoder, elem func(*decoder) T) []T {
+// list reports whether an array that is null when nil follows, and
+// consumes its "[" if so.
+func (d *decoder) list() bool {
 	if d.Peek("null") {
-		return nil
+		return false
 	}
 	d.Expect("[")
-	return elems(d, elem)
+	return true
+}
+
+// next reports whether element n of an array whose "[" is consumed
+// follows, consuming the "," before it, or else consumes the "]". The
+// readers loop on it rather than take an element reader as a function
+// value: a decoder passed to one escapes to the heap.
+func (d *decoder) next(n int) bool {
+	if n == 0 {
+		return !d.Peek("]")
+	}
+	if d.Peek(",") {
+		return true
+	}
+	d.Expect("]")
+	return false
+}
+
+// strList reads an array of strings that is null when nil. An empty array
+// is an empty slice, not nil, as encoding/json decodes it.
+func (d *decoder) strList() []string {
+	if !d.list() {
+		return nil
+	}
+	out := []string{}
+	for n := 0; d.next(n); n++ {
+		out = append(out, d.str())
+	}
+	return out
 }
 
 // campaign reads the canonical campaign encoding into the result it
@@ -325,13 +336,18 @@ func (d *decoder) campaign() *inject.Result {
 	d.Expect(`{"campaign":`)
 	r.Campaign = d.str()
 	d.Expect(`,"total_sites":`)
-	r.TotalSites = list(d, (*decoder).str)
+	r.TotalSites = d.strList()
 	if d.Peek(`,"perturbed_sites":`) {
-		r.PerturbedSites = list(d, (*decoder).str)
+		r.PerturbedSites = d.strList()
 		d.NonEmpty(len(r.PerturbedSites) > 0)
 	}
 	d.Expect(`,"injections":`)
-	r.Injections = list(d, (*decoder).injection)
+	if d.list() {
+		r.Injections = []inject.Injection{}
+		for n := 0; d.next(n); n++ {
+			r.Injections = append(r.Injections, d.injection())
+		}
+	}
 	d.Expect("}")
 	return r
 }
@@ -362,7 +378,12 @@ func (d *decoder) injection() inject.Injection {
 	d.Expect(`,"CrashMsg":`)
 	in.CrashMsg = d.str()
 	d.Expect(`,"Violations":`)
-	in.Violations = list(d, (*decoder).violation)
+	if d.list() {
+		in.Violations = []policy.Violation{}
+		for n := 0; d.next(n); n++ {
+			in.Violations = append(in.Violations, d.violation())
+		}
+	}
 	d.Expect("}")
 	return in
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core/inject"
@@ -218,12 +217,6 @@ type Client struct {
 	base  string
 	hc    *http.Client
 	token string
-
-	// puts / putFailures count entry uploads, so the suite can tell
-	// the operator about a flaky server even though every
-	// individual Put is best-effort.
-	puts        atomic.Int64
-	putFailures atomic.Int64
 }
 
 // DialOption configures Dial.
@@ -310,17 +303,6 @@ func CloseBody(body io.ReadCloser) {
 	body.Close()
 }
 
-// PutStats reports how many cache-entry uploads this client attempted
-// and how many failed. Failures are already recorded per campaign as
-// CacheErr; the aggregate lets the suite report a flaky or
-// unauthorized server in one line.
-func (c *Client) PutStats() (attempts, failures int64) {
-	return c.puts.Load(), c.putFailures.Load()
-}
-
-// Base returns the server URL the client was dialled with.
-func (c *Client) Base() string { return c.base }
-
 // Get fetches the entry cached under the fingerprint. Every failure —
 // transport, status, or any entry Store.Get's decoder would reject —
 // is a miss.
@@ -353,15 +335,10 @@ func (c *Client) Get(fp string) (*inject.Result, bool) {
 
 // Put uploads a freshly computed result under its fingerprint.
 func (c *Client) Put(fp, label string, res *inject.Result) error {
-	c.puts.Add(1)
 	// The body gets its own allocation, not a pooled buffer: the
 	// transport may still be reading it after the response is in.
 	b := encode(func(dst []byte) []byte { return appendEntry(dst, fp, label, res) })
-	if err := c.put(campaignsPath+url.PathEscape(fp), b); err != nil {
-		c.putFailures.Add(1)
-		return err
-	}
-	return nil
+	return c.put(campaignsPath+url.PathEscape(fp), b)
 }
 
 // put issues one PUT and normalises non-2xx statuses into errors that

@@ -46,12 +46,8 @@ func TestDialValidation(t *testing.T) {
 			t.Errorf("Dial(%q) succeeded, want error", bad)
 		}
 	}
-	cl, err := store.Dial("http://127.0.0.1:7077/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.Base() != "http://127.0.0.1:7077" {
-		t.Errorf("Base() = %q, want trailing slash trimmed", cl.Base())
+	if base, err := store.ValidateBaseURL("http://127.0.0.1:7077/", "cache URL"); err != nil || base != "http://127.0.0.1:7077" {
+		t.Errorf("ValidateBaseURL = (%q, %v), want the trailing slash trimmed", base, err)
 	}
 }
 
@@ -148,6 +144,9 @@ func TestServerRejectsMismatchedUploads(t *testing.T) {
 	res, fp := runLpr(t)
 	if err := cl.Put(fp, "lpr/vulnerable", res); err != nil {
 		t.Fatal(err)
+	}
+	if err := cl.Put("not-a-fingerprint", "lpr/vulnerable", res); err == nil {
+		t.Error("Put under a malformed fingerprint succeeded")
 	}
 	good, err := store.EncodeResult(res)
 	if err != nil {
@@ -343,38 +342,6 @@ func TestBearerAuth(t *testing.T) {
 	t.Cleanup(open.Close)
 	if _, ok := mustDial(t, open.URL).Get(fp); !ok {
 		t.Fatal("empty token should disable auth entirely")
-	}
-}
-
-// TestClientPutStats pins the flaky-cache accounting: failed uploads
-// are counted so the suite can warn the operator, successful ones are
-// not.
-func TestClientPutStats(t *testing.T) {
-	t.Parallel()
-	cl, _ := dialTestServer(t)
-	res, err := inject.Run(mustLookup(t, "lpr-create-site").Vulnerable())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := strings.Repeat("cd", 32)
-	if err := cl.Put(fp, "ok", res); err != nil {
-		t.Fatal(err)
-	}
-	if attempts, failures := cl.PutStats(); attempts != 1 || failures != 0 {
-		t.Fatalf("after one good put: attempts %d, failures %d", attempts, failures)
-	}
-	// A malformed fingerprint is rejected server-side and must count.
-	if err := cl.Put("not-a-fingerprint", "bad", res); err == nil {
-		t.Fatal("malformed fingerprint accepted")
-	}
-	// A dead server fails transport-level and must count too.
-	dead := mustDial(t, "http://127.0.0.1:1")
-	dead.Put(fp, "dead", res)
-	if attempts, failures := cl.PutStats(); attempts != 2 || failures != 1 {
-		t.Errorf("after one rejected put: attempts %d, failures %d", attempts, failures)
-	}
-	if attempts, failures := dead.PutStats(); attempts != 1 || failures != 1 {
-		t.Errorf("dead server: attempts %d, failures %d", attempts, failures)
 	}
 }
 

@@ -180,7 +180,7 @@ func (m *merge) add(dir, path string, b []byte) (ShardInfo, error) {
 	d.Expect(`,"total_jobs":`)
 	total := d.Int()
 	d.Expect(`,"catalog":`)
-	catalog := list(&d, (*decoder).str)
+	catalog := d.strList()
 	d.Expect(`,"jobs":[`)
 	if err := d.Err(); err != nil {
 		return ShardInfo{}, fmt.Errorf("store: parse %s: %w", path, err)
@@ -210,17 +210,10 @@ func (m *merge) add(dir, path string, b []byte) (ShardInfo, error) {
 	}
 
 	info := ShardInfo{Shard: k, Of: n, Path: path}
-	if !d.Peek("]") {
-		for {
-			if err := m.job(&d, path); err != nil {
-				return ShardInfo{}, err
-			}
-			info.Jobs++
-			if !d.Peek(",") {
-				break
-			}
+	for ; d.next(info.Jobs); info.Jobs++ {
+		if err := m.job(&d, path); err != nil {
+			return ShardInfo{}, err
 		}
-		d.Expect("]")
 	}
 	d.Expect("}")
 	d.End()
