@@ -115,7 +115,7 @@ func composeProgram(launches []inject.Launch) kernel.Program {
 	return func(p *kernel.Proc) int {
 		exit := launches[0].Prog(p)
 		for _, l := range launches[1:] {
-			q := p.K.NewProc(l.Cred, l.Env.Clone(), l.Cwd, l.Args...)
+			q := p.K.NewProc(l.Cred, l.Env, l.Cwd, l.Args...)
 			e := func() int {
 				// Fold the member's output in even when it crashes —
 				// the panic unwinds to kernel.Run's recover, and the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -110,4 +111,36 @@ func digestBool(h hash.Hash, v bool) {
 		b[0] = 1
 	}
 	h.Write(b)
+}
+
+// TestPooledRunsKeepNothing: runs pass their recording storage on to the
+// next run, so an Injection that pointed into it would change under later
+// runs. Every run of every base plan executes in order on one goroutine,
+// each reusing the storage its predecessor released, and every Injection
+// is kept; only then is each compared, field for field, with the same run
+// on a freshly prepared plan.
+func TestPooledRunsKeepNothing(t *testing.T) {
+	jobs := apps.SuiteJobs()
+	kept := make([][]inject.Injection, len(jobs))
+	for j, job := range jobs {
+		p, err := inject.PrepareWith(job.Build(), jobOptions(job))
+		if err != nil {
+			t.Fatalf("prepare %s: %v", job.Label(), err)
+		}
+		kept[j] = make([]inject.Injection, p.NumRuns())
+		for i := range kept[j] {
+			kept[j][i] = p.RunOne(i)
+		}
+	}
+	for j, job := range jobs {
+		fresh, err := inject.PrepareWith(job.Build(), jobOptions(job))
+		if err != nil {
+			t.Fatalf("prepare %s: %v", job.Label(), err)
+		}
+		for i, got := range kept[j] {
+			if want := fresh.RunOne(i); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s run %d changed after later runs:\n  kept  %+v\n  fresh %+v", job.Label(), i, got, want)
+			}
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core/policy"
-	"repro/internal/interpose"
 )
 
 // ExecPlan is a materialised campaign: the clean-run planning state of
@@ -13,12 +12,18 @@ import (
 // clean image and shares nothing mutable with the others, so distinct
 // indices may be executed from concurrent goroutines; a scheduler that writes
 // RunOne(i) into slot i of a results slice reproduces the sequential
-// engine's Result bit for bit.
+// engine's Result bit for bit. The one thing runs pass on is recording
+// storage: a run takes its trace and payload buffers from a pool and puts
+// them back, emptied, only after its oracle pass, and its Injection keeps
+// nothing that points into them.
 type ExecPlan struct {
 	campaign Campaign
 	opt      Options
 	shell    *Result
 	plans    []planned
+	// payloadBytes is the size of every payload the clean trace recorded,
+	// which sizes a run's payload arena.
+	payloadBytes int
 	// world hands out per-run worlds: copy-on-write forks of one frozen
 	// clean image. One snapshot serves every run of the plan — including
 	// runs executed concurrently by the sched dispatcher's workers.
@@ -43,6 +48,10 @@ func PrepareWith(c Campaign, opt Options) (*ExecPlan, error) {
 		return nil, err
 	}
 	ep.shell, ep.plans = pr.result, pr.plans
+	for i := range pr.result.CleanTrace {
+		ev := &pr.result.CleanTrace[i]
+		ep.payloadBytes += len(ev.Call.Data) + len(ev.Result.Data)
+	}
 	ep.seed = policy.NewSeed(c.Policy, pr.result.CleanTrace, ep.world.baseFS())
 	return ep, nil
 }
@@ -54,7 +63,7 @@ func (p *ExecPlan) NumRuns() int { return len(p.plans) }
 func (p *ExecPlan) Planned(i int) PlannedInjection {
 	pl := p.plans[i]
 	pi := PlannedInjection{
-		Point: interpose.PointID(pl.site, pl.occur),
+		Point: pl.point,
 		Site:  pl.site,
 		Kind:  pl.kind,
 	}

@@ -185,6 +185,9 @@ func (r *Result) ViolationsBySite() map[string][]Injection {
 type planned struct {
 	site  string
 	occur int
+	// point is interpose.PointID(site, occur), made once per site and
+	// shared by every run planned there.
+	point string
 	kind  interpose.ObjectKind
 	// armedIdx is the clean-trace index of the armed interaction point.
 	// A run replays the clean trace byte-for-byte up to (excluding) this
@@ -233,114 +236,137 @@ func objectIdentity(call *interpose.Call) string {
 	return vfs.Canon(callCwd(call, Launch{}), call.Path)
 }
 
-// traceBufs recycles run-trace backing buffers across injection runs. A
-// run's trace is only read during its own oracle pass and discarded with
-// its kernel, so the buffers — sized once from the clean trace — make
-// steady-state recording allocation-free.
-var traceBufs = sync.Pool{New: func() any { return new([]interpose.Event) }}
+// storagePool recycles bus recording storage across injection runs. A
+// run's trace is read only by its own oracle pass, and the Injection it
+// returns keeps only strings derived from it, so the storage — sized from
+// the clean trace — passes to the next run once the oracle is done, and
+// steady-state recording allocates nothing.
+var storagePool = sync.Pool{New: func() any { return new(interpose.Storage) }}
+
+// run is the state one injection run's hooks share with runOne, in one
+// heap object: the hooks are method values on it rather than closures
+// over separate locals.
+type run struct {
+	ep *ExecPlan
+	pl *planned
+	k  *kernel.Kernel
+	p  *kernel.Proc
+	// ctx is the armed direct fault's applier context.
+	ctx eai.Ctx
+	inj Injection
+	// snap is the world the oracle judges against: the frozen base image
+	// unless an applied direct fault replaced it.
+	snap  *vfs.FS
+	armed bool
+}
+
+// arm reports whether call is the planned interaction point, at most once
+// per run.
+func (r *run) arm(call *interpose.Call) bool {
+	if r.armed || call.Site != r.pl.site || call.Occur != r.pl.occur {
+		return false
+	}
+	r.armed = true
+	return true
+}
+
+// applyDirect is the direct-fault hook: at the armed point it arranges the
+// fault in the world (Section 3.3 step 6).
+func (r *run) applyDirect(call *interpose.Call) {
+	if !r.arm(call) {
+		return
+	}
+	r.ctx = eai.Ctx{Kern: r.k, Call: call, Cwd: r.p.Cwd, SetCwd: r.setCwd, Cfg: r.ep.campaign.Faults}
+	err := r.pl.dir.Apply(&r.ctx)
+	r.ctx.Call = nil
+	if err != nil {
+		r.inj.ApplyErr = err.Error()
+		return
+	}
+	r.inj.Applied = true
+	r.k.Bus.MarkMutated()
+	// Zero-clone post-injection snapshot: freeze the world the fault just
+	// arranged and let the rest of the run proceed on a fresh fork.
+	r.snap = r.k.FreezeFS()
+}
+
+// applyDirectAfter is applyDirect in the post-hook position, for the
+// DirectAfterPoint ablation.
+func (r *run) applyDirectAfter(call *interpose.Call, _ *interpose.Result) { r.applyDirect(call) }
+
+func (r *run) setCwd(d string) { r.p.Cwd = d }
+
+// applyIndirect is the indirect-fault hook: at the armed point it perturbs
+// what the application receives.
+func (r *run) applyIndirect(call *interpose.Call, res *interpose.Result) {
+	if !r.arm(call) {
+		return
+	}
+	r.inj.Applied = true
+	r.k.Bus.MarkMutated()
+	f := r.pl.ind
+	switch {
+	case res.Data != nil:
+		res.Data = f.Mutate(res.Data)
+	case res.Str != "":
+		res.Str = string(f.Mutate([]byte(res.Str)))
+	}
+}
 
 // runOne performs a single fault-injection run (steps 6-8). phase, when
 // non-nil, observes the world/exec/compare segments; it deliberately
 // lives outside Options so telemetry never perturbs cache fingerprints.
 func (ep *ExecPlan) runOne(i int, phase PhaseFunc) Injection {
-	c, opt, pl := ep.campaign, ep.opt, ep.plans[i]
+	pl := &ep.plans[i]
 
 	worldStart := time.Now()
 	k, l := ep.world.world()
 
-	// Seed trace recording with a pooled buffer sized from the clean
-	// trace: perturbed runs rarely record more events than the clean run.
-	bufp := traceBufs.Get().(*[]interpose.Event)
-	if need := len(ep.shell.CleanTrace) + 1; cap(*bufp) < need {
-		*bufp = make([]interpose.Event, 0, need)
-	}
-	k.Bus.ReserveTrace(*bufp)
+	// Record into pooled storage sized from the clean trace: perturbed
+	// runs rarely record more than the clean run.
+	st := storagePool.Get().(*interpose.Storage)
+	st.Size(len(ep.shell.CleanTrace)+1, ep.payloadBytes, len(ep.shell.TotalSites))
+	k.Bus.ReserveTrace(st)
 
-	p := k.NewProc(l.Cred, l.Env.Clone(), l.Cwd, l.Args...)
-
-	inj := Injection{
-		Point: interpose.PointID(pl.site, pl.occur),
-		Site:  pl.site,
-		Kind:  pl.kind,
-	}
-
-	// Snap defaults to the pre-run world — the frozen base image, so no
-	// deep clone; a direct fault replaces it with the post-injection world
-	// so the oracle judges against what the attacker actually arranged.
+	// The oracle's snapshot defaults to the pre-run world — the frozen
+	// base image, so no deep clone.
 	base := ep.world.baseFS()
-	snap := base
-	armed := false
-
+	r := &run{
+		ep:   ep,
+		pl:   pl,
+		k:    k,
+		p:    k.NewProc(l.Cred, l.Env, l.Cwd, l.Args...),
+		inj:  Injection{Point: pl.point, Site: pl.site, Kind: pl.kind},
+		snap: base,
+	}
 	switch {
 	case pl.dir != nil:
-		f := pl.dir
-		inj.FaultID = f.ID
-		inj.Class = eai.ClassDirect
-		inj.Attr = f.Attr
-		apply := func(call *interpose.Call) {
-			if armed || call.Site != pl.site || call.Occur != pl.occur {
-				return
-			}
-			armed = true
-			ctx := &eai.Ctx{
-				Kern:   k,
-				Call:   call,
-				Cwd:    p.Cwd,
-				SetCwd: func(d string) { p.Cwd = d },
-				Cfg:    c.Faults,
-			}
-			if err := f.Apply(ctx); err != nil {
-				inj.ApplyErr = err.Error()
-				return
-			}
-			inj.Applied = true
-			k.Bus.MarkMutated()
-			// Zero-clone post-injection snapshot: freeze the world the
-			// fault just arranged and let the rest of the run proceed on
-			// a fresh fork.
-			snap = k.FreezeFS()
-		}
-		if opt.DirectAfterPoint {
-			k.Bus.OnPost(func(call *interpose.Call, _ *interpose.Result) { apply(call) })
+		r.inj.FaultID, r.inj.Class, r.inj.Attr = pl.dir.ID, eai.ClassDirect, pl.dir.Attr
+		if ep.opt.DirectAfterPoint {
+			k.Bus.OnPost(r.applyDirectAfter)
 		} else {
-			k.Bus.OnPre(apply)
+			k.Bus.OnPre(r.applyDirect)
 		}
 	case pl.ind != nil:
-		f := pl.ind
-		inj.FaultID = f.ID
-		inj.Class = eai.ClassIndirect
-		inj.Sem = f.Sem
-		k.Bus.OnPost(func(call *interpose.Call, r *interpose.Result) {
-			if armed || call.Site != pl.site || call.Occur != pl.occur {
-				return
-			}
-			armed = true
-			inj.Applied = true
-			k.Bus.MarkMutated()
-			switch {
-			case r.Data != nil:
-				r.Data = f.Mutate(r.Data)
-			case r.Str != "":
-				r.Str = string(f.Mutate([]byte(r.Str)))
-			}
-		})
+		r.inj.FaultID, r.inj.Class, r.inj.Sem = pl.ind.ID, eai.ClassIndirect, pl.ind.Sem
+		k.Bus.OnPost(r.applyIndirect)
 	}
 
 	execStart := time.Now()
 	if phase != nil {
 		phase("world", worldStart, execStart.Sub(worldStart))
 	}
-	exit, crash := k.Run(p, l.Prog)
+	exit, crash := k.Run(r.p, l.Prog)
 	compareStart := time.Now()
 	if phase != nil {
 		phase("exec", execStart, compareStart.Sub(execStart))
 	}
+	inj := r.inj
 	inj.Exit = exit
-	trace := k.Bus.Trace()
 	obs := policy.Observation{
-		Trace:  trace,
-		Stdout: p.Stdout.Bytes(),
-		Snap:   snap,
+		Trace:  k.Bus.Trace(),
+		Stdout: r.p.Stdout.Bytes(),
+		Snap:   r.snap,
 	}
 	if crash != nil {
 		inj.CrashMsg = crash.Msg
@@ -349,21 +375,17 @@ func (ep *ExecPlan) runOne(i int, phase PhaseFunc) Injection {
 	// The seeded oracle is sound exactly when the run's pre-injection
 	// world is the frozen base the seed was computed against — true for
 	// every indirect and unapplied-direct run. An applied direct fault
-	// replaced snap with the post-injection world above, which sends it
-	// down the full-walk branch.
-	if snap == base {
+	// replaced snap with the post-injection world, which sends it down
+	// the full-walk branch.
+	if r.snap == base {
 		inj.Violations = ep.seed.EvaluateFrom(pl.armedIdx, obs)
 	} else {
-		inj.Violations = c.Policy.Evaluate(obs)
+		inj.Violations = ep.campaign.Policy.Evaluate(obs)
 	}
 	if phase != nil {
 		phase("compare", compareStart, time.Since(compareStart))
 	}
-	// Recycle the trace buffer. Violations carry only derived strings and
-	// the kernel dies with this call, so nothing can observe the reuse;
-	// clearing first drops the payload references the events pin.
-	clear(trace[:cap(trace)])
-	*bufp = trace[:0]
-	traceBufs.Put(bufp)
+	k.Bus.ReleaseTrace(st)
+	storagePool.Put(st)
 	return inj
 }

@@ -173,7 +173,7 @@ func CleanSites(c Campaign) ([]string, error) {
 // on clean-run semantics.
 func cleanRun(world Factory) (*kernel.Kernel, error) {
 	k, l := world()
-	p := k.NewProc(l.Cred, l.Env.Clone(), l.Cwd, l.Args...)
+	p := k.NewProc(l.Cred, l.Env, l.Cwd, l.Args...)
 	if _, crash := k.Run(p, l.Prog); crash != nil {
 		return nil, fmt.Errorf("%w: %s", ErrCleanCrash, crash.Msg)
 	}
@@ -285,7 +285,10 @@ func planCampaign(c Campaign, opt Options, world Factory) (*planResult, error) {
 			continue
 		}
 		ev := &trace[first[k]]
-		at := planned{site: site, occur: ev.Call.Occur, kind: ev.Call.Kind, armedIdx: first[k]}
+		at := planned{
+			site: site, occur: ev.Call.Occur, point: interpose.PointID(site, ev.Call.Occur),
+			kind: ev.Call.Kind, armedIdx: first[k],
+		}
 		start := len(pr.plans)
 
 		if !opt.OnlyIndirect {

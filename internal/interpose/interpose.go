@@ -10,6 +10,12 @@
 // application sees it (where *indirect* faults perturb the value an
 // internal entity receives). The Bus also records the execution trace from
 // which interaction points are enumerated.
+//
+// A hook sees the interaction in flight through *Call and *Result, which
+// the kernel reuses for the process's next interaction: a hook must not
+// keep either pointer past its return. The trace holds copies, but the
+// payload bytes it records live in an arena the bus owns, valid until the
+// run's harness releases the trace (Bus.ReleaseTrace).
 package interpose
 
 import (
@@ -195,20 +201,26 @@ type Event struct {
 
 // PreHook runs before the kernel performs the interaction. Returning is
 // the only control flow; hooks mutate *Call (and, via closures, the
-// environment itself) to express faults.
+// environment itself) to express faults. c is the calling process's
+// interaction in flight, reused by its next one: a hook that keeps c past
+// its return is a bug.
 type PreHook func(c *Call)
 
 // PostHook runs after the kernel computed the result, before the
-// application observes it.
+// application observes it. Like a PreHook it must not keep c or r past
+// its return.
 type PostHook func(c *Call, r *Result)
 
 // Bus is the interaction-point bus for one process run. The zero value is
 // ready to use. Bus is not safe for concurrent use; each simulated process
 // run owns one bus.
 type Bus struct {
-	pre       []PreHook
-	post      []PostHook
-	trace     []Event
+	pre   []PreHook
+	post  []PostHook
+	trace []Event
+	// payloads is the arena recorded Data bytes are copied into; each
+	// event's slice is cut from it with its capacity at its length.
+	payloads  []byte
 	seq       int
 	siteHits  map[string]int
 	recording bool
@@ -216,9 +228,7 @@ type Bus struct {
 }
 
 // NewBus returns a Bus with trace recording enabled.
-func NewBus() *Bus {
-	return &Bus{siteHits: make(map[string]int), recording: true}
-}
+func NewBus() *Bus { return &Bus{recording: true} }
 
 // OnPre registers a pre-hook (direct-fault position).
 func (b *Bus) OnPre(h PreHook) { b.pre = append(b.pre, h) }
@@ -230,16 +240,51 @@ func (b *Bus) OnPost(h PostHook) { b.post = append(b.post, h) }
 // measure injection overhead in isolation).
 func (b *Bus) SetRecording(on bool) { b.recording = on }
 
-// ReserveTrace hands the bus a pre-sized backing buffer for trace
-// recording, so a run harness that knows the expected trace length (from
-// the campaign's clean run) can recycle one allocation across runs. The
-// buffer is adopted only while the trace is still empty and only when it
-// grows capacity; len(buf) is ignored. The caller must not touch buf
-// again until the bus is discarded.
-func (b *Bus) ReserveTrace(buf []Event) {
-	if len(b.trace) == 0 && cap(buf) > cap(b.trace) {
-		b.trace = buf[:0]
+// Storage is the memory a Bus records into: the trace's events, the arena
+// their payloads are copied into, and the per-site occurrence counts. A
+// harness that runs one program many times hands each run's bus the
+// storage the previous run's bus released, so steady-state recording
+// allocates nothing. The zero value is ready to use.
+type Storage struct {
+	events   []Event
+	payloads []byte
+	hits     map[string]int
+}
+
+// Size grows s, where it is smaller, to hold a run like one that recorded
+// events events, payloadBytes bytes of payload and sites distinct call
+// sites — a campaign's clean run.
+func (s *Storage) Size(events, payloadBytes, sites int) {
+	if cap(s.events) < events {
+		s.events = make([]Event, 0, events)
 	}
+	if cap(s.payloads) < payloadBytes {
+		s.payloads = make([]byte, 0, payloadBytes)
+	}
+	if s.hits == nil {
+		s.hits = make(map[string]int, sites)
+	}
+}
+
+// ReserveTrace makes the bus record into s. It takes effect only before
+// the first interaction. s must not be used again until ReleaseTrace
+// hands the storage back.
+func (b *Bus) ReserveTrace(s *Storage) {
+	if b.seq != 0 {
+		return
+	}
+	b.trace, b.payloads, b.siteHits = s.events[:0], s.payloads[:0], s.hits
+}
+
+// ReleaseTrace hands the bus's recording storage back into s, emptied,
+// for a later run's ReserveTrace; the events are cleared so the storage
+// pins nothing they referenced. The recorded trace and its payloads must
+// not be read afterwards: the next run records over them.
+func (b *Bus) ReleaseTrace(s *Storage) {
+	clear(b.trace[:cap(b.trace)])
+	clear(b.siteHits)
+	s.events, s.payloads, s.hits = b.trace[:0], b.payloads[:0], b.siteHits
+	b.trace, b.payloads, b.siteHits = nil, nil, nil
 }
 
 // Begin stamps the call with its sequence and occurrence numbers and runs
@@ -270,39 +315,28 @@ func (b *Bus) End(c *Call, r *Result, resolved string) {
 		h(c, r)
 	}
 	if b.recording {
-		ev := Event{Call: *c, Result: *r, ResolvedPath: resolved, Mutated: b.mutated}
-		if r.Data != nil {
-			ev.Result.Data = append([]byte(nil), r.Data...)
-		}
-		if c.Data != nil {
-			ev.Call.Data = append([]byte(nil), c.Data...)
-		}
-		b.trace = append(b.trace, ev)
+		b.trace = append(b.trace, Event{Call: *c, Result: *r, ResolvedPath: resolved, Mutated: b.mutated})
+		ev := &b.trace[len(b.trace)-1]
+		ev.Call.Data = b.keep(c.Data)
+		ev.Result.Data = b.keep(r.Data)
 	}
+}
+
+// keep copies a payload into the arena. The copy's capacity ends at its
+// length, so an append through the event cannot reach the next payload.
+// An empty payload records as nil.
+func (b *Bus) keep(p []byte) []byte {
+	if len(p) == 0 {
+		return nil
+	}
+	n := len(b.payloads)
+	b.payloads = append(b.payloads, p...)
+	return b.payloads[n:len(b.payloads):len(b.payloads)]
 }
 
 // Trace returns the recorded events in execution order. The returned slice
 // is owned by the bus; callers must not mutate it.
 func (b *Bus) Trace() []Event { return b.trace }
-
-// Len returns the number of recorded interactions.
-func (b *Bus) Len() int { return len(b.trace) }
-
-// Points returns the distinct interaction points (site#occur) in trace
-// order. This is the enumeration from which the Section 3.3 procedure
-// draws its per-point fault lists.
-func (b *Bus) Points() []string {
-	pts := make([]string, 0, len(b.trace))
-	seen := make(map[string]bool, len(b.trace))
-	for i := range b.trace {
-		id := b.trace[i].Call.PointID()
-		if !seen[id] {
-			seen[id] = true
-			pts = append(pts, id)
-		}
-	}
-	return pts
-}
 
 // Sites returns the distinct static call sites in first-hit order.
 func (b *Bus) Sites() []string {
@@ -316,15 +350,4 @@ func (b *Bus) Sites() []string {
 		}
 	}
 	return sites
-}
-
-// EventAt returns the first trace event at the given interaction point, or
-// nil when the point never fired.
-func (b *Bus) EventAt(pointID string) *Event {
-	for i := range b.trace {
-		if b.trace[i].Call.PointID() == pointID {
-			return &b.trace[i]
-		}
-	}
-	return nil
 }

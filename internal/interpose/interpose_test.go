@@ -67,10 +67,6 @@ func TestBusSequencingAndOccurrence(t *testing.T) {
 			t.Errorf("event %d Occur = %d, want %d", i, ev.Call.Occur, wantOccur[i])
 		}
 	}
-	pts := b.Points()
-	if len(pts) != 5 {
-		t.Errorf("Points = %v, want 5 distinct", pts)
-	}
 	sites := b.Sites()
 	if len(sites) != 2 || sites[0] != "a" || sites[1] != "b" {
 		t.Errorf("Sites = %v", sites)
@@ -149,36 +145,19 @@ func TestRecordingToggle(t *testing.T) {
 	c := &Call{Site: "s", Op: OpOpen}
 	b.Begin(c)
 	b.End(c, &Result{}, "")
-	if b.Len() != 0 {
+	if len(b.Trace()) != 0 {
 		t.Error("recorded while disabled")
 	}
 	b.SetRecording(true)
 	c2 := &Call{Site: "s", Op: OpOpen}
 	b.Begin(c2)
 	b.End(c2, &Result{}, "")
-	if b.Len() != 1 {
+	if len(b.Trace()) != 1 {
 		t.Error("did not record while enabled")
 	}
 	// Occurrence counting continues even while not recording.
 	if c2.Occur != 1 {
 		t.Errorf("Occur = %d, want 1", c2.Occur)
-	}
-}
-
-func TestEventAt(t *testing.T) {
-	t.Parallel()
-	b := NewBus()
-	for i := 0; i < 3; i++ {
-		c := &Call{Site: "loop", Op: OpRead, Path: "/f"}
-		b.Begin(c)
-		b.End(c, &Result{N: i}, "/f")
-	}
-	ev := b.EventAt("loop#1")
-	if ev == nil || ev.Result.N != 1 {
-		t.Fatalf("EventAt(loop#1) = %+v", ev)
-	}
-	if b.EventAt("loop#9") != nil {
-		t.Error("EventAt for missing point should be nil")
 	}
 }
 
@@ -214,5 +193,91 @@ func TestMutatedFlagResetsPerCall(t *testing.T) {
 	tr := b.Trace()
 	if !tr[0].Mutated || tr[1].Mutated {
 		t.Errorf("mutated flags = %v, %v; want true, false", tr[0].Mutated, tr[1].Mutated)
+	}
+}
+
+// TestPayloadArena pins how recorded payloads are kept: copied into the
+// bus's arena with their capacity cut at their length, and an empty
+// payload recorded as nil.
+func TestPayloadArena(t *testing.T) {
+	t.Parallel()
+	b := NewBus()
+	var st Storage
+	st.Size(4, 64, 2)
+	b.ReserveTrace(&st)
+	for _, p := range []string{"ab", "", "cde"} {
+		c := &Call{Site: "w", Op: OpWrite, Data: []byte(p)}
+		b.Begin(c)
+		b.End(c, &Result{Data: []byte(p + p)}, "")
+	}
+	tr := b.Trace()
+	if tr[1].Call.Data != nil || tr[1].Result.Data != nil {
+		t.Errorf("empty payloads recorded as %q, %q; want nil", tr[1].Call.Data, tr[1].Result.Data)
+	}
+	first := tr[0].Call.Data
+	if string(first) != "ab" || cap(first) != len(first) {
+		t.Fatalf("payload %q has capacity %d, want %d", first, cap(first), len(first))
+	}
+	_ = append(first, 'X')
+	if got := string(tr[0].Result.Data); got != "abab" {
+		t.Errorf("an append through one payload reached the next: %q", got)
+	}
+	if &tr[0] != &st.events[:1][0] || &first[0] != &st.payloads[:1][0] {
+		t.Error("the bus did not record into the reserved storage")
+	}
+}
+
+// TestStorageRecycles: ReleaseTrace hands the storage back emptied and
+// cleared, and the next bus records into the same memory with its
+// occurrence counts starting over.
+func TestStorageRecycles(t *testing.T) {
+	t.Parallel()
+	var st Storage
+	st.Size(4, 64, 2)
+	events, payloads := &st.events[:1][0], &st.payloads[:1][0]
+	for run := 0; run < 3; run++ {
+		b := NewBus()
+		b.ReserveTrace(&st)
+		for i := 0; i < 2; i++ {
+			c := &Call{Site: "r", Op: OpRead}
+			b.Begin(c)
+			b.End(c, &Result{Data: []byte{byte('a' + run)}}, "/f")
+		}
+		tr := b.Trace()
+		if tr[1].Call.Occur != 1 || string(tr[1].Result.Data) != string(rune('a'+run)) {
+			t.Fatalf("run %d recorded %+v", run, tr[1])
+		}
+		b.ReleaseTrace(&st)
+		if len(b.Trace()) != 0 {
+			t.Fatal("a released bus still returns its trace")
+		}
+		if len(st.events) != 0 || len(st.payloads) != 0 || len(st.hits) != 0 {
+			t.Fatalf("released storage holds %d events, %d bytes, %d sites", len(st.events), len(st.payloads), len(st.hits))
+		}
+		if st.events[:1][0].Call.Site != "" {
+			t.Fatal("released events still reference what they recorded")
+		}
+		if &st.events[:1][0] != events || &st.payloads[:1][0] != payloads {
+			t.Fatal("storage was reallocated instead of reused")
+		}
+	}
+}
+
+// TestReserveTraceAfterFirstInteraction: storage handed over after the
+// bus has begun recording is ignored, so a trace is never split.
+func TestReserveTraceAfterFirstInteraction(t *testing.T) {
+	t.Parallel()
+	b := NewBus()
+	c := &Call{Site: "s", Op: OpRead}
+	b.Begin(c)
+	b.End(c, &Result{Data: []byte("x")}, "")
+	var st Storage
+	st.Size(8, 8, 1)
+	b.ReserveTrace(&st)
+	c2 := &Call{Site: "s", Op: OpRead}
+	b.Begin(c2)
+	b.End(c2, &Result{}, "")
+	if tr := b.Trace(); len(tr) != 2 || string(tr[0].Result.Data) != "x" || tr[1].Call.Occur != 1 {
+		t.Errorf("trace after a late ReserveTrace = %+v", tr)
 	}
 }

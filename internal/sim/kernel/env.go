@@ -12,32 +12,45 @@ import (
 // environment-variable input channel of Table 5. Missing variables return
 // the empty string, as with getenv(3).
 func (p *Proc) Getenv(site, name string) string {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpGetenv, Kind: interpose.KindEnvVar, Path: name,
 	})
 	val, ok := p.Env[c.Path]
-	r := &interpose.Result{Flag: ok}
+	var data []byte
 	if ok {
-		r.Data = []byte(val)
+		data = []byte(val)
 	}
-	p.end(c, r, c.Path)
-	return string(r.Data)
+	r := p.end(interpose.Result{Data: data, Flag: ok}, c.Path)
+	return delivered(r.Data, val)
 }
 
 // Setenv writes an environment variable.
 func (p *Proc) Setenv(site, name, value string) {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpSetenv, Kind: interpose.KindEnvVar,
 		Path: name, Data: []byte(value),
 	})
+	if p.envShared || p.Env == nil {
+		p.Env, p.envShared = p.Env.Clone(), false
+	}
 	p.Env[c.Path] = string(c.Data)
-	p.end(c, &interpose.Result{}, c.Path)
+	p.end(interpose.Result{}, c.Path)
+}
+
+// delivered returns what an interaction handed the application as a
+// string: s itself when the bytes are still s's, so the syscall converts
+// its result once, and a conversion of data only when a hook changed it.
+func delivered(data []byte, s string) string {
+	if string(data) == s {
+		return s
+	}
+	return string(data)
 }
 
 // Arg fetches the i'th command-line argument through the bus — the user
 // input channel of Table 5. Out-of-range indices return "".
 func (p *Proc) Arg(site string, i int) string {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpArg, Kind: interpose.KindArg,
 		Path: fmt.Sprintf("argv[%d]", i), Flags: i,
 	})
@@ -45,9 +58,8 @@ func (p *Proc) Arg(site string, i int) string {
 	if c.Flags >= 0 && c.Flags < len(p.Args) {
 		val = p.Args[c.Flags]
 	}
-	r := &interpose.Result{Data: []byte(val)}
-	p.end(c, r, c.Path)
-	return string(r.Data)
+	r := p.end(interpose.Result{Data: []byte(val)}, c.Path)
+	return delivered(r.Data, val)
 }
 
 // NArgs returns the argument count (no interaction: the count is not
@@ -83,17 +95,16 @@ func (p *Proc) Exec(site, path string, argv ...string) (int, error) {
 		}
 		if found == "" {
 			// Still record the failed exec interaction.
-			c := p.begin(&interpose.Call{
+			p.begin(interpose.Call{
 				Site: site, Op: interpose.OpExec, Kind: interpose.KindFile, Path: path,
 			})
-			r := &interpose.Result{Err: fmt.Errorf("%w: %s", ErrNotFound, path)}
-			p.end(c, r, "")
+			r := p.end(interpose.Result{Err: fmt.Errorf("%w: %s", ErrNotFound, path)}, "")
 			return 127, r.Err
 		}
 		lookPath = found
 	}
 
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpExec, Kind: interpose.KindFile, Path: lookPath,
 	})
 	var (
@@ -102,8 +113,7 @@ func (p *Proc) Exec(site, path string, argv ...string) (int, error) {
 		err      error
 	)
 	exit, resolved, err = p.execResolved(c.Path, argv)
-	r := &interpose.Result{N: exit, Err: err}
-	p.end(c, r, resolved)
+	r := p.end(interpose.Result{N: exit, Err: err}, resolved)
 	return r.N, r.Err
 }
 
@@ -113,7 +123,7 @@ func (p *Proc) Exec(site, path string, argv ...string) (int, error) {
 // stat-then-exec sequence leaves a TOCTTOU window that environment
 // perturbation exploits; this call closes it.
 func (p *Proc) ExecTrusted(site, path string, requireUID int, argv ...string) (int, error) {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpExec, Kind: interpose.KindFile, Path: path,
 	})
 	var (
@@ -133,8 +143,7 @@ func (p *Proc) ExecTrusted(site, path string, requireUID int, argv ...string) (i
 	default:
 		exit, resolved, err = p.execResolved(c.Path, argv)
 	}
-	r := &interpose.Result{N: exit, Err: err}
-	p.end(c, r, resolved)
+	r := p.end(interpose.Result{N: exit, Err: err}, resolved)
 	return r.N, r.Err
 }
 
@@ -153,7 +162,10 @@ func (p *Proc) execResolved(path string, argv []string) (int, string, error) {
 		return 126, res.Path, fmt.Errorf("%w: exec %s", ErrPerm, res.Path)
 	}
 
-	child := p.K.NewProc(p.Cred, p.Env.Clone(), p.Cwd, argv...)
+	// The child starts on the parent's environment; whichever of the two
+	// calls Setenv first copies it.
+	child := p.K.NewProc(p.Cred, p.Env, p.Cwd, argv...)
+	p.envShared = true
 	if res.Node.Mode&vfs.ModeSetUID != 0 {
 		child.Cred.EUID = res.Node.UID
 		child.Cred.SUID = res.Node.UID

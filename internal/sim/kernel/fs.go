@@ -51,13 +51,12 @@ func (p *Proc) Open(site, path string, flags int, mode vfs.Mode) (*File, error) 
 	if flags&OCreate != 0 {
 		op = interpose.OpCreate
 	}
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: op, Kind: interpose.KindFile,
 		Path: path, Mode: uint16(mode), Flags: flags,
 	})
 	f, resolved, err := p.openLocked(c.Path, c.Flags, vfs.Mode(c.Mode))
-	r := &interpose.Result{Err: err}
-	p.end(c, r, resolved)
+	r := p.end(interpose.Result{Err: err}, resolved)
 	if r.Err != nil {
 		return nil, r.Err
 	}
@@ -126,7 +125,7 @@ func (p *Proc) Create(site, path string, mode vfs.Mode) (*File, error) {
 // Read reads up to n bytes from the file. The returned bytes pass through
 // the bus as environment input, so indirect faults can perturb them.
 func (p *Proc) Read(site string, f *File, n int) ([]byte, error) {
-	c := p.begin(&interpose.Call{
+	p.begin(interpose.Call{
 		Site: site, Op: interpose.OpRead, Kind: interpose.KindFile, Path: f.Path,
 	})
 	var (
@@ -156,8 +155,7 @@ func (p *Proc) Read(site string, f *File, n int) ([]byte, error) {
 			f.offset = end
 		}
 	}
-	r := &interpose.Result{Data: data, Err: err}
-	p.end(c, r, f.Path)
+	r := p.end(interpose.Result{Data: data, Err: err}, f.Path)
 	return r.Data, r.Err
 }
 
@@ -186,7 +184,7 @@ func (p *Proc) Write(site string, f *File, data []byte) (int, error) {
 	if f != nil {
 		path = f.Path
 	}
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpWrite, Kind: interpose.KindFile,
 		Path: path, Data: data,
 	})
@@ -217,8 +215,7 @@ func (p *Proc) Write(site string, f *File, data []byte) (int, error) {
 		f.offset += len(c.Data)
 		n = len(c.Data)
 	}
-	r := &interpose.Result{N: n, Err: err}
-	p.end(c, r, path)
+	r := p.end(interpose.Result{N: n, Err: err}, path)
 	return r.N, r.Err
 }
 
@@ -246,7 +243,7 @@ func (p *Proc) stat(site, path string, follow bool) (Info, error) {
 	if !follow {
 		op = interpose.OpLstat
 	}
-	c := p.begin(&interpose.Call{Site: site, Op: op, Kind: interpose.KindFile, Path: path})
+	c := p.begin(interpose.Call{Site: site, Op: op, Kind: interpose.KindFile, Path: path})
 	var (
 		info Info
 		err  error
@@ -264,14 +261,13 @@ func (p *Proc) stat(site, path string, follow bool) (Info, error) {
 			Symlink: res.Node.Type == vfs.TypeSymlink,
 		}
 	}
-	r := &interpose.Result{Err: err}
-	p.end(c, r, info.Path)
+	r := p.end(interpose.Result{Err: err}, info.Path)
 	return info, r.Err
 }
 
 // Readlink returns the target of the symlink at path, as environment input.
 func (p *Proc) Readlink(site, path string) (string, error) {
-	c := p.begin(&interpose.Call{Site: site, Op: interpose.OpReadlink, Kind: interpose.KindFile, Path: path})
+	c := p.begin(interpose.Call{Site: site, Op: interpose.OpReadlink, Kind: interpose.KindFile, Path: path})
 	var (
 		target string
 		err    error
@@ -285,14 +281,13 @@ func (p *Proc) Readlink(site, path string) (string, error) {
 	default:
 		target = n.Target
 	}
-	r := &interpose.Result{Str: target, Err: err}
-	p.end(c, r, c.Path)
+	r := p.end(interpose.Result{Str: target, Err: err}, c.Path)
 	return r.Str, r.Err
 }
 
 // ReadDir lists the directory at path, as environment input.
 func (p *Proc) ReadDir(site, path string) ([]string, error) {
-	c := p.begin(&interpose.Call{Site: site, Op: interpose.OpReadDir, Kind: interpose.KindDir, Path: path})
+	c := p.begin(interpose.Call{Site: site, Op: interpose.OpReadDir, Kind: interpose.KindDir, Path: path})
 	var (
 		names []string
 		err   error
@@ -310,15 +305,14 @@ func (p *Proc) ReadDir(site, path string) ([]string, error) {
 	default:
 		names = res.Node.Children()
 	}
-	r := &interpose.Result{Err: err}
+	var (
+		data     []byte
+		resolved string
+	)
 	if err == nil {
-		r.Data = []byte(joinLines(names))
+		data, resolved = []byte(joinLines(names)), res.Path
 	}
-	resolved := ""
-	if err == nil {
-		resolved = res.Path
-	}
-	p.end(c, r, resolved)
+	r := p.end(interpose.Result{Data: data, Err: err}, resolved)
 	if r.Err != nil {
 		return nil, r.Err
 	}
@@ -327,7 +321,7 @@ func (p *Proc) ReadDir(site, path string) ([]string, error) {
 
 // Mkdir creates a directory.
 func (p *Proc) Mkdir(site, path string, mode vfs.Mode) error {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpMkdir, Kind: interpose.KindDir,
 		Path: path, Mode: uint16(mode),
 	})
@@ -335,8 +329,7 @@ func (p *Proc) Mkdir(site, path string, mode vfs.Mode) error {
 		_, err := p.K.FS.Mkdir(p.Cwd, c.Path, vfs.Mode(c.Mode)&^p.Umask, p.Cred.EUID, p.Cred.EGID)
 		return err
 	})
-	r := &interpose.Result{Err: err}
-	p.end(c, r, p.resolvedPath(c.Path))
+	r := p.end(interpose.Result{Err: err}, p.resolvedPath(c.Path))
 	return r.Err
 }
 
@@ -352,7 +345,7 @@ func (p *Proc) resolvedPath(path string) string {
 
 // Unlink removes a file (not following a final symlink).
 func (p *Proc) Unlink(site, path string) error {
-	c := p.begin(&interpose.Call{Site: site, Op: interpose.OpUnlink, Kind: interpose.KindFile, Path: path})
+	c := p.begin(interpose.Call{Site: site, Op: interpose.OpUnlink, Kind: interpose.KindFile, Path: path})
 	resolved := ""
 	err := p.parentWriteChecked(c.Path, func() error {
 		res, rerr := p.K.FS.Resolve(p.Cwd, c.Path, false)
@@ -361,14 +354,13 @@ func (p *Proc) Unlink(site, path string) error {
 		}
 		return p.K.FS.Unlink(p.Cwd, c.Path)
 	})
-	r := &interpose.Result{Err: err}
-	p.end(c, r, resolved)
+	r := p.end(interpose.Result{Err: err}, resolved)
 	return r.Err
 }
 
 // Rename moves oldp to newp.
 func (p *Proc) Rename(site, oldp, newp string) error {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpRename, Kind: interpose.KindFile,
 		Path: oldp, Path2: newp,
 	})
@@ -377,14 +369,13 @@ func (p *Proc) Rename(site, oldp, newp string) error {
 			return p.K.FS.Rename(p.Cwd, c.Path, c.Path2)
 		})
 	})
-	r := &interpose.Result{Err: err}
-	p.end(c, r, p.resolvedPath(c.Path2))
+	r := p.end(interpose.Result{Err: err}, p.resolvedPath(c.Path2))
 	return r.Err
 }
 
 // Symlink creates a link at linkp pointing to target.
 func (p *Proc) Symlink(site, target, linkp string) error {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpSymlink, Kind: interpose.KindFile,
 		Path: linkp, Path2: target,
 	})
@@ -392,14 +383,13 @@ func (p *Proc) Symlink(site, target, linkp string) error {
 		_, err := p.K.FS.Symlink(p.Cwd, c.Path2, c.Path, p.Cred.EUID, p.Cred.EGID)
 		return err
 	})
-	r := &interpose.Result{Err: err}
-	p.end(c, r, p.resolvedLinkPath(c.Path))
+	r := p.end(interpose.Result{Err: err}, p.resolvedLinkPath(c.Path))
 	return r.Err
 }
 
 // Chmod changes permission bits; only the owner or root may.
 func (p *Proc) Chmod(site, path string, mode vfs.Mode) error {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpChmod, Kind: interpose.KindFile,
 		Path: path, Mode: uint16(mode),
 	})
@@ -419,14 +409,13 @@ func (p *Proc) Chmod(site, path string, mode vfs.Mode) error {
 		n.Gen++
 		return nil
 	}()
-	r := &interpose.Result{Err: err}
-	p.end(c, r, resolved)
+	r := p.end(interpose.Result{Err: err}, resolved)
 	return r.Err
 }
 
 // Chown changes ownership; only root may (BSD semantics).
 func (p *Proc) Chown(site, path string, uid, gid int) error {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpChown, Kind: interpose.KindFile,
 		Path: path, Flags: uid, Mode: uint16(gid),
 	})
@@ -446,14 +435,13 @@ func (p *Proc) Chown(site, path string, uid, gid int) error {
 		n.Gen++
 		return nil
 	}()
-	r := &interpose.Result{Err: err}
-	p.end(c, r, resolved)
+	r := p.end(interpose.Result{Err: err}, resolved)
 	return r.Err
 }
 
 // Chdir changes the working directory.
 func (p *Proc) Chdir(site, path string) error {
-	c := p.begin(&interpose.Call{Site: site, Op: interpose.OpChdir, Kind: interpose.KindDir, Path: path})
+	c := p.begin(interpose.Call{Site: site, Op: interpose.OpChdir, Kind: interpose.KindDir, Path: path})
 	var resolved string
 	err := func() error {
 		res, rerr := p.K.FS.Resolve(p.Cwd, c.Path, true)
@@ -470,8 +458,7 @@ func (p *Proc) Chdir(site, path string) error {
 		p.Cwd = res.Path
 		return nil
 	}()
-	r := &interpose.Result{Err: err}
-	p.end(c, r, resolved)
+	r := p.end(interpose.Result{Err: err}, resolved)
 	return r.Err
 }
 

@@ -56,19 +56,35 @@ type Kernel struct {
 	// fork, whose first RegisterProgram copies the table.
 	frozen         bool
 	sharedPrograms bool
+	// sharedMailboxes marks a fork whose mailbox table is still its
+	// snapshot's; the first write copies the table (ownMailboxes).
+	sharedMailboxes bool
 }
 
 // PostMessage enqueues a process-input message for MsgRecv. World builders
 // and the process-input fault appliers use it directly.
 func (k *Kernel) PostMessage(mailbox string, data []byte) {
-	if k.mailboxes == nil {
-		k.mailboxes = make(map[string][][]byte)
-	}
+	k.ownMailboxes()
 	k.mailboxes[mailbox] = append(k.mailboxes[mailbox], append([]byte(nil), data...))
 }
 
+// ownMailboxes readies the mailbox table for a write: it makes a missing
+// table and copies a fork's shared one. The queues are the snapshot's
+// exact-length copies, so appending to one reallocates it, and popping
+// only reslices; the messages are never written, so they stay shared.
+func (k *Kernel) ownMailboxes() {
+	switch {
+	case k.mailboxes == nil:
+		k.mailboxes = make(map[string][][]byte)
+	case k.sharedMailboxes:
+		k.mailboxes = maps.Clone(k.mailboxes)
+	}
+	k.sharedMailboxes = false
+}
+
 // PeekMailbox returns the queued messages for a mailbox (for perturbation
-// and tests).
+// and tests). The caller must not modify them: a fork's queues may be its
+// snapshot's.
 func (k *Kernel) PeekMailbox(mailbox string) [][]byte { return k.mailboxes[mailbox] }
 
 // MailboxNames returns every mailbox with queued messages, sorted. World
@@ -87,9 +103,7 @@ func (k *Kernel) MailboxNames() []string {
 
 // SetMailbox replaces a mailbox queue.
 func (k *Kernel) SetMailbox(mailbox string, msgs [][]byte) {
-	if k.mailboxes == nil {
-		k.mailboxes = make(map[string][][]byte)
-	}
+	k.ownMailboxes()
 	k.mailboxes[mailbox] = msgs
 }
 
@@ -120,23 +134,23 @@ func (k *Kernel) RegisterProgram(path string, prog Program) {
 }
 
 // NewProc creates a process with the given credentials, environment, and
-// working directory.
+// working directory. The process never writes env: its first Setenv
+// copies it, so one launch environment can start any number of
+// processes, concurrent ones included.
 func (k *Kernel) NewProc(cred proc.Cred, env proc.Env, cwd string, args ...string) *Proc {
 	k.nextPID++
-	if env == nil {
-		env = proc.Env{}
-	}
 	if cwd == "" {
 		cwd = "/"
 	}
 	return &Proc{
-		K:     k,
-		PID:   k.nextPID,
-		Cred:  cred,
-		Umask: 0o022,
-		Env:   env,
-		Args:  args,
-		Cwd:   cwd,
+		K:         k,
+		PID:       k.nextPID,
+		Cred:      cred,
+		Umask:     0o022,
+		Env:       env,
+		envShared: true,
+		Args:      args,
+		Cwd:       cwd,
 	}
 }
 
@@ -179,6 +193,15 @@ type Proc struct {
 
 	Stdout bytes.Buffer
 	Stderr bytes.Buffer
+
+	// call and res are the interaction in flight: each syscall fills them
+	// in place rather than allocating its own. A child process runs on its
+	// own Proc, so an Exec's nested interactions never touch its parent's.
+	call interpose.Call
+	res  interpose.Result
+	// envShared marks Env as borrowed (from the launch, or shared with a
+	// parent or child at exec): the first Setenv copies it.
+	envShared bool
 }
 
 // Printf writes formatted output to the process's stdout, which the
@@ -219,18 +242,25 @@ func (p *Proc) SetEUID(uid int) error {
 	return nil
 }
 
-// begin stamps and dispatches a call through the bus.
-func (p *Proc) begin(c *interpose.Call) *interpose.Call {
-	c.UID = p.Cred.UID
-	c.EUID = p.Cred.EUID
-	c.GID = p.Cred.GID
-	c.EGID = p.Cred.EGID
-	c.Cwd = p.Cwd
-	p.K.Bus.Begin(c)
-	return c
+// begin makes c the process's interaction in flight, stamps it with the
+// caller's credentials and working directory, and dispatches it through
+// the bus. The returned call is valid until the process's next begin.
+func (p *Proc) begin(c interpose.Call) *interpose.Call {
+	p.call = c
+	p.call.UID = p.Cred.UID
+	p.call.EUID = p.Cred.EUID
+	p.call.GID = p.Cred.GID
+	p.call.EGID = p.Cred.EGID
+	p.call.Cwd = p.Cwd
+	p.K.Bus.Begin(&p.call)
+	return &p.call
 }
 
-// end completes the call on the bus.
-func (p *Proc) end(c *interpose.Call, r *interpose.Result, resolved string) {
-	p.K.Bus.End(c, r, resolved)
+// end completes the interaction in flight with result r on the bus and
+// returns the result as the hooks left it, valid until the process's next
+// end.
+func (p *Proc) end(r interpose.Result, resolved string) *interpose.Result {
+	p.res = r
+	p.K.Bus.End(&p.call, &p.res, resolved)
+	return &p.res
 }

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,6 +40,18 @@ func newWorld(t *testing.T) *Kernel {
 
 func alice(k *Kernel) *Proc {
 	return k.NewProc(proc.NewCred(100, 100), proc.NewEnv("PATH", "/usr/bin", "HOME", "/home/alice"), "/home/alice")
+}
+
+// eventAt returns the first trace event at the given interaction point, or
+// nil when the point never fired.
+func eventAt(b *interpose.Bus, pointID string) *interpose.Event {
+	tr := b.Trace()
+	for i := range tr {
+		if tr[i].Call.PointID() == pointID {
+			return &tr[i]
+		}
+	}
+	return nil
 }
 
 func TestOpenReadPermissions(t *testing.T) {
@@ -126,7 +140,7 @@ func TestCreateThroughSymlinkTruncatesTarget(t *testing.T) {
 		t.Error("symlink attack did not reach the target — the lpr scenario depends on this")
 	}
 	// The trace records the RESOLVED path so the oracle can see it.
-	ev := k.Bus.EventAt("lpr:create#0")
+	ev := eventAt(k.Bus, "lpr:create#0")
 	if ev == nil || ev.ResolvedPath != "/etc/passwd" {
 		t.Errorf("trace resolved path = %+v", ev)
 	}
@@ -422,7 +436,7 @@ func TestExecPATHHijack(t *testing.T) {
 	if _, err := p.Exec("t:exec", "mail"); err != nil {
 		t.Fatal(err)
 	}
-	ev := k.Bus.EventAt("t:exec#0")
+	ev := eventAt(k.Bus, "t:exec#0")
 	if ev == nil || ev.ResolvedPath != "/home/mallory/bin/mail" {
 		t.Errorf("resolved = %+v, want mallory's mail first on PATH", ev)
 	}
@@ -635,7 +649,7 @@ func TestTraceCarriesCredentials(t *testing.T) {
 	if _, err := p.Create("t:c", "/tmp/x", 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ev := k.Bus.EventAt("t:c#0")
+	ev := eventAt(k.Bus, "t:c#0")
 	if ev == nil {
 		t.Fatal("no event")
 	}
@@ -653,7 +667,7 @@ func TestReadFileHelper(t *testing.T) {
 		t.Fatalf("ReadFile = %q, %v", data, err)
 	}
 	// Two interactions appear: open and read.
-	if k.Bus.EventAt("t:rf:open#0") == nil || k.Bus.EventAt("t:rf:read#0") == nil {
+	if eventAt(k.Bus, "t:rf:open#0") == nil || eventAt(k.Bus, "t:rf:read#0") == nil {
 		t.Error("ReadFile did not produce open+read interactions")
 	}
 }
@@ -674,5 +688,61 @@ func TestSetUmask(t *testing.T) {
 	n, _ := k.FS.Lookup("/", "/tmp/wide")
 	if n.Mode != 0o666 {
 		t.Errorf("mode with umask 0 = %o", uint16(n.Mode))
+	}
+}
+
+// TestRecordedPayloadsAreCopies: the trace keeps its own copy of every
+// payload. A program that overwrites the buffer it passed to Write, and
+// the slice Read returned, after each call must leave every recorded
+// event as it was when its call returned.
+func TestRecordedPayloadsAreCopies(t *testing.T) {
+	t.Parallel()
+	k := newWorld(t)
+	p := alice(k)
+	var want []interpose.Event
+	record := func() {
+		t.Helper()
+		tr := k.Bus.Trace()
+		ev := tr[len(tr)-1]
+		ev.Call.Data, ev.Result.Data = bytes.Clone(ev.Call.Data), bytes.Clone(ev.Result.Data)
+		want = append(want, ev)
+	}
+	w, err := p.Open("t:create", "/tmp/log", OWrite|OCreate, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record()
+	buf := []byte("first line\n")
+	for i, line := range []string{"second line\n", "third line!\n"} {
+		if _, err := p.Write("t:write", w, buf); err != nil {
+			t.Fatal(err)
+		}
+		record()
+		copy(buf, line)
+		if i == 1 {
+			buf = append(buf[:0], "grown past the first buffer\n"...)
+		}
+	}
+	r, err := p.Open("t:open", "/tmp/log", ORead, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record()
+	for {
+		data, err := p.Read("t:read", r, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		record()
+		if len(data) == 0 {
+			break
+		}
+		for i := range data {
+			data[i] = '#'
+		}
+		_ = append(data, "tail"...)
+	}
+	if got := k.Bus.Trace(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recorded events changed after their calls returned:\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/interpose"
@@ -21,12 +22,11 @@ func (p *Proc) DNSLookup(site, host string) (string, error) {
 	if p.K.Net == nil {
 		return "", ErrNoNet
 	}
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpDNS, Kind: interpose.KindNetwork, Path: host,
 	})
 	addr, err := p.K.Net.Lookup(c.Path)
-	r := &interpose.Result{Str: addr, Err: err}
-	p.end(c, r, c.Path)
+	r := p.end(interpose.Result{Str: addr, Err: err}, c.Path)
 	return r.Str, r.Err
 }
 
@@ -37,12 +37,11 @@ func (p *Proc) Connect(site, addr string) (*Conn, error) {
 	if p.K.Net == nil {
 		return nil, ErrNoNet
 	}
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpConnect, Kind: interpose.KindNetwork, Path: addr,
 	})
 	nc, err := p.K.Net.Dial(c.Path)
-	r := &interpose.Result{Err: err}
-	p.end(c, r, c.Path)
+	r := p.end(interpose.Result{Err: err}, c.Path)
 	if r.Err != nil {
 		return nil, r.Err
 	}
@@ -55,12 +54,11 @@ func (p *Proc) Recv(site string, conn *Conn) (netsim.Message, error) {
 	if conn == nil {
 		return netsim.Message{}, ErrBadFD
 	}
-	c := p.begin(&interpose.Call{
+	p.begin(interpose.Call{
 		Site: site, Op: interpose.OpRecv, Kind: interpose.KindNetwork, Path: conn.Addr,
 	})
 	m, err := conn.c.Recv()
-	r := &interpose.Result{Data: m.Data, Str: m.From, Flag: m.Authentic, Err: err}
-	p.end(c, r, conn.Addr)
+	r := p.end(interpose.Result{Data: m.Data, Str: m.From, Flag: m.Authentic, Err: err}, conn.Addr)
 	if r.Err != nil {
 		return netsim.Message{}, r.Err
 	}
@@ -72,13 +70,12 @@ func (p *Proc) Send(site string, conn *Conn, data []byte) error {
 	if conn == nil {
 		return ErrBadFD
 	}
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpSend, Kind: interpose.KindNetwork,
 		Path: conn.Addr, Data: data,
 	})
 	err := conn.c.Send(c.Data)
-	r := &interpose.Result{N: len(c.Data), Err: err}
-	p.end(c, r, conn.Addr)
+	r := p.end(interpose.Result{N: len(c.Data), Err: err}, conn.Addr)
 	return r.Err
 }
 
@@ -94,7 +91,7 @@ func (conn *Conn) Service() *netsim.Service {
 // "process input" channel of Table 5). The message is supplied by the
 // world as a queue per mailbox name.
 func (p *Proc) MsgRecv(site, mailbox string) ([]byte, error) {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpMsgRecv, Kind: interpose.KindProcess, Path: mailbox,
 	})
 	var (
@@ -102,23 +99,25 @@ func (p *Proc) MsgRecv(site, mailbox string) ([]byte, error) {
 		err  error
 	)
 	if q := p.K.mailboxes[c.Path]; len(q) > 0 {
-		data = q[0]
+		// The queued message may be a snapshot's, shared with every fork;
+		// the application and the hooks get their own copy.
+		data = bytes.Clone(q[0])
+		p.K.ownMailboxes()
 		p.K.mailboxes[c.Path] = q[1:]
 	} else {
 		err = fmt.Errorf("kernel: mailbox %q empty", c.Path)
 	}
-	r := &interpose.Result{Data: data, Err: err}
-	p.end(c, r, c.Path)
+	r := p.end(interpose.Result{Data: data, Err: err}, c.Path)
 	return r.Data, r.Err
 }
 
 // MsgSend posts a message to a mailbox.
 func (p *Proc) MsgSend(site, mailbox string, data []byte) error {
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpMsgSend, Kind: interpose.KindProcess,
 		Path: mailbox, Data: data,
 	})
 	p.K.PostMessage(c.Path, c.Data)
-	p.end(c, &interpose.Result{N: len(c.Data)}, c.Path)
+	p.end(interpose.Result{N: len(c.Data)}, c.Path)
 	return nil
 }

@@ -236,3 +236,44 @@ func TestWorldsIndependent(t *testing.T) {
 		t.Error("worlds share a filesystem")
 	}
 }
+
+// TestLaunchEnvShared: processes started on one environment share it
+// without writing it. Each process's first Setenv copies it, so the
+// launch map, a sibling process and an exec'd child that set variables
+// never see one another's writes.
+func TestLaunchEnvShared(t *testing.T) {
+	t.Parallel()
+	k := newWorld(t)
+	if err := k.FS.WriteFile("/usr/bin/setter", []byte("#!"), 0o755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	k.RegisterProgram("/usr/bin/setter", func(p *Proc) int {
+		p.Setenv("child:setenv", "HOME", "/child")
+		return 0
+	})
+	launch := proc.NewEnv("PATH", "/usr/bin", "HOME", "/home/alice")
+	a := k.NewProc(proc.NewCred(100, 100), launch, "/")
+	b := k.NewProc(proc.NewCred(100, 100), launch, "/")
+	a.Setenv("a:setenv", "PATH", "/a")
+	if _, err := a.Exec("a:exec", "/usr/bin/setter"); err != nil {
+		t.Fatal(err)
+	}
+	a.Setenv("a:setenv2", "EDITOR", "vi")
+	if got := a.Getenv("a:getenv", "HOME"); got != "/home/alice" {
+		t.Errorf("a's HOME = %q after its child's Setenv", got)
+	}
+	if got := a.Getenv("a:getenv", "PATH"); got != "/a" {
+		t.Errorf("a's PATH = %q", got)
+	}
+	if got := b.Getenv("b:getenv", "PATH"); got != "/usr/bin" {
+		t.Errorf("sibling's PATH = %q after a's Setenv", got)
+	}
+	if len(launch) != 2 || launch["PATH"] != "/usr/bin" || launch["HOME"] != "/home/alice" {
+		t.Errorf("launch environment written: %v", launch)
+	}
+	none := k.NewProc(proc.NewCred(100, 100), nil, "/")
+	none.Setenv("n:setenv", "X", "1")
+	if got := none.Getenv("n:getenv", "X"); got != "1" {
+		t.Errorf("Setenv on a nil environment: X = %q", got)
+	}
+}

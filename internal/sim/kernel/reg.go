@@ -22,17 +22,16 @@ func (p *Proc) RegGetString(site, key, name string) (string, error) {
 	if p.K.Reg == nil {
 		return "", ErrNoReg
 	}
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpRegGet, Kind: interpose.KindRegistry,
 		Path: key, Path2: name,
 	})
 	s, err := p.K.Reg.GetString(c.Path, c.Path2, principalFor(p.Cred.EUID))
-	r := &interpose.Result{Data: []byte(s), Err: err}
-	p.end(c, r, c.Path+`\`+c.Path2)
+	r := p.end(interpose.Result{Data: []byte(s), Err: err}, c.Path+`\`+c.Path2)
 	if r.Err != nil {
 		return "", r.Err
 	}
-	return string(r.Data), nil
+	return delivered(r.Data, s), nil
 }
 
 // RegGetDWord reads a registry numeric value through the bus.
@@ -40,13 +39,12 @@ func (p *Proc) RegGetDWord(site, key, name string) (uint32, error) {
 	if p.K.Reg == nil {
 		return 0, ErrNoReg
 	}
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpRegGet, Kind: interpose.KindRegistry,
 		Path: key, Path2: name,
 	})
 	d, err := p.K.Reg.GetDWord(c.Path, c.Path2, principalFor(p.Cred.EUID))
-	r := &interpose.Result{N: int(d), Err: err}
-	p.end(c, r, c.Path+`\`+c.Path2)
+	r := p.end(interpose.Result{N: int(d), Err: err}, c.Path+`\`+c.Path2)
 	if r.Err != nil {
 		return 0, r.Err
 	}
@@ -58,13 +56,12 @@ func (p *Proc) RegSetString(site, key, name, value string) error {
 	if p.K.Reg == nil {
 		return ErrNoReg
 	}
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpRegSet, Kind: interpose.KindRegistry,
 		Path: key, Path2: name, Data: []byte(value),
 	})
 	err := p.K.Reg.SetString(c.Path, c.Path2, string(c.Data), principalFor(p.Cred.EUID))
-	r := &interpose.Result{Err: err}
-	p.end(c, r, c.Path+`\`+c.Path2)
+	r := p.end(interpose.Result{Err: err}, c.Path+`\`+c.Path2)
 	return r.Err
 }
 
@@ -73,12 +70,11 @@ func (p *Proc) RegDeleteValue(site, key, name string) error {
 	if p.K.Reg == nil {
 		return ErrNoReg
 	}
-	c := p.begin(&interpose.Call{
+	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpRegDel, Kind: interpose.KindRegistry,
 		Path: key, Path2: name,
 	})
 	err := p.K.Reg.DeleteValue(c.Path, c.Path2, principalFor(p.Cred.EUID))
-	r := &interpose.Result{Err: err}
-	p.end(c, r, c.Path+`\`+c.Path2)
+	r := p.end(interpose.Result{Err: err}, c.Path+`\`+c.Path2)
 	return r.Err
 }

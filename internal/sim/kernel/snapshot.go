@@ -8,9 +8,8 @@ import (
 // Snapshot is an immutable clean-world image: the filesystem, registry,
 // account database and program table frozen in place, plus copies of the
 // network scripts and mailbox queues. Fork stamps out a mutable kernel in
-// O(small): the VFS, registry, accounts and programs are shared
-// copy-on-write, so only the substrates with per-run mutable state
-// (network scripts, mailbox queues) are cloned eagerly.
+// O(small): the VFS, registry, accounts, programs and mailbox queues are
+// shared copy-on-write, so only the network scripts are cloned eagerly.
 type Snapshot struct {
 	fs        *vfs.FS
 	programs  map[string]Program
@@ -64,21 +63,22 @@ func (k *Kernel) FreezeFS() *vfs.FS {
 }
 
 // Fork returns a fresh mutable kernel backed by the snapshot. The VFS,
-// registry, account database and program table are copy-on-write views
-// of the frozen state — a write copies only what it touches — and the
-// network and mailboxes are cloned, so no mutable state is shared between
-// forks. PID and inode counters continue from the snapshot's values,
+// registry, account database, program table and mailbox table are
+// copy-on-write views of the frozen state — a write copies only what it
+// touches — and the network is cloned, so no mutable state is shared
+// between forks. A received message is copied out to the receiver. PID and inode counters continue from the snapshot's values,
 // which keeps a forked run's trace bit-identical to one against a freshly
 // built world.
 func (s *Snapshot) Fork() *Kernel {
 	k := &Kernel{
-		FS:             s.fs.Fork(),
-		Users:          s.src.Users.Fork(),
-		Bus:            interpose.NewBus(),
-		programs:       s.programs,
-		sharedPrograms: true,
-		mailboxes:      cloneMailboxes(s.mailboxes),
-		nextPID:        s.nextPID,
+		FS:              s.fs.Fork(),
+		Users:           s.src.Users.Fork(),
+		Bus:             interpose.NewBus(),
+		programs:        s.programs,
+		sharedPrograms:  true,
+		mailboxes:       s.mailboxes,
+		sharedMailboxes: true,
+		nextPID:         s.nextPID,
 	}
 	if s.src.Net != nil {
 		k.Net = s.src.Net.Clone()
@@ -89,6 +89,9 @@ func (s *Snapshot) Fork() *Kernel {
 	return k
 }
 
+// cloneMailboxes deep-copies the mailbox queues. Each copied queue is
+// exactly as long as its capacity, so a fork that appends to a queue it
+// shares reallocates it instead of writing into the snapshot's.
 func cloneMailboxes(m map[string][][]byte) map[string][][]byte {
 	out := make(map[string][][]byte, len(m))
 	for name, msgs := range m {

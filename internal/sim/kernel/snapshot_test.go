@@ -137,6 +137,7 @@ func TestSnapshotForkStress(t *testing.T) {
 	t.Parallel()
 	snap := snapWorld(t).Snapshot()
 	base := snap.FS().Digest()
+	launch := proc.NewEnv("PATH", "/usr/bin")
 
 	const workers = 16
 	const iters = 25
@@ -161,6 +162,16 @@ func TestSnapshotForkStress(t *testing.T) {
 					errs <- err
 					return
 				}
+				// Every worker's process starts on one launch environment
+				// and receives the snapshot's one queued message.
+				p := k.NewProc(proc.NewCred(100, 100), launch, "/")
+				p.Setenv("w:setenv", "PATH", mine)
+				msg, err := p.MsgRecv("w:recv", "inbox")
+				if err != nil || string(msg) != "hello" {
+					errs <- fmt.Errorf("worker received %q, %v", msg, err)
+					return
+				}
+				copy(msg, "XXXXX")
 				k.SetMailbox("inbox", [][]byte{[]byte(mine)})
 				// Read back through a second fork taken mid-flight: it must
 				// see only the clean image, never this worker's mutations.
@@ -180,9 +191,46 @@ func TestSnapshotForkStress(t *testing.T) {
 	if got := snap.FS().Digest(); got != base {
 		t.Fatalf("stress mutated the frozen base: %s != %s", got, base)
 	}
+	if len(launch) != 1 || launch["PATH"] != "/usr/bin" {
+		t.Fatalf("stress wrote the shared launch environment: %v", launch)
+	}
 }
 
 // maxForkAllocs is what Snapshot.Fork allocates for snapWorld: the
-// kernel, the filesystem and account views, the interaction bus and the
-// copied mailbox queue holding one message.
-const maxForkAllocs = 9
+// kernel, the filesystem and account views and the interaction bus. The
+// mailbox queue holding one message is shared until the fork's first
+// write to it, and the bus makes its occurrence counts at the first
+// interaction.
+const maxForkAllocs = 4
+
+// TestForkMailboxCopyOnWrite: a fork shares its snapshot's mailbox queues
+// until it writes one. Receiving, posting and replacing in one fork leave
+// the snapshot's and a sibling's queues as they were, and a received
+// message scribbled over by the receiver does not change the queued one.
+func TestForkMailboxCopyOnWrite(t *testing.T) {
+	t.Parallel()
+	snap := snapWorld(t).Snapshot()
+	a, b := snap.Fork(), snap.Fork()
+	p := a.NewProc(proc.NewCred(100, 100), nil, "/")
+	msg, err := p.MsgRecv("t:recv", "inbox")
+	if err != nil || string(msg) != "hello" {
+		t.Fatalf("MsgRecv = %q, %v", msg, err)
+	}
+	copy(msg, "XXXXX")
+	a.PostMessage("inbox", []byte("a's own"))
+	a.PostMessage("outbox", []byte("sent"))
+	if err := p.MsgSend("t:send", "inbox", []byte("more")); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.PeekMailbox("inbox"); len(got) != 2 || string(got[0]) != "a's own" || string(got[1]) != "more" {
+		t.Errorf("fork a's inbox = %q", got)
+	}
+	for name, k := range map[string]*Kernel{"snapshot": snap.src, "sibling fork": b, "later fork": snap.Fork()} {
+		if got := k.PeekMailbox("inbox"); len(got) != 1 || string(got[0]) != "hello" {
+			t.Errorf("%s inbox = %q after fork a's writes", name, got)
+		}
+		if got := k.PeekMailbox("outbox"); got != nil {
+			t.Errorf("%s sees fork a's outbox: %q", name, got)
+		}
+	}
+}
