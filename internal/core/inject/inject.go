@@ -278,7 +278,7 @@ func (r *run) applyDirect(call *interpose.Call) {
 	}
 	r.ctx = eai.Ctx{Kern: r.k, Call: call, Cwd: r.p.Cwd, SetCwd: r.setCwd, Cfg: r.ep.campaign.Faults}
 	err := r.pl.dir.Apply(&r.ctx)
-	r.ctx.Call = nil
+	r.ctx.Call = nil // the call is the process's, reused by its next one
 	if err != nil {
 		r.inj.ApplyErr = err.Error()
 		return

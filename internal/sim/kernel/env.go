@@ -30,7 +30,7 @@ func (p *Proc) Setenv(site, name, value string) {
 		Site: site, Op: interpose.OpSetenv, Kind: interpose.KindEnvVar,
 		Path: name, Data: []byte(value),
 	})
-	if p.envShared || p.Env == nil {
+	if p.envShared {
 		p.Env, p.envShared = p.Env.Clone(), false
 	}
 	p.Env[c.Path] = string(c.Data)

@@ -112,11 +112,10 @@ func (k *Kernel) SetMailbox(mailbox string, msgs [][]byte) {
 // them directly when a world needs them.
 func New() *Kernel {
 	return &Kernel{
-		FS:        vfs.New(),
-		Users:     proc.NewUsers(),
-		Bus:       interpose.NewBus(),
-		programs:  make(map[string]Program),
-		mailboxes: make(map[string][][]byte),
+		FS:       vfs.New(),
+		Users:    proc.NewUsers(),
+		Bus:      interpose.NewBus(),
+		programs: make(map[string]Program),
 	}
 }
 
