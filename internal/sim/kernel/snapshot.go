@@ -65,9 +65,10 @@ func (k *Kernel) FreezeFS() *vfs.FS {
 // Fork returns a fresh mutable kernel backed by the snapshot. The VFS,
 // registry, account database, program table and mailbox table are
 // copy-on-write views of the frozen state — a write copies only what it
-// touches — and the network is cloned, so no mutable state is shared
-// between forks. A received message is copied out to the receiver. PID and inode counters continue from the snapshot's values,
-// which keeps a forked run's trace bit-identical to one against a freshly
+// touches, and a received message is copied out to the receiver — and
+// the network is cloned, so no mutable state is shared between forks.
+// PID and inode counters continue from the snapshot's values, which
+// keeps a forked run's trace bit-identical to one against a freshly
 // built world.
 func (s *Snapshot) Fork() *Kernel {
 	k := &Kernel{
