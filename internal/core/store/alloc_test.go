@@ -6,6 +6,7 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/apps/lpr"
@@ -34,5 +35,42 @@ func TestDecodeResultAllocations(t *testing.T) {
 	b, _ := EncodeResult(res)
 	if n := testing.AllocsPerRun(50, func() { DecodeResult(b) }); n != 51 {
 		t.Errorf("DecodeResult made %v allocations, want 51", n)
+	}
+}
+
+// missStore opens a store on a directory that holds two segments, the
+// handle's own and one another handle wrote, and returns it with a
+// fingerprint it has no record of.
+func missStore(tb testing.TB) (*Store, string) {
+	tb.Helper()
+	dir := tb.TempDir()
+	res := &inject.Result{Campaign: "miss", TotalSites: []string{"a:open"}}
+	fp := func(i int) string { return fmt.Sprintf("%064x", i) }
+	foreign, err := Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := foreign.Put(fp(1), "foreign", res); err != nil {
+		tb.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Put(fp(2), "own", res); err != nil {
+		tb.Fatal(err)
+	}
+	return s, fp(3)
+}
+
+// BenchmarkGetMiss measures the lookup every cold job makes before it
+// runs: a Get of a fingerprint no segment holds.
+func BenchmarkGetMiss(b *testing.B) {
+	s, fp := missStore(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := s.Get(fp); ok {
+			b.Fatal("hit")
+		}
 	}
 }

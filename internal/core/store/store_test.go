@@ -342,6 +342,92 @@ func TestHandlesShareADirectory(t *testing.T) {
 	}
 }
 
+// TestLaterSegmentIsFound opens a handle before another handle creates
+// its segment: the first handle's next Get hits the other's entry.
+func TestLaterSegmentIsFound(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	early := mustOpen(t, dir)
+	if err := early.Put(testFP(0), "tiny", tinyResult("early")); err != nil {
+		t.Fatal(err)
+	}
+	wantHits(t, early, []string{testFP(0)}, []string{testFP(1)})
+	if err := mustOpen(t, dir).Put(testFP(1), "tiny", tinyResult("late")); err != nil {
+		t.Fatal(err)
+	}
+	wantHits(t, early, []string{testFP(0), testFP(1)}, nil)
+}
+
+// TestTornNameDoesNotHideASegment leaves a torn line, "\nabc" with no
+// newline, in the log that announces segments, as a crash mid-write
+// would, both before and after a handle has read the log: a segment
+// another handle creates afterwards is still found, by the open handle
+// and by a fresh one.
+func TestTornNameDoesNotHideASegment(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	early := mustOpen(t, dir)
+	if err := early.Put(testFP(0), "tiny", tinyResult("early")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "segments.names"), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("\nabc"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantHits(t, early, []string{testFP(0)}, []string{testFP(1)})
+	if err := mustOpen(t, dir).Put(testFP(1), "tiny", tinyResult("late")); err != nil {
+		t.Fatal(err)
+	}
+	wantHits(t, early, []string{testFP(0), testFP(1)}, nil)
+	wantHits(t, mustOpen(t, dir), []string{testFP(0), testFP(1)}, nil)
+}
+
+// TestUnannouncedSegmentIsFoundByOpen writes a segment into a store's
+// directory without announcing it, as a binary from before segment
+// announcements does: a fresh Open finds its entries.
+func TestUnannouncedSegmentIsFoundByOpen(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	st := mustOpen(t, dir)
+	if err := st.Put(testFP(0), "tiny", tinyResult("announced")); err != nil {
+		t.Fatal(err)
+	}
+	old := putTiny(t, []string{testFP(1), testFP(2)})
+	if err := os.WriteFile(filepath.Join(dir, "segments", "old.seg"), bytes.Join(old, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantHits(t, mustOpen(t, dir), []string{testFP(0), testFP(1), testFP(2)}, nil)
+}
+
+// TestManySegmentsReplay fills one directory from 300 handles, each
+// with a segment of its own: a fresh handle replays every entry.
+func TestManySegmentsReplay(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	const n = 300
+	handles := make([]*store.Store, n)
+	for i := range handles {
+		handles[i] = mustOpen(t, dir)
+	}
+	var fps []string
+	for i, st := range handles {
+		fps = append(fps, testFP(i))
+		if err := st.Put(testFP(i), "tiny", tinyResult(fmt.Sprint("handle", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs, err := filepath.Glob(filepath.Join(dir, "segments", "*.seg")); err != nil || len(segs) != n {
+		t.Fatalf("%d segments, %v; want %d", len(segs), err, n)
+	}
+	wantHits(t, mustOpen(t, dir), fps, nil)
+}
+
 // TestPutRejectsMalformedFingerprint pins that only a content address
 // can be framed as a record.
 func TestPutRejectsMalformedFingerprint(t *testing.T) {
