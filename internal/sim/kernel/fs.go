@@ -125,8 +125,12 @@ func (p *Proc) Create(site, path string, mode vfs.Mode) (*File, error) {
 // Read reads up to n bytes from the file. The returned bytes pass through
 // the bus as environment input, so indirect faults can perturb them.
 func (p *Proc) Read(site string, f *File, n int) ([]byte, error) {
+	path := ""
+	if f != nil {
+		path = f.Path
+	}
 	p.begin(interpose.Call{
-		Site: site, Op: interpose.OpRead, Kind: interpose.KindFile, Path: f.Path,
+		Site: site, Op: interpose.OpRead, Kind: interpose.KindFile, Path: path,
 	})
 	var (
 		data []byte
@@ -155,7 +159,7 @@ func (p *Proc) Read(site string, f *File, n int) ([]byte, error) {
 			f.offset = end
 		}
 	}
-	r := p.end(interpose.Result{Data: data, Err: err}, f.Path)
+	r := p.end(interpose.Result{Data: data, Err: err}, path)
 	return r.Data, r.Err
 }
 

@@ -169,6 +169,24 @@ func TestWriteRequiresWriteMode(t *testing.T) {
 	}
 }
 
+// TestNilHandleIsBadFD passes no handle at all to Read and Write: both
+// return ErrBadFD, and the bus still records the interaction.
+func TestNilHandleIsBadFD(t *testing.T) {
+	t.Parallel()
+	p := alice(newWorld(t))
+	if _, err := p.Read("t:read", nil, 4); !errors.Is(err, ErrBadFD) {
+		t.Errorf("read of a nil handle err = %v", err)
+	}
+	if _, err := p.Write("t:write", nil, []byte("x")); !errors.Is(err, ErrBadFD) {
+		t.Errorf("write of a nil handle err = %v", err)
+	}
+	for _, point := range []string{"t:read#0", "t:write#0"} {
+		if eventAt(p.K.Bus, point) == nil {
+			t.Errorf("%s: no trace event", point)
+		}
+	}
+}
+
 func TestAppendAndPartialRead(t *testing.T) {
 	t.Parallel()
 	k := newWorld(t)
