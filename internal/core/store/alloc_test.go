@@ -38,6 +38,17 @@ func TestDecodeResultAllocations(t *testing.T) {
 	}
 }
 
+// TestGetMissAllocations pins the cost of a miss on a store holding its
+// own segment and one another handle wrote: at most one allocation per
+// file the miss checks (the name log and the foreign segment, whose
+// fstat results escape), which rules out listing the directory.
+func TestGetMissAllocations(t *testing.T) {
+	s, fp := missStore(t)
+	if n := testing.AllocsPerRun(50, func() { s.Get(fp) }); n > 2 {
+		t.Errorf("a Get miss made %v allocations, want at most 2", n)
+	}
+}
+
 // missStore opens a store on a directory that holds two segments, the
 // handle's own and one another handle wrote, and returns it with a
 // fingerprint it has no record of.

@@ -63,6 +63,7 @@ func FuzzSegmentScan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		for fp, i := range s.index {
 			if l := s.locs[i]; !bytes.Contains(data, append(appendHeader(nil, fp, l.n), data[l.off:l.off+int64(l.n)]...)) {
 				t.Fatalf("index entry for %s is not a framed record of the file", fp)
@@ -90,8 +91,12 @@ func FuzzSegmentScan(f *testing.F) {
 				t.Fatalf("hit for %s matches no record that passes Get's validation", fp)
 			}
 		}
-		if n, err := s.Len(); err != nil || n != len(s.index) {
-			t.Fatalf("Len = %d, %v; want %d", n, err, len(s.index))
+		n := len(s.index)
+		s.mu.Lock()
+		s.refreshLocked()
+		s.mu.Unlock()
+		if len(s.index) != n {
+			t.Fatalf("a refresh of the unchanged file indexed %d entries, want %d", len(s.index), n)
 		}
 	})
 }

@@ -28,6 +28,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,18 +40,30 @@ import (
 // Store is a result store rooted at one directory. Methods are safe for
 // concurrent use by the suite scheduler's goroutines, and any number of
 // handles, in one process or many, may share the directory: each handle
-// appends only to the segment it created, and a lookup that misses
-// re-scans the segments other handles have created or grown since.
+// appends only to the segment it created, and announces that segment in
+// the directory's name log before writing a record to it. A lookup that
+// misses opens the segments announced since the last look and re-scans
+// the ones that have grown; only Open lists the directory.
 //
-// A Store needs no Close. Reads open their segment for the one read;
-// the only long-lived descriptor is the handle's own append segment,
-// which the runtime closes once the Store is unreachable.
+// A Store keeps one read descriptor per segment it has indexed, which
+// every read of that segment's records uses, one on the name log, and
+// the append descriptor of its own segment. Close releases them; the
+// runtime closes those of a Store dropped unclosed once it is
+// unreachable.
 type Store struct {
 	dir string
+	// names is the name log, open for reading and for appending.
+	names *os.File
 
 	mu sync.Mutex
-	// segs is every segment scanned so far, by file name.
-	segs map[string]*segment
+	// namesEnd is how much of the name log has been read: up to and
+	// including its last newline at the last look, when it was
+	// namesSize bytes long.
+	namesEnd, namesSize int64
+	// segs is every segment indexed so far, by file name; order holds
+	// the same segments in the order they were found.
+	segs  map[string]*segment
+	order []*segment
 	// index maps a fingerprint to its newest record in locs; older
 	// copies of the same entry chain through location.prev.
 	index map[string]int32
@@ -62,14 +75,17 @@ type Store struct {
 
 // segment is one append-only log file under segmentDir.
 type segment struct {
-	path string
+	// r is the read descriptor: scans and lookups of the segment's
+	// records read through it, so a hit costs no open.
+	r *os.File
 	// f is the append descriptor, set only on the handle's own segment.
+	// Retiring the segment closes f alone, so its records stay readable.
 	f *os.File
 	// end is where the next scan resumes: the end of the last whole
 	// record, or the first damaged byte no later record follows.
 	end int64
 	// size is the file size the last scan (or append) saw, so a re-scan
-	// skips segments that have not grown.
+	// skips segments that have not grown. It is -1 until the first scan.
 	size int64
 }
 
@@ -82,7 +98,9 @@ type location struct {
 }
 
 // Open creates (if needed) and returns the store rooted at dir, having
-// indexed the entries its segments already hold.
+// indexed the entries its segments already hold. It lists the segment
+// directory, so it also finds segments that were never announced in the
+// name log, such as those an older binary wrote.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -92,20 +110,46 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	s := &Store{dir: dir, segs: map[string]*segment{}, index: map[string]int32{}}
-	if err := s.scanLocked(); err != nil {
-		return nil, err
+	ents, err := os.ReadDir(filepath.Join(dir, segmentDir))
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
+	names, err := os.OpenFile(filepath.Join(dir, nameLog), os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	s := &Store{dir: dir, names: names, segs: map[string]*segment{}, index: map[string]int32{}}
+	for _, de := range ents {
+		s.openSegmentLocked(de.Name())
+	}
+	s.refreshLocked()
 	return s, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
+// Close releases the handle's descriptors. The Store must not be used
+// after it; a process that opens many stores calls it so as not to wait
+// for the runtime to close them.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	errs := []error{s.names.Close()}
+	for _, seg := range s.order {
+		errs = append(errs, seg.r.Close())
+		if seg.f != nil {
+			errs = append(errs, seg.f.Close())
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // On-disk layout (see docs/STORE.md).
 const (
 	segmentDir = "segments"
 	segmentExt = ".seg"
+	nameLog    = "segments.names"
 	shardDir   = "shards"
 )
 
@@ -155,14 +199,14 @@ func (s *Store) Has(fp string) bool {
 }
 
 // newest returns the location of fp's newest record. A fingerprint
-// the index lacks triggers a re-scan first, so entries other handles
+// the index lacks triggers a refresh first, so entries other handles
 // have written since are found.
 func (s *Store) newest(fp string) (location, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, ok := s.index[fp]
 	if !ok {
-		s.scanLocked()
+		s.refreshLocked()
 		if i, ok = s.index[fp]; !ok {
 			return location{}, false
 		}
@@ -188,12 +232,7 @@ func (l location) read(dst []byte) ([]byte, error) {
 		dst = make([]byte, l.n)
 	}
 	dst = dst[:l.n]
-	f, err := os.Open(l.seg.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if _, err := f.ReadAt(dst, l.off); err != nil {
+	if _, err := l.seg.r.ReadAt(dst, l.off); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -227,12 +266,9 @@ func (s *Store) append(fp string, rec []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.own == nil {
-		f, err := os.CreateTemp(filepath.Join(s.dir, segmentDir), "*"+segmentExt)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
+		if err := s.createLocked(); err != nil {
+			return err
 		}
-		s.own = &segment{path: f.Name(), f: f}
-		s.segs[filepath.Base(f.Name())] = s.own
 	}
 	w := s.own
 	if _, err := w.f.Write(rec); err != nil {
@@ -249,14 +285,33 @@ func (s *Store) append(fp string, rec []byte) error {
 	return nil
 }
 
-// Len counts the distinct fingerprints with a record in the store.
-func (s *Store) Len() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.scanLocked(); err != nil {
-		return 0, err
+// createLocked creates the handle's own segment and announces it in
+// the name log before any record is written to it: a lookup that misses
+// reads the log before it re-scans, so once a Put returns, every handle's
+// next miss finds its record.
+func (s *Store) createLocked() error {
+	f, err := os.CreateTemp(filepath.Join(s.dir, segmentDir), "*"+segmentExt)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
-	return len(s.index), nil
+	name := filepath.Base(f.Name())
+	r, err := os.Open(f.Name())
+	if err == nil {
+		if _, err = s.names.WriteString("\n" + name + "\n"); err != nil {
+			r.Close()
+		}
+	}
+	if err != nil {
+		// The segment is still empty: drop it, and the next Put tries
+		// again with a new one.
+		f.Close()
+		os.Remove(f.Name())
+		return fmt.Errorf("store: announce segment %s: %w", name, err)
+	}
+	s.own = &segment{r: r, f: f}
+	s.segs[name] = s.own
+	s.order = append(s.order, s.own)
+	return nil
 }
 
 // addLocked indexes one record body.
@@ -269,35 +324,67 @@ func (s *Store) addLocked(fp string, seg *segment, off int64, n int) {
 	s.locs = append(s.locs, location{seg: seg, off: off, n: n, prev: prev})
 }
 
-// scanLocked indexes every record written since the last scan: the
-// whole of segments it has not seen, and the tail of segments that
-// have grown. The handle's own segment is indexed as it is written.
-func (s *Store) scanLocked() error {
-	dir := filepath.Join(s.dir, segmentDir)
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, de := range ents {
-		name := de.Name()
-		if filepath.Ext(name) != segmentExt {
+// refreshLocked indexes every record other handles have written since
+// the last refresh: it opens the segments announced in the name log
+// since, then scans the whole of new segments and the tail of segments
+// that have grown. The handle's own segment is indexed as it is
+// written.
+func (s *Store) refreshLocked() {
+	s.readNamesLocked()
+	for _, seg := range s.order {
+		if seg == s.own {
 			continue
 		}
-		seg := s.segs[name]
-		if seg != nil && seg == s.own {
+		info, err := seg.r.Stat()
+		if err != nil || info.Size() == seg.size {
 			continue
-		}
-		info, err := de.Info()
-		if err != nil || (seg != nil && info.Size() == seg.size) {
-			continue
-		}
-		if seg == nil {
-			seg = &segment{path: filepath.Join(dir, name)}
-			s.segs[name] = seg
 		}
 		s.scanSegmentLocked(seg, info.Size())
 	}
-	return nil
+}
+
+// readNamesLocked opens the segments announced in the name log since
+// the last look. Every announcement is a line that also starts with a
+// newline, and the log is read only up to its last newline, so a line
+// still being written waits for the next look, and a line a crash tore
+// ends at the next announcement's leading newline instead of swallowing
+// that name.
+func (s *Store) readNamesLocked() {
+	info, err := s.names.Stat()
+	if err != nil || info.Size() == s.namesSize {
+		return
+	}
+	s.namesSize = info.Size()
+	if s.namesSize <= s.namesEnd {
+		return
+	}
+	buf := make([]byte, s.namesSize-s.namesEnd)
+	n, _ := s.names.ReadAt(buf, s.namesEnd)
+	buf = buf[:bytes.LastIndexByte(buf[:n], '\n')+1]
+	s.namesEnd += int64(len(buf))
+	for len(buf) > 0 {
+		i := bytes.IndexByte(buf, '\n')
+		s.openSegmentLocked(string(buf[:i]))
+		buf = buf[i+1:]
+	}
+}
+
+// openSegmentLocked opens the segment of that file name for the next
+// refresh to scan, unless the handle knows it already or the name is
+// not a plain segment file name, as a blank line of the name log is
+// not. A segment that does not open stays unknown: its records are
+// misses.
+func (s *Store) openSegmentLocked(name string) {
+	if filepath.Ext(name) != segmentExt || filepath.Base(name) != name || s.segs[name] != nil {
+		return
+	}
+	r, err := os.Open(filepath.Join(s.dir, segmentDir, name))
+	if err != nil {
+		return
+	}
+	seg := &segment{r: r, size: -1}
+	s.segs[name] = seg
+	s.order = append(s.order, seg)
 }
 
 // scanSegmentLocked indexes seg's records from seg.end up to size,
@@ -311,11 +398,7 @@ func (s *Store) scanLocked() error {
 // stays unindexed with seg.end on its first byte, so a later scan of
 // the grown file retries it.
 func (s *Store) scanSegmentLocked(seg *segment, size int64) {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
+	f := seg.r
 	var hdr [headerLen]byte
 	off, prevBody := seg.end, int64(-1)
 	for off+headerLen <= size {
