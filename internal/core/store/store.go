@@ -306,7 +306,7 @@ func (s *Store) createLocked() error {
 		// again with a new one.
 		f.Close()
 		os.Remove(f.Name())
-		return fmt.Errorf("store: announce segment %s: %w", name, err)
+		return fmt.Errorf("store: %w", err)
 	}
 	s.own = &segment{r: r, f: f}
 	s.segs[name] = s.own
