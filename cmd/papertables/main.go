@@ -137,6 +137,16 @@ func run() int {
 	fmt.Printf("  tocttou: %d check-use windows flagged in turnin; 0 in lpr (checkless creat is its blind spot)\n",
 		len(windows))
 
+	fmt.Println("\n== Section 3.3 step 9: widen the selected sites until adequate ==")
+	adRes, rounds, err := inject.RunUntilAdequate(lpr.CreateSiteCampaign(lpr.Vulnerable), 0.6)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	m := adRes.Metric()
+	fmt.Printf("  lpr create-site to interaction coverage 0.6: %d rounds, final coverage %.2f (%d of %d points)\n",
+		rounds, m.InteractionCoverage(), m.PointsPerturbed, m.PointsTotal)
+
 	if !ok {
 		fmt.Println("\nRESULT: MISMATCH — at least one measured value differs from the paper")
 		return 1

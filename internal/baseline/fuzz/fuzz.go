@@ -29,14 +29,6 @@ type Result struct {
 	Errors int
 }
 
-// CrashRate returns the fraction of trials that crashed.
-func (r Result) CrashRate() float64 {
-	if r.Trials == 0 {
-		return 0
-	}
-	return float64(r.Crashes) / float64(r.Trials)
-}
-
 // Options configure the random stream.
 type Options struct {
 	// Trials per target; default 50.

@@ -62,17 +62,6 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestCrashRateHelper(t *testing.T) {
-	t.Parallel()
-	r := Result{Trials: 40, Crashes: 10}
-	if r.CrashRate() != 0.25 {
-		t.Errorf("CrashRate = %v", r.CrashRate())
-	}
-	if (Result{}).CrashRate() != 0 {
-		t.Error("empty CrashRate != 0")
-	}
-}
-
 func TestPrintableMode(t *testing.T) {
 	t.Parallel()
 	// Printable payloads still crash the overflow bugs (length, not

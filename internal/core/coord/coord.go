@@ -492,9 +492,6 @@ func (co *Coordinator) NextExpiry() (time.Time, bool) {
 // LeaseTTL returns the coordinator's lease duration.
 func (co *Coordinator) LeaseTTL() time.Duration { return co.ttl }
 
-// Catalog returns the job catalog the coordinator serves.
-func (co *Coordinator) Catalog() []string { return append([]string(nil), co.catalog...) }
-
 // sweepLocked advances everything time-driven: it requeues every
 // claimed job whose lease has expired, folds long-silent workers into
 // the departed aggregate, and drops finished campaigns past their
@@ -737,20 +734,17 @@ func (co *Coordinator) Renew(workerID string, indices []int) (renewed, lost []in
 	return renewed, lost, nil
 }
 
-// Complete records one job's outcome. The first completion for an
+// complete records one job's outcome. The first completion for an
 // index wins regardless of who currently holds the lease — the work is
 // deterministic, so any finished result is the result — and every
 // later completion is acknowledged as a duplicate and discarded, so a
 // slow worker racing its own expired lease can never overwrite the
 // merged report. Returns duplicate=true for the discarded case.
-func (co *Coordinator) Complete(workerID string, idx int, out Outcome) (duplicate bool, err error) {
-	return co.complete(workerID, idx, out, nil)
-}
-
-// complete is Complete with out.Result, when res is non-nil, already
-// decoded (the HTTP handler decodes it as it reads the body); otherwise
-// out is checked here. Either way that happens before co.mu is taken,
-// and the transition and the journal step share it.
+//
+// When res is non-nil it is out.Result already decoded (the HTTP
+// handler decodes it as it reads the body); otherwise out is checked
+// here. Either way that happens before co.mu is taken, and the
+// transition and the journal step share it.
 func (co *Coordinator) complete(workerID string, idx int, out Outcome, res *inject.Result) (duplicate bool, err error) {
 	dec := outcomeDecode{res: res}
 	if res == nil {

@@ -1,6 +1,9 @@
 package coord
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // Recount scans every job and checks the fold's counts against the
 // scan: the queue's claimed and done jobs, each campaign's claimed and
@@ -49,4 +52,45 @@ func (co *Coordinator) Recount() error {
 		}
 	}
 	return nil
+}
+
+// Complete records one job's outcome as the HTTP handler does, with
+// the outcome checked here rather than decoded from a request body.
+func (co *Coordinator) Complete(workerID string, idx int, out Outcome) (duplicate bool, err error) {
+	return co.complete(workerID, idx, out, nil)
+}
+
+// MemJournal is an in-memory Journal for tests. Records round-trip
+// through the JSON codec on Append, so a replay from Records exercises
+// exactly the bytes a FileJournal would have persisted.
+type MemJournal struct {
+	recs []*JournalRecord
+}
+
+// Append implements Journal.
+func (m *MemJournal) Append(rec *JournalRecord) error {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	var r JournalRecord
+	if err := json.Unmarshal(b, &r); err != nil {
+		return err
+	}
+	m.recs = append(m.recs, &r)
+	return nil
+}
+
+// Sync implements Journal.
+func (m *MemJournal) Sync() error { return nil }
+
+// Rewrite implements Journal.
+func (m *MemJournal) Rewrite(recs []*JournalRecord) error {
+	m.recs = append([]*JournalRecord(nil), recs...)
+	return nil
+}
+
+// Records returns the journal's current contents.
+func (m *MemJournal) Records() []*JournalRecord {
+	return append([]*JournalRecord(nil), m.recs...)
 }

@@ -180,7 +180,7 @@ func TestFindingsAggregation(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	html, _ := io.ReadAll(resp.Body)
-	for _, wantStr := range []string{"findings — top", "EPT-", "integrity/direct/symbolic-link on file", "direct on file-system/symbolic-link"} {
+	for _, wantStr := range []string{"findings — top", "EPT-", `<td class="l">a/vulnerable</td>`, "integrity/direct/symbolic-link on file", "direct on file-system/symbolic-link"} {
 		if !strings.Contains(string(html), wantStr) {
 			t.Fatalf("status page missing %q:\n%s", wantStr, html)
 		}

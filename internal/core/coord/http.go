@@ -279,9 +279,6 @@ func Dial(rawURL string, opts ...ClientOption) (*Client, error) {
 	return c, nil
 }
 
-// Base returns the coordinator URL the client was dialled with.
-func (c *Client) Base() string { return c.base }
-
 // WorkerID returns the id the coordinator assigned at Register.
 func (c *Client) WorkerID() string { return c.workerID }
 

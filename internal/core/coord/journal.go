@@ -110,9 +110,10 @@ type JournalRecord struct {
 }
 
 // Journal is the coordinator's durable-state sink. FileJournal persists
-// records as JSON lines in a file; MemJournal backs fake-clock tests. A
-// nil Journal in Options means in-memory operation (the pre-durability
-// behaviour, and what unit tests that do not care about restarts use).
+// records as JSON lines in a file; the tests' MemJournal keeps them in
+// memory. A nil Journal in Options means in-memory operation (the
+// pre-durability behaviour, and what unit tests that do not care about
+// restarts use).
 type Journal interface {
 	// Append records one state transition.
 	Append(rec *JournalRecord) error
@@ -252,41 +253,6 @@ func (j *FileJournal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.f.Close()
-}
-
-// MemJournal is an in-memory Journal for tests. Records round-trip
-// through the JSON codec on Append, so a replay from Records exercises
-// exactly the bytes a FileJournal would have persisted.
-type MemJournal struct {
-	recs []*JournalRecord
-}
-
-// Append implements Journal.
-func (m *MemJournal) Append(rec *JournalRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	var r JournalRecord
-	if err := json.Unmarshal(b, &r); err != nil {
-		return err
-	}
-	m.recs = append(m.recs, &r)
-	return nil
-}
-
-// Sync implements Journal.
-func (m *MemJournal) Sync() error { return nil }
-
-// Rewrite implements Journal.
-func (m *MemJournal) Rewrite(recs []*JournalRecord) error {
-	m.recs = append([]*JournalRecord(nil), recs...)
-	return nil
-}
-
-// Records returns the journal's current contents.
-func (m *MemJournal) Records() []*JournalRecord {
-	return append([]*JournalRecord(nil), m.recs...)
 }
 
 // CatalogHash fingerprints a job catalog for the journal's meta record:

@@ -229,7 +229,7 @@ ETA {{millis .EtaMillis}}
 {{range .Findings}}
 <tr>
 <td class="l">{{.ID}}</td>
-<td class="l">{{.Label}}</td>
+<td class="l">{{.App}}{{with .Variant}}/{{.}}{{end}}</td>
 <td class="l">{{.Signature}}</td>
 <td class="l">{{.Severity}}</td>
 <td class="l">{{.Taxonomy.Verdict}}</td>

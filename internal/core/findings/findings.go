@@ -94,15 +94,6 @@ type Finding struct {
 	Traces []Trace `json:"traces"`
 }
 
-// Label renders the finding's job label, matching sched.Job.Label.
-// Value receiver so html/template can call it on range variables.
-func (f Finding) Label() string {
-	if f.Variant == "" {
-		return f.App
-	}
-	return f.App + "/" + f.Variant
-}
-
 // Report is a findings file: the schema marker plus every finding in
 // canonical order (app, then variant, then signature).
 type Report struct {
@@ -227,9 +218,6 @@ func (b *Builder) AddResult(app, variant string, res *inject.Result) {
 		})
 	})
 }
-
-// Len returns the number of distinct findings accumulated so far.
-func (b *Builder) Len() int { return len(b.findings) }
 
 // Report renders the accumulated findings in canonical order. The
 // returned report copies the findings, so the builder can keep

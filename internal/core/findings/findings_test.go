@@ -65,9 +65,6 @@ func TestBuilderDedupAndOrder(t *testing.T) {
 	b.Add("lpr", "vulnerable", sigDirect(), Trace{Point: "p1", Fault: "f1"})
 	b.Add("lpr", "vulnerable", sigDirect(), Trace{Point: "p3", Fault: "f2", Object: "/tmp/x"})
 	b.Add("lpr", "vulnerable", sigIndirect(), Trace{Point: "p1", Fault: "f9"})
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 distinct findings", b.Len())
-	}
 	r := b.Report()
 	if len(r.Findings) != 3 || r.Schema != SchemaVersion {
 		t.Fatalf("report: %+v", r)

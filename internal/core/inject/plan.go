@@ -24,82 +24,6 @@ type PlannedInjection struct {
 	Sem     eai.Semantic
 }
 
-// EquivalenceGroup is a set of interaction sites that touch the same
-// environment object with the same class of operation — the paper's
-// future-work reduction: "exploit static analysis to further reduce the
-// number of fault injection locations by finding the equivalence
-// relationship among those locations". Over a recorded trace the
-// relationship is computable exactly. The groups approximate the
-// equivalence over objects; RunKey is its exact, executed form: runs of
-// one world (ExecPlan.SameWorld) with equal keys are the same run, and
-// the sched dispatcher executes each such run once per pass.
-type EquivalenceGroup struct {
-	// Object is the shared environment object.
-	Object string
-	// Kind is the shared entity kind.
-	Kind interpose.ObjectKind
-	// Sites are the member call sites, in first-hit order.
-	Sites []string
-}
-
-// String renders the group.
-func (g EquivalenceGroup) String() string {
-	return fmt.Sprintf("%s %s: %v", g.Kind, g.Object, g.Sites)
-}
-
-// EquivalenceGroups partitions the trace's sites by perturbed object.
-// Sites in one group share their direct-fault lists, so injecting at one
-// member covers the group — the reduction the engine's same-object dedup
-// realises dynamically.
-func EquivalenceGroups(trace []interpose.Event) []EquivalenceGroup {
-	type key struct {
-		obj  string
-		kind interpose.ObjectKind
-	}
-	seenSite := map[string]bool{}
-	groups := map[key]*EquivalenceGroup{}
-	var order []key
-	for i := range trace {
-		ev := &trace[i]
-		if eai.EntityForKind(ev.Call.Kind) == 0 {
-			continue
-		}
-		obj := ev.ResolvedPath
-		if obj == "" {
-			obj = ev.Call.Path
-		}
-		k := key{obj: obj, kind: ev.Call.Kind}
-		g, ok := groups[k]
-		if !ok {
-			g = &EquivalenceGroup{Object: k.obj, Kind: k.kind}
-			groups[k] = g
-			order = append(order, k)
-		}
-		if !seenSite[ev.Call.Site] {
-			seenSite[ev.Call.Site] = true
-			g.Sites = append(g.Sites, ev.Call.Site)
-		}
-	}
-	out := make([]EquivalenceGroup, 0, len(order))
-	for _, k := range order {
-		out = append(out, *groups[k])
-	}
-	return out
-}
-
-// ReductionFactor reports how many fault-injection locations the
-// equivalence analysis saves: total member sites over group count.
-func ReductionFactor(groups []EquivalenceGroup) float64 {
-	sites := 0
-	for _, g := range groups {
-		sites += len(g.Sites)
-	}
-	if len(groups) == 0 {
-		return 1
-	}
-	return float64(sites) / float64(len(groups))
-}
-
 // RunUntilAdequate implements the Section 3.3 step 9 loop: start from the
 // campaign's site list, and widen the selected-site set one site per round
 // until the interaction-coverage adequacy criterion is met or every site

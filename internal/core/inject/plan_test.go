@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core/eai"
-	"repro/internal/interpose"
 )
 
 func TestPlanMatchesRun(t *testing.T) {
@@ -56,69 +55,6 @@ func TestPlanRespectsOptions(t *testing.T) {
 	}
 	if len(both) <= len(direct) {
 		t.Errorf("full plan (%d) should exceed direct-only (%d)", len(both), len(direct))
-	}
-}
-
-func TestEquivalenceGroups(t *testing.T) {
-	t.Parallel()
-	mkEv := func(seq int, site string, op interpose.Op, kind interpose.ObjectKind, obj string) interpose.Event {
-		return interpose.Event{
-			Call:         interpose.Call{Seq: seq, Site: site, Op: op, Kind: kind, Path: obj},
-			ResolvedPath: obj,
-		}
-	}
-	trace := []interpose.Event{
-		mkEv(0, "a:open", interpose.OpOpen, interpose.KindFile, "/etc/conf"),
-		mkEv(1, "a:read", interpose.OpRead, interpose.KindFile, "/etc/conf"),
-		mkEv(2, "a:arg", interpose.OpArg, interpose.KindArg, "argv[1]"),
-		mkEv(3, "a:create", interpose.OpCreate, interpose.KindFile, "/tmp/out"),
-		mkEv(4, "a:write", interpose.OpWrite, interpose.KindFile, "/tmp/out"),
-		mkEv(5, "a:read2", interpose.OpRead, interpose.KindFile, "/etc/conf"),
-	}
-	groups := EquivalenceGroups(trace)
-	if len(groups) != 2 {
-		t.Fatalf("groups = %v", groups)
-	}
-	if groups[0].Object != "/etc/conf" || len(groups[0].Sites) != 3 {
-		t.Errorf("group 0 = %v", groups[0])
-	}
-	if groups[1].Object != "/tmp/out" || len(groups[1].Sites) != 2 {
-		t.Errorf("group 1 = %v", groups[1])
-	}
-	// argv has no direct-fault entity and is excluded.
-	for _, g := range groups {
-		if g.Kind == interpose.KindArg {
-			t.Error("argv grouped")
-		}
-	}
-	if rf := ReductionFactor(groups); rf != 2.5 {
-		t.Errorf("reduction factor = %v, want 2.5 (5 sites / 2 objects)", rf)
-	}
-	if ReductionFactor(nil) != 1 {
-		t.Error("empty reduction factor != 1")
-	}
-	if groups[0].String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-func TestEquivalenceOnLprTrace(t *testing.T) {
-	t.Parallel()
-	res, err := Run(lprCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	groups := EquivalenceGroups(res.CleanTrace)
-	// The mini lpr touches one file-entity object (the spool file) via two
-	// sites: create and write.
-	if len(groups) != 1 {
-		t.Fatalf("groups = %v", groups)
-	}
-	if len(groups[0].Sites) != 2 || groups[0].Object != "/var/spool/lpd/cfa001" {
-		t.Errorf("group = %v", groups[0])
-	}
-	if rf := ReductionFactor(groups); rf != 2 {
-		t.Errorf("reduction factor = %v", rf)
 	}
 }
 

@@ -13,8 +13,11 @@ import (
 // the armed interaction point, the fault, and — for a direct fault —
 // its timing. Two runs of plans that share a world (SameWorld) and
 // have equal keys read exactly the same inputs, so they produce equal
-// Injections. This is the executed form of the paper's equivalence
-// reduction (see EquivalenceGroup): the site selection and the dedup,
+// Injections, and the sched dispatcher executes each such run once per
+// pass. This is the exact, executed form of the paper's future-work
+// reduction: "exploit static analysis to further reduce the number of
+// fault injection locations by finding the equivalence relationship
+// among those locations". The site selection and the dedup,
 // direct-only and indirect-only options decide which runs a plan
 // schedules, never what a run does, so none of them is part of the key.
 type RunKey struct {

