@@ -95,19 +95,31 @@ func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, reten
 		fmt.Fprintf(stderr, "eptest: %v\n", err)
 		return 2
 	}
+	// Bind before the store and the journal are opened, so an address
+	// that cannot be served leaves the -cache directory as it was.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "eptest: -serve-coord %s: %v\n", addr, err)
+		return 2
+	}
+	refuse := func(err error) int {
+		ln.Close()
+		if err != nil {
+			fmt.Fprintf(stderr, "eptest: %v\n", err)
+		}
+		return 2
+	}
 	st, err := store.Open(dir)
 	if err != nil {
-		fmt.Fprintf(stderr, "eptest: %v\n", err)
-		return 2
+		return refuse(err)
 	}
 	reg := obs.NewRegistry()
 	if !startPprof(pprofAddr, reg, stdout, stderr) {
-		return 2
+		return refuse(nil)
 	}
 	journal, recs, err := coord.OpenFileJournal(coordJournalPath(st.Dir()))
 	if err != nil {
-		fmt.Fprintf(stderr, "eptest: %v\n", err)
-		return 2
+		return refuse(err)
 	}
 	co, err := coord.Restore(catalog, coord.Options{
 		LeaseTTL:  lease,
@@ -121,8 +133,7 @@ func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, reten
 		},
 	}, recs)
 	if err != nil {
-		fmt.Fprintf(stderr, "eptest: %v\n", err)
-		return 2
+		return refuse(err)
 	}
 
 	// Each subtree is wrapped in the HTTP middleware exactly once — the
@@ -143,11 +154,6 @@ func runServeCoord(addr, dir string, useMatrix bool, filter string, lease, reten
 	mux.Handle("GET /metrics", reg.Handler())
 	mux.Handle("/", storeSrv)
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "eptest: -serve-coord %s: %v\n", addr, err)
-		return 2
-	}
 	fmt.Fprintf(stdout, "eptest: coordinator listening on %s (%d jobs, lease %s, store %s)\n",
 		ln.Addr(), len(catalog), lease, st.Dir())
 	if co.Resumed() {

@@ -209,6 +209,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		usage = fmt.Sprintf("-j %d is not a worker count; pass how many injection runs may execute concurrently (-j 1 for sequential, -j 8 for eight workers)", *workers)
 	case *lease <= 0:
 		usage = fmt.Sprintf("-lease %v is not a lease TTL; pass how long a silent worker keeps its claims (e.g. -lease 60s)", *lease)
+	case *retention < 0:
+		usage = fmt.Sprintf("-campaign-retention %v is not a retention period; pass how long a finished campaign's status record stays visible (e.g. -campaign-retention 24h; 0 keeps records forever)", *retention)
 	case mode == "serve-coord" && *cache == "":
 		usage = "-serve-coord needs -cache DIR naming the store directory that holds the cache and the merged artifact"
 	case *coordURL != "" && (*cache != "" || *shard != ""):

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -104,12 +105,21 @@ func TestModeRefusesOtherFlags(t *testing.T) {
 
 // TestModeRefusals pins named refusals: combinations that were once
 // accepted with a flag silently ignored, a second mode flag, a flag set
-// to its default value, and a malformed -shard, which must be refused
-// before the trace file or the store is created; and two failed runs,
-// a merge of a store that does not exist and a worker whose
-// coordinator is unreachable, which must create nothing either.
+// to its default value, a malformed -shard and a negative
+// -campaign-retention, which must be refused before the trace file or
+// the store is created; and three failed runs, a merge of a store that
+// does not exist, a worker whose coordinator is unreachable and a
+// coordinator whose address is taken, which must create nothing either.
 func TestModeRefusals(t *testing.T) {
 	t.Parallel()
+	// busy is an address already bound, so a -serve-coord run that gets
+	// past its refusals exits on the bind instead of serving.
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { taken.Close() })
+	busy := taken.Addr().String()
 	cases := map[string]struct {
 		args func(dir string) []string
 		want []string
@@ -153,6 +163,16 @@ func TestModeRefusals(t *testing.T) {
 				return []string{"-serve-coord", "127.0.0.1:0", "-cache", d + "/D", "-filter", "no-such-app*"}
 			},
 			[]string{"selects zero jobs"},
+		},
+		"negative campaign retention": {
+			func(d string) []string {
+				return []string{"-serve-coord", busy, "-cache", d + "/D", "-campaign-retention", "-1h"}
+			},
+			[]string{"-campaign-retention -1h0m0s is not a retention period"},
+		},
+		"coordinator address in use": {
+			func(d string) []string { return []string{"-serve-coord", busy, "-cache", d + "/D"} },
+			[]string{"-serve-coord " + busy, "address already in use"},
 		},
 		"merge of a missing store": {
 			func(d string) []string { return []string{"-merge", d + "/NOPE"} },

@@ -74,7 +74,7 @@ func Vulnerable(p *kernel.Proc) int {
 	p.Close(box)
 
 	// Notify the relay — a bare command name, resolved through PATH.
-	if _, err := p.Exec("maildrop:exec-sendmail", "sendmail", "sendmail", "-N", to); err != nil {
+	if _, err := p.Exec("maildrop:exec-sendmail", "sendmail"); err != nil {
 		p.Eprintf("maildrop: relay notification failed: %v\n", err)
 		return 1
 	}
@@ -129,7 +129,7 @@ func Fixed(p *kernel.Proc) int {
 
 	// Absolute path, ownership check atomic with the exec, no PATH
 	// involvement.
-	if _, err := p.ExecTrusted("maildrop:exec-sendmail", Sendmail, 0, "sendmail", "-N", to); err != nil {
+	if _, err := p.ExecTrusted("maildrop:exec-sendmail", Sendmail, 0); err != nil {
 		p.Eprintf("maildrop: relay binary untrusted: %v\n", err)
 		return 1
 	}

@@ -349,7 +349,7 @@ func Logond(p *kernel.Proc) int {
 	}
 	for _, line := range strings.Split(string(data), "\n") {
 		if startup, found := strings.CutPrefix(line, "startup="); found {
-			if _, err := p.Exec("logond:exec-startup", startup, startup); err != nil {
+			if _, err := p.Exec("logond:exec-startup", startup); err != nil {
 				p.Eprintf("logond: startup failed: %v\n", err)
 			}
 		}
@@ -395,7 +395,7 @@ func LogondFixed(p *kernel.Proc) int {
 				continue
 			}
 			// Ownership check atomic with the exec (no stat-exec race).
-			if _, err := p.ExecTrusted("logond:exec-startup", startup, 0, startup); err != nil {
+			if _, err := p.ExecTrusted("logond:exec-startup", startup, 0); err != nil {
 				p.Eprintf("logond: untrusted startup %s: %v\n", startup, err)
 			}
 		}

@@ -1,4 +1,4 @@
-package store_test
+package coord_test
 
 import (
 	"bytes"

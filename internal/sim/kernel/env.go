@@ -24,19 +24,6 @@ func (p *Proc) Getenv(site, name string) string {
 	return delivered(r.Data, val)
 }
 
-// Setenv writes an environment variable.
-func (p *Proc) Setenv(site, name, value string) {
-	c := p.begin(interpose.Call{
-		Site: site, Op: interpose.OpSetenv, Kind: interpose.KindEnvVar,
-		Path: name, Data: []byte(value),
-	})
-	if p.envShared {
-		p.Env, p.envShared = p.Env.Clone(), false
-	}
-	p.Env[c.Path] = string(c.Data)
-	p.end(interpose.Result{}, c.Path)
-}
-
 // delivered returns what an interaction handed the application as a
 // string: s itself when the bytes are still s's, so the syscall converts
 // its result once, and a conversion of data only when a hook changed it.
@@ -62,10 +49,6 @@ func (p *Proc) Arg(site string, i int) string {
 	return delivered(r.Data, val)
 }
 
-// NArgs returns the argument count (no interaction: the count is not
-// environment data, the values are).
-func (p *Proc) NArgs() int { return len(p.Args) }
-
 // Umask0 models umask(0): it returns the previous mask. The permission-mask
 // perturbation of Table 5 targets the mask an application inherits.
 func (p *Proc) SetUmask(mask vfs.Mode) vfs.Mode {
@@ -74,14 +57,15 @@ func (p *Proc) SetUmask(mask vfs.Mode) vfs.Mode {
 	return old
 }
 
-// Exec runs the program at path with the given arguments in a child
-// process and returns its exit code. Names without a slash are resolved
-// through the PATH environment variable — an *implicit* environment
-// interaction (the paper's example of an internal entity used invisibly by
-// a system call), surfaced on the bus with an ":PATH!implicit" site suffix.
-// If the resolved file carries the set-UID (set-GID) bit, the child runs
-// with the file owner's effective uid (gid).
-func (p *Proc) Exec(site, path string, argv ...string) (int, error) {
+// Exec executes the file at path and returns its exit code. Names without
+// a slash are resolved through the PATH environment variable — an
+// *implicit* environment interaction (the paper's example of an internal
+// entity used invisibly by a system call), surfaced on the bus with an
+// ":PATH!implicit" site suffix. No program image runs: an executable
+// regular file the caller may execute exits 0. The exec *event* — what
+// was resolved, and with whose credentials — is what the security oracle
+// judges.
+func (p *Proc) Exec(site, path string) (int, error) {
 	lookPath := path
 	if !strings.Contains(path, "/") {
 		dirs := splitPathList(p.Getenv(site+":PATH!implicit", "PATH"))
@@ -107,12 +91,7 @@ func (p *Proc) Exec(site, path string, argv ...string) (int, error) {
 	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpExec, Kind: interpose.KindFile, Path: lookPath,
 	})
-	var (
-		exit     int
-		resolved string
-		err      error
-	)
-	exit, resolved, err = p.execResolved(c.Path, argv)
+	exit, resolved, err := p.execResolved(c.Path)
 	r := p.end(interpose.Result{N: exit, Err: err}, resolved)
 	return r.N, r.Err
 }
@@ -122,7 +101,7 @@ func (p *Proc) Exec(site, path string, argv ...string) (int, error) {
 // grant no write to group or other at the moment of execution. A
 // stat-then-exec sequence leaves a TOCTTOU window that environment
 // perturbation exploits; this call closes it.
-func (p *Proc) ExecTrusted(site, path string, requireUID int, argv ...string) (int, error) {
+func (p *Proc) ExecTrusted(site, path string, requireUID int) (int, error) {
 	c := p.begin(interpose.Call{
 		Site: site, Op: interpose.OpExec, Kind: interpose.KindFile, Path: path,
 	})
@@ -141,13 +120,16 @@ func (p *Proc) ExecTrusted(site, path string, requireUID int, argv ...string) (i
 		exit, resolved, err = 126, res.Path,
 			fmt.Errorf("%w: %s not exclusively owned by uid %d", ErrPerm, res.Path, requireUID)
 	default:
-		exit, resolved, err = p.execResolved(c.Path, argv)
+		exit, resolved, err = p.execResolved(c.Path)
 	}
 	r := p.end(interpose.Result{N: exit, Err: err}, resolved)
 	return r.N, r.Err
 }
 
-func (p *Proc) execResolved(path string, argv []string) (int, string, error) {
+// execResolved resolves path, checks that it names a regular file the
+// caller may execute, and reports the exit code, the resolved path and
+// the error the exec returns.
+func (p *Proc) execResolved(path string) (int, string, error) {
 	res, err := p.K.FS.Resolve(p.Cwd, path, true)
 	if err != nil {
 		return 126, "", err
@@ -161,33 +143,7 @@ func (p *Proc) execResolved(path string, argv []string) (int, string, error) {
 	if !vfs.Allows(res.Node, p.Cred.EUID, p.Cred.EGID, vfs.WantExec) {
 		return 126, res.Path, fmt.Errorf("%w: exec %s", ErrPerm, res.Path)
 	}
-
-	// The child starts on the parent's environment; whichever of the two
-	// calls Setenv first copies it.
-	child := p.K.NewProc(p.Cred, p.Env, p.Cwd, argv...)
-	p.envShared = true
-	if res.Node.Mode&vfs.ModeSetUID != 0 {
-		child.Cred.EUID = res.Node.UID
-		child.Cred.SUID = res.Node.UID
-	}
-	if res.Node.Mode&vfs.ModeSetGID != 0 {
-		child.Cred.EGID = res.Node.GID
-	}
-
-	prog, ok := p.K.programs[res.Path]
-	if !ok {
-		// Unknown image: simulate a successful run. The exec *event* is
-		// what the security oracle cares about.
-		return 0, res.Path, nil
-	}
-	exit, crash := p.K.Run(child, prog)
-	// Child output is visible on the parent's terminal.
-	p.Stdout.Write(child.Stdout.Bytes())
-	p.Stderr.Write(child.Stderr.Bytes())
-	if crash != nil {
-		return exit, res.Path, crash
-	}
-	return exit, res.Path, nil
+	return 0, res.Path, nil
 }
 
 // splitPathList splits a colon-separated PATH value, dropping empties.

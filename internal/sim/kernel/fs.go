@@ -29,9 +29,6 @@ type File struct {
 	closed bool
 }
 
-// Name returns the resolved path the file was opened at.
-func (f *File) Name() string { return f.Path }
-
 // Info is the result of Stat/Lstat.
 type Info struct {
 	Path    string // resolved object identity
@@ -269,60 +266,6 @@ func (p *Proc) stat(site, path string, follow bool) (Info, error) {
 	return info, r.Err
 }
 
-// Readlink returns the target of the symlink at path, as environment input.
-func (p *Proc) Readlink(site, path string) (string, error) {
-	c := p.begin(interpose.Call{Site: site, Op: interpose.OpReadlink, Kind: interpose.KindFile, Path: path})
-	var (
-		target string
-		err    error
-	)
-	n, lerr := p.K.FS.LookupNoFollow(p.Cwd, c.Path)
-	switch {
-	case lerr != nil:
-		err = lerr
-	case n.Type != vfs.TypeSymlink:
-		err = fmt.Errorf("%w: not a symlink: %s", vfs.ErrInvalid, c.Path)
-	default:
-		target = n.Target
-	}
-	r := p.end(interpose.Result{Str: target, Err: err}, c.Path)
-	return r.Str, r.Err
-}
-
-// ReadDir lists the directory at path, as environment input.
-func (p *Proc) ReadDir(site, path string) ([]string, error) {
-	c := p.begin(interpose.Call{Site: site, Op: interpose.OpReadDir, Kind: interpose.KindDir, Path: path})
-	var (
-		names []string
-		err   error
-	)
-	res, rerr := p.K.FS.Resolve(p.Cwd, c.Path, true)
-	switch {
-	case rerr != nil:
-		err = rerr
-	case res.Node == nil:
-		err = fmt.Errorf("%w: %s", vfs.ErrNotExist, res.Path)
-	case res.Node.Type != vfs.TypeDir:
-		err = fmt.Errorf("%w: %s", vfs.ErrNotDir, res.Path)
-	case !vfs.Allows(res.Node, p.Cred.EUID, p.Cred.EGID, vfs.WantRead):
-		err = fmt.Errorf("%w: readdir %s", ErrPerm, res.Path)
-	default:
-		names = res.Node.Children()
-	}
-	var (
-		data     []byte
-		resolved string
-	)
-	if err == nil {
-		data, resolved = []byte(joinLines(names)), res.Path
-	}
-	r := p.end(interpose.Result{Data: data, Err: err}, resolved)
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	return splitLines(string(r.Data)), nil
-}
-
 // Mkdir creates a directory.
 func (p *Proc) Mkdir(site, path string, mode vfs.Mode) error {
 	c := p.begin(interpose.Call{
@@ -362,110 +305,6 @@ func (p *Proc) Unlink(site, path string) error {
 	return r.Err
 }
 
-// Rename moves oldp to newp.
-func (p *Proc) Rename(site, oldp, newp string) error {
-	c := p.begin(interpose.Call{
-		Site: site, Op: interpose.OpRename, Kind: interpose.KindFile,
-		Path: oldp, Path2: newp,
-	})
-	err := p.parentWriteChecked(c.Path, func() error {
-		return p.parentWriteChecked(c.Path2, func() error {
-			return p.K.FS.Rename(p.Cwd, c.Path, c.Path2)
-		})
-	})
-	r := p.end(interpose.Result{Err: err}, p.resolvedPath(c.Path2))
-	return r.Err
-}
-
-// Symlink creates a link at linkp pointing to target.
-func (p *Proc) Symlink(site, target, linkp string) error {
-	c := p.begin(interpose.Call{
-		Site: site, Op: interpose.OpSymlink, Kind: interpose.KindFile,
-		Path: linkp, Path2: target,
-	})
-	err := p.parentWriteChecked(c.Path, func() error {
-		_, err := p.K.FS.Symlink(p.Cwd, c.Path2, c.Path, p.Cred.EUID, p.Cred.EGID)
-		return err
-	})
-	r := p.end(interpose.Result{Err: err}, p.resolvedLinkPath(c.Path))
-	return r.Err
-}
-
-// Chmod changes permission bits; only the owner or root may.
-func (p *Proc) Chmod(site, path string, mode vfs.Mode) error {
-	c := p.begin(interpose.Call{
-		Site: site, Op: interpose.OpChmod, Kind: interpose.KindFile,
-		Path: path, Mode: uint16(mode),
-	})
-	var resolved string
-	err := func() error {
-		n, lerr := p.K.FS.Lookup(p.Cwd, c.Path)
-		if lerr != nil {
-			return lerr
-		}
-		res, _ := p.K.FS.Resolve(p.Cwd, c.Path, true)
-		resolved = res.Path
-		if p.Cred.EUID != 0 && p.Cred.EUID != n.UID {
-			return fmt.Errorf("%w: chmod %s", ErrPerm, resolved)
-		}
-		n = p.K.FS.Own(n)
-		n.Mode = vfs.Mode(c.Mode) & vfs.ModePermMask
-		n.Gen++
-		return nil
-	}()
-	r := p.end(interpose.Result{Err: err}, resolved)
-	return r.Err
-}
-
-// Chown changes ownership; only root may (BSD semantics).
-func (p *Proc) Chown(site, path string, uid, gid int) error {
-	c := p.begin(interpose.Call{
-		Site: site, Op: interpose.OpChown, Kind: interpose.KindFile,
-		Path: path, Flags: uid, Mode: uint16(gid),
-	})
-	var resolved string
-	err := func() error {
-		n, lerr := p.K.FS.Lookup(p.Cwd, c.Path)
-		if lerr != nil {
-			return lerr
-		}
-		res, _ := p.K.FS.Resolve(p.Cwd, c.Path, true)
-		resolved = res.Path
-		if p.Cred.EUID != 0 {
-			return fmt.Errorf("%w: chown %s", ErrPerm, resolved)
-		}
-		n = p.K.FS.Own(n)
-		n.UID, n.GID = c.Flags, int(c.Mode)
-		n.Gen++
-		return nil
-	}()
-	r := p.end(interpose.Result{Err: err}, resolved)
-	return r.Err
-}
-
-// Chdir changes the working directory.
-func (p *Proc) Chdir(site, path string) error {
-	c := p.begin(interpose.Call{Site: site, Op: interpose.OpChdir, Kind: interpose.KindDir, Path: path})
-	var resolved string
-	err := func() error {
-		res, rerr := p.K.FS.Resolve(p.Cwd, c.Path, true)
-		if rerr != nil {
-			return rerr
-		}
-		if res.Node == nil {
-			return fmt.Errorf("%w: %s", vfs.ErrNotExist, res.Path)
-		}
-		if res.Node.Type != vfs.TypeDir {
-			return fmt.Errorf("%w: %s", vfs.ErrNotDir, res.Path)
-		}
-		resolved = res.Path
-		p.Cwd = res.Path
-		return nil
-	}()
-	r := p.end(interpose.Result{Err: err}, resolved)
-	return r.Err
-}
-
 // parentWriteChecked runs op after verifying the caller can write the
 // parent directory of path.
 func (p *Proc) parentWriteChecked(path string, op func() error) error {
@@ -477,40 +316,4 @@ func (p *Proc) parentWriteChecked(path string, op func() error) error {
 		return fmt.Errorf("%w: directory of %s", ErrPerm, res.Path)
 	}
 	return op()
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n"
-		}
-		out += l
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
-}
-
-// resolvedLinkPath is resolvedPath for operations whose object is the link
-// entry itself (symlink creation, unlink): intermediate symlinks are
-// expanded but the final component is not followed.
-func (p *Proc) resolvedLinkPath(path string) string {
-	if res, err := p.K.FS.Resolve(p.Cwd, path, false); err == nil {
-		return res.Path
-	}
-	return vfs.Canon(p.Cwd, path)
 }

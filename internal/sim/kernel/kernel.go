@@ -38,8 +38,8 @@ var (
 // kernel syscall API. The return value is the process exit code.
 type Program func(p *Proc) int
 
-// Kernel is one simulated machine: substrates, account database, program
-// images, and the interaction bus for the current run.
+// Kernel is one simulated machine: substrates, account database, process
+// mailboxes, and the interaction bus for the current run.
 type Kernel struct {
 	FS    *vfs.FS
 	Net   *netsim.Net
@@ -47,15 +47,7 @@ type Kernel struct {
 	Users *proc.Users
 	Bus   *interpose.Bus
 
-	programs  map[string]Program
 	mailboxes map[string][][]byte
-	nextPID   int
-
-	// frozen is set by Snapshot, whose forks share this kernel's program
-	// table; RegisterProgram then panics. sharedPrograms marks such a
-	// fork, whose first RegisterProgram copies the table.
-	frozen         bool
-	sharedPrograms bool
 	// sharedMailboxes marks a fork whose mailbox table is still its
 	// snapshot's; the first write copies the table (ownMailboxes).
 	sharedMailboxes bool
@@ -112,44 +104,27 @@ func (k *Kernel) SetMailbox(mailbox string, msgs [][]byte) {
 // them directly when a world needs them.
 func New() *Kernel {
 	return &Kernel{
-		FS:       vfs.New(),
-		Users:    proc.NewUsers(),
-		Bus:      interpose.NewBus(),
-		programs: make(map[string]Program),
+		FS:    vfs.New(),
+		Users: proc.NewUsers(),
+		Bus:   interpose.NewBus(),
 	}
-}
-
-// RegisterProgram installs a program image at the given absolute path.
-// Exec of that (resolved) path runs the program in a child process.
-func (k *Kernel) RegisterProgram(path string, prog Program) {
-	if k.frozen {
-		panic("kernel: RegisterProgram on a snapshotted kernel")
-	}
-	if k.sharedPrograms {
-		k.programs = maps.Clone(k.programs)
-		k.sharedPrograms = false
-	}
-	k.programs[path] = prog
 }
 
 // NewProc creates a process with the given credentials, environment, and
-// working directory. The process never writes env: its first Setenv
-// copies it, so one launch environment can start any number of
-// processes, concurrent ones included.
+// working directory. The process only reads env, so one launch
+// environment can start any number of processes, concurrent ones
+// included.
 func (k *Kernel) NewProc(cred proc.Cred, env proc.Env, cwd string, args ...string) *Proc {
-	k.nextPID++
 	if cwd == "" {
 		cwd = "/"
 	}
 	return &Proc{
-		K:         k,
-		PID:       k.nextPID,
-		Cred:      cred,
-		Umask:     0o022,
-		Env:       env,
-		envShared: true,
-		Args:      args,
-		Cwd:       cwd,
+		K:     k,
+		Cred:  cred,
+		Umask: 0o022,
+		Env:   env,
+		Args:  args,
+		Cwd:   cwd,
 	}
 }
 
@@ -183,7 +158,6 @@ func (k *Kernel) Run(p *Proc, prog Program) (exit int, crash *Crash) {
 // interaction carries the caller's credentials.
 type Proc struct {
 	K     *Kernel
-	PID   int
 	Cred  proc.Cred
 	Umask vfs.Mode
 	Env   proc.Env
@@ -194,13 +168,9 @@ type Proc struct {
 	Stderr bytes.Buffer
 
 	// call and res are the interaction in flight: each syscall fills them
-	// in place rather than allocating its own. A child process runs on its
-	// own Proc, so an Exec's nested interactions never touch its parent's.
+	// in place rather than allocating its own.
 	call interpose.Call
 	res  interpose.Result
-	// envShared marks Env as borrowed (from the launch, or shared with a
-	// parent or child at exec): the first Setenv copies it.
-	envShared bool
 }
 
 // Printf writes formatted output to the process's stdout, which the

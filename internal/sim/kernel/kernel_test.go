@@ -255,29 +255,6 @@ func TestStatAndLstat(t *testing.T) {
 	}
 }
 
-func TestReadlinkReadDir(t *testing.T) {
-	t.Parallel()
-	k := newWorld(t)
-	p := alice(k)
-	if _, err := k.FS.Symlink("/", "target", "/tmp/ln", 100, 100); err != nil {
-		t.Fatal(err)
-	}
-	tgt, err := p.Readlink("t:rl", "/tmp/ln")
-	if err != nil || tgt != "target" {
-		t.Fatalf("Readlink = %q, %v", tgt, err)
-	}
-	if _, err := p.Readlink("t:rl2", "/etc/passwd"); err == nil {
-		t.Error("Readlink on regular file succeeded")
-	}
-	names, err := p.ReadDir("t:rd", "/etc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "passwd" || names[1] != "shadow" {
-		t.Errorf("ReadDir = %v", names)
-	}
-}
-
 func TestUnlinkRenamePermissions(t *testing.T) {
 	t.Parallel()
 	k := newWorld(t)
@@ -293,71 +270,6 @@ func TestUnlinkRenamePermissions(t *testing.T) {
 	if err := p.Unlink("t:ul2", "/tmp/mine"); err != nil {
 		t.Errorf("unlink own tmp file: %v", err)
 	}
-	// Rename across writable dirs works.
-	if _, err := p.Create("t:c2", "/tmp/a", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Rename("t:mv", "/tmp/a", "/home/alice/b"); err != nil {
-		t.Errorf("rename: %v", err)
-	}
-	// Rename into /etc denied.
-	if _, err := p.Create("t:c3", "/tmp/c", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Rename("t:mv2", "/tmp/c", "/etc/c"); !errors.Is(err, ErrPerm) {
-		t.Errorf("rename into /etc err = %v", err)
-	}
-}
-
-func TestChmodChownAuthority(t *testing.T) {
-	t.Parallel()
-	k := newWorld(t)
-	p := alice(k)
-	if _, err := p.Create("t:c", "/tmp/f", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Owner may chmod.
-	if err := p.Chmod("t:chmod", "/tmp/f", 0o600); err != nil {
-		t.Errorf("own chmod: %v", err)
-	}
-	// Non-owner may not.
-	if err := p.Chmod("t:chmod2", "/etc/passwd", 0o666); !errors.Is(err, ErrPerm) {
-		t.Errorf("chmod other's file err = %v", err)
-	}
-	// Only root chowns.
-	if err := p.Chown("t:chown", "/tmp/f", 0, 0); !errors.Is(err, ErrPerm) {
-		t.Errorf("alice chown err = %v", err)
-	}
-	rootP := k.NewProc(proc.NewCred(0, 0), nil, "/")
-	if err := rootP.Chown("t:chown2", "/tmp/f", 666, 666); err != nil {
-		t.Errorf("root chown: %v", err)
-	}
-	n, _ := k.FS.Lookup("/", "/tmp/f")
-	if n.UID != 666 {
-		t.Errorf("uid after chown = %d", n.UID)
-	}
-}
-
-func TestChdir(t *testing.T) {
-	t.Parallel()
-	k := newWorld(t)
-	p := alice(k)
-	if err := p.Chdir("t:cd", "/tmp"); err != nil {
-		t.Fatal(err)
-	}
-	if p.Cwd != "/tmp" {
-		t.Errorf("cwd = %q", p.Cwd)
-	}
-	if err := p.Chdir("t:cd2", "/etc/passwd"); !errors.Is(err, vfs.ErrNotDir) {
-		t.Errorf("chdir to file err = %v", err)
-	}
-	// Relative resolution uses the new cwd.
-	if _, err := p.Create("t:c", "scratch", 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !k.FS.Exists("/tmp/scratch") {
-		t.Error("relative create landed elsewhere")
-	}
 }
 
 func TestGetenvSetenvArg(t *testing.T) {
@@ -370,39 +282,11 @@ func TestGetenvSetenvArg(t *testing.T) {
 	if got := p.Getenv("t:ge2", "MISSING"); got != "" {
 		t.Errorf("missing Getenv = %q", got)
 	}
-	p.Setenv("t:se", "IFS", " \t\n")
-	if p.Env["IFS"] != " \t\n" {
-		t.Error("Setenv did not store")
-	}
 	if got := p.Arg("t:arg", 2); got != "cs352" {
 		t.Errorf("Arg(2) = %q", got)
 	}
 	if got := p.Arg("t:arg2", 99); got != "" {
 		t.Errorf("Arg(99) = %q", got)
-	}
-	if p.NArgs() != 3 {
-		t.Errorf("NArgs = %d", p.NArgs())
-	}
-}
-
-func TestExecSUIDSemantics(t *testing.T) {
-	t.Parallel()
-	k := newWorld(t)
-	// Install a set-UID root binary that reports its credentials.
-	if err := k.FS.WriteFile("/usr/bin/reporter", []byte("#!"), 0o4755, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	k.RegisterProgram("/usr/bin/reporter", func(p *Proc) int {
-		p.Printf("euid=%d uid=%d", p.Cred.EUID, p.Cred.UID)
-		return 0
-	})
-	p := alice(k)
-	exit, err := p.Exec("t:exec", "/usr/bin/reporter")
-	if err != nil || exit != 0 {
-		t.Fatalf("exec: %d, %v", exit, err)
-	}
-	if got := p.Stdout.String(); got != "euid=0 uid=100" {
-		t.Errorf("child creds = %q, want euid=0 uid=100 (SUID)", got)
 	}
 }
 
@@ -412,14 +296,12 @@ func TestExecPATHResolution(t *testing.T) {
 	if err := k.FS.WriteFile("/usr/bin/tool", []byte("#!"), 0o755, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	ran := false
-	k.RegisterProgram("/usr/bin/tool", func(p *Proc) int { ran = true; return 0 })
 	p := alice(k)
-	if _, err := p.Exec("t:exec", "tool"); err != nil {
-		t.Fatalf("PATH exec: %v", err)
+	if exit, err := p.Exec("t:exec", "tool"); err != nil || exit != 0 {
+		t.Fatalf("PATH exec: %d, %v", exit, err)
 	}
-	if !ran {
-		t.Error("program did not run")
+	if ev := eventAt(k.Bus, "t:exec#0"); ev == nil || ev.ResolvedPath != "/usr/bin/tool" {
+		t.Errorf("exec event = %+v, want /usr/bin/tool resolved", ev)
 	}
 	// The implicit PATH read appears on the trace — the paper's "invisible
 	// use of an internal entity by a system call".
@@ -574,22 +456,8 @@ func TestRegistrySyscalls(t *testing.T) {
 	if err != nil || v != `C:\App` {
 		t.Fatalf("RegGetString = %q, %v", v, err)
 	}
-	// Unprivileged user can write the unprotected key.
-	if err := p.RegSetString("t:rs", `HKLM\Software\App`, "Dir", `C:\Evil`); err != nil {
-		t.Errorf("unprotected set: %v", err)
-	}
-	// Admin (euid 0) can delete.
-	rootP := k.NewProc(proc.NewCred(0, 0), nil, "/")
-	if err := rootP.RegDeleteValue("t:rd", `HKLM\Software\App`, "Dir"); err != nil {
-		t.Errorf("admin delete: %v", err)
-	}
-	// Dword round trip.
-	if err := k.Reg.SetDWord(`HKLM\Software\App`, "N", 7, registry.System); err != nil {
-		t.Fatal(err)
-	}
-	d, err := p.RegGetDWord("t:rgd", `HKLM\Software\App`, "N")
-	if err != nil || d != 7 {
-		t.Errorf("RegGetDWord = %d, %v", d, err)
+	if _, err := p.RegGetString("t:rg2", `HKLM\Software\App`, "Missing"); !errors.Is(err, registry.ErrNoValue) {
+		t.Errorf("missing value err = %v", err)
 	}
 }
 
@@ -611,12 +479,6 @@ func TestMailboxes(t *testing.T) {
 	m1, err := p.MsgRecv("t:mr", "spooler")
 	if err != nil || string(m1) != "job 1" {
 		t.Fatalf("MsgRecv = %q, %v", m1, err)
-	}
-	if err := p.MsgSend("t:ms", "printer", []byte("out")); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.PeekMailbox("printer"); len(got) != 1 || string(got[0]) != "out" {
-		t.Errorf("printer mailbox = %v", got)
 	}
 	// Drain then empty.
 	if _, err := p.MsgRecv("t:mr2", "spooler"); err != nil {

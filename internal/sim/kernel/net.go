@@ -110,14 +110,3 @@ func (p *Proc) MsgRecv(site, mailbox string) ([]byte, error) {
 	r := p.end(interpose.Result{Data: data, Err: err}, c.Path)
 	return r.Data, r.Err
 }
-
-// MsgSend posts a message to a mailbox.
-func (p *Proc) MsgSend(site, mailbox string, data []byte) error {
-	c := p.begin(interpose.Call{
-		Site: site, Op: interpose.OpMsgSend, Kind: interpose.KindProcess,
-		Path: mailbox, Data: data,
-	})
-	p.K.PostMessage(c.Path, c.Data)
-	p.end(interpose.Result{N: len(c.Data)}, c.Path)
-	return nil
-}

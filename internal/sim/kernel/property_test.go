@@ -117,9 +117,9 @@ func TestTraceSequenceMonotone(t *testing.T) {
 	ops := []func(){
 		func() { _, _ = p.Stat("m:a", "/etc/passwd") },
 		func() { _ = p.Getenv("m:b", "PATH") },
-		func() { _, _ = p.ReadDir("m:c", "/etc") },
+		func() { _, _ = p.Lstat("m:c", "/etc") },
 		func() { _, _ = p.Create("m:d", "/tmp/x", 0o644) },
-		func() { _ = p.Chdir("m:e", "/tmp") },
+		func() { _ = p.Mkdir("m:e", "/tmp/d", 0o755) },
 		func() { _ = p.Arg("m:f", 0) },
 	}
 	for _, op := range ops {
@@ -158,40 +158,6 @@ func TestUmaskOnlyRemovesBits(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestReadDirPermission: listing requires read on the directory.
-func TestReadDirPermission(t *testing.T) {
-	t.Parallel()
-	k := newWorld(t)
-	if err := k.FS.MkdirAll("/", "/secret", 0o700, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	p := alice(k)
-	if _, err := p.ReadDir("t:rd", "/secret"); !errors.Is(err, ErrPerm) {
-		t.Errorf("readdir of 0700 root dir err = %v", err)
-	}
-}
-
-// TestExecChildEnvIsolated: mutating the child's environment does not leak
-// into the parent.
-func TestExecChildEnvIsolated(t *testing.T) {
-	t.Parallel()
-	k := newWorld(t)
-	if err := k.FS.WriteFile("/usr/bin/mutator", []byte("#!"), 0o755, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	k.RegisterProgram("/usr/bin/mutator", func(p *Proc) int {
-		p.Setenv("child:setenv", "PATH", "/poisoned")
-		return 0
-	})
-	p := alice(k)
-	if _, err := p.Exec("t:exec", "/usr/bin/mutator"); err != nil {
-		t.Fatal(err)
-	}
-	if p.Env["PATH"] != "/usr/bin" {
-		t.Errorf("parent PATH = %q after child mutation", p.Env["PATH"])
 	}
 }
 
@@ -234,46 +200,5 @@ func TestWorldsIndependent(t *testing.T) {
 	}
 	if k2.FS.Exists("/tmp/only-in-1") {
 		t.Error("worlds share a filesystem")
-	}
-}
-
-// TestLaunchEnvShared: processes started on one environment share it
-// without writing it. Each process's first Setenv copies it, so the
-// launch map, a sibling process and an exec'd child that set variables
-// never see one another's writes.
-func TestLaunchEnvShared(t *testing.T) {
-	t.Parallel()
-	k := newWorld(t)
-	if err := k.FS.WriteFile("/usr/bin/setter", []byte("#!"), 0o755, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	k.RegisterProgram("/usr/bin/setter", func(p *Proc) int {
-		p.Setenv("child:setenv", "HOME", "/child")
-		return 0
-	})
-	launch := proc.NewEnv("PATH", "/usr/bin", "HOME", "/home/alice")
-	a := k.NewProc(proc.NewCred(100, 100), launch, "/")
-	b := k.NewProc(proc.NewCred(100, 100), launch, "/")
-	a.Setenv("a:setenv", "PATH", "/a")
-	if _, err := a.Exec("a:exec", "/usr/bin/setter"); err != nil {
-		t.Fatal(err)
-	}
-	a.Setenv("a:setenv2", "EDITOR", "vi")
-	if got := a.Getenv("a:getenv", "HOME"); got != "/home/alice" {
-		t.Errorf("a's HOME = %q after its child's Setenv", got)
-	}
-	if got := a.Getenv("a:getenv", "PATH"); got != "/a" {
-		t.Errorf("a's PATH = %q", got)
-	}
-	if got := b.Getenv("b:getenv", "PATH"); got != "/usr/bin" {
-		t.Errorf("sibling's PATH = %q after a's Setenv", got)
-	}
-	if len(launch) != 2 || launch["PATH"] != "/usr/bin" || launch["HOME"] != "/home/alice" {
-		t.Errorf("launch environment written: %v", launch)
-	}
-	none := k.NewProc(proc.NewCred(100, 100), nil, "/")
-	none.Setenv("n:setenv", "X", "1")
-	if got := none.Getenv("n:getenv", "X"); got != "1" {
-		t.Errorf("Setenv on a nil environment: X = %q", got)
 	}
 }

@@ -33,48 +33,3 @@ func (p *Proc) RegGetString(site, key, name string) (string, error) {
 	}
 	return delivered(r.Data, s), nil
 }
-
-// RegGetDWord reads a registry numeric value through the bus.
-func (p *Proc) RegGetDWord(site, key, name string) (uint32, error) {
-	if p.K.Reg == nil {
-		return 0, ErrNoReg
-	}
-	c := p.begin(interpose.Call{
-		Site: site, Op: interpose.OpRegGet, Kind: interpose.KindRegistry,
-		Path: key, Path2: name,
-	})
-	d, err := p.K.Reg.GetDWord(c.Path, c.Path2, principalFor(p.Cred.EUID))
-	r := p.end(interpose.Result{N: int(d), Err: err}, c.Path+`\`+c.Path2)
-	if r.Err != nil {
-		return 0, r.Err
-	}
-	return uint32(r.N), nil
-}
-
-// RegSetString writes a registry string value through the bus.
-func (p *Proc) RegSetString(site, key, name, value string) error {
-	if p.K.Reg == nil {
-		return ErrNoReg
-	}
-	c := p.begin(interpose.Call{
-		Site: site, Op: interpose.OpRegSet, Kind: interpose.KindRegistry,
-		Path: key, Path2: name, Data: []byte(value),
-	})
-	err := p.K.Reg.SetString(c.Path, c.Path2, string(c.Data), principalFor(p.Cred.EUID))
-	r := p.end(interpose.Result{Err: err}, c.Path+`\`+c.Path2)
-	return r.Err
-}
-
-// RegDeleteValue removes a registry value through the bus.
-func (p *Proc) RegDeleteValue(site, key, name string) error {
-	if p.K.Reg == nil {
-		return ErrNoReg
-	}
-	c := p.begin(interpose.Call{
-		Site: site, Op: interpose.OpRegDel, Kind: interpose.KindRegistry,
-		Path: key, Path2: name,
-	})
-	err := p.K.Reg.DeleteValue(c.Path, c.Path2, principalFor(p.Cred.EUID))
-	r := p.end(interpose.Result{Err: err}, c.Path+`\`+c.Path2)
-	return r.Err
-}

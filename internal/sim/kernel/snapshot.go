@@ -5,37 +5,31 @@ import (
 	"repro/internal/sim/vfs"
 )
 
-// Snapshot is an immutable clean-world image: the filesystem, registry,
-// account database and program table frozen in place, plus copies of the
-// network scripts and mailbox queues. Fork stamps out a mutable kernel in
-// O(small): the VFS, registry, accounts, programs and mailbox queues are
-// shared copy-on-write, so only the network scripts are cloned eagerly.
+// Snapshot is an immutable clean-world image: the filesystem, registry
+// and account database frozen in place, plus copies of the network
+// scripts and mailbox queues. Fork stamps out a mutable kernel in
+// O(small): the VFS, registry, accounts and mailbox queues are shared
+// copy-on-write, so only the network scripts are cloned eagerly.
 type Snapshot struct {
 	fs        *vfs.FS
-	programs  map[string]Program
 	mailboxes map[string][][]byte
-	nextPID   int
 	src       *Kernel
 }
 
-// Snapshot freezes the kernel's filesystem, registry, account database
-// and program table and captures the rest of its state as the clean-world
-// image. The receiver must not be mutated afterwards — VFS and registry
-// writes, Users.Add and RegisterProgram panic once frozen, and the
-// mailbox queues are deep-copied here so later Fork calls see the
-// capture-time state.
+// Snapshot freezes the kernel's filesystem, registry and account
+// database and captures the rest of its state as the clean-world image.
+// The receiver must not be mutated afterwards — VFS and registry writes
+// and Users.Add panic once frozen, and the mailbox queues are
+// deep-copied here so later Fork calls see the capture-time state.
 func (k *Kernel) Snapshot() *Snapshot {
 	k.FS.Freeze()
 	if k.Reg != nil {
 		k.Reg.Freeze()
 	}
 	k.Users.Freeze()
-	k.frozen = true
 	return &Snapshot{
 		fs:        k.FS,
-		programs:  k.programs,
 		mailboxes: cloneMailboxes(k.mailboxes),
-		nextPID:   k.nextPID,
 		src:       k,
 	}
 }
@@ -63,23 +57,19 @@ func (k *Kernel) FreezeFS() *vfs.FS {
 }
 
 // Fork returns a fresh mutable kernel backed by the snapshot. The VFS,
-// registry, account database, program table and mailbox table are
-// copy-on-write views of the frozen state — a write copies only what it
-// touches, and a received message is copied out to the receiver — and
-// the network is cloned, so no mutable state is shared between forks.
-// PID and inode counters continue from the snapshot's values, which
-// keeps a forked run's trace bit-identical to one against a freshly
-// built world.
+// registry, account database and mailbox table are copy-on-write views
+// of the frozen state — a write copies only what it touches, and a
+// received message is copied out to the receiver — and the network is
+// cloned, so no mutable state is shared between forks. The inode counter
+// continues from the snapshot's value, which keeps a forked run's trace
+// bit-identical to one against a freshly built world.
 func (s *Snapshot) Fork() *Kernel {
 	k := &Kernel{
 		FS:              s.fs.Fork(),
 		Users:           s.src.Users.Fork(),
 		Bus:             interpose.NewBus(),
-		programs:        s.programs,
-		sharedPrograms:  true,
 		mailboxes:       s.mailboxes,
 		sharedMailboxes: true,
-		nextPID:         s.nextPID,
 	}
 	if s.src.Net != nil {
 		k.Net = s.src.Net.Clone()

@@ -69,8 +69,8 @@ func TestSnapshotForkIsolation(t *testing.T) {
 
 // TestSnapshotFrozenBaseMutationPanics: the freeze is a tripwire, not a
 // convention — writing through the snapshotted kernel must panic, for the
-// filesystem and for the account database and program table its forks
-// share. A fork's own first write to either copies it instead.
+// filesystem and for the account database its forks share. A fork's own
+// first write to the account database copies it instead.
 func TestSnapshotFrozenBaseMutationPanics(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -79,7 +79,6 @@ func TestSnapshotFrozenBaseMutationPanics(t *testing.T) {
 	}{
 		{"filesystem write", func(k *Kernel) { _ = k.FS.WriteFile("/tmp/x", []byte("y"), 0o644, 0, 0) }},
 		{"Users.Add", func(k *Kernel) { k.Users.Add(proc.User{Name: "eve", UID: 777, GID: 777}) }},
-		{"RegisterProgram", func(k *Kernel) { k.RegisterProgram("/usr/bin/tool", func(*Proc) int { return 0 }) }},
 	} {
 		k := snapWorld(t)
 		k.Snapshot()
@@ -96,31 +95,23 @@ func TestSnapshotFrozenBaseMutationPanics(t *testing.T) {
 	snap := snapWorld(t).Snapshot()
 	a, b := snap.Fork(), snap.Fork()
 	a.Users.Add(proc.User{Name: "eve", UID: 777, GID: 777})
-	a.RegisterProgram("/usr/bin/tool", func(*Proc) int { return 0 })
 	if _, ok := a.Users.ByUID(777); !ok {
 		t.Error("fork lost its own Users.Add")
-	}
-	if _, ok := a.programs["/usr/bin/tool"]; !ok {
-		t.Error("fork lost its own RegisterProgram")
 	}
 	for name, k := range map[string]*Kernel{"snapshot": snap.src, "sibling fork": b} {
 		if _, ok := k.Users.ByUID(777); ok {
 			t.Errorf("a fork's Users.Add reached the %s", name)
 		}
-		if _, ok := k.programs["/usr/bin/tool"]; ok {
-			t.Errorf("a fork's RegisterProgram reached the %s", name)
-		}
 	}
 }
 
 // TestSnapshotForkAllocs pins the cost of stamping out a run's kernel:
-// the filesystem, registry, accounts and programs are shared, so Fork
+// the filesystem, registry and accounts are shared, so Fork
 // allocates a fixed handful of objects whatever the world holds.
 func TestSnapshotForkAllocs(t *testing.T) {
 	k := snapWorld(t)
 	for i := 0; i < 50; i++ {
 		k.Users.Add(proc.User{Name: fmt.Sprintf("user%d", i), UID: 1000 + i, GID: 1000 + i})
-		k.RegisterProgram(fmt.Sprintf("/usr/bin/tool%d", i), func(*Proc) int { return 0 })
 	}
 	snap := k.Snapshot()
 	if allocs := testing.AllocsPerRun(100, func() { snap.Fork() }); allocs > maxForkAllocs {
@@ -162,10 +153,13 @@ func TestSnapshotForkStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				// Every worker's process starts on one launch environment
+				// Every worker's process reads one launch environment
 				// and receives the snapshot's one queued message.
 				p := k.NewProc(proc.NewCred(100, 100), launch, "/")
-				p.Setenv("w:setenv", "PATH", mine)
+				if got := p.Getenv("w:getenv", "PATH"); got != "/usr/bin" {
+					errs <- fmt.Errorf("worker read PATH %q", got)
+					return
+				}
 				msg, err := p.MsgRecv("w:recv", "inbox")
 				if err != nil || string(msg) != "hello" {
 					errs <- fmt.Errorf("worker received %q, %v", msg, err)
@@ -219,9 +213,7 @@ func TestForkMailboxCopyOnWrite(t *testing.T) {
 	copy(msg, "XXXXX")
 	a.PostMessage("inbox", []byte("a's own"))
 	a.PostMessage("outbox", []byte("sent"))
-	if err := p.MsgSend("t:send", "inbox", []byte("more")); err != nil {
-		t.Fatal(err)
-	}
+	a.PostMessage("inbox", []byte("more"))
 	if got := a.PeekMailbox("inbox"); len(got) != 2 || string(got[0]) != "a's own" || string(got[1]) != "more" {
 		t.Errorf("fork a's inbox = %q", got)
 	}

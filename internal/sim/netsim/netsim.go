@@ -12,7 +12,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Static errors matched with errors.Is by applications and the oracle.
@@ -85,10 +84,6 @@ func (n *Net) Lookup(host string) (string, error) {
 	return addr, nil
 }
 
-// SetDNS overwrites a DNS entry; the DNS-reply perturbation uses it to
-// poison resolution.
-func (n *Net) SetDNS(host, addr string) { n.dns[host] = addr }
-
 // AddService registers a service. The service is reachable at its Addr.
 func (n *Net) AddService(s *Service) {
 	if s.Host == "" {
@@ -100,24 +95,13 @@ func (n *Net) AddService(s *Service) {
 // Service returns the service at addr, or nil.
 func (n *Net) Service(addr string) *Service { return n.services[addr] }
 
-// Services returns all services sorted by address.
-func (n *Net) Services() []*Service {
-	out := make([]*Service, 0, len(n.services))
-	for _, s := range n.services {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
 // Conn is an established connection to a service. It replays the service's
 // script on Recv and records what the application Sends.
 type Conn struct {
-	svc    *Service
-	pos    int
-	step   int
-	closed bool
-	Sent   [][]byte
+	svc  *Service
+	pos  int
+	step int
+	Sent [][]byte
 }
 
 // Dial connects to the service at addr. Unavailable services refuse, which
@@ -136,9 +120,6 @@ func (n *Net) Dial(addr string) (*Conn, error) {
 // Recv returns the next scripted message. After the script is exhausted it
 // returns ErrConnClosed.
 func (c *Conn) Recv() (Message, error) {
-	if c.closed {
-		return Message{}, ErrConnClosed
-	}
 	if c.pos >= len(c.svc.Script) {
 		return Message{}, ErrConnClosed
 	}
@@ -151,9 +132,6 @@ func (c *Conn) Recv() (Message, error) {
 // the service defines protocol Steps, Send also advances the protocol
 // cursor; sending past the final step is a protocol violation.
 func (c *Conn) Send(data []byte) error {
-	if c.closed {
-		return ErrConnClosed
-	}
 	c.Sent = append(c.Sent, append([]byte(nil), data...))
 	if len(c.svc.Steps) > 0 {
 		if c.step >= len(c.svc.Steps) {
@@ -164,15 +142,8 @@ func (c *Conn) Send(data []byte) error {
 	return nil
 }
 
-// Step returns the index of the next expected protocol step.
-func (c *Conn) Step() int { return c.step }
-
 // Service returns the connected service.
 func (c *Conn) Service() *Service { return c.svc }
-
-// Close closes the connection. Double close is a no-op, matching net.Conn
-// tolerance in practice.
-func (c *Conn) Close() { c.closed = true }
 
 // Clone deep-copies the network world, so a fault campaign can reset
 // between runs.

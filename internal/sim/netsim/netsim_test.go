@@ -37,10 +37,10 @@ func TestLookup(t *testing.T) {
 func TestDNSPoisoning(t *testing.T) {
 	t.Parallel()
 	n := newTestNet()
-	n.SetDNS("printhost", "10.66.6.6")
+	n.AddDNS("printhost", "10.66.6.6")
 	addr, err := n.Lookup("printhost")
 	if err != nil || addr != "10.66.6.6" {
-		t.Fatalf("after SetDNS: %q, %v", addr, err)
+		t.Fatalf("after AddDNS: %q, %v", addr, err)
 	}
 }
 
@@ -74,6 +74,13 @@ func TestDialFailures(t *testing.T) {
 	if _, err := n.Dial("10.0.0.5:515"); !errors.Is(err, ErrUnavailable) {
 		t.Errorf("unavailable err = %v", err)
 	}
+	n.AddService(&Service{Addr: "a:1"})
+	if h := n.Service("a:1").Host; h != "a:1" {
+		t.Errorf("default Host = %q, want addr", h)
+	}
+	if _, err := n.Dial("a:1"); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("service added unavailable: err = %v", err)
+	}
 }
 
 func TestSendProtocolSteps(t *testing.T) {
@@ -88,31 +95,11 @@ func TestSendProtocolSteps(t *testing.T) {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
-	if c.Step() != 3 {
-		t.Errorf("Step = %d, want 3", c.Step())
-	}
 	if err := c.Send([]byte("EXTRA")); !errors.Is(err, ErrProtocol) {
 		t.Errorf("extra step err = %v", err)
 	}
 	if len(c.Sent) != 4 {
 		t.Errorf("Sent records = %d, want 4 (violating send still recorded)", len(c.Sent))
-	}
-}
-
-func TestCloseSemantics(t *testing.T) {
-	t.Parallel()
-	n := newTestNet()
-	c, err := n.Dial("10.0.0.5:515")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	c.Close() // double close tolerated
-	if _, err := c.Recv(); !errors.Is(err, ErrConnClosed) {
-		t.Errorf("Recv after close err = %v", err)
-	}
-	if err := c.Send(nil); !errors.Is(err, ErrConnClosed) {
-		t.Errorf("Send after close err = %v", err)
 	}
 }
 
@@ -158,7 +145,7 @@ func TestNetClone(t *testing.T) {
 	// Perturb the clone.
 	c.Service("10.0.0.5:515").Available = false
 	c.Service("10.0.0.5:515").Script[0].Data[0] = 'X'
-	c.SetDNS("printhost", "10.9.9.9")
+	c.AddDNS("printhost", "10.9.9.9")
 	// Original unchanged.
 	if !n.Service("10.0.0.5:515").Available {
 		t.Error("clone shares Available")
@@ -168,19 +155,5 @@ func TestNetClone(t *testing.T) {
 	}
 	if addr, _ := n.Lookup("printhost"); addr != "10.0.0.5" {
 		t.Error("clone shares dns")
-	}
-}
-
-func TestServicesSorted(t *testing.T) {
-	t.Parallel()
-	n := New()
-	n.AddService(&Service{Addr: "b:1", Available: true})
-	n.AddService(&Service{Addr: "a:1", Available: true})
-	svcs := n.Services()
-	if len(svcs) != 2 || svcs[0].Addr != "a:1" {
-		t.Errorf("Services = %v", svcs)
-	}
-	if svcs[0].Host != "a:1" {
-		t.Errorf("default Host = %q, want addr", svcs[0].Host)
 	}
 }

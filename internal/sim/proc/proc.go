@@ -30,14 +30,6 @@ func NewCred(uid, gid int) Cred {
 	return Cred{UID: uid, GID: gid, EUID: uid, EGID: gid, SUID: uid}
 }
 
-// Privileged reports whether the effective uid is root.
-func (c Cred) Privileged() bool { return c.EUID == 0 }
-
-// Elevated reports whether the process runs with an effective uid different
-// from its real uid — the set-UID condition under which environment faults
-// become security-relevant.
-func (c Cred) Elevated() bool { return c.EUID != c.UID }
-
 // String renders credentials as "uid=100 euid=0 gid=100 egid=0".
 func (c Cred) String() string {
 	return fmt.Sprintf("uid=%d euid=%d gid=%d egid=%d", c.UID, c.EUID, c.GID, c.EGID)
@@ -94,14 +86,6 @@ func (u *Users) ByUID(uid int) (User, bool) {
 	return user, ok
 }
 
-// NameOf returns the account name for uid, or "uid:<n>" when unknown.
-func (u *Users) NameOf(uid int) string {
-	if user, ok := u.byUID[uid]; ok {
-		return user.Name
-	}
-	return fmt.Sprintf("uid:%d", uid)
-}
-
 // All returns every account sorted by uid.
 func (u *Users) All() []User {
 	out := make([]User, 0, len(u.byUID))
@@ -126,9 +110,8 @@ func (u *Users) Fork() *Users {
 	return &Users{byName: u.byName, byUID: u.byUID, shared: true}
 }
 
-// Env is a process environment table. Unlike a plain map it preserves no
-// order guarantee but supports cloning, which exec and fault snapshots
-// need.
+// Env is a process environment table. Processes only read it, so one
+// table can back any number of them; Clone makes an independent copy.
 type Env map[string]string
 
 // NewEnv returns an environment populated from pairs of key, value strings.
@@ -152,14 +135,4 @@ func (e Env) Clone() Env {
 		c[k] = v
 	}
 	return c
-}
-
-// Keys returns the variable names in sorted order.
-func (e Env) Keys() []string {
-	keys := make([]string, 0, len(e))
-	for k := range e {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -9,27 +9,15 @@ import (
 func TestNewCred(t *testing.T) {
 	t.Parallel()
 	c := NewCred(100, 50)
-	if c.UID != 100 || c.EUID != 100 || c.GID != 50 || c.EGID != 50 {
+	if c.UID != 100 || c.EUID != 100 || c.SUID != 100 || c.GID != 50 || c.EGID != 50 {
 		t.Errorf("NewCred = %+v", c)
-	}
-	if c.Privileged() {
-		t.Error("uid 100 reported privileged")
-	}
-	if c.Elevated() {
-		t.Error("fresh cred reported elevated")
 	}
 }
 
 func TestSetUIDSemantics(t *testing.T) {
 	t.Parallel()
 	c := NewCred(100, 100)
-	c.EUID = 0 // as after exec of a root-owned set-UID binary
-	if !c.Privileged() {
-		t.Error("euid 0 not privileged")
-	}
-	if !c.Elevated() {
-		t.Error("euid != uid not elevated")
-	}
+	c.EUID = 0 // as in a root-owned set-UID program
 	if got := c.String(); !strings.Contains(got, "uid=100") || !strings.Contains(got, "euid=0") {
 		t.Errorf("String() = %q", got)
 	}
@@ -46,11 +34,8 @@ func TestUsers(t *testing.T) {
 	if got, _ := u.ByUID(100); got.Name != "alice" {
 		t.Errorf("ByUID(100) = %+v", got)
 	}
-	if got := u.NameOf(200); got != "ta" {
-		t.Errorf("NameOf(200) = %q", got)
-	}
-	if got := u.NameOf(999); got != "uid:999" {
-		t.Errorf("NameOf(999) = %q", got)
+	if _, ok := u.ByUID(999); ok {
+		t.Error("ByUID(999) found an account")
 	}
 	all := u.All()
 	if len(all) != 3 || all[0].UID != 0 || all[2].UID != 200 {
@@ -106,9 +91,8 @@ func TestEnv(t *testing.T) {
 	if e["PATH"] != "/usr/bin:/bin" {
 		t.Errorf("PATH = %q", e["PATH"])
 	}
-	keys := e.Keys()
-	if len(keys) != 2 || keys[0] != "HOME" || keys[1] != "PATH" {
-		t.Errorf("Keys = %v", keys)
+	if len(e) != 2 || e["HOME"] != "/home/alice" {
+		t.Errorf("NewEnv = %v", e)
 	}
 	c := e.Clone()
 	c["PATH"] = "/tmp"
@@ -125,18 +109,6 @@ func TestNewEnvOddArgsPanics(t *testing.T) {
 		}
 	}()
 	NewEnv("KEY")
-}
-
-// Property: Elevated is exactly EUID != UID.
-func TestElevatedProperty(t *testing.T) {
-	t.Parallel()
-	f := func(uid, euid uint8) bool {
-		c := Cred{UID: int(uid), EUID: int(euid)}
-		return c.Elevated() == (uid != euid)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 // Property: Clone round-trips every key.

@@ -166,16 +166,6 @@ func (k *Key) copyFor(owner *Registry) *Key {
 // criterion for a key worth perturbing.
 func (k *Key) Unprotected() bool { return k.ACL.Grants(Everyone, RightWrite) }
 
-// ValueNames returns the sorted value names.
-func (k *Key) ValueNames() []string {
-	names := make([]string, 0, len(k.values))
-	for n := range k.values {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // SubkeyNames returns the sorted subkey names.
 func (k *Key) SubkeyNames() []string {
 	names := make([]string, 0, len(k.subkeys))
@@ -345,19 +335,6 @@ func (r *Registry) GetString(path, name string, subject Principal) (string, erro
 	return v.S, nil
 }
 
-// GetDWord reads a numeric value.
-func (r *Registry) GetDWord(path, name string, subject Principal) (uint32, error) {
-	k, err := r.Open(path, subject)
-	if err != nil {
-		return 0, err
-	}
-	v, ok := k.values[name]
-	if !ok || v.Type != TypeDWord {
-		return 0, fmt.Errorf("%w: %s\\%s", ErrNoValue, path, name)
-	}
-	return v.D, nil
-}
-
 // SetString writes a string value, subject to the key ACL.
 func (r *Registry) SetString(path, name, s string, subject Principal) error {
 	r.mutating()
@@ -369,20 +346,6 @@ func (r *Registry) SetString(path, name, s string, subject Principal) error {
 		return fmt.Errorf("%w: write %s for %s", ErrAccess, path, subject)
 	}
 	r.private(path, k).values[name] = Value{Type: TypeString, S: s}
-	return nil
-}
-
-// SetDWord writes a numeric value, subject to the key ACL.
-func (r *Registry) SetDWord(path, name string, d uint32, subject Principal) error {
-	r.mutating()
-	k, err := r.find(path)
-	if err != nil {
-		return err
-	}
-	if !k.ACL.Grants(subject, RightWrite) {
-		return fmt.Errorf("%w: write %s for %s", ErrAccess, path, subject)
-	}
-	r.private(path, k).values[name] = Value{Type: TypeDWord, D: d}
 	return nil
 }
 
@@ -447,30 +410,9 @@ func (r *Registry) UnprotectedKeys() []string {
 	return out
 }
 
-// Clone deep-copies the registry for campaign world resets.
-func (r *Registry) Clone() *Registry {
-	c := &Registry{hives: make(map[string]*Key, len(r.hives))}
-	var rec func(k *Key) *Key
-	rec = func(k *Key) *Key {
-		nk := k.copyFor(c)
-		nk.ACL = k.ACL.Clone()
-		for n, sk := range k.subkeys {
-			nk.subkeys[n] = rec(sk)
-		}
-		return nk
-	}
-	for h, k := range r.hives {
-		c.hives[h] = rec(k)
-	}
-	return c
-}
-
 // Freeze marks the registry immutable so it can serve as the base image
 // for Fork views. Any subsequent mutation attempt panics.
 func (r *Registry) Freeze() { r.frozen = true }
-
-// Frozen reports whether Freeze has been called.
-func (r *Registry) Frozen() bool { return r.frozen }
 
 // Fork returns a mutable registry view sharing the (frozen) receiver's
 // hive forest. Construction is O(1). A write through the view copies the

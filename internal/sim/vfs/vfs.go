@@ -116,7 +116,6 @@ var (
 	ErrLoop        = errors.New("vfs: too many levels of symbolic links")
 	ErrNotEmpty    = errors.New("vfs: directory not empty")
 	ErrInvalid     = errors.New("vfs: invalid argument")
-	ErrCrossLink   = errors.New("vfs: hard link to directory not permitted")
 	ErrBusy        = errors.New("vfs: resource busy")
 	ErrNameTooLong = errors.New("vfs: file name too long")
 )
@@ -151,9 +150,6 @@ type Inode struct {
 	Gen int64
 }
 
-// IsDir reports whether the inode is a directory.
-func (n *Inode) IsDir() bool { return n.Type == TypeDir }
-
 // IsSymlink reports whether the inode is a symbolic link.
 func (n *Inode) IsSymlink() bool { return n.Type == TypeSymlink }
 
@@ -169,14 +165,6 @@ func (n *Inode) Children() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Child returns the named child of a directory inode, or nil.
-func (n *Inode) Child(name string) *Inode {
-	if n.Type != TypeDir {
-		return nil
-	}
-	return n.kids[name]
 }
 
 // FS is an in-memory filesystem tree. The zero value is not usable; create
@@ -211,10 +199,6 @@ func New() *FS {
 	return fs
 }
 
-// Root returns the root directory inode (the fork's private copy when the
-// root has been privatized).
-func (fs *FS) Root() *Inode { return fs.view(fs.root) }
-
 func (fs *FS) newInode(t NodeType, mode Mode, uid, gid int) *Inode {
 	fs.nextID++
 	n := &Inode{
@@ -236,9 +220,6 @@ func (fs *FS) newInode(t NodeType, mode Mode, uid, gid int) *Inode {
 // for Fork. Any subsequent mutation attempt panics — the tripwire that
 // keeps a leaked shared mutation from corrupting every fork's run.
 func (fs *FS) Freeze() { fs.frozen = true }
-
-// Frozen reports whether Freeze has been called.
-func (fs *FS) Frozen() bool { return fs.frozen }
 
 // Fork returns a mutable filesystem that structurally shares every inode
 // with the (frozen) receiver. Construction is O(size of the receiver's cow
@@ -701,7 +682,7 @@ func (fs *FS) Symlink(cwd, target, p string, uid, gid int) (*Inode, error) {
 
 // Unlink removes the directory entry at p. It does not follow a final
 // symlink (removing the link, not its target). Directories are rejected;
-// use Rmdir.
+// RemoveAll removes them.
 func (fs *FS) Unlink(cwd, p string) error {
 	r, err := fs.Resolve(cwd, p, false)
 	if err != nil {
@@ -717,30 +698,6 @@ func (fs *FS) Unlink(cwd, p string) error {
 	delete(parent.kids, r.Name)
 	parent.Gen++
 	fs.own(r.Node).Nlink--
-	return nil
-}
-
-// Rmdir removes an empty directory at p.
-func (fs *FS) Rmdir(cwd, p string) error {
-	r, err := fs.Resolve(cwd, p, false)
-	if err != nil {
-		return err
-	}
-	if r.Node == nil {
-		return fmt.Errorf("%w: %s", ErrNotExist, r.Path)
-	}
-	if r.Node.Type != TypeDir {
-		return fmt.Errorf("%w: %s", ErrNotDir, r.Path)
-	}
-	if len(r.Node.kids) > 0 {
-		return fmt.Errorf("%w: %s", ErrNotEmpty, r.Path)
-	}
-	if r.Parent == nil {
-		return fmt.Errorf("%w: cannot remove root", ErrBusy)
-	}
-	parent := fs.own(r.Parent)
-	delete(parent.kids, r.Name)
-	parent.Gen++
 	return nil
 }
 
@@ -782,36 +739,6 @@ func (fs *FS) Rename(cwd, oldp, newp string) error {
 	newParent := fs.own(rn.Parent)
 	newParent.kids[rn.Name] = ro.Node
 	newParent.Gen++
-	return nil
-}
-
-// Link creates a hard link at newp to the inode named by oldp. Directories
-// may not be hard-linked.
-func (fs *FS) Link(cwd, oldp, newp string) error {
-	ro, err := fs.Resolve(cwd, oldp, true)
-	if err != nil {
-		return err
-	}
-	if ro.Node == nil {
-		return fmt.Errorf("%w: %s", ErrNotExist, ro.Path)
-	}
-	if ro.Node.Type == TypeDir {
-		return fmt.Errorf("%w: %s", ErrCrossLink, ro.Path)
-	}
-	rn, err := fs.Resolve(cwd, newp, false)
-	if err != nil {
-		return err
-	}
-	if rn.Node != nil {
-		return fmt.Errorf("%w: %s", ErrExist, rn.Path)
-	}
-	if rn.Parent == nil {
-		return fmt.Errorf("%w: cannot link at root", ErrInvalid)
-	}
-	parent := fs.own(rn.Parent)
-	parent.kids[rn.Name] = ro.Node
-	parent.Gen++
-	fs.own(ro.Node).Nlink++
 	return nil
 }
 
